@@ -28,6 +28,7 @@ from .errors import (
     GroupTooLarge,
     IndefiniteSupport,
     InvalidModel,
+    InvariantViolation,
     IrrationalWall,
     KstabError,
     ModelFileError,

@@ -106,9 +106,19 @@ def _get_model(name: str, model_file: str | None):
     return preset(name)
 
 
+def _int_rows(text: str, option: str) -> list[list[int]]:
+    """Rows of integers separated by ";", as given to a lattice option."""
+    try:
+        return [[int(x) for x in row.split()] for row in text.split(";") if row.strip()]
+    except ValueError:
+        raise _UsageError(f"{option} takes rows of integers separated by ';', got {text!r}") from None
+
+
 def _parse_gram(text: str) -> GramLattice:
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    return GramLattice([[int(x) for x in row.split()] for row in rows])
+    try:
+        return GramLattice(_int_rows(text, "--gram"))
+    except ValueError as exc:
+        raise _UsageError(f"--gram {text!r}: {exc}") from None
 
 
 def _claims(*ids: str) -> list[str]:
@@ -273,7 +283,7 @@ def _cmd_lattice(args) -> dict:
             "claims": _claims("lattice:primitivity"),
         }
     if args.lattice_op == "saturate":
-        sub = [[int(x) for x in row.split()] for row in args.sub.split(";") if row.strip()]
+        sub = _int_rows(args.sub, "--sub")
         return {
             "command": "lattice saturate",
             "gram": [list(r) for r in gram.gram],
@@ -486,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stdout.write(json.dumps(error, indent=2, sort_keys=True) + "\n")
         return ERROR_EXIT
-    except OSError as exc:
+    except (_UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -11,6 +11,15 @@ class KstabError(Exception):
     """Base class for all expected computation errors."""
 
 
+class InvariantViolation(KstabError):
+    """An exact computation broke one of its own invariants.
+
+    Examples are a remainder in a division that must be exact, or a
+    non-integer where only integers can arise.  This means an engine bug;
+    it is raised rather than asserted so that ``python -O`` keeps the check.
+    """
+
+
 class DomainError(KstabError):
     """An evaluation or integration range leaves the domain of a function."""
 

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateLattice,
     DependentBasis,
     GroupTooLarge,
+    InvariantViolation,
     OddLattice,
 )
 from .poly import Polynomial
@@ -85,7 +86,8 @@ class GramLattice:
 
 def determinant(lattice: GramLattice) -> int:
     value = det([[Q(x) for x in row] for row in lattice.gram])
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InvariantViolation(f"determinant {value} of an integer Gram matrix is not an integer")
     return int(value)
 
 
@@ -447,11 +449,14 @@ def even_overlattices(lattice: GramLattice, bound: int | None = None) -> list[Ov
         rows = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
         rows += [list(v) for v in subgroup]
         basis = _lattice_basis_from_rational_rows(rows)
-        assert len(basis) == n
+        if len(basis) != n:
+            raise InvariantViolation(f"overlattice basis has {len(basis)} rows, expected {n}")
         gram_q = mat_mul(mat_mul(basis, [[Q(x) for x in row] for row in lattice.gram]), mat_transpose(basis))
-        gram = [[int(x) for x in row] for row in gram_q]
-        over = GramLattice(gram)
-        assert over.is_even(), "overlattice from an isotropic subgroup must stay even"
+        if any(x.denominator != 1 for row in gram_q for x in row):
+            raise InvariantViolation("overlattice from an isotropic subgroup must stay integral")
+        over = GramLattice([[int(x) for x in row] for row in gram_q])
+        if not over.is_even():
+            raise OddLattice("overlattice from an isotropic subgroup must stay even")
         out.append(
             Overlattice(
                 gram=over,

@@ -6,14 +6,28 @@ equality constraints and a couple of dozen nonnegative variables).  Used
 for effective-cone membership and for pseudo-effective thresholds, where
 the optimal basis doubles as a certificate that can be re-solved with a
 symbolic parameter.
+
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): one integer
+matrix T and one common denominator D > 0, the last pivot, so that T/D is
+the rational tableau.  Constraint rows are scaled to integers, and
+redundant ones dropped, before the simplex starts.  A pivot on p updates
+every other row as (x*p - f*y) // D; the division is exact because D is,
+up to sign, the determinant of the current basis, and a remainder raises
+InvariantViolation rather than going on with a wrong tableau.  Scaling a
+row by a positive integer changes no ratio and no sign of a reduced cost,
+so Bland's rule makes the same pivots as on a tableau of Fractions, and
+the returned value, solution and basis are the same.  Artificial columns
+are never priced, so the tableau does not carry them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
+from .errors import InvariantViolation
 from .rationals import Q, to_q
 
 
@@ -32,36 +46,55 @@ class LPResult:
     basis: tuple[int, ...]
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+def _pivot(tab: list[list[int]], basis: list[int], denom: int, row: int, col: int) -> int:
+    """Integer-preserving pivot on tab[row][col]; returns the new denominator."""
     p = tab[row][col]
-    tab[row] = [x / p for x in tab[row]]
-    for r in range(len(tab)):
-        if r != row and tab[r][col] != 0:
-            factor = tab[r][col]
-            tab[r] = [x - factor * y for x, y in zip(tab[r], tab[row])]
+    prow = tab[row]
+    for r, cur in enumerate(tab):
+        if r == row:
+            continue
+        f = cur[col]
+        nums = [x * p - f * y for x, y in zip(cur, prow)] if f else [x * p for x in cur]
+        if denom != 1:
+            if any(n % denom for n in nums):
+                raise InvariantViolation(f"inexact simplex pivot: row {r} is not divisible by {denom}")
+            nums = [n // denom for n in nums]
+        tab[r] = nums
     basis[row] = col
+    return p
 
 
-def _run_simplex(tab: list[list[Fraction]], basis: list[int], ncols: int, allowed) -> None:
+def _run_simplex(tab: list[list[int]], basis: list[int], denom: int, ncols: int) -> int:
     # maximize; objective row is last, stored as z-row coefficients
-    # (reduced costs); Bland's rule: smallest eligible column, then row.
+    # (reduced costs) over denom > 0; Bland's rule: smallest eligible
+    # structural column, then smallest ratio, ties to the smallest basic
+    # index.  Ratios rhs/a are compared by cross-multiplying.
     while True:
         obj = tab[-1]
-        col = next((j for j in range(ncols) if j in allowed and obj[j] > 0), None)
+        col = next((j for j in range(ncols) if obj[j] > 0), None)
         if col is None:
-            return
+            return denom
         best_row = None
-        best_ratio = None
         for r in range(len(tab) - 1):
-            if tab[r][col] > 0:
-                ratio = tab[r][-1] / tab[r][col]
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[r] < basis[best_row]
-                ):
-                    best_row, best_ratio = r, ratio
+            a = tab[r][col]
+            if a > 0:
+                if best_row is None:
+                    best_row = r
+                    continue
+                lhs = tab[r][-1] * tab[best_row][col]
+                rhs = tab[best_row][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[best_row]):
+                    best_row = r
         if best_row is None:
             raise Unbounded()
-        _pivot(tab, basis, best_row, col)
+        denom = _pivot(tab, basis, denom, best_row, col)
+
+
+def _integer_row(values: Sequence[Fraction]) -> list[int]:
+    """The values times the least positive integer that clears their denominators."""
+    qs = [to_q(v) for v in values]
+    scale = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (scale // q.denominator) for q in qs]
 
 
 def solve_equality_lp(
@@ -74,56 +107,45 @@ def solve_equality_lp(
     Raises Infeasible or Unbounded.  Redundant constraint rows are removed
     up front so the optimal basis is always a genuine invertible column set.
     """
-    rows = [[to_q(x) for x in row] for row in a]
-    rhs = [to_q(x) for x in b]
-    # drop linearly dependent rows (inconsistent ones mean infeasible)
-    reduced: list[tuple[list[Fraction], Fraction]] = []
-    work = [row + [bi] for row, bi in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    pivot_cols: list[int] = []
-    for row in work:
-        r = row[:]
-        for (prow, pcol) in zip(reduced, pivot_cols):
-            if r[pcol] != 0:
-                factor = r[pcol]
-                r = [x - factor * y for x, y in zip(r, prow[0] + [prow[1]])]
-        lead = next((j for j in range(ncols) if r[j] != 0), None)
+    ncols = len(a[0]) if a else 0
+    # integer rows [a | b], each reduced against the rows kept before it
+    # so it vanishes in their lead columns; dependent rows are dropped
+    # (inconsistent ones mean infeasible)
+    tab: list[list[int]] = []
+    leads: list[int] = []
+    for row, bi in zip(a, b):
+        r = _integer_row([*row, bi])
+        for prev, lead in zip(tab, leads):
+            f = r[lead]
+            if f:
+                p = prev[lead]
+                r = [x * p - f * y for x, y in zip(r, prev)]
+        lead = next((j for j in range(ncols) if r[j]), None)
         if lead is None:
-            if r[ncols] != 0:
+            if r[ncols]:
                 raise Infeasible()
             continue
-        scale = r[lead]
-        r = [x / scale for x in r]
-        reduced.append((r[:ncols], r[ncols]))
-        pivot_cols.append(lead)
-    rows = [r for (r, _) in reduced]
-    rhs = [v for (_, v) in reduced]
-    m = len(rows)
+        # lowest terms, with b >= 0 (and a positive lead when b = 0)
+        g = gcd(*r)
+        if r[ncols] < 0 or (r[ncols] == 0 and r[lead] < 0):
+            g = -g
+        tab.append([x // g for x in r])
+        leads.append(lead)
+    m = len(tab)
     if m == 0:
         if any(x > 0 for x in c):
             # all-zero constraints: any x works, unbounded unless c <= 0
             raise Unbounded()
         return LPResult(Q(0), tuple([Q(0)] * ncols), ())
-    # make rhs nonnegative
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-    total = ncols + m  # structural + artificial
-    tab = []
-    for i in range(m):
-        row = rows[i] + [Q(1) if j == i else Q(0) for j in range(m)] + [rhs[i]]
-        tab.append(row)
     basis = [ncols + i for i in range(m)]
-    # phase 1: maximize -sum(artificials)
-    zrow = [Q(0)] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            zrow[j] += tab[i][j]
-    for j in range(ncols, total):
-        zrow[j] = Q(0)
-    tab.append(zrow)
-    _run_simplex(tab, basis, total, allowed=set(range(ncols)))
+    # phase 1: maximize -sum(artificials) of the rows normalised to a lead
+    # entry of +-1 (other row weights would change Bland's pivots); row i
+    # is |lead_i| times its normalised row, so weights lcm/|lead_i| give an
+    # integer z-row
+    weights = [abs(row[lead]) for row, lead in zip(tab, leads)]
+    common = lcm(*weights)
+    tab.append([sum(common // w * row[j] for w, row in zip(weights, tab)) for j in range(ncols + 1)])
+    denom = _run_simplex(tab, basis, 1, ncols)
     if tab[-1][-1] != 0:
         raise Infeasible()
     # pivot any artificial variables out of the basis
@@ -132,22 +154,24 @@ def solve_equality_lp(
             col = next((j for j in range(ncols) if tab[r][j] != 0), None)
             if col is None:
                 continue  # fully redundant row (should not survive pre-reduction)
-            _pivot(tab, basis, r, col)
+            denom = _pivot(tab, basis, denom, r, col)
+            if denom < 0:
+                denom = -denom
+                tab[:] = [[-x for x in row] for row in tab]
     tab.pop()
-    # phase 2: maximize c
-    zrow = [Q(0)] * (total + 1)
-    for j in range(ncols):
-        zrow[j] = to_q(c[j])
+    # phase 2: maximize c, scaled to integers, as reduced costs over denom
+    cost = _integer_row(c) + [0]
+    zrow = [denom * x for x in cost]
     for r in range(m):
-        if basis[r] < ncols and zrow[basis[r]] != 0:
-            factor = zrow[basis[r]]
+        factor = cost[basis[r]] if basis[r] < ncols else 0
+        if factor:
             zrow = [x - factor * y for x, y in zip(zrow, tab[r])]
     tab.append(zrow)
-    _run_simplex(tab, basis, total, allowed=set(range(ncols)))
+    denom = _run_simplex(tab, basis, denom, ncols)
     x = [Q(0)] * ncols
     for r in range(m):
         if basis[r] < ncols:
-            x[basis[r]] = tab[r][-1]
+            x[basis[r]] = Q(tab[r][-1], denom)
     value = sum((to_q(ci) * xi for ci, xi in zip(c, x)), Q(0))
     return LPResult(value, tuple(x), tuple(sorted(b_ for b_ in basis if b_ < ncols)))
 

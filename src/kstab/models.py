@@ -85,7 +85,8 @@ def parse_class_expr(text: str, basis: tuple[str, ...]):
     """Linear combination like "9/4 L - e1 - e2" as an exact class vector.
 
     Implicit multiplication between a rational coefficient and a label is
-    allowed; bare labels have coefficient one.
+    allowed; bare labels have coefficient one.  Consecutive signs compose
+    ("L - - e1" is L + e1), and every term after the first needs a sign.
     """
     tokens = re.findall(r"\d+/\d+|\d+|[A-Za-z_]\w*|[+\-*]", text)
     if "".join(tokens).replace("*", "") != text.replace(" ", "").replace("*", ""):
@@ -93,32 +94,37 @@ def parse_class_expr(text: str, basis: tuple[str, ...]):
     vec = [Q(0)] * len(basis)
     sign = Q(1)
     coeff: Fraction | None = None
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "+":
+    signed = False  # a sign was read and its term has not come yet
+    after_term = False  # the last token completed a term
+    for tok in tokens:
+        if tok in ("+", "-"):
             if coeff is not None:
                 raise ModelFileError(f"dangling coefficient in {text!r}")
-            sign = Q(1)
-        elif tok == "-":
-            if coeff is not None:
-                raise ModelFileError(f"dangling coefficient in {text!r}")
-            sign = -Q(1)
+            if tok == "-":
+                sign = -sign
+            signed, after_term = True, False
+        elif after_term:
+            raise ModelFileError(f"missing + or - before {tok!r} in {text!r}")
         elif tok == "*":
             pass
         elif re.fullmatch(r"\d+/\d+|\d+", tok):
             if coeff is not None:
                 raise ModelFileError(f"two coefficients in a row in {text!r}")
-            coeff = parse_rational(tok)
+            try:
+                coeff = parse_rational(tok)
+            except ZeroDivisionError:
+                raise ModelFileError(f"zero denominator in {tok!r} in {text!r}") from None
         else:
             if tok not in basis:
                 raise ModelFileError(f"unknown class {tok!r}; basis is {basis}")
             c = sign * (coeff if coeff is not None else Q(1))
             vec[basis.index(tok)] += c
             sign, coeff = Q(1), None
-        i += 1
+            signed, after_term = False, True
     if coeff is not None:
         raise ModelFileError(f"trailing coefficient in {text!r}")
+    if signed:
+        raise ModelFileError(f"trailing sign in {text!r}")
     return tuple(vec)
 
 

@@ -46,24 +46,8 @@ def qvec(values: Iterable) -> QVec:
     return tuple(to_q(v) for v in values)
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> QVec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> QVec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> QVec:
-    return tuple(c * x for x in a)
-
-
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Q(0))
-
-
-def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> QVec:
-    return tuple(dot(row, v) for row in m)
 
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> QMat:
@@ -103,24 +87,6 @@ def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
                 factor = m[r][col] / p
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     return sign * result
-
-
-def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> QVec | None:
-    """Solve the square system a*x = b exactly; None if a is singular."""
-    n = len(a)
-    m = [list(row) + [to_q(bi)] for row, bi in zip(mat_copy(a), b, strict=True)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
 
 
 def solve_general(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> QVec | None:

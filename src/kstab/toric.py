@@ -27,7 +27,7 @@ from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DegeneratePolytope, NotReflexive, OriginNotInterior
+from .errors import DegeneratePolytope, InvariantViolation, NotReflexive, OriginNotInterior
 
 from .rationals import Q, qvec, to_q
 
@@ -260,7 +260,8 @@ def anticanonical_degree(p: LatticePolytope) -> int:
     if not is_reflexive(p):
         raise NotReflexive("the anticanonical degree formula needs a reflexive polytope")
     deg = 6 * volume(polar_dual(p))
-    assert deg.denominator == 1
+    if deg.denominator != 1:
+        raise InvariantViolation(f"anticanonical degree {deg} of a reflexive polytope is not an integer")
     return int(deg)
 
 

@@ -23,7 +23,6 @@ tagged as certified relative to the declared curves - never absolutely.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,8 +39,6 @@ from .intersect import Chamber, SurfaceModel, ThreefoldModel, triple_product
 from .lp import Infeasible, LPResult, Unbounded, in_cone, max_shift
 from .poly import PiecewisePolynomial, Polynomial
 from .rationals import Q, QVec, is_negative_definite, mat_inverse, solve_general, to_q
-
-logger = logging.getLogger(__name__)
 
 _MAX_SPLIT_DEPTH = 32
 
@@ -96,6 +93,17 @@ def _eff_data(surface: SurfaceModel) -> tuple[list[str], list[QVec]]:
     return labels, [surface.eff_generators[k] for k in labels]
 
 
+def _on_generator_ray(gens: list[QVec], v: Sequence[Fraction]) -> bool:
+    """Whether v is 0 or a positive multiple of one generator: in the cone, no LP needed."""
+    for g in gens:
+        i = next((j for j, x in enumerate(g) if x != 0), None)
+        if i is not None and v[i] * g[i] > 0:
+            c = v[i] / g[i]
+            if all(x == c * y for x, y in zip(v, g)):
+                return True
+    return all(x == 0 for x in v)
+
+
 def _pair_poly(surface: SurfaceModel, a: Sequence, b: Sequence):
     """Bilinear pairing where either argument may hold polynomials."""
     total = None
@@ -122,6 +130,11 @@ def zariski_decompose(surface: SurfaceModel, divisor) -> ZariskiResult:
     _, gens = _eff_data(surface)
     if in_cone(gens, d) is None:
         raise NotPseudoEffective(f"{d} is outside the declared effective cone")
+    return _decompose(surface, d)
+
+
+def _decompose(surface: SurfaceModel, d: QVec) -> ZariskiResult:
+    """Zariski decomposition of a class vector already known to be in the cone."""
     support: list[str] = []
     nu: dict[str, Fraction] = {}
     while True:
@@ -282,7 +295,8 @@ def _march_one_param(
         return []
     mid = (lo + hi) / 2
     sample = tuple(p(**{var: mid}) for p in family)
-    decomp = zariski_decompose(surface, sample)
+    # both ends are in the cone, which is convex, so the sample is too
+    decomp = _decompose(surface, sample)
     positive, certs = _symbolic_decomposition(surface, family, decomp.support)
     roots: set[Fraction] = set()
     for cert in certs:
@@ -342,12 +356,16 @@ def one_param_volume(
             raise InvalidModel("family must be affine in its parameter")
     start = tuple(p(**{var: lo}) for p in polys)
     _, gens = _eff_data(surface)
-    if in_cone(gens, start) is None:
-        raise NotPseudoEffective(f"family is not pseudo-effective at {lo}")
     slope = tuple(p.coefficient(_unit_exp(p, var)) for p in polys)
+    # max_shift only finds some s >= 0 with start + s*slope in the cone;
+    # that puts the start in the cone too when -slope lies in it
+    if not _on_generator_ray(gens, tuple(-x for x in slope)) and in_cone(gens, start) is None:
+        raise NotPseudoEffective(f"family is not pseudo-effective at {lo}")
     try:
         res = max_shift(start, slope, gens)
         s_end = min(hi, lo + res.value)
+    except Infeasible:
+        raise NotPseudoEffective(f"family is not pseudo-effective at {lo}") from None
     except Unbounded:
         s_end = hi
     chambers = _march_one_param(surface, polys, lo, s_end, var)
@@ -459,7 +477,11 @@ def two_param_flag_volume(
         if p.degree() > 1:
             raise InvalidModel("restriction family must be affine in t")
     z_vec = surface.class_vector(z)
-    chambers = _flag_chambers(surface, a_polys, t_lo, t_hi, z_vec, tvar, svar, depth=0)
+    _, gens = _eff_data(surface)
+    # max_shift only finds some s >= 0 with A(t) - s*Z in the cone; that
+    # puts A(t) in the cone too when Z lies in it
+    z_in_cone = _on_generator_ray(gens, z_vec) or in_cone(gens, z_vec) is not None
+    chambers = _flag_chambers(surface, a_polys, t_lo, t_hi, z_vec, z_in_cone, tvar, svar, depth=0)
     return FlagDecomposition(tuple(chambers), tvar, svar)
 
 
@@ -469,6 +491,7 @@ def _flag_chambers(
     t_lo: Fraction,
     t_hi: Fraction,
     z_vec: QVec,
+    z_in_cone: bool,
     tvar: str,
     svar: str,
     depth: int,
@@ -478,7 +501,7 @@ def _flag_chambers(
     if t_lo == t_hi:
         return []
     try:
-        return [_certify_t_chamber(surface, a_polys, t_lo, t_hi, z_vec, tvar, svar)]
+        return [_certify_t_chamber(surface, a_polys, t_lo, t_hi, z_vec, z_in_cone, tvar, svar)]
     except _SplitRequest as split:
         cuts = sorted({r for r in split.points if t_lo < r < t_hi})
         if not cuts:
@@ -487,7 +510,7 @@ def _flag_chambers(
             ) from None
         out: list[FlagChamber] = []
         for a, b in zip([t_lo] + cuts, cuts + [t_hi]):
-            out.extend(_flag_chambers(surface, a_polys, a, b, z_vec, tvar, svar, depth + 1))
+            out.extend(_flag_chambers(surface, a_polys, a, b, z_vec, z_in_cone, tvar, svar, depth + 1))
         return out
 
 
@@ -502,13 +525,14 @@ def _certify_t_chamber(
     t_lo: Fraction,
     t_hi: Fraction,
     z_vec: QVec,
+    z_in_cone: bool,
     tvar: str,
     svar: str,
 ) -> FlagChamber:
     mid = (t_lo + t_hi) / 2
     a_mid = tuple(p(**{tvar: mid}) for p in a_polys)
     _, gens = _eff_data(surface)
-    if in_cone(gens, a_mid) is None:
+    if not z_in_cone and in_cone(gens, a_mid) is None:
         raise NotPseudoEffective(f"restriction family leaves the effective cone at {mid}")
     try:
         lp = max_shift(a_mid, tuple(-x for x in z_vec), gens)

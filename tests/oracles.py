@@ -8,13 +8,16 @@ integers (scaled by the subset Gram determinant) to keep the exhaustive
 sweep fast; only the surviving decomposition is converted back to exact
 rationals.  ``exact_simpson`` integrates the oracle's volumes, which are
 quadratic on each chamber, exactly, so a flag invariant can be recomputed
-with no chamber code at all.
+with no chamber code at all.  ``reference_solve_equality_lp`` is the
+engine's original two-phase simplex over ``Fraction`` rows, kept verbatim
+as the reference for the fraction-free solver.
 """
 
 from fractions import Fraction as Q
 from math import lcm
 
-from kstab.rationals import det, mat_inverse
+from kstab.lp import Infeasible, LPResult, Unbounded
+from kstab.rationals import det, mat_inverse, to_q
 
 
 def _int_rows(vectors):
@@ -166,3 +169,119 @@ def random_pseff_class(surface, rng, max_terms=4, max_weight=3):
             d = [x + w * int(y) for x, y in zip(d, c)]
         if any(x != 0 for x in d):
             return tuple(d)
+
+
+def _ref_pivot(tab, basis, row, col):
+    p = tab[row][col]
+    tab[row] = [x / p for x in tab[row]]
+    for r in range(len(tab)):
+        if r != row and tab[r][col] != 0:
+            factor = tab[r][col]
+            tab[r] = [x - factor * y for x, y in zip(tab[r], tab[row])]
+    basis[row] = col
+
+
+def _ref_run_simplex(tab, basis, ncols, allowed):
+    # maximize; objective row is last, stored as z-row coefficients
+    # (reduced costs); Bland's rule: smallest eligible column, then row.
+    while True:
+        obj = tab[-1]
+        col = next((j for j in range(ncols) if j in allowed and obj[j] > 0), None)
+        if col is None:
+            return
+        best_row = None
+        best_ratio = None
+        for r in range(len(tab) - 1):
+            if tab[r][col] > 0:
+                ratio = tab[r][-1] / tab[r][col]
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[r] < basis[best_row]
+                ):
+                    best_row, best_ratio = r, ratio
+        if best_row is None:
+            raise Unbounded()
+        _ref_pivot(tab, basis, best_row, col)
+
+
+def reference_solve_equality_lp(a, b, c):
+    """Maximize c*x subject to a*x = b, x >= 0, on a tableau of Fractions.
+
+    Same contract as ``kstab.lp.solve_equality_lp``: raises its Infeasible
+    or Unbounded, else returns its LPResult.
+    """
+    rows = [[to_q(x) for x in row] for row in a]
+    rhs = [to_q(x) for x in b]
+    # drop linearly dependent rows (inconsistent ones mean infeasible)
+    reduced = []
+    work = [row + [bi] for row, bi in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    pivot_cols = []
+    for row in work:
+        r = row[:]
+        for (prow, pcol) in zip(reduced, pivot_cols):
+            if r[pcol] != 0:
+                factor = r[pcol]
+                r = [x - factor * y for x, y in zip(r, prow[0] + [prow[1]])]
+        lead = next((j for j in range(ncols) if r[j] != 0), None)
+        if lead is None:
+            if r[ncols] != 0:
+                raise Infeasible()
+            continue
+        scale = r[lead]
+        r = [x / scale for x in r]
+        reduced.append((r[:ncols], r[ncols]))
+        pivot_cols.append(lead)
+    rows = [r for (r, _) in reduced]
+    rhs = [v for (_, v) in reduced]
+    m = len(rows)
+    if m == 0:
+        if any(x > 0 for x in c):
+            # all-zero constraints: any x works, unbounded unless c <= 0
+            raise Unbounded()
+        return LPResult(Q(0), tuple([Q(0)] * ncols), ())
+    # make rhs nonnegative
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    total = ncols + m  # structural + artificial
+    tab = []
+    for i in range(m):
+        row = rows[i] + [Q(1) if j == i else Q(0) for j in range(m)] + [rhs[i]]
+        tab.append(row)
+    basis = [ncols + i for i in range(m)]
+    # phase 1: maximize -sum(artificials)
+    zrow = [Q(0)] * (total + 1)
+    for i in range(m):
+        for j in range(total + 1):
+            zrow[j] += tab[i][j]
+    for j in range(ncols, total):
+        zrow[j] = Q(0)
+    tab.append(zrow)
+    _ref_run_simplex(tab, basis, total, allowed=set(range(ncols)))
+    if tab[-1][-1] != 0:
+        raise Infeasible()
+    # pivot any artificial variables out of the basis
+    for r in range(m):
+        if basis[r] >= ncols:
+            col = next((j for j in range(ncols) if tab[r][j] != 0), None)
+            if col is None:
+                continue  # fully redundant row (should not survive pre-reduction)
+            _ref_pivot(tab, basis, r, col)
+    tab.pop()
+    # phase 2: maximize c
+    zrow = [Q(0)] * (total + 1)
+    for j in range(ncols):
+        zrow[j] = to_q(c[j])
+    for r in range(m):
+        if basis[r] < ncols and zrow[basis[r]] != 0:
+            factor = zrow[basis[r]]
+            zrow = [x - factor * y for x, y in zip(zrow, tab[r])]
+    tab.append(zrow)
+    _ref_run_simplex(tab, basis, total, allowed=set(range(ncols)))
+    x = [Q(0)] * ncols
+    for r in range(m):
+        if basis[r] < ncols:
+            x[basis[r]] = tab[r][-1]
+    value = sum((to_q(ci) * xi for ci, xi in zip(c, x)), Q(0))
+    return LPResult(value, tuple(x), tuple(sorted(b_ for b_ in basis if b_ < ncols)))

@@ -157,6 +157,25 @@ class TestExitCodes:
         assert main(["toric", "check", "--vertices", "/nonexistent/file"]) == 64
 
 
+class TestMalformedLatticeInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lattice", "overlattices", "--gram", "2 1; 1"),
+            ("lattice", "overlattices", "--gram", "2 1/2; 1/2 2"),
+            ("lattice", "disc", "--gram", "2 1.5; 1.5 2"),
+            ("lattice", "disc", "--gram", "2 1; 0 2"),
+            ("lattice", "saturate", "--gram", "2 1; 1 2", "--sub", "1 x"),
+        ],
+    )
+    def test_usage_error_is_64(self, capsys, argv):
+        code = main(list(argv) + ["--json"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err.startswith("usage error:")
+        assert "Traceback" not in captured.err + captured.out
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         _, out1 = run(capsys, "zariski", "--model", "dp4", "--class", "3 L - e1 - e2", "--json")

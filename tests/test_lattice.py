@@ -11,7 +11,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from kstab.errors import DegenerateLattice, DependentBasis, GroupTooLarge, OddLattice
+from kstab import lattice
+from kstab.errors import DegenerateLattice, DependentBasis, GroupTooLarge, InvariantViolation, OddLattice
 from kstab.lattice import (
     GramLattice,
     determinant,
@@ -253,6 +254,15 @@ class TestPrimitivityAndOverlattices:
         assert len(overs) == 1
         assert overs[0].gram == NODAL
         assert overs[0].index == 1
+
+    def test_broken_invariants_raise(self, monkeypatch):
+        # raised, not asserted, so the checks survive python -O
+        monkeypatch.setattr(lattice, "det", lambda m: Q(1, 2))
+        with pytest.raises(InvariantViolation):
+            determinant(NODAL)
+        monkeypatch.setattr(lattice, "_lattice_basis_from_rational_rows", lambda rows: rows[:1])
+        with pytest.raises(InvariantViolation):
+            even_overlattices(GramLattice([[2, 0], [0, -2]]))
 
     def test_control_overlattices(self):
         control = GramLattice([[2, 0], [0, -2]])

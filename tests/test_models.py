@@ -60,6 +60,18 @@ class TestClassExpr:
         with pytest.raises(ModelFileError):
             parse_class_expr("Q", ("L",))
 
+    @pytest.mark.parametrize(
+        "text,vec",
+        [("L - - e1", (1, 1)), ("--L", (1, 0)), ("- - - e1", (0, -1)), ("L + - 2 e1", (1, -2))],
+    )
+    def test_signs_compose(self, text, vec):
+        assert parse_class_expr(text, ("L", "e1")) == vec
+
+    @pytest.mark.parametrize("text", ["L e1", "L 2", "L * e1", "1/0", "1/0 L", "L -"])
+    def test_malformed_is_model_file_error(self, text):
+        with pytest.raises(ModelFileError):
+            parse_class_expr(text, ("L", "e1"))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

@@ -11,7 +11,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from kstab.errors import DegeneratePolytope, NotReflexive, OriginNotInterior
+from kstab import toric
+from kstab.errors import DegeneratePolytope, InvariantViolation, NotReflexive, OriginNotInterior
 from kstab.toric import (
     LatticePolytope,
     anticanonical_degree,
@@ -118,6 +119,12 @@ class TestDegreesAndKps:
 
     def test_octahedron_degree(self):
         assert anticanonical_degree(octahedron()) == 48
+
+    def test_non_integer_degree_raises(self, monkeypatch):
+        # raised, not asserted, so the check survives python -O
+        monkeypatch.setattr(toric, "volume", lambda p: Q(1, 7))
+        with pytest.raises(InvariantViolation):
+            anticanonical_degree(prism())
 
     def test_not_reflexive_rejected(self):
         p = LatticePolytope([(2, 0, 0), (-2, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])

@@ -26,6 +26,7 @@ from kstab.intersect import (
     quadric_surface,
     sing_line_model,
 )
+from kstab.lp import Unbounded, max_shift
 from kstab.poly import Polynomial, check_c1, parse_polynomial
 from kstab.rationals import is_negative_definite, qvec
 from kstab.zariski import (
@@ -233,6 +234,54 @@ class TestTwoParam:
         flag = two_param_flag_volume(DP4, flag_A_polys(), 0, 2, dp4_class(1, 0, 0, 0, 0, 0))
         last = flag.chambers[0].cells[-1]
         assert last.volume.subs("s", last.s_hi).is_zero()
+
+
+class TestConeChecks:
+    """Start points and flag families outside the declared cone are rejected.
+
+    max_shift is feasible as soon as some s >= 0 works, so it replaces a
+    membership LP only when the step direction lies in the cone; these
+    inputs reach both sides of that rule.
+    """
+
+    def test_public_decompose_rejects_non_pseff(self):
+        with pytest.raises(NotPseudoEffective):
+            zariski_decompose(DP4, dp4_class(-1, 0, 0, 0, 0, 0))
+        assert volume(DP4, dp4_class(1, -1, -1, -1, -1, -1)) == 0
+
+    def test_one_param_start_outside_cone_no_lp_check(self):
+        # -L - t*e1: -slope = e1 is a generator, so only max_shift runs,
+        # and its Infeasible surfaces as NotPseudoEffective
+        family = (p("-1", ("t",)), p("-t", ("t",)), 0, 0, 0, 0)
+        with pytest.raises(NotPseudoEffective, match="not pseudo-effective at 0"):
+            one_param_volume(DP4, family, 0, 3)
+
+    def test_one_param_start_outside_cone_enters_later(self):
+        # t*L - e1 starts at -e1, outside the cone, but enters it at t = 1 and
+        # stays: max_shift alone finds no fault (it is feasible, and
+        # unbounded); the start still has to be rejected
+        gens = list(DP4.eff_generators.values())
+        with pytest.raises(Unbounded):
+            max_shift(dp4_class(0, -1, 0, 0, 0, 0), dp4_class(1, 0, 0, 0, 0, 0), gens)
+        family = (p("t", ("t",)), -1, 0, 0, 0, 0)
+        with pytest.raises(NotPseudoEffective, match="not pseudo-effective at 0"):
+            one_param_volume(DP4, family, 0, 3)
+
+    def test_flag_outside_cone_with_effective_z(self):
+        with pytest.raises(NotPseudoEffective, match="leaves the effective cone"):
+            two_param_flag_volume(DP4, dp4_class(-1, 0, 0, 0, 0, 0), 0, 1, "L")
+
+    def test_flag_family_leaves_cone(self):
+        # (3 - 4t)L - sum(e) is -K at t = 0 and leaves the cone before t = 1
+        a = (p("3 - 4*t", ("t",)), -1, -1, -1, -1, -1)
+        with pytest.raises(NotPseudoEffective):
+            two_param_flag_volume(DP4, a, 0, 1, "L")
+
+    def test_flag_outside_cone_with_non_effective_z(self):
+        # A = -e1, Z = -e1: A - s*Z is effective for every s >= 1, so
+        # max_shift is unbounded; A itself is outside the cone
+        with pytest.raises(NotPseudoEffective):
+            two_param_flag_volume(DP4, dp4_class(0, -1, 0, 0, 0, 0), 0, 1, dp4_class(0, -1, 0, 0, 0, 0))
 
 
 class TestThreefoldCertified:
