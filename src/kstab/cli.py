@@ -121,8 +121,22 @@ def _parse_gram(text: str) -> GramLattice:
         raise _UsageError(f"--gram {text!r}: {exc}") from None
 
 
-def _claims(*ids: str) -> list[str]:
-    return list(ids)
+def _parse_box(text: str, variables: tuple[str, ...]) -> dict[str, tuple[int, int]]:
+    """``name=lo..hi`` parts separated by commas, one for each variable of the form."""
+    box = {}
+    for part in text.split(","):
+        name, eq, rng = part.partition("=")
+        lo, dots, hi = rng.partition("..")
+        if not (eq and dots and name.strip()):
+            raise _UsageError(f"--box part {part!r} is not of the form name=lo..hi")
+        try:
+            box[name.strip()] = (int(lo), int(hi))
+        except ValueError:
+            raise _UsageError(f"--box part {part!r} needs integer bounds") from None
+    missing = [v for v in variables if v not in box]
+    if missing:
+        raise _UsageError(f"--box {text!r} has no range for {', '.join(missing)}")
+    return box
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -152,7 +166,7 @@ def _cmd_sinv(args) -> dict:
             for piece in vf.pw.pieces
         ],
         "certificate": vf.certificate,
-        "claims": _claims(f"divisorial:S({args.divisor})@{model.name}"),
+        "claims": [f"divisorial:S({args.divisor})@{model.name}"],
     }
     if a_value is not None:
         verdict = beta(args.divisor, a_value, s_value)
@@ -219,7 +233,7 @@ def _cmd_flag_sinv(args) -> dict:
             {"t": tr, "s": sr, "volume": vol} for (tr, sr, vol) in report_obj.cells
         ],
         "note": setup["note"],
-        "claims": _claims(f"flag:{args.model}/{args.surface}/{args.curve}"),
+        "claims": [f"flag:{args.model}/{args.surface}/{args.curve}"],
     }
 
 
@@ -238,7 +252,7 @@ def _cmd_zariski(args) -> dict:
         "support": list(res.support),
         "support_gram": [list(row) for row in res.support_gram],
         "volume": model.square(res.positive),
-        "claims": _claims(f"zariski:{model.name}"),
+        "claims": [f"zariski:{model.name}"],
     }
 
 
@@ -253,7 +267,7 @@ def _cmd_lattice(args) -> dict:
             "signature": list(signature(gram)),
             "invariant_factors": list(group.factors),
             "generators": [[x for x in g] for g in group.generators],
-            "claims": _claims("lattice:discriminant-group"),
+            "claims": ["lattice:discriminant-group"],
         }
     if args.lattice_op == "overlattices":
         overs = even_overlattices(gram)
@@ -270,7 +284,7 @@ def _cmd_lattice(args) -> dict:
                 }
                 for o in overs
             ],
-            "claims": _claims("lattice:even-overlattices"),
+            "claims": ["lattice:even-overlattices"],
         }
     if args.lattice_op == "primitive":
         iso = isotropic_elements(gram)
@@ -280,7 +294,7 @@ def _cmd_lattice(args) -> dict:
             "gram": [list(r) for r in gram.gram],
             "forced": is_primitivity_forced(gram),
             "isotropic_nonzero": nonzero,
-            "claims": _claims("lattice:primitivity"),
+            "claims": ["lattice:primitivity"],
         }
     if args.lattice_op == "saturate":
         sub = _int_rows(args.sub, "--sub")
@@ -289,18 +303,17 @@ def _cmd_lattice(args) -> dict:
             "gram": [list(r) for r in gram.gram],
             "sub_basis": sub,
             "saturated": is_saturated(gram, sub),
-            "claims": _claims("lattice:saturation"),
+            "claims": ["lattice:saturation"],
         }
     raise _UsageError("unknown lattice operation")
 
 
 def _cmd_lattice_search(args) -> dict:
-    form = parse_polynomial(args.form)
-    box = {}
-    for part in args.box.split(","):
-        name, _, rng = part.partition("=")
-        lo, _, hi = rng.partition("..")
-        box[name.strip()] = (int(lo), int(hi))
+    try:
+        form = parse_polynomial(args.form)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _UsageError(f"--form {args.form!r}: {exc}") from None
+    box = _parse_box(args.box, form.vars)
     hits = integer_search_quadratic(form, args.op, box)
     return {
         "command": "lattice search",
@@ -309,7 +322,7 @@ def _cmd_lattice_search(args) -> dict:
         "box": {k: list(v) for k, v in box.items()},
         "solutions": [list(h) for h in hits],
         "scope": "verified within box; enumeration never proves global emptiness",
-        "claims": _claims("lattice:integer-search"),
+        "claims": ["lattice:integer-search"],
     }
 
 
@@ -324,7 +337,7 @@ def _cmd_nl_classify(args) -> dict:
         "signature": list(signature(gram)),
         "bn_excluding": is_bn_excluding(args.h, args.m),
         "type": type_match(args.h, args.m) or "none",
-        "claims": _claims(f"catalog:D22_{args.h}_{args.m}"),
+        "claims": [f"catalog:D22_{args.h}_{args.m}"],
     }
 
 
@@ -342,7 +355,7 @@ def _cmd_toric_check(args) -> dict:
         "vertices": [list(v) for v in p.vertices],
         "reflexive": reflexive,
         "volume": polytope_volume(p),
-        "claims": _claims("toric:barycenter-criterion"),
+        "claims": ["toric:barycenter-criterion"],
     }
     if reflexive:
         dual = polar_dual(p)

@@ -41,7 +41,7 @@ class OddLattice(KstabError):
 
 
 class GroupTooLarge(KstabError):
-    """A discriminant-group enumeration exceeds the configured bound."""
+    """An enumeration exceeds the configured bound."""
 
 
 class DependentBasis(KstabError):

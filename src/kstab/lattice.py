@@ -8,13 +8,29 @@ That representation makes the Q/2Z quadratic form a plain matrix product
 and keeps the Nikulin overlattice construction concrete: an overlattice is
 returned as a new Gram matrix plus the rational basis-change certificate.
 
+Internally the isotropic elements and subgroups are found in group
+coordinates: an element is an integer tuple c with 0 <= c_i < f_i over the
+invariant factors f_i, and b and q are one integer table over a common
+denominator.  The subgroup walk extends an isotropic subgroup H only by an
+isotropic g orthogonal to all of H, so H + <g> is a union of cosets and
+stays isotropic with no closure search (Nikulin 1979).  Rational vectors
+are made only for the results.
+
+``integer_search_quadratic`` takes forms of total degree at most two and
+solves the box row by row: in each row the form is a quadratic in the last
+variable, monotone on either side of its vertex, so the boundaries of the
+solution runs are found by bisection with exact evaluation.  The work is
+linear in the side of the first variable, not in the box's area.
+
 Enumerations are guarded by an element bound (default 10**6, overridable
-per call or through the KSTAB_ENUM_BOUND environment variable).
+per call or through the KSTAB_ENUM_BOUND environment variable); the box
+search checks its number of rows and of solutions against it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,12 +39,13 @@ from typing import Sequence
 from .errors import (
     DegenerateLattice,
     DependentBasis,
+    DomainError,
     GroupTooLarge,
     InvariantViolation,
     OddLattice,
 )
 from .poly import Polynomial
-from .rationals import Q, det, mat_mul, mat_transpose, to_q
+from .rationals import Q, det, to_q
 
 DEFAULT_ENUM_BOUND = 10**6
 
@@ -317,10 +334,42 @@ def discriminant_bilinear(lattice: GramLattice, x: Sequence[Fraction], y: Sequen
     return value % 1
 
 
+def _form_table(group: DiscriminantGroup) -> tuple[int, list[list[int]]]:
+    """(D, T): T[i][j] = D * g_i.G.g_j is an integer for the generators g_i.
+
+    For elements c, c' in group coordinates, b(c, c') = c.T.c' / D in Q/Z
+    and q(c) = c.T.c / D in Q/2Z.
+    """
+    gram, gens = group.lattice.gram, group.generators
+    pairs = [
+        [sum(x * gram[r][s] * y[s] for r, x in enumerate(g) for s in range(len(y))) for y in gens]
+        for g in gens
+    ]
+    d = math.lcm(*(x.denominator for row in pairs for x in row))
+    return d, [[int(x * d) for x in row] for row in pairs]
+
+
+def _isotropic_coords(
+    lattice: GramLattice, bound: int | None
+) -> tuple[DiscriminantGroup, tuple[int, list[list[int]]], dict[tuple[int, ...], tuple[Fraction, ...]]]:
+    """Group, form table and isotropic elements {coordinates: vector}, sorted by vector."""
+    group = discriminant_group(lattice)
+    if group.order > _enum_bound(bound):
+        raise GroupTooLarge(f"group of order {group.order} exceeds the bound")
+    if not lattice.is_even():
+        raise OddLattice("discriminant quadratic form needs an even lattice")
+    d, t = table = _form_table(group)
+    iso = []
+    for c in itertools.product(*(range(f) for f in group.factors)):
+        if sum(ci * tij * cj for ci, row in zip(c, t) for tij, cj in zip(row, c)) % (2 * d) == 0:
+            iso.append(c)
+    vectors = {c: group.element(c) for c in iso}
+    return group, table, dict(sorted(vectors.items(), key=lambda item: item[1]))
+
+
 def isotropic_elements(lattice: GramLattice, bound: int | None = None) -> list[tuple[Fraction, ...]]:
     """All discriminant-group elements with q = 0 in Q/2Z (0 included)."""
-    group = discriminant_group(lattice)
-    return [x for x in group.elements(bound) if discriminant_quadratic(lattice, x) == 0]
+    return list(_isotropic_coords(lattice, bound)[2].values())
 
 
 def is_primitivity_forced(lattice: GramLattice, bound: int | None = None) -> bool:
@@ -354,54 +403,53 @@ class Overlattice:
 
 
 def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> list[frozenset]:
-    group = discriminant_group(lattice)
-    iso = set(isotropic_elements(lattice, bound))
-    zero = tuple([Q(0)] * lattice.rank)
+    group, (d, t), vectors = _isotropic_coords(lattice, bound)
+    factors = group.factors
 
-    def close(generators: frozenset) -> frozenset | None:
-        # subgroup generated inside the isotropic set, or None if it leaves it
-        elems = {zero}
-        frontier = [zero]
-        while frontier:
-            base = frontier.pop()
-            for g in generators:
-                s = group.canonical([a + b for a, b in zip(base, g)])
-                if s not in elems:
-                    if s not in iso:
-                        return None
-                    elems.add(s)
-                    frontier.append(s)
-        return frozenset(elems)
+    def add(x, y):
+        return tuple((a + b) % f for a, b, f in zip(x, y, factors))
 
-    subgroups = {frozenset({zero})}
-    frontier = [frozenset({zero})]
+    # orth[g]: the isotropic elements h with b(g, h) = 0, read off T.g
+    orth = {}
+    for g in vectors:
+        tg = [sum(tij * gj for tij, gj in zip(row, g)) for row in t]
+        orth[g] = frozenset(h for h in vectors if sum(a * b for a, b in zip(tg, h)) % d == 0)
+
+    trivial = frozenset({tuple(0 for _ in factors)})
+    subgroups = {trivial}
+    frontier = [trivial]
     while frontier:
         h = frontier.pop()
-        for g in iso:
-            if g in h:
+        tried = set(h)
+        for g in vectors:
+            if g in tried or not h <= orth[g]:
                 continue
-            extended = close(frozenset(h | {g}))
-            if extended is not None and extended not in subgroups:
+            # H + <g> is the union of the cosets H + k.g up to the first k.g
+            # in H, and every element of g + H extends H to the same subgroup
+            coset = {add(x, g) for x in h}
+            tried |= coset
+            extended = coset | h
+            step = add(g, g)
+            while step not in h:
+                extended |= {add(x, step) for x in h}
+                step = add(step, g)
+            if not extended.issubset(vectors):
+                raise InvariantViolation("a subgroup spanned by orthogonal isotropic elements left the isotropic set")
+            extended = frozenset(extended)
+            if extended not in subgroups:
                 subgroups.add(extended)
                 frontier.append(extended)
-    return sorted(subgroups, key=lambda h: (len(h), sorted(h)))
+    rank = {c: i for i, c in enumerate(vectors)}
+    ordered = sorted(subgroups, key=lambda h: (len(h), sorted(rank[c] for c in h)))
+    return [frozenset(vectors[c] for c in h) for h in ordered]
 
 
 def _lattice_basis_from_rational_rows(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Z-basis (HNF-style, deterministic) of the lattice spanned by the rows."""
-    denom = 1
-    for row in rows:
-        for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for row in rows for x in row))
     ints = [[int(x * denom) for x in row] for row in rows]
     hnf = _hermite_normal_form(ints)
     return [[Q(x, denom) for x in row] for row in hnf]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
@@ -451,10 +499,14 @@ def even_overlattices(lattice: GramLattice, bound: int | None = None) -> list[Ov
         basis = _lattice_basis_from_rational_rows(rows)
         if len(basis) != n:
             raise InvariantViolation(f"overlattice basis has {len(basis)} rows, expected {n}")
-        gram_q = mat_mul(mat_mul(basis, [[Q(x) for x in row] for row in lattice.gram]), mat_transpose(basis))
-        if any(x.denominator != 1 for row in gram_q for x in row):
+        # gram = basis.G.basis^T, computed on the integer rows scale * basis
+        scale = math.lcm(*(x.denominator for row in basis for x in row))
+        ints = [[int(x * scale) for x in row] for row in basis]
+        g_ints = [[sum(g * b for g, b in zip(g_row, row)) for g_row in lattice.gram] for row in ints]
+        pairs = [[sum(a * x for a, x in zip(row, g_row)) for g_row in g_ints] for row in ints]
+        if any(x % scale**2 for row in pairs for x in row):
             raise InvariantViolation("overlattice from an isotropic subgroup must stay integral")
-        over = GramLattice([[int(x) for x in row] for row in gram_q])
+        over = GramLattice([[x // scale**2 for x in row] for row in pairs])
         if not over.is_even():
             raise OddLattice("overlattice from an isotropic subgroup must stay even")
         out.append(
@@ -487,6 +539,58 @@ def is_saturated(ambient: GramLattice, sub_basis: Sequence[Sequence[int]]) -> bo
     return all(d[i][i] == 1 for i in range(k))
 
 
+_HOLDS = {
+    ">": lambda v: v > 0,
+    ">=": lambda v: v >= 0,
+    "<": lambda v: v < 0,
+    "<=": lambda v: v <= 0,
+    "==": lambda v: v == 0,
+}
+# the comparison that -p satisfies exactly where p satisfies the original
+_NEGATED = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "==": "=="}
+
+
+def _first(lo: int, hi: int, holds) -> int:
+    """Least y in [lo, hi] with holds(y), for holds false then true; hi + 1 if none."""
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _row_runs(a: int, b: int, c: int, lo: int, hi: int, comparison: str) -> list[tuple[int, int]]:
+    """Runs [s, e] of the integers y in [lo, hi] with a*y^2 + b*y + c <comparison> 0."""
+    if a == 0 and b == 0:
+        return [(lo, hi)] if _HOLDS[comparison](c) else []
+    if a == 0:
+        pieces = [(lo, hi, b > 0)]
+    else:
+        # strictly monotone on each side of the real vertex -b/2a
+        vertex = -b // (2 * a)
+        pieces = [(lo, min(hi, vertex), a < 0), (max(lo, vertex + 1), hi, a > 0)]
+    runs = []
+    for left, right, increasing in pieces:
+        if left > right:
+            continue
+        sign, op = (1, comparison) if increasing else (-1, _NEGATED[comparison])
+        first_ge = _first(left, right, lambda y: sign * ((a * y + b) * y + c) >= 0)
+        first_gt = _first(left, right, lambda y: sign * ((a * y + b) * y + c) > 0)
+        start, end = {
+            ">": (first_gt, right),
+            ">=": (first_ge, right),
+            "<": (left, first_ge - 1),
+            "<=": (left, first_gt - 1),
+            "==": (first_ge, first_gt - 1),
+        }[op]
+        if start <= end:
+            runs.append((start, end))
+    return runs
+
+
 def integer_search_quadratic(
     form: Polynomial,
     comparison: str,
@@ -494,38 +598,50 @@ def integer_search_quadratic(
 ) -> list[tuple[int, ...]]:
     """Exhaustive integer solutions of ``form <comparison> 0`` in a box.
 
-    The box must cover every variable of the polynomial; results are sorted
-    tuples in the variable order of the polynomial.  Enumeration proves
-    emptiness only within the box, never globally.
+    The form has total degree at most two, and the box must cover every
+    variable of the polynomial; results are sorted tuples in the variable
+    order of the polynomial.  The box is solved row by row (one row per value
+    of the first of two variables), and the number of rows and of solutions
+    is checked against the enumeration bound.  Enumeration proves emptiness
+    only within the box, never globally.
     """
-    ops = {
-        ">": lambda v: v > 0,
-        ">=": lambda v: v >= 0,
-        "<": lambda v: v < 0,
-        "<=": lambda v: v <= 0,
-        "==": lambda v: v == 0,
-    }
-    if comparison not in ops:
+    if comparison not in _HOLDS:
         raise ValueError(f"unknown comparison {comparison!r}")
-    test = ops[comparison]
     variables = form.vars
     for v in variables:
         if v not in box:
             raise ValueError(f"box is missing variable {v!r}")
-    ranges = [range(box[v][0], box[v][1] + 1) for v in variables]
-    # plain-integer fast path over the (possibly large) box
-    terms = [
-        (c if c.denominator != 1 else c.numerator, exp) for exp, c in form.coeffs.items()
-    ]
-    out = []
-    for point in itertools.product(*ranges):
-        value = 0
-        for c, exp in terms:
-            term = c
-            for x, e in zip(point, exp):
-                if e:
-                    term *= x**e
-            value += term
-        if test(value):
-            out.append(point)
-    return sorted(out)
+    if form.degree() > 2:
+        raise DomainError(f"the box search takes forms of total degree <= 2, got {form.degree()}")
+    coeffs = form.coeffs
+    if not variables:
+        return [()] if _HOLDS[comparison](coeffs.get((), 0)) else []
+    if any(box[v][0] > box[v][1] for v in variables):
+        return []
+    bound = _enum_bound(None)
+    # integer coefficients k[(i, j)] of x^i y^j, y the last variable; the
+    # positive scale keeps every sign
+    scale = math.lcm(*(c.denominator for c in coeffs.values()))
+    k = {(0,) * (2 - len(exp)) + exp: int(c * scale) for exp, c in coeffs.items()}
+
+    def coeff(i: int, j: int) -> int:
+        return k.get((i, j), 0)
+
+    if len(variables) == 1:
+        rows = [((), 0)]
+    else:
+        x_lo, x_hi = box[variables[0]]
+        if x_hi - x_lo + 1 > bound:
+            raise GroupTooLarge(f"box search over {x_hi - x_lo + 1} rows exceeds the bound {bound}")
+        rows = [((x,), x) for x in range(x_lo, x_hi + 1)]
+    lo, hi = box[variables[-1]]
+    a = coeff(0, 2)
+    out: list[tuple[int, ...]] = []
+    for prefix, x in rows:
+        b = coeff(1, 1) * x + coeff(0, 1)
+        c = (coeff(2, 0) * x + coeff(1, 0)) * x + coeff(0, 0)
+        for start, end in _row_runs(a, b, c, lo, hi, comparison):
+            if len(out) + end - start + 1 > bound:
+                raise GroupTooLarge(f"box search has more than {bound} solutions")
+            out.extend(prefix + (y,) for y in range(start, end + 1))
+    return out

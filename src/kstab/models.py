@@ -87,7 +87,10 @@ def parse_class_expr(text: str, basis: tuple[str, ...]):
     Implicit multiplication between a rational coefficient and a label is
     allowed; bare labels have coefficient one.  Consecutive signs compose
     ("L - - e1" is L + e1), and every term after the first needs a sign.
+    "0" is the zero class, as ``format_class`` writes it.
     """
+    if text.strip() == "0":
+        return tuple(Q(0) for _ in basis)
     tokens = re.findall(r"\d+/\d+|\d+|[A-Za-z_]\w*|[+\-*]", text)
     if "".join(tokens).replace("*", "") != text.replace(" ", "").replace("*", ""):
         raise ModelFileError(f"cannot tokenize class expression {text!r}")
@@ -215,13 +218,20 @@ def parse_model(text: str) -> ThreefoldModel | SurfaceModel:
             raise ModelFileError(f"content before any section: {ln!r}")
         else:
             sections[current].append(ln.strip())
+
+    def num(text: str, section: str) -> Fraction:
+        try:
+            return parse_rational(text)
+        except (ValueError, ZeroDivisionError):
+            raise ModelFileError(f"bad number {text!r} in section {section!r}") from None
+
     def labelled(section: str) -> dict[str, tuple]:
         out = {}
         for ln in sections.get(section, ()):
             label, _, rest = ln.partition(":")
             if not rest:
                 raise ModelFileError(f"bad '{section}' line: {ln!r}")
-            out[label.strip()] = qvec(parse_rational(x) for x in rest.split())
+            out[label.strip()] = qvec(num(x, section) for x in rest.split())
         return out
 
     try:
@@ -234,9 +244,9 @@ def parse_model(text: str) -> ThreefoldModel | SurfaceModel:
             m2 = re.fullmatch(r"(\d+) (\d+) (\d+) = (\S+)", ln)
             if not m2:
                 raise ModelFileError(f"bad triple line: {ln!r}")
-            triple[(int(m2.group(1)), int(m2.group(2)), int(m2.group(3)))] = parse_rational(m2.group(4))
+            triple[(int(m2.group(1)), int(m2.group(2)), int(m2.group(3)))] = num(m2.group(4), "triple")
         try:
-            anti = qvec(parse_rational(x) for x in sections["anticanonical"][0].split())
+            anti = qvec(num(x, "anticanonical") for x in sections["anticanonical"][0].split())
         except (KeyError, IndexError):
             raise ModelFileError("missing anticanonical section") from None
         chambers = {}
@@ -250,10 +260,10 @@ def parse_model(text: str) -> ThreefoldModel | SurfaceModel:
                         raise ModelFileError(f"bad chamber line: {ln!r}")
                     chs.append(
                         Chamber(
-                            parse_rational(m3.group(1)),
-                            parse_rational(m3.group(2)),
-                            qvec(parse_rational(x) for x in m3.group(3).split()),
-                            qvec(parse_rational(x) for x in m3.group(4).split()),
+                            num(m3.group(1), section),
+                            num(m3.group(2), section),
+                            qvec(num(x, section) for x in m3.group(3).split()),
+                            qvec(num(x, section) for x in m3.group(4).split()),
                         )
                     )
                 chambers[divisor] = tuple(chs)
@@ -268,13 +278,13 @@ def parse_model(text: str) -> ThreefoldModel | SurfaceModel:
             chambers=chambers,
         )
     gram = [
-        [parse_rational(x) for x in ln.split()] for ln in sections.get("gram", ())
+        [num(x, "gram") for x in ln.split()] for ln in sections.get("gram", ())
     ]
     if not gram:
         raise ModelFileError("missing gram section")
     canonical = None
     if "canonical" in sections:
-        canonical = qvec(parse_rational(x) for x in sections["canonical"][0].split())
+        canonical = qvec(num(x, "canonical") for x in sections["canonical"][0].split())
     eff = labelled("eff_cone")
     return SurfaceModel(
         name,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, IrrationalWall
 from .rationals import Q, format_rational, sqrt_rational, to_q
@@ -540,11 +540,6 @@ class PiecewisePolynomial:
     def __str__(self) -> str:
         parts = [f"[{format_rational(p.lo)}, {format_rational(p.hi)}]: {p.poly}" for p in self.pieces]
         return "; ".join(parts)
-
-    def map_pieces(self, fn: Callable[[Polynomial], Polynomial]) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(
-            [Piece(p.lo, p.hi, fn(p.poly), p.label) for p in self.pieces], self.variable
-        )
 
 
 def integrate_piecewise(f: PiecewisePolynomial, a, b) -> Fraction:

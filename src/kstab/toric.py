@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DegeneratePolytope, InvariantViolation, NotReflexive, OriginNotInterior
@@ -48,22 +48,6 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 def _sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _primitive(n: Vec3) -> tuple[Vec3, Fraction]:
-    """Scale a rational normal to a primitive integer vector; return scale."""
-    denoms = [x.denominator for x in n]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(x * lcm) for x in n]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero normal")
-    scaled = tuple(Q(x // g) for x in ints)
-    return scaled, Q(lcm, g)
 
 
 @dataclass(frozen=True)
@@ -130,32 +114,38 @@ def _affine_rank(pts: list[Vec3]) -> int:
 
 
 def _facets(vertices: tuple[Vec3, ...]) -> tuple[Facet, ...]:
-    seen: dict[tuple[Vec3, Fraction], list[Vec3]] = {}
-    for a, b, c in itertools.combinations(vertices, 3):
+    # scaled by the lcm D of the denominators, the points are integers: the
+    # normals are unchanged and every offset is D times the rational one
+    scale = lcm(*(x.denominator for p in vertices for x in p))
+    pts = [tuple(int(x * scale) for x in p) for p in vertices]
+    seen: dict[tuple[tuple[int, ...], int], list[Vec3]] = {}
+    for a, b, c in itertools.combinations(pts, 3):
         n = _cross(_sub(b, a), _sub(c, a))
-        if all(x == 0 for x in n):
+        if n == (0, 0, 0):
             continue
-        n, _ = _primitive(n)
+        g = gcd(*n)
+        n = (n[0] // g, n[1] // g, n[2] // g)
         offset = _dot(n, a)
-        sides = {0}
-        for p in vertices:
+        above = below = False
+        for p in pts:
             d = _dot(n, p) - offset
-            sides.add(0 if d == 0 else (1 if d > 0 else -1))
-            if {1, -1} <= sides:
+            if d > 0:
+                above = True
+            elif d < 0:
+                below = True
+            if above and below:
                 break
-        if {1, -1} <= sides:
+        if above and below:
             continue
-        if 1 in sides:
-            n = tuple(-x for x in n)
+        if above:
+            n = (-n[0], -n[1], -n[2])
             offset = -offset
-        key = (n, offset)
-        if key not in seen:
-            seen[key] = [p for p in vertices if _dot(n, p) == offset]
-    facets = [
-        Facet(normal=n, offset=c, vertices=tuple(sorted(pts)))
-        for (n, c), pts in sorted(seen.items())
-    ]
-    return tuple(facets)
+        if (n, offset) not in seen:
+            seen[n, offset] = [v for v, p in zip(vertices, pts) if _dot(n, p) == offset]
+    return tuple(
+        Facet(normal=tuple(Q(x) for x in n), offset=Q(offset, scale), vertices=tuple(sorted(on)))
+        for (n, offset), on in sorted(seen.items())
+    )
 
 
 def polar_dual(p: LatticePolytope) -> LatticePolytope:

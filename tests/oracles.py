@@ -10,14 +10,21 @@ rationals.  ``exact_simpson`` integrates the oracle's volumes, which are
 quadratic on each chamber, exactly, so a flag invariant can be recomputed
 with no chamber code at all.  ``reference_solve_equality_lp`` is the
 engine's original two-phase simplex over ``Fraction`` rows, kept verbatim
-as the reference for the fraction-free solver.
+as the reference for the fraction-free solver.  In the same way,
+``reference_isotropic_subgroups``, ``reference_integer_search_quadratic``
+and ``reference_facets`` are the engine's original ``Fraction`` and
+brute-force kernels for the overlattice walk, the box search and the hull,
+the references for the integer kernels that replaced them.
 """
 
+import itertools
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 
+from kstab.lattice import discriminant_group, discriminant_quadratic
 from kstab.lp import Infeasible, LPResult, Unbounded
 from kstab.rationals import det, mat_inverse, to_q
+from kstab.toric import Facet
 
 
 def _int_rows(vectors):
@@ -285,3 +292,120 @@ def reference_solve_equality_lp(a, b, c):
             x[basis[r]] = tab[r][-1]
     value = sum((to_q(ci) * xi for ci, xi in zip(c, x)), Q(0))
     return LPResult(value, tuple(x), tuple(sorted(b_ for b_ in basis if b_ < ncols)))
+
+
+def reference_isotropic_elements(lattice, bound=None):
+    """Isotropic discriminant elements by the Fraction form on every element."""
+    group = discriminant_group(lattice)
+    return [x for x in group.elements(bound) if discriminant_quadratic(lattice, x) == 0]
+
+
+def reference_isotropic_subgroups(lattice, bound=None):
+    """Isotropic subgroups, each closed by a search over isotropic vectors."""
+    group = discriminant_group(lattice)
+    iso = set(reference_isotropic_elements(lattice, bound))
+    zero = tuple([Q(0)] * lattice.rank)
+
+    def close(generators):
+        # subgroup generated inside the isotropic set, or None if it leaves it
+        elems = {zero}
+        frontier = [zero]
+        while frontier:
+            base = frontier.pop()
+            for g in generators:
+                s = group.canonical([a + b for a, b in zip(base, g)])
+                if s not in elems:
+                    if s not in iso:
+                        return None
+                    elems.add(s)
+                    frontier.append(s)
+        return frozenset(elems)
+
+    subgroups = {frozenset({zero})}
+    frontier = [frozenset({zero})]
+    while frontier:
+        h = frontier.pop()
+        for g in iso:
+            if g in h:
+                continue
+            extended = close(frozenset(h | {g}))
+            if extended is not None and extended not in subgroups:
+                subgroups.add(extended)
+                frontier.append(extended)
+    return sorted(subgroups, key=lambda h: (len(h), sorted(h)))
+
+
+def reference_integer_search_quadratic(form, comparison, box):
+    """Every point of the box where ``form <comparison> 0``, tried one by one."""
+    ops = {
+        ">": lambda v: v > 0,
+        ">=": lambda v: v >= 0,
+        "<": lambda v: v < 0,
+        "<=": lambda v: v <= 0,
+        "==": lambda v: v == 0,
+    }
+    test = ops[comparison]
+    ranges = [range(box[v][0], box[v][1] + 1) for v in form.vars]
+    terms = [(c if c.denominator != 1 else c.numerator, exp) for exp, c in form.coeffs.items()]
+    out = []
+    for point in itertools.product(*ranges):
+        value = 0
+        for c, exp in terms:
+            term = c
+            for x, e in zip(point, exp):
+                if e:
+                    term *= x**e
+            value += term
+        if test(value):
+            out.append(point)
+    return sorted(out)
+
+
+def _ref_cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _ref_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _ref_sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _ref_primitive(n):
+    denoms = [x.denominator for x in n]
+    lcm_ = 1
+    for d in denoms:
+        lcm_ = lcm_ * d // gcd(lcm_, d)
+    ints = [int(x * lcm_) for x in n]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(Q(x // g) for x in ints)
+
+
+def reference_facets(vertices):
+    """Facets of the hull of 3-vectors of Fractions, every triple tried in Fractions."""
+    seen = {}
+    for a, b, c in itertools.combinations(vertices, 3):
+        n = _ref_cross(_ref_sub(b, a), _ref_sub(c, a))
+        if all(x == 0 for x in n):
+            continue
+        n = _ref_primitive(n)
+        offset = _ref_dot(n, a)
+        sides = {0}
+        for p in vertices:
+            d = _ref_dot(n, p) - offset
+            sides.add(0 if d == 0 else (1 if d > 0 else -1))
+            if {1, -1} <= sides:
+                break
+        if {1, -1} <= sides:
+            continue
+        if 1 in sides:
+            n = tuple(-x for x in n)
+            offset = -offset
+        key = (n, offset)
+        if key not in seen:
+            seen[key] = [p for p in vertices if _ref_dot(n, p) == offset]
+    return tuple(Facet(normal=n, offset=c, vertices=tuple(sorted(pts))) for (n, c), pts in sorted(seen.items()))

@@ -166,6 +166,12 @@ class TestMalformedLatticeInput:
             ("lattice", "disc", "--gram", "2 1.5; 1.5 2"),
             ("lattice", "disc", "--gram", "2 1; 0 2"),
             ("lattice", "saturate", "--gram", "2 1; 1 2", "--sub", "1 x"),
+            ("lattice", "search", "--form", "-22 + 28*c - 8*c^2", "--op", ">", "--box", "c=a..2"),
+            ("lattice", "search", "--form", "-22 + 28*c - 8*c^2", "--op", ">", "--box", "c 1..2"),
+            ("lattice", "search", "--form", "-22 + 28*c - 8*c^2", "--op", ">", "--box", "c=1:2"),
+            ("lattice", "search", "--form", "-22 + 28*c - 8*c^2", "--op", ">", "--box", "d=1..2"),
+            ("lattice", "search", "--form", "c^", "--op", ">", "--box", "c=1..2"),
+            ("lattice", "search", "--form", "c/0", "--op", ">", "--box", "c=1..2"),
         ],
     )
     def test_usage_error_is_64(self, capsys, argv):
@@ -174,6 +180,28 @@ class TestMalformedLatticeInput:
         assert code == 64
         assert captured.err.startswith("usage error:")
         assert "Traceback" not in captured.err + captured.out
+
+
+class TestComputationErrors:
+    def test_cubic_search_form_is_exit_2(self, capsys):
+        code, out = run(capsys, "lattice", "search", "--form", "c^3 - 2", "--op", ">", "--box", "c=0..3", "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("entry", ["1/0", "x"])
+    def test_bad_model_file_number_is_exit_2(self, capsys, tmp_path, entry):
+        from kstab.models import preset, serialize_model
+
+        text = serialize_model(preset("dp4")).replace("model surface dp4", "model surface mine")
+        path = tmp_path / "mine.model"
+        path.write_text(text.replace("\n-3 1 1 1 1 1\n", f"\n-3 {entry} 1 1 1 1\n"))
+        code = main(["zariski", "--model", "mine", "--class", "L", "--model-file", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)
+        assert error["error"] == "ModelFileError"
+        assert "canonical" in error["message"]
+        assert "Traceback" not in captured.err
 
 
 class TestDeterminism:

@@ -3,16 +3,26 @@
 DERIVED expectations were computed independently before wiring them in:
 determinants by cofactor expansion, discriminant data by brute-force
 enumeration of dual cosets (the oracle at the bottom re-does that here),
-overlattice Grams by hand from the stated index-2 basis.
+overlattice Grams by hand from the stated index-2 basis.  The integer
+kernels for the subgroup walk and the box search are also checked against
+the original Fraction and brute-force kernels frozen in ``oracles``.
 """
 
 import itertools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kstab import lattice
-from kstab.errors import DegenerateLattice, DependentBasis, GroupTooLarge, InvariantViolation, OddLattice
+from kstab.errors import (
+    DegenerateLattice,
+    DependentBasis,
+    DomainError,
+    GroupTooLarge,
+    InvariantViolation,
+    OddLattice,
+)
 from kstab.lattice import (
     GramLattice,
     determinant,
@@ -27,7 +37,13 @@ from kstab.lattice import (
     signature,
     smith_normal_form,
 )
-from kstab.poly import parse_polynomial
+from kstab.poly import Polynomial, parse_polynomial
+from kstab.rationals import mat_mul, mat_transpose
+from oracles import (
+    reference_integer_search_quadratic,
+    reference_isotropic_elements,
+    reference_isotropic_subgroups,
+)
 
 NODAL = GramLattice([[22, 0], [0, -2]])
 HYPERBOLIC = GramLattice([[0, 1], [1, 0]])
@@ -352,3 +368,86 @@ class TestIntegerSearch:
         form = parse_polynomial("a^2 + b^2 - 1", variables=("a", "b"))
         hits = integer_search_quadratic(form, "<", {"a": (-5, 5), "b": (-5, 5)})
         assert hits == [(0, 0)]
+
+    def test_constant_form(self):
+        assert integer_search_quadratic(Polynomial((), {(): 3}), ">", {}) == [()]
+        assert integer_search_quadratic(Polynomial((), {}), "<", {"x": (0, 9)}) == []
+
+    def test_empty_range(self):
+        form = parse_polynomial("x^2 - y", variables=("x", "y"))
+        assert integer_search_quadratic(form, "<=", {"x": (0, 10**12), "y": (5, 4)}) == []
+
+    def test_huge_inner_side_is_row_by_row(self):
+        # one row of 2 * 10**12 + 1 points: only the run boundaries are searched
+        form = parse_polynomial("y^2 - 10", variables=("y",))
+        assert integer_search_quadratic(form, "<", {"y": (-10**12, 10**12)}) == [(y,) for y in range(-3, 4)]
+
+    def test_degree_above_two_rejected(self):
+        form = parse_polynomial("c^3 - 2", variables=("c",))
+        with pytest.raises(DomainError):
+            integer_search_quadratic(form, ">", {"c": (0, 3)})
+
+    def test_row_and_solution_bounds(self, monkeypatch):
+        form = parse_polynomial("a^2 + b^2 - 1", variables=("a", "b"))
+        monkeypatch.setenv("KSTAB_ENUM_BOUND", "10")
+        with pytest.raises(GroupTooLarge):
+            integer_search_quadratic(form, "<", {"a": (-5, 5), "b": (-5, 5)})  # 11 rows
+        with pytest.raises(GroupTooLarge):
+            integer_search_quadratic(form, ">", {"a": (0, 2), "b": (-5, 5)})  # 29 solutions
+        assert integer_search_quadratic(form, "<", {"a": (-4, 4), "b": (-5, 5)}) == [(0, 0)]
+
+
+# -- differential tests against the frozen original kernels -------------------
+
+
+@st.composite
+def small_even_lattices(draw):
+    """Nondegenerate even Grams of rank <= 4 with |det| <= 256, not only diagonal."""
+    n = draw(st.integers(1, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-2, 2))
+    even = GramLattice(gram)
+    d = determinant(even)
+    assume(d != 0 and abs(d) <= 256)
+    return even
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_even_lattices())
+@example(HYPERBOLIC)  # trivial group: no generators, only the zero subgroup
+# (Z/4)^3 with isotropic pairs whose b is an odd integer
+@example(GramLattice([[4, 0, 0], [0, -4, 0], [0, 0, 4]]))
+def test_subgroup_walk_matches_reference(even):
+    assert isotropic_elements(even) == reference_isotropic_elements(even)
+    assert lattice._isotropic_subgroups(even, None) == reference_isotropic_subgroups(even)
+    gram = [[Q(x) for x in row] for row in even.gram]
+    for o in even_overlattices(even):
+        basis = [list(row) for row in o.basis]
+        assert [list(row) for row in o.gram.gram] == mat_mul(mat_mul(basis, gram), mat_transpose(basis))
+
+
+COMPARISONS = (">", ">=", "<", "<=", "==")
+
+
+@st.composite
+def box_searches(draw):
+    """Rational forms of degree <= 2 in one or two variables, boxes of side <= 12."""
+    variables = draw(st.sampled_from([("x",), ("x", "y"), ("y", "x")]))
+    exps = [e for e in itertools.product(range(3), repeat=len(variables)) if sum(e) <= 2]
+    coeffs = {e: draw(st.fractions(-6, 6, max_denominator=4)) for e in exps if draw(st.booleans())}
+    box = {}
+    for v in variables:
+        lo = draw(st.integers(-8, 8))
+        box[v] = (lo, lo + draw(st.integers(-1, 11)))
+    return Polynomial(variables, coeffs), draw(st.sampled_from(COMPARISONS)), box
+
+
+@settings(max_examples=250, deadline=None)
+@given(box_searches())
+@example((Polynomial(("x", "y"), {(1, 1): 1}), "==", {"x": (-2, 2), "y": (-3, 3)}))  # the row x = 0 is all zero
+def test_box_search_matches_reference(search):
+    form, comparison, box = search
+    assert integer_search_quadratic(form, comparison, box) == reference_integer_search_quadratic(form, comparison, box)

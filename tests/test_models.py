@@ -3,6 +3,7 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kstab.errors import ModelFileError
 from kstab.intersect import SurfaceModel, ThreefoldModel
@@ -54,6 +55,18 @@ class TestClassExpr:
         vec = (Q(5, 4), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2))
         assert parse_class_expr(format_class(vec, basis), basis) == vec
 
+    def test_zero_class(self):
+        basis = ("L", "e1")
+        assert format_class((0, 0), basis) == "0"
+        assert parse_class_expr("0", basis) == (0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=4))
+    @example([Q(0), Q(0)])
+    def test_format_parse_round_trip(self, vec):
+        basis = ("L", "e1", "e2", "e3")[: len(vec)]
+        assert parse_class_expr(format_class(vec, basis), basis) == tuple(vec)
+
     def test_errors(self):
         with pytest.raises(ModelFileError):
             parse_class_expr("2 + L", ("L",))
@@ -94,6 +107,25 @@ class TestRoundTrip:
     def test_header_required(self):
         with pytest.raises(ModelFileError):
             parse_model("model surface x\nbasis\na\n")
+
+    @pytest.mark.parametrize("entry", ["1/0", "two"])
+    @pytest.mark.parametrize("section", ["gram", "canonical", "negative_curves"])
+    def test_bad_number_names_section(self, section, entry):
+        lines = serialize_model(preset("dp4")).splitlines()
+        row = lines.index(section) + 1
+        label, colon, numbers = lines[row].rpartition(":")
+        lines[row] = f"{label}{colon} {entry} {numbers.split(None, 1)[1]}"  # replace the first number
+        with pytest.raises(ModelFileError, match=f"{entry}.*{section}"):
+            parse_model("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("entry", ["1/0", "two"])
+    def test_bad_threefold_number(self, entry):
+        text = serialize_model(preset("bl_p3_quintic"))
+        lines = text.splitlines()
+        row = lines.index("triple") + 1
+        lines[row] = lines[row].rsplit(" ", 1)[0] + f" {entry}"
+        with pytest.raises(ModelFileError, match="triple"):
+            parse_model("\n".join(lines) + "\n")
 
     def test_user_file_cannot_shadow_preset(self, tmp_path):
         text = serialize_model(preset("dp4"))

@@ -3,13 +3,15 @@
 Volumes were derived by hand (prism = triangle area 3/2 times height 2;
 bipyramid = two pyramids over a lattice triangle of area 9/2) and the
 asymmetric control's dual barycenter (1/4, -1/4, 0) by the pyramid-centroid
-formula, all before running the engine.
+formula, all before running the engine.  The integer facet scan is checked
+against the original Fraction scan frozen in ``oracles``.
 """
 
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kstab import toric
 from kstab.errors import DegeneratePolytope, InvariantViolation, NotReflexive, OriginNotInterior
@@ -28,6 +30,7 @@ from kstab.toric import (
     toric_kps_check,
     volume,
 )
+from oracles import reference_facets
 
 
 class TestHull:
@@ -172,3 +175,18 @@ class TestEquivariance:
             )
             assert barycenter(moved) == expected
             assert anticanonical_degree(moved) == deg0
+
+
+COORDS = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(COORDS, COORDS, COORDS), min_size=4, max_size=20))
+# a square with its centre and an edge midpoint under an apex: collinear
+# triples and a five-point coplanar facet
+@example([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0), (1, 0, 0), (1, 1, 2)])
+def test_facet_scan_matches_reference(points):
+    pts = tuple(sorted({tuple(Q(x) for x in p) for p in points}))
+    facets = toric._facets(pts)
+    assert facets == reference_facets(pts)
+    assert all(isinstance(x, Q) for f in facets for x in (*f.normal, f.offset))
