@@ -103,7 +103,10 @@ def _get_model(name: str, model_file: str | None):
         model = load_model(model_file)
         if model.name == name:
             return model
-    return preset(name)
+    try:
+        return preset(name)
+    except KeyError:
+        raise _UsageError(f"unknown --model {name!r}; presets: {', '.join(PRESET_NAMES)}, sing_line(g,k)") from None
 
 
 def _int_rows(text: str, option: str) -> list[list[int]]:
@@ -143,15 +146,22 @@ def _parse_box(text: str, variables: tuple[str, ...]) -> dict[str, tuple[int, in
 
 
 def _cmd_sinv(args) -> dict:
+    try:
+        a_input = parse_rational(args.A) if args.A else None
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"--A takes a rational p/q, got {args.A!r}") from None
     model = _get_model(args.model, args.model_file)
     if not isinstance(model, ThreefoldModel):
         raise KstabError(f"{args.model} is not a threefold model")
+    if args.divisor not in model.divisors and args.divisor not in model.basis:
+        known = ", ".join(sorted(set(model.divisors) | set(model.basis)))
+        raise _UsageError(f"unknown --divisor {args.divisor!r} on {model.name}; known: {known}")
     vf = threefold_volume_certified(model, args.divisor)
     from .intersect import anticanonical_volume
 
     v = anticanonical_volume(model)
     s_value = s_invariant(vf, v)
-    a_value = parse_rational(args.A) if args.A else log_discrepancy_default(model.name, args.divisor)
+    a_value = a_input if a_input is not None else log_discrepancy_default(model.name, args.divisor)
     report = {
         "command": "sinv",
         "model": model.name,

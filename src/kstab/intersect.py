@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import InvalidModel
@@ -156,9 +158,19 @@ class SurfaceModel:
         self.gram: tuple[QVec, ...] = tuple(rows)
         self.canonical = qvec(canonical) if canonical is not None else None
         self.negative_curves = {k: qvec(v) for k, v in (negative_curves or {}).items()}
-        for label, cls in self.negative_curves.items():
-            if self.pair(cls, cls) >= 0:
+        # Gram * C for every declared curve, as integer rows over one common
+        # denominator, so that a class meets every curve in integer dots
+        self.curve_labels = tuple(sorted(self.negative_curves))
+        gcs = []
+        for label in self.curve_labels:
+            cls = self.negative_curves[label]
+            if len(cls) != r:
+                raise InvalidModel("class vectors must match the basis size")
+            gcs.append(self.gram_vector(cls))
+            if dot(cls, gcs[-1]) >= 0:
                 raise InvalidModel(f"declared negative curve {label!r} has square >= 0")
+        self._gc_den = lcm(*(x.denominator for gc in gcs for x in gc))
+        self._gc_rows = [tuple(x.numerator * (self._gc_den // x.denominator) for x in gc) for gc in gcs]
         if eff_generators is None:
             eff_generators = dict(self.negative_curves)
         self.eff_generators = {k: qvec(v) for k, v in eff_generators.items()}
@@ -173,23 +185,18 @@ class SurfaceModel:
             raise InvalidModel("class vectors must match the basis size")
         return sum((a[i] * self.gram[i][j] * b[j] for i in range(self.rank) for j in range(self.rank)), Q(0))
 
-    def curve_gram_vector(self, label: str) -> QVec:
-        """Cached Gram * C for a declared curve, so pairings are single dots."""
-        cache = getattr(self, "_gc_cache", None)
-        if cache is None:
-            cache = {}
-            self._gc_cache = cache
-        if label not in cache:
-            c = self.negative_curves[label]
-            cache[label] = tuple(
-                sum((self.gram[i][j] * c[j] for j in range(self.rank)), Q(0))
-                for i in range(self.rank)
-            )
-        return cache[label]
+    def gram_vector(self, v: Sequence[Fraction]) -> QVec:
+        """Gram * v, so that pairings with v are single dot products."""
+        return tuple(dot(row, v) for row in self.gram)
 
-    def pair_curve(self, vec: Sequence[Fraction], label: str) -> Fraction:
-        gc = self.curve_gram_vector(label)
-        return sum((x * y for x, y in zip(vec, gc)), Q(0))
+    def curve_pairings(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """v.C for every declared curve C, in the order of curve_labels."""
+        if len(v) != self.rank:
+            raise InvalidModel("class vectors must match the basis size")
+        den = lcm(*(x.denominator for x in v))
+        ints = [x.numerator * (den // x.denominator) for x in v]
+        den *= self._gc_den
+        return tuple(Fraction(sum(map(mul, ints, row)), den) for row in self._gc_rows)
 
     def square(self, a: Sequence) -> Fraction:
         return self.pair(a, a)

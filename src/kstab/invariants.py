@@ -23,9 +23,9 @@ from fractions import Fraction
 
 from .errors import InvalidModel, NonpositiveVolume
 from .intersect import SurfaceModel
-from .poly import PiecewisePolynomial, Polynomial, integrate_piecewise
+from .poly import PiecewisePolynomial, integrate_piecewise
 from .rationals import Q, to_q
-from .zariski import FlagDecomposition, VolumeFunction, _pair_poly, two_param_flag_volume
+from .zariski import FlagDecomposition, VolumeFunction, _affine_square, _affine_vectors, two_param_flag_volume
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,8 @@ def _correction_integral(
     total = Q(0)
     var = correction.variable
     for t_lo, t_hi, family in restriction_family:
-        polys = [
-            p if isinstance(p, Polynomial) else Polynomial.constant(p, (var,)) for p in family
-        ]
-        polys = [p.in_vars((var,)) for p in polys]
-        square = _pair_poly(surface, polys, polys)
-        square = square if isinstance(square, Polynomial) else Polynomial.constant(square, (var,))
+        vecs = _affine_vectors(family, (var,), "restriction family must be affine in t")
+        square = _affine_square(surface, vecs, (var,))
         for piece in correction.pieces:
             lo, hi = max(piece.lo, to_q(t_lo)), min(piece.hi, to_q(t_hi))
             if lo >= hi:

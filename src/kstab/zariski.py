@@ -3,14 +3,24 @@
 Surface side: the classical iterative decomposition (grow the support by
 every declared curve the mobile part meets negatively, re-solve, repeat)
 against the model's negative-curve list, with pseudo-effectivity decided by
-an exact LP over the declared effective-cone generators.  One- and
-two-parameter families are handled symbolically: on a chamber the support
-is constant, so the negative-part coefficients and the positive part are
-affine in the parameters and every certificate (coefficient nonnegativity,
-nefness against each declared curve) is an affine function checked exactly
-at chamber endpoints or cell vertices.  A failed certificate splits the
-chamber at the rational root of the offending affine function; an
-irrational wall raises instead of approximating.
+an exact LP over the declared effective-cone generators.  The class is
+paired with every curve once, in integer dot products against the
+model's Gram * C rows; each round updates those pairings from the
+curve-curve pairings of the support.
+
+One- and two-parameter families are handled symbolically: on a chamber the
+support is constant, so the negative-part coefficients and the positive
+part are affine in the parameters and every certificate (coefficient
+nonnegativity, nefness against each declared curve) is an affine function
+checked exactly at chamber endpoints or cell vertices.  A family is read
+once into coefficient vectors (the constant class and one slope class per
+parameter; a term of degree > 1 is rejected), so the multiplicities, the
+positive part and every certificate are rational dot products, one per
+coefficient vector, and a certificate is its tuple (constant, slopes).
+The volume P^2 is the quadratic form of the positive part's coefficient
+vectors.  Polynomials are built only for the results.  A failed
+certificate splits the chamber at the rational root of the offending
+affine function; an irrational wall raises instead of approximating.
 
 Threefold side: there is no Zariski decomposition in general, so chamber
 data (interval plus positive part, affine in the parameter) is *input*, and
@@ -23,7 +33,7 @@ tagged as certified relative to the declared curves - never absolutely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,9 +46,9 @@ from .errors import (
     WallCrossingDegeneracy,
 )
 from .intersect import Chamber, SurfaceModel, ThreefoldModel, triple_product
-from .lp import Infeasible, LPResult, Unbounded, in_cone, max_shift
+from .lp import Infeasible, Unbounded, in_cone, max_shift
 from .poly import PiecewisePolynomial, Polynomial
-from .rationals import Q, QVec, is_negative_definite, mat_inverse, solve_general, to_q
+from .rationals import Q, QVec, dot, is_negative_definite, mat_inverse, qvec, solve_general, to_q
 
 _MAX_SPLIT_DEPTH = 32
 
@@ -104,20 +114,6 @@ def _on_generator_ray(gens: list[QVec], v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-def _pair_poly(surface: SurfaceModel, a: Sequence, b: Sequence):
-    """Bilinear pairing where either argument may hold polynomials."""
-    total = None
-    r = surface.rank
-    for i in range(r):
-        for j in range(r):
-            g = surface.gram[i][j]
-            if g == 0:
-                continue
-            term = a[i] * b[j] * g
-            total = term if total is None else total + term
-    return Q(0) if total is None else total
-
-
 def zariski_decompose(surface: SurfaceModel, divisor) -> ZariskiResult:
     """Zariski decomposition of a pseudo-effective class, exactly.
 
@@ -134,24 +130,35 @@ def zariski_decompose(surface: SurfaceModel, divisor) -> ZariskiResult:
 
 
 def _decompose(surface: SurfaceModel, d: QVec) -> ZariskiResult:
-    """Zariski decomposition of a class vector already known to be in the cone."""
+    """Zariski decomposition of a class vector already known to be in the cone.
+
+    d is paired with every curve once; each round the pairings of the mobile
+    part d - sum(nu_C C) follow from those and the curve-curve pairings of
+    the support.
+    """
+    labels = surface.curve_labels
+    d_pairs = surface.curve_pairings(d)
+    rows: dict[str, tuple[Fraction, ...]] = {}  # C.C' for C in the support, C' any curve
     support: list[str] = []
     nu: dict[str, Fraction] = {}
+    pairs = d_pairs
     while True:
-        current = d
-        for label in support:
-            current = tuple(
-                x - nu[label] * y for x, y in zip(current, surface.negative_curves[label])
-            )
-        violators = sorted(
-            label
-            for label in surface.negative_curves
-            if label not in support and surface.pair_curve(current, label) < 0
-        )
+        violators = [label for label, x in zip(labels, pairs) if x < 0 and label not in nu]
         if not violators:
             break
+        for a in violators:
+            rows[a] = surface.curve_pairings(surface.negative_curves[a])
         support = sorted(support + violators)
-        nu = _solve_support(surface, d, support)
+        index = [labels.index(b) for b in support]
+        gram = [[rows[a][j] for j in index] for a in support]
+        if not is_negative_definite(gram):
+            raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
+        inv = mat_inverse(gram)
+        rhs = [d_pairs[j] for j in index]
+        nu = {a: sum((x * y for x, y in zip(inv[i], rhs)), Q(0)) for i, a in enumerate(support)}
+        pairs = tuple(
+            x - sum((nu[a] * rows[a][j] for a in support), Q(0)) for j, x in enumerate(d_pairs)
+        )
     positive = d
     for label in support:
         positive = tuple(x - nu[label] * y for x, y in zip(positive, surface.negative_curves[label]))
@@ -161,27 +168,12 @@ def _decompose(surface: SurfaceModel, d: QVec) -> ZariskiResult:
                 f"negative multiplicity {coeff} on {label}: the declared curve "
                 "list is not a genuine configuration of irreducible negative curves"
             )
-    gram = tuple(
-        tuple(surface.pair(surface.negative_curves[a], surface.negative_curves[b]) for b in support)
-        for a in support
-    )
     return ZariskiResult(
         positive=positive,
         negative=tuple((label, nu[label]) for label in support),
         support=tuple(support),
-        support_gram=gram,
+        support_gram=tuple(tuple(g) for g in gram) if support else (),
     )
-
-
-def _solve_support(surface: SurfaceModel, d: Sequence, support: list[str]) -> dict[str, Fraction]:
-    curves = [surface.negative_curves[label] for label in support]
-    gram = [[surface.pair_curve(a, label) for label in support] for a in curves]
-    if not is_negative_definite(gram):
-        raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
-    inv = mat_inverse(gram)
-    rhs = [surface.pair_curve(d, label) for label in support]
-    nu = [sum((inv[i][j] * rhs[j] for j in range(len(rhs))), Q(0)) for i in range(len(rhs))]
-    return dict(zip(support, nu))
 
 
 def volume(surface: SurfaceModel, divisor) -> Fraction:
@@ -209,67 +201,133 @@ def pseff_threshold(surface: SurfaceModel, divisor, direction) -> Fraction:
     return res.value
 
 
+# -- affine coefficient vectors ------------------------------------------------
+
+# An affine class family is held as its coefficient vectors: the constant
+# class, then one slope class per parameter.  An affine scalar, such as a
+# certificate, is the matching tuple (constant, slope, ...) of rationals.
+Affine = tuple[QVec, ...]
+
+
+def _family_var(family, var: str | None) -> str:
+    names = {v for entry in family if isinstance(entry, Polynomial) for v in entry.vars}
+    if var is None:
+        if len(names) > 1:
+            raise InvalidModel(f"ambiguous family variable: {sorted(names)}")
+        var = names.pop() if names else "t"
+    return var
+
+
+def _affine_vectors(family: Sequence, variables: Sequence[str], message: str) -> Affine:
+    """Coefficient vectors (constant, slope per variable) of a class family.
+
+    Each entry is read once; rationals are constants.  A term of degree > 1
+    raises InvalidModel with the given message.
+    """
+    variables = tuple(variables)
+    cols = [[Q(0)] * len(family) for _ in range(len(variables) + 1)]
+    for i, entry in enumerate(family):
+        if not isinstance(entry, Polynomial):
+            cols[0][i] = to_q(entry)
+            continue
+        for exp, c in entry.in_vars(variables).coeffs.items():
+            degree = sum(exp)
+            if degree > 1:
+                raise InvalidModel(message)
+            cols[exp.index(1) + 1 if degree else 0][i] = c
+    return tuple(tuple(col) for col in cols)
+
+
+def _value(c: Sequence[Fraction], *point: Fraction) -> Fraction:
+    """An affine scalar (constant, slope, ...) at a point."""
+    total = c[0]
+    for slope, x in zip(c[1:], point):
+        total += slope * x
+    return total
+
+
+def _at(vecs: Affine, *point: Fraction) -> QVec:
+    """An affine class family at a point."""
+    return tuple(_value(c, *point) for c in zip(*vecs))
+
+
+def _zero_of(c: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    """Where an affine scalar vanishes, solved for its last variable.
+
+    The result is that variable as an affine scalar in the others: for one
+    variable, the 1-tuple (root,).  None when the last slope is 0.
+    """
+    slope = c[-1]
+    if slope == 0:
+        return None
+    return tuple(-x / slope for x in c[:-1])
+
+
+def _exponents(n: int) -> list[tuple[int, ...]]:
+    """Exponents of 1, then of each of n variables, in coefficient-vector order."""
+    return [(0,) * n] + [tuple(int(j == k) for j in range(n)) for k in range(n)]
+
+
+def _affine_poly(variables: tuple[str, ...], c: Sequence[Fraction]) -> Polynomial:
+    """The polynomial c[0] + c[1]*variables[0] + ..., built directly."""
+    return Polynomial._make(variables, dict(zip(_exponents(len(variables)), c)))
+
+
+def _affine_square(surface: SurfaceModel, vecs: Affine, variables: Sequence[str]) -> Polynomial:
+    """P^2 for an affine class P, as the quadratic form of its coefficient vectors."""
+    variables = tuple(variables)
+    exps = _exponents(len(variables))
+    gvs = [surface.gram_vector(v) for v in vecs]
+    coeffs = {}
+    for i, v in enumerate(vecs):
+        for j in range(i, len(vecs)):
+            exp = tuple(a + b for a, b in zip(exps[i], exps[j]))
+            coeffs[exp] = dot(v, gvs[j]) * (1 if i == j else 2)
+    return Polynomial._make(variables, coeffs)
+
+
 # -- symbolic chamber machinery ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Cert:
-    """An affine certificate function with provenance."""
+    """An affine certificate (constant, slope, ...) with provenance."""
 
     kind: str  # "mult" or "nef"
     label: str
-    poly: Polynomial
+    coeffs: tuple[Fraction, ...]
 
 
 def _symbolic_decomposition(
-    surface: SurfaceModel, d_polys: tuple[Polynomial, ...], support: Sequence[str]
-) -> tuple[tuple[Polynomial, ...], list[_Cert]]:
-    """Positive part and certificates for a fixed support, symbolic input."""
+    surface: SurfaceModel, vecs: Affine, support: Sequence[str]
+) -> tuple[Affine, list[_Cert]]:
+    """Positive part and certificates of an affine family for a fixed support.
+
+    On the support the multiplicities solve Gram * nu = (D.C)_C, one solve
+    per coefficient vector; P = D - sum(nu_C C), and P.C is each nef
+    certificate.  With a sorted support the certificates come sorted by
+    (kind, label).
+    """
     support = list(support)
-    curves = [surface.negative_curves[label] for label in support]
     certs: list[_Cert] = []
+    positive = vecs
     if support:
-        gram = [[surface.pair(a, b) for b in curves] for a in curves]
+        index = [surface.curve_labels.index(label) for label in support]
+        curves = [surface.negative_curves[label] for label in support]
+        gram = [[row[j] for j in index] for row in map(surface.curve_pairings, curves)]
         if not is_negative_definite(gram):
             raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
         inv = mat_inverse(gram)
-        rhs = [_pair_poly(surface, d_polys, c) for c in curves]
-        nus = []
-        for i in range(len(support)):
-            total = None
-            for j in range(len(support)):
-                term = rhs[j] * inv[i][j]
-                total = term if total is None else total + term
-            nus.append(total)
-        positive = list(d_polys)
-        for nu, curve in zip(nus, curves):
-            positive = [p - nu * c for p, c in zip(positive, curve)]
-        positive = tuple(positive)
-        for label, nu in zip(support, nus):
-            certs.append(_Cert("mult", label, nu))
-    else:
-        positive = tuple(d_polys)
-    for label in sorted(surface.negative_curves):
-        certs.append(
-            _Cert("nef", label, _as_poly(_pair_poly(surface, positive, surface.negative_curves[label])))
+        rhs = [[row[j] for j in index] for row in map(surface.curve_pairings, vecs)]
+        nus = [tuple(sum((x * y for x, y in zip(row, r)), Q(0)) for r in rhs) for row in inv]
+        positive = tuple(
+            tuple(x - sum((nu[k] * c[n] for nu, c in zip(nus, curves)), Q(0)) for n, x in enumerate(v))
+            for k, v in enumerate(vecs)
         )
+        certs = [_Cert("mult", label, nu) for label, nu in zip(support, nus)]
+    nef = zip(*map(surface.curve_pairings, positive))
+    certs += [_Cert("nef", label, c) for label, c in zip(surface.curve_labels, nef)]
     return positive, certs
-
-
-def _as_poly(x) -> Polynomial:
-    return x if isinstance(x, Polynomial) else Polynomial.constant(x)
-
-
-def _affine_root(poly: Polynomial, var: str) -> Fraction | None:
-    """Root of an affine polynomial in one variable, if the slope is nonzero."""
-    if poly.degree() > 1:
-        raise InvalidModel("expected an affine certificate")
-    i = poly.vars.index(var)
-    slope = poly.coefficient(tuple(1 if j == i else 0 for j in range(len(poly.vars))))
-    if slope == 0:
-        return None
-    const = poly.coefficient((0,) * len(poly.vars))
-    return -const / slope
 
 
 @dataclass(frozen=True)
@@ -278,60 +336,46 @@ class _SChamber:
     hi: Fraction
     support: tuple[str, ...]
     upper_cert: tuple[str, str] | None  # certificate vanishing at hi (None at the threshold)
+    positive: Affine
 
 
 def _march_one_param(
     surface: SurfaceModel,
-    family: tuple[Polynomial, ...],
+    vecs: Affine,
     lo: Fraction,
     hi: Fraction,
-    var: str,
     depth: int = 0,
 ) -> list[_SChamber]:
-    """Chamber structure of an affine family on [lo, hi] (all within pseff)."""
+    """Chamber structure of an affine one-parameter family on [lo, hi] (all within pseff)."""
     if depth > _MAX_SPLIT_DEPTH:
         raise WallCrossingDegeneracy("chamber subdivision did not terminate")
     if lo == hi:
         return []
-    mid = (lo + hi) / 2
-    sample = tuple(p(**{var: mid}) for p in family)
-    # both ends are in the cone, which is convex, so the sample is too
-    decomp = _decompose(surface, sample)
-    positive, certs = _symbolic_decomposition(surface, family, decomp.support)
+    # both ends are in the cone, which is convex, so the midpoint is too
+    decomp = _decompose(surface, _at(vecs, (lo + hi) / 2))
+    positive, certs = _symbolic_decomposition(surface, vecs, decomp.support)
     roots: set[Fraction] = set()
     for cert in certs:
-        if cert.poly(**{var: lo}) < 0 or cert.poly(**{var: hi}) < 0:
-            root = _affine_root(cert.poly, var)
-            if root is not None and lo < root < hi:
-                roots.add(root)
+        if _value(cert.coeffs, lo) < 0 or _value(cert.coeffs, hi) < 0:
+            roots.update(_interior_zero(cert.coeffs, lo, hi))
     if not roots:
-        upper = _vanishing_cert(certs, var, hi)
-        return [_SChamber(lo, hi, decomp.support, upper)]
+        # the wall at hi: a certificate that vanishes there and decreases across it
+        upper = next(
+            ((c.kind, c.label) for c in certs if _value(c.coeffs, hi) == 0 and c.coeffs[1] < 0), None
+        )
+        return [_SChamber(lo, hi, decomp.support, upper, positive)]
     cuts = [lo] + sorted(roots) + [hi]
     out: list[_SChamber] = []
     for a, b in zip(cuts, cuts[1:]):
-        out.extend(_march_one_param(surface, family, a, b, var, depth + 1))
+        out.extend(_march_one_param(surface, vecs, a, b, depth + 1))
     # stitch identical neighbours (a split point that was not a real wall)
     stitched: list[_SChamber] = []
     for ch in out:
         if stitched and stitched[-1].support == ch.support and stitched[-1].hi == ch.lo:
-            stitched[-1] = _SChamber(stitched[-1].lo, ch.hi, ch.support, ch.upper_cert)
+            stitched[-1] = replace(ch, lo=stitched[-1].lo)
         else:
             stitched.append(ch)
     return stitched
-
-
-def _vanishing_cert(certs: list[_Cert], var: str, at: Fraction) -> tuple[str, str] | None:
-    """A certificate that vanishes at the wall and decreases across it."""
-    best = None
-    for cert in sorted(certs, key=lambda c: (c.kind, c.label)):
-        if cert.poly(**{var: at}) == 0:
-            i = cert.poly.vars.index(var)
-            slope = cert.poly.coefficient(tuple(1 if j == i else 0 for j in range(len(cert.poly.vars))))
-            if slope < 0:
-                best = (cert.kind, cert.label)
-                break
-    return best
 
 
 def one_param_volume(
@@ -350,13 +394,10 @@ def one_param_volume(
     is continuous by construction (the piecewise constructor re-checks).
     """
     lo, hi = to_q(lo), to_q(hi)
-    polys, var = _family_polys(family, var)
-    for p in polys:
-        if p.degree() > 1:
-            raise InvalidModel("family must be affine in its parameter")
-    start = tuple(p(**{var: lo}) for p in polys)
+    var = _family_var(family, var)
+    vecs = _affine_vectors(family, (var,), "family must be affine in its parameter")
+    start, slope = _at(vecs, lo), vecs[1]
     _, gens = _eff_data(surface)
-    slope = tuple(p.coefficient(_unit_exp(p, var)) for p in polys)
     # max_shift only finds some s >= 0 with start + s*slope in the cone;
     # that puts the start in the cone too when -slope lies in it
     if not _on_generator_ray(gens, tuple(-x for x in slope)) and in_cone(gens, start) is None:
@@ -368,16 +409,12 @@ def one_param_volume(
         raise NotPseudoEffective(f"family is not pseudo-effective at {lo}") from None
     except Unbounded:
         s_end = hi
-    chambers = _march_one_param(surface, polys, lo, s_end, var)
     pieces = []
     vol_chambers = []
-    for ch in chambers:
-        positive, _ = _symbolic_decomposition(surface, polys, ch.support)
-        vol = _as_poly(_pair_poly(surface, positive, positive)).in_vars((var,))
+    for ch in _march_one_param(surface, vecs, lo, s_end):
+        vol = _affine_square(surface, ch.positive, (var,))
         pieces.append((ch.lo, ch.hi, vol, ",".join(ch.support) if ch.support else "nef"))
-        p0 = tuple(_as_poly(p).in_vars((var,)).coefficient((0,)) for p in positive)
-        p1 = tuple(_as_poly(p).in_vars((var,)).coefficient((1,)) for p in positive)
-        vol_chambers.append(VolumeChamber(ch.lo, ch.hi, p0, p1, ch.support))
+        vol_chambers.append(VolumeChamber(ch.lo, ch.hi, ch.positive[0], ch.positive[1], ch.support))
     if s_end < hi:
         zero = Polynomial.constant(0, (var,))
         pieces.append((s_end, hi, zero, "outside-pseff"))
@@ -388,24 +425,6 @@ def one_param_volume(
     if pw(s_end) < 0:
         raise CertificateViolation("volume is negative at the pseudo-effective threshold")
     return VolumeFunction(pw, tuple(vol_chambers), certificate="relative to declared curves")
-
-
-def _family_polys(family, var: str | None) -> tuple[tuple[Polynomial, ...], str]:
-    names = {v for entry in family if isinstance(entry, Polynomial) for v in entry.vars}
-    if var is None:
-        if len(names) > 1:
-            raise InvalidModel(f"ambiguous family variable: {sorted(names)}")
-        var = names.pop() if names else "t"
-    polys = tuple(
-        entry.in_vars((var,)) if isinstance(entry, Polynomial) else Polynomial.constant(entry, (var,))
-        for entry in family
-    )
-    return polys, var
-
-
-def _unit_exp(p: Polynomial, var: str) -> tuple[int, ...]:
-    i = p.vars.index(var)
-    return tuple(1 if j == i else 0 for j in range(len(p.vars)))
 
 
 # -- two-parameter flag machinery --------------------------------------------
@@ -472,28 +491,25 @@ def two_param_flag_volume(
     failure splits the t-interval at the rational root responsible.
     """
     t_lo, t_hi = to_q(t_lo), to_q(t_hi)
-    a_polys, tvar = _family_polys(a_family, tvar)
-    for p in a_polys:
-        if p.degree() > 1:
-            raise InvalidModel("restriction family must be affine in t")
+    tvar = _family_var(a_family, tvar)
+    a_vecs = _affine_vectors(a_family, (tvar,), "restriction family must be affine in t")
     z_vec = surface.class_vector(z)
     _, gens = _eff_data(surface)
     # max_shift only finds some s >= 0 with A(t) - s*Z in the cone; that
     # puts A(t) in the cone too when Z lies in it
     z_in_cone = _on_generator_ray(gens, z_vec) or in_cone(gens, z_vec) is not None
-    chambers = _flag_chambers(surface, a_polys, t_lo, t_hi, z_vec, z_in_cone, tvar, svar, depth=0)
+    chambers = _flag_chambers(surface, a_vecs, t_lo, t_hi, z_vec, z_in_cone, (tvar, svar), depth=0)
     return FlagDecomposition(tuple(chambers), tvar, svar)
 
 
 def _flag_chambers(
     surface: SurfaceModel,
-    a_polys: tuple[Polynomial, ...],
+    a_vecs: Affine,
     t_lo: Fraction,
     t_hi: Fraction,
     z_vec: QVec,
     z_in_cone: bool,
-    tvar: str,
-    svar: str,
+    both: tuple[str, str],
     depth: int,
 ) -> list[FlagChamber]:
     if depth > _MAX_SPLIT_DEPTH:
@@ -501,7 +517,7 @@ def _flag_chambers(
     if t_lo == t_hi:
         return []
     try:
-        return [_certify_t_chamber(surface, a_polys, t_lo, t_hi, z_vec, z_in_cone, tvar, svar)]
+        return [_certify_t_chamber(surface, a_vecs, t_lo, t_hi, z_vec, z_in_cone, both)]
     except _SplitRequest as split:
         cuts = sorted({r for r in split.points if t_lo < r < t_hi})
         if not cuts:
@@ -510,7 +526,7 @@ def _flag_chambers(
             ) from None
         out: list[FlagChamber] = []
         for a, b in zip([t_lo] + cuts, cuts + [t_hi]):
-            out.extend(_flag_chambers(surface, a_polys, a, b, z_vec, z_in_cone, tvar, svar, depth + 1))
+            out.extend(_flag_chambers(surface, a_vecs, a, b, z_vec, z_in_cone, both, depth + 1))
         return out
 
 
@@ -521,21 +537,21 @@ class _SplitRequest(Exception):
 
 def _certify_t_chamber(
     surface: SurfaceModel,
-    a_polys: tuple[Polynomial, ...],
+    a_vecs: Affine,
     t_lo: Fraction,
     t_hi: Fraction,
     z_vec: QVec,
     z_in_cone: bool,
-    tvar: str,
-    svar: str,
+    both: tuple[str, str],
 ) -> FlagChamber:
     mid = (t_lo + t_hi) / 2
-    a_mid = tuple(p(**{tvar: mid}) for p in a_polys)
+    a_mid = _at(a_vecs, mid)
     _, gens = _eff_data(surface)
     if not z_in_cone and in_cone(gens, a_mid) is None:
         raise NotPseudoEffective(f"restriction family leaves the effective cone at {mid}")
+    minus_z = tuple(-x for x in z_vec)
     try:
-        lp = max_shift(a_mid, tuple(-x for x in z_vec), gens)
+        lp = max_shift(a_mid, minus_z, gens)
     except Infeasible:
         raise NotPseudoEffective(f"restriction family leaves the effective cone at {mid}") from None
     except Unbounded:
@@ -545,146 +561,96 @@ def _certify_t_chamber(
         # a concave nonnegative function that vanishes at the midpoint and
         # at both ends vanishes identically: no s-range on this chamber
         for t_end in (t_lo, t_hi):
-            if _threshold_at(a_polys, z_vec, gens, tvar, t_end) != 0:
+            if _threshold_at(a_vecs, minus_z, gens, t_end) != 0:
                 raise _SplitRequest([mid])
         return FlagChamber(t_lo, t_hi, ())
-    tau = _parametric_threshold(a_polys, z_vec, gens, tau_mid, tvar, t_lo, t_hi)
+    tau = _parametric_threshold(a_vecs, minus_z, gens, tau_mid, t_lo, t_hi)
     # sampled chamber structure in s at the midpoint
-    family_mid = tuple(
-        Polynomial.constant(a, (svar,)) - Polynomial.var(svar) * Polynomial.constant(zc, (svar,))
-        for a, zc in zip(a_mid, z_vec)
-    )
-    s_chambers = _march_one_param(surface, family_mid, Q(0), tau_mid, svar)
-    # symbolic (s, t) reconstruction of each cell
-    both = (tvar, svar)
-    d_polys = tuple(
-        p.in_vars(both) - Polynomial.var(svar, both) * Polynomial.constant(zc, both)
-        for p, zc in zip(a_polys, z_vec)
-    )
+    s_chambers = _march_one_param(surface, (a_mid, minus_z), Q(0), tau_mid)
+    # symbolic (t, s) reconstruction of each cell; walls s = w0 + w1*t
+    d_vecs = (a_vecs[0], a_vecs[1], minus_z)
     cells: list[FlagCell] = []
-    lower = Polynomial.constant(0, (tvar,))
-    split_points: list[Fraction] = []
+    lower = (Q(0), Q(0))
     for idx, sch in enumerate(s_chambers):
-        positive, certs = _symbolic_decomposition(surface, d_polys, sch.support)
+        positive, certs = _symbolic_decomposition(surface, d_vecs, sch.support)
         if idx + 1 < len(s_chambers):
-            upper = _wall_from_cert(certs, sch.upper_cert, tvar, svar, sch.hi, mid)
+            upper = _wall_from_cert(certs, sch.upper_cert, mid, sch.hi)
         else:
             upper = tau
-        vertex_ts = (t_lo, t_hi)
-        ordering_ok = all(lower(**{tvar: t}) <= upper(**{tvar: t}) for t in vertex_ts)
-        if not ordering_ok:
-            split_points.extend(_affine_intersection(lower, upper, tvar, t_lo, t_hi))
-            raise _SplitRequest(split_points)
+        if any(_value(lower, t) > _value(upper, t) for t in (t_lo, t_hi)):
+            raise _SplitRequest(_interior_zero(tuple(x - y for x, y in zip(lower, upper)), t_lo, t_hi))
+        split_points: list[Fraction] = []
         for cert in certs:
-            for t in vertex_ts:
-                for bound in (lower, upper):
-                    s_val = bound(**{tvar: t})
-                    if cert.poly(**{tvar: t, svar: s_val}) < 0:
-                        split_points.extend(
-                            _cert_split_points(cert.poly, lower, upper, tvar, svar, t_lo, t_hi)
-                        )
+            c0, ct, cs = cert.coeffs
+            # on a wall s = w(t) the certificate is affine in t
+            on_walls = [(c0 + cs * w[0], ct + cs * w[1]) for w in (lower, upper)]
+            if any(_value(c, t) < 0 for c in on_walls for t in (t_lo, t_hi)):
+                for c in on_walls:
+                    split_points.extend(_interior_zero(c, t_lo, t_hi))
         if split_points:
             raise _SplitRequest(split_points)
-        vol = _as_poly(_pair_poly(surface, positive, positive)).in_vars(both)
         cells.append(
             FlagCell(
-                s_lo=lower,
-                s_hi=upper,
-                volume=vol,
-                positive=tuple(_as_poly(p).in_vars(both) for p in positive),
+                s_lo=_affine_poly(both[:1], lower),
+                s_hi=_affine_poly(both[:1], upper),
+                volume=_affine_square(surface, positive, both),
+                positive=tuple(_affine_poly(both, c) for c in zip(*positive)),
                 support=sch.support,
             )
         )
         lower = upper
     if cells:
-        last = cells[-1]
-        residual = last.volume.subs(svar, tau.in_vars((tvar,)))
-        if not residual.is_zero():
-            # the volume must vanish at the pseudo-effective threshold
-            raise _SplitRequest([(t_lo + t_hi) / 2])
+        # the volume must vanish at the pseudo-effective threshold: P(t, tau(t))^2 = 0
+        p0, pt, ps = positive
+        at_tau = (
+            tuple(x + tau[0] * y for x, y in zip(p0, ps)),
+            tuple(x + tau[1] * y for x, y in zip(pt, ps)),
+        )
+        if not _affine_square(surface, at_tau, both[:1]).is_zero():
+            raise _SplitRequest([mid])
     return FlagChamber(t_lo, t_hi, tuple(cells))
 
 
 def _wall_from_cert(
     certs: list[_Cert],
     tag: tuple[str, str] | None,
-    tvar: str,
-    svar: str,
-    s_at_mid: Fraction,
     t_mid: Fraction,
-) -> Polynomial:
-    """Wall s = w(t) from the certificate that vanishes on it."""
-    chosen = None
-    if tag is not None:
-        for cert in certs:
-            if (cert.kind, cert.label) == tag:
-                chosen = cert
-                break
+    s_at_mid: Fraction,
+) -> tuple[Fraction, Fraction]:
+    """Wall s = w0 + w1*t from the certificate that vanishes on it."""
+    chosen = next((c for c in certs if (c.kind, c.label) == tag), None)
     if chosen is None:
-        for cert in sorted(certs, key=lambda c: (c.kind, c.label)):
-            if cert.poly(**{tvar: t_mid, svar: s_at_mid}) == 0:
-                chosen = cert
-                break
+        chosen = next((c for c in certs if _value(c.coeffs, t_mid, s_at_mid) == 0), None)
     if chosen is None:
         raise WallCrossingDegeneracy("no certificate vanishes on the sampled wall")
-    poly = chosen.poly.in_vars((tvar, svar))
-    s_slope = poly.coefficient((0, 1))
-    if s_slope == 0:
+    wall = _zero_of(chosen.coeffs)
+    if wall is None:
         raise WallCrossingDegeneracy("wall certificate does not depend on the inner parameter")
-    t_slope = poly.coefficient((1, 0))
-    const = poly.coefficient((0, 0))
-    if poly.degree() > 1:
-        raise InvalidModel("wall certificate is not affine")
-    return Polynomial((tvar,), {(0,): -const / s_slope, (1,): -t_slope / s_slope})
+    return wall
 
 
-def _affine_intersection(a: Polynomial, b: Polynomial, tvar: str, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    diff = a.in_vars((tvar,)) - b.in_vars((tvar,))
-    if diff.is_zero():
-        return []
-    root = _affine_root(diff, tvar)
-    return [root] if root is not None and lo < root < hi else []
+def _interior_zero(c: Sequence[Fraction], lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """The root of an affine scalar in one variable, when it lies in (lo, hi)."""
+    zero = _zero_of(c)
+    return [zero[0]] if zero is not None and lo < zero[0] < hi else []
 
 
-def _cert_split_points(
-    cert: Polynomial,
-    lower: Polynomial,
-    upper: Polynomial,
-    tvar: str,
-    svar: str,
-    t_lo: Fraction,
-    t_hi: Fraction,
-) -> list[Fraction]:
-    """Interior t-values where an affine certificate changes sign on a wall."""
-    points = []
-    for bound in (lower, upper):
-        restricted = cert.in_vars((tvar, svar)).subs(svar, bound.in_vars((tvar,)))
-        if restricted.degree() > 1:
-            continue
-        root = _affine_root(restricted, tvar) if not restricted.is_zero() else None
-        if root is not None and t_lo < root < t_hi:
-            points.append(root)
-    return points
-
-
-def _threshold_at(a_polys: tuple[Polynomial, ...], z_vec: QVec, gens: list[QVec], tvar: str, t: Fraction) -> Fraction:
-    a_t = tuple(p(**{tvar: t}) for p in a_polys)
+def _threshold_at(a_vecs: Affine, minus_z: QVec, gens: list[QVec], t: Fraction) -> Fraction:
     try:
-        return max_shift(a_t, tuple(-x for x in z_vec), gens).value
+        return max_shift(_at(a_vecs, t), minus_z, gens).value
     except Infeasible:
         raise NotPseudoEffective(f"family leaves the effective cone at {t}") from None
 
 
 def _parametric_threshold(
-    a_polys: tuple[Polynomial, ...],
-    z_vec: QVec,
+    a_vecs: Affine,
+    minus_z: QVec,
     gens: list[QVec],
     tau_mid: Fraction,
-    tvar: str,
     t_lo: Fraction,
     t_hi: Fraction,
-) -> Polynomial:
-    """tau(t) as an affine polynomial, by a three-point concavity argument.
+) -> tuple[Fraction, Fraction]:
+    """tau(t) = tau0 + tau1*t, by a three-point concavity argument.
 
     The feasible region {(t, s) : A(t) - sZ effective} is convex because A
     is affine, so tau is concave on the chamber.  A concave function that
@@ -695,11 +661,11 @@ def _parametric_threshold(
     chamber is split there.
     """
     mid = (t_lo + t_hi) / 2
-    tau_lo = _threshold_at(a_polys, z_vec, gens, tvar, t_lo)
-    tau_hi = _threshold_at(a_polys, z_vec, gens, tvar, t_hi)
+    tau_lo = _threshold_at(a_vecs, minus_z, gens, t_lo)
+    tau_hi = _threshold_at(a_vecs, minus_z, gens, t_hi)
     slope = (tau_hi - tau_lo) / (t_hi - t_lo)
     if tau_lo + slope * (mid - t_lo) == tau_mid:
-        return Polynomial((tvar,), {(0,): tau_lo - slope * t_lo, (1,): slope})
+        return (tau_lo - slope * t_lo, slope)
     # kink: intersect the chords through (lo, mid) and (mid, hi)
     left_slope = (tau_mid - tau_lo) / (mid - t_lo)
     right_slope = (tau_hi - tau_mid) / (t_hi - mid)
@@ -745,56 +711,48 @@ def threefold_volume_certified(
     vol_chambers = []
     for chamber in chambers:
         lo, hi = to_q(chamber.lo), to_q(chamber.hi)
-        t = Polynomial.var(var)
-        p_t = tuple(
-            Polynomial.constant(c0, (var,)) + t * Polynomial.constant(c1, (var,))
-            for c0, c1 in zip(chamber.p0, chamber.p1)
+        p0, p1 = qvec(chamber.p0), qvec(chamber.p1)
+        if len(p0) != model.rank or len(p1) != model.rank:
+            raise InvalidModel("class vectors must match the basis size")
+        # the residual (-K - tB) - P(t), as its constant and slope vectors
+        residual = (
+            tuple(x - y for x, y in zip(k, p0)),
+            tuple(-x - y for x, y in zip(b_vec, p1)),
         )
-        fam_t = tuple(
-            Polynomial.constant(kv, (var,)) - t * Polynomial.constant(bv, (var,))
-            for kv, bv in zip(k, b_vec)
-        )
-        residual = tuple(f - p for f, p in zip(fam_t, p_t))
-        mu = _affine_combination(residual, eff_vecs, var, lo, hi)
+        mu = _affine_combination(residual, eff_vecs)
         if mu is None:
             raise CertificateViolation(
                 f"residual on [{lo}, {hi}] is not a combination of the declared effective classes"
             )
         for label, coeff in zip(eff_labels, mu):
             for t_end in (lo, hi):
-                if coeff(**{var: t_end}) < 0:
+                if _value(coeff, t_end) < 0:
                     raise CertificateViolation(
                         f"negative coefficient of {label} at {var} = {t_end} on [{lo}, {hi}]"
                     )
         for curve_label, curve in sorted(model.curves.items()):
-            pairing = _as_poly(sum((p * c for p, c in zip(p_t, curve)), Polynomial.constant(0, (var,))))
+            pairing = (dot(p0, curve), dot(p1, curve))
             for t_end in (lo, hi):
-                if pairing(**{var: t_end}) < 0:
+                if _value(pairing, t_end) < 0:
                     raise CertificateViolation(
                         f"positive part pairs negatively with curve {curve_label!r} at {var} = {t_end}"
                     )
-        vol = _as_poly(triple_product(model, p_t, p_t, p_t)).in_vars((var,))
+        p_t = tuple(_affine_poly((var,), c) for c in zip(p0, p1))
+        vol = triple_product(model, p_t, p_t, p_t)
+        vol = vol if isinstance(vol, Polynomial) else Polynomial.constant(vol, (var,))
         pieces.append((lo, hi, vol))
         vol_chambers.append(VolumeChamber(lo, hi, chamber.p0, chamber.p1, ()))
     pw = PiecewisePolynomial(pieces, var)
     return VolumeFunction(pw, tuple(vol_chambers), certificate="relative to declared curves")
 
 
-def _affine_combination(
-    residual: tuple[Polynomial, ...],
-    eff_vecs: list[QVec],
-    var: str,
-    lo: Fraction,
-    hi: Fraction,
-) -> list[Polynomial] | None:
+def _affine_combination(residual: Affine, eff_vecs: list[QVec]) -> list[tuple[Fraction, Fraction]] | None:
     """Write an affine class family as an affine combination of fixed classes."""
     if not eff_vecs:
-        return [] if all(p.is_zero() for p in residual) else None
-    mat = [[eff_vecs[j][i] for j in range(len(eff_vecs))] for i in range(len(residual))]
-    r0 = [p.in_vars((var,)).coefficient((0,)) for p in residual]
-    r1 = [p.in_vars((var,)).coefficient((1,)) for p in residual]
-    x0 = solve_general(mat, r0)
-    x1 = solve_general(mat, r1)
+        return [] if all(x == 0 for v in residual for x in v) else None
+    mat = [[eff_vecs[j][i] for j in range(len(eff_vecs))] for i in range(len(residual[0]))]
+    x0 = solve_general(mat, list(residual[0]))
+    x1 = solve_general(mat, list(residual[1]))
     if x0 is None or x1 is None:
         return None
-    return [Polynomial((var,), {(0,): c0, (1,): c1}) for c0, c1 in zip(x0, x1)]
+    return list(zip(x0, x1))

@@ -15,16 +15,25 @@ as the reference for the fraction-free solver.  In the same way,
 and ``reference_facets`` are the engine's original ``Fraction`` and
 brute-force kernels for the overlattice walk, the box search and the hull,
 the references for the integer kernels that replaced them.
+``reference_decompose``, ``reference_symbolic_decomposition`` and
+``reference_pair_poly`` are the chamber layer as it was before its
+coefficient-vector kernel: the decomposition re-pairs the whole current
+class with every curve each round, and the symbolic decomposition and the
+squares are built from ``Polynomial`` products.
 """
 
 import itertools
 from fractions import Fraction as Q
 from math import gcd, lcm
+from typing import NamedTuple
 
+from kstab.errors import IndefiniteSupport, InvalidModel
 from kstab.lattice import discriminant_group, discriminant_quadratic
 from kstab.lp import Infeasible, LPResult, Unbounded
-from kstab.rationals import det, mat_inverse, to_q
+from kstab.poly import Polynomial
+from kstab.rationals import det, is_negative_definite, mat_inverse, to_q
 from kstab.toric import Facet
+from kstab.zariski import ZariskiResult
 
 
 def _int_rows(vectors):
@@ -409,3 +418,116 @@ def reference_facets(vertices):
         if key not in seen:
             seen[key] = [p for p in vertices if _ref_dot(n, p) == offset]
     return tuple(Facet(normal=n, offset=c, vertices=tuple(sorted(pts))) for (n, c), pts in sorted(seen.items()))
+
+
+# -- the chamber layer before its coefficient-vector kernel --------------------
+
+
+class RefCert(NamedTuple):
+    kind: str
+    label: str
+    poly: Polynomial
+
+
+def reference_pair_poly(surface, a, b):
+    """Bilinear pairing where either argument may hold polynomials."""
+    total = None
+    r = surface.rank
+    for i in range(r):
+        for j in range(r):
+            g = surface.gram[i][j]
+            if g == 0:
+                continue
+            term = a[i] * b[j] * g
+            total = term if total is None else total + term
+    return Q(0) if total is None else total
+
+
+def _ref_as_poly(x):
+    return x if isinstance(x, Polynomial) else Polynomial.constant(x)
+
+
+def reference_symbolic_decomposition(surface, d_polys, support):
+    """Positive part and certificates for a fixed support, by Polynomial products."""
+    support = list(support)
+    curves = [surface.negative_curves[label] for label in support]
+    certs = []
+    if support:
+        gram = [[surface.pair(a, b) for b in curves] for a in curves]
+        if not is_negative_definite(gram):
+            raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
+        inv = mat_inverse(gram)
+        rhs = [reference_pair_poly(surface, d_polys, c) for c in curves]
+        nus = []
+        for i in range(len(support)):
+            total = None
+            for j in range(len(support)):
+                term = rhs[j] * inv[i][j]
+                total = term if total is None else total + term
+            nus.append(total)
+        positive = list(d_polys)
+        for nu, curve in zip(nus, curves):
+            positive = [p - nu * c for p, c in zip(positive, curve)]
+        positive = tuple(positive)
+        for label, nu in zip(support, nus):
+            certs.append(RefCert("mult", label, nu))
+    else:
+        positive = tuple(d_polys)
+    for label in sorted(surface.negative_curves):
+        certs.append(
+            RefCert("nef", label, _ref_as_poly(reference_pair_poly(surface, positive, surface.negative_curves[label])))
+        )
+    return positive, certs
+
+
+def _ref_pair_curve(surface, vec, label):
+    return surface.pair(vec, surface.negative_curves[label])
+
+
+def _ref_solve_support(surface, d, support):
+    curves = [surface.negative_curves[label] for label in support]
+    gram = [[_ref_pair_curve(surface, a, label) for label in support] for a in curves]
+    if not is_negative_definite(gram):
+        raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
+    inv = mat_inverse(gram)
+    rhs = [_ref_pair_curve(surface, d, label) for label in support]
+    nu = [sum((inv[i][j] * rhs[j] for j in range(len(rhs))), Q(0)) for i in range(len(rhs))]
+    return dict(zip(support, nu))
+
+
+def reference_decompose(surface, d):
+    """Iterative Zariski decomposition, re-pairing the whole current class each round."""
+    support = []
+    nu = {}
+    while True:
+        current = d
+        for label in support:
+            current = tuple(x - nu[label] * y for x, y in zip(current, surface.negative_curves[label]))
+        violators = sorted(
+            label
+            for label in surface.negative_curves
+            if label not in support and _ref_pair_curve(surface, current, label) < 0
+        )
+        if not violators:
+            break
+        support = sorted(support + violators)
+        nu = _ref_solve_support(surface, d, support)
+    positive = d
+    for label in support:
+        positive = tuple(x - nu[label] * y for x, y in zip(positive, surface.negative_curves[label]))
+    for label, coeff in nu.items():
+        if coeff < 0:
+            raise InvalidModel(
+                f"negative multiplicity {coeff} on {label}: the declared curve "
+                "list is not a genuine configuration of irreducible negative curves"
+            )
+    gram = tuple(
+        tuple(surface.pair(surface.negative_curves[a], surface.negative_curves[b]) for b in support)
+        for a in support
+    )
+    return ZariskiResult(
+        positive=positive,
+        negative=tuple((label, nu[label]) for label in support),
+        support=tuple(support),
+        support_gram=gram,
+    )

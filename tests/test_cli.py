@@ -182,6 +182,32 @@ class TestMalformedLatticeInput:
         assert "Traceback" not in captured.err + captured.out
 
 
+class TestUnknownNames:
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (("sinv", "--model", "bl_p3_quintic", "--divisor", "Qtilde", "--A", "x"), ["'x'"]),
+            (("sinv", "--model", "bl_p3_quintic", "--divisor", "Qtilde", "--A", "1/0"), ["'1/0'"]),
+            (("sinv", "--model", "nosuch", "--divisor", "Qtilde"), ["'nosuch'", "bl_p3_quintic", "sing_line(g,k)"]),
+            (("zariski", "--model", "nosuch", "--class", "L"), ["'nosuch'", "dp4", "quadric"]),
+            (("sinv", "--model", "bl_p3_quintic", "--divisor", "NOPE"), ["'NOPE'", "E, H, Qtilde"]),
+        ],
+    )
+    def test_usage_error_is_64(self, capsys, argv, names):
+        code = main(list(argv) + ["--json"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err.startswith("usage error:")
+        assert all(name in captured.err for name in names)
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    def test_rational_log_discrepancy_still_accepted(self, capsys):
+        code, out = run(capsys, "sinv", "--model", "bl_p3_quintic", "--divisor", "Qtilde", "--A", "6/7", "--json")
+        assert code == 0
+        assert json.loads(out)["A"] == "6/7"
+
+
 class TestComputationErrors:
     def test_cubic_search_form_is_exit_2(self, capsys):
         code, out = run(capsys, "lattice", "search", "--form", "c^3 - 2", "--op", ">", "--box", "c=0..3", "--json")

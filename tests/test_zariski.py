@@ -7,14 +7,18 @@ unique subset whose certificates all hold.  DERIVED chamber data for the
 flag decompositions was computed by hand from the dp4 Gram diag(1,-1^5).
 """
 
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kstab.errors import (
     CertificateViolation,
     IndefiniteSupport,
+    InvalidModel,
+    KstabError,
     NotPseudoEffective,
     UnboundedDirection,
 )
@@ -22,14 +26,21 @@ from kstab.intersect import (
     Chamber,
     SurfaceModel,
     bl_p3_quintic,
+    blowup_node,
     dp4_surface,
     quadric_surface,
+    restrict_to_surface,
     sing_line_model,
 )
 from kstab.lp import Unbounded, max_shift
 from kstab.poly import Polynomial, check_c1, parse_polynomial
 from kstab.rationals import is_negative_definite, qvec
+from oracles import reference_decompose, reference_pair_poly, reference_symbolic_decomposition
 from kstab.zariski import (
+    _affine_square,
+    _affine_vectors,
+    _decompose,
+    _symbolic_decomposition,
     one_param_volume,
     pseff_threshold,
     threefold_volume_certified,
@@ -343,3 +354,218 @@ class TestIterativeVsExhaustive:
             oracle_p, oracle_nu = oracle.decompose(d)
             assert res.positive == oracle_p
             assert {l: c for l, c in res.negative if c > 0} == oracle_nu
+
+
+# -- coefficient-vector kernel against the Polynomial-product reference --------
+
+
+def dp3_surface():
+    """Cubic surface: the 27 lines e_i, L - e_i - e_j and 2L - sum of five e."""
+    r = 6
+    basis = ("L",) + tuple(f"e{i}" for i in range(1, r + 1))
+    gram = [[(1 if i == 0 else -1) if i == j else 0 for j in range(r + 1)] for i in range(r + 1)]
+
+    def cls(l, es):
+        return (l,) + tuple(-1 if i in es else 0 for i in range(1, r + 1))
+
+    curves = {f"e{i}": tuple(int(j == i) for j in range(r + 1)) for i in range(1, r + 1)}
+    curves.update({f"l_{i}{j}": cls(1, (i, j)) for i, j in itertools.combinations(range(1, r + 1), 2)})
+    curves.update({f"c_{i}": cls(2, [k for k in range(1, r + 1) if k != i]) for i in range(1, r + 1)})
+    return SurfaceModel("dp3", basis, gram, canonical=(-3,) + (1,) * r, negative_curves=curves)
+
+
+def rational_gram_surface():
+    """A - E restricted to the nodal blowup, in a basis with denominators 2 and 3.
+
+    The Gram is [[95/18, -2/9], [-2/9, -2/9]]; c = b1 - 6*b2 has square -1/18,
+    e = b2 has square -2/9, and c.e = 10/9.
+    """
+    base = restrict_to_surface(blowup_node(22), (1, -1), [(Q(1, 2), Q(1, 3)), (0, Q(1, 3))])
+    return SurfaceModel("node|S", base.basis, base.gram, negative_curves={"c": (1, -6), "e": (0, 1)})
+
+
+def a2_chain_surface():
+    """Two (-2)-curves meeting once, orthogonal to H with H^2 = 2.
+
+    H + 2*c1 + c2 needs two rounds: c1 alone first (nu = 3/2), after which
+    the mobile part meets c2 negatively; the final support is {c1, c2} with
+    nu = (2, 1) and positive part H.
+    """
+    return SurfaceModel(
+        "a2-chain",
+        ("H", "c1", "c2"),
+        [[2, 0, 0], [0, -2, 1], [0, 1, -2]],
+        negative_curves={"c1": (0, 1, 0), "c2": (0, 0, 1)},
+    )
+
+
+DP3 = dp3_surface()
+RATIONAL = rational_gram_surface()
+A2 = a2_chain_surface()
+KERNEL_SURFACES = (DP4, DP3, RATIONAL, A2)
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except KstabError as exc:
+        return type(exc), str(exc)
+
+
+def _unit_exps(n):
+    return [(0,) * n] + [tuple(int(j == k) for j in range(n)) for k in range(n)]
+
+
+def _poly(variables, coeffs):
+    """An affine polynomial through the public constructor."""
+    return Polynomial(variables, dict(zip(_unit_exps(len(variables)), coeffs)))
+
+
+@st.composite
+def affine_families(draw):
+    """A surface, an affine one- or two-parameter family on it, and a support.
+
+    The constant vector is a nonnegative combination of declared curves, so
+    the family meets the cone; the support is either a random set of curves
+    or the one the iterative decomposition finds at a sampled point.
+    """
+    surface = draw(st.sampled_from(KERNEL_SURFACES))
+    labels = sorted(surface.negative_curves)
+    variables = draw(st.sampled_from([("t",), ("t", "s")]))
+    r = surface.rank
+    const = [Q(0)] * r
+    for label in draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4)):
+        w = draw(st.fractions(min_value=0, max_value=3, max_denominator=3))
+        const = [x + w * y for x, y in zip(const, surface.negative_curves[label])]
+    slopes = [[draw(fractions) for _ in range(r)] for _ in variables]
+    vecs = (tuple(const),) + tuple(tuple(v) for v in slopes)
+    if draw(st.booleans()):
+        support = sorted(draw(st.sets(st.sampled_from(labels), max_size=3)))
+    else:
+        point = [draw(st.fractions(min_value=0, max_value=1, max_denominator=4)) for _ in variables]
+        sample = tuple(c + sum(x * v[n] for x, v in zip(point, vecs[1:])) for n, c in enumerate(const))
+        found = _outcome(_decompose, surface, sample)
+        support = [] if isinstance(found, tuple) else list(found.support)
+    return surface, variables, vecs, support
+
+
+def _symbolic_outcome(surface, variables, vecs, support):
+    """The kernel's output as polynomials in the family's variables."""
+    got = _outcome(_symbolic_decomposition, surface, vecs, support)
+    if isinstance(got[0], type):
+        return got
+    positive, certs = got
+    return (
+        tuple(_poly(variables, c) for c in zip(*positive)),
+        [(c.kind, c.label, _poly(variables, c.coeffs)) for c in certs],
+        _affine_square(surface, positive, variables),
+    )
+
+
+def _reference_outcome(surface, variables, polys, support):
+    got = _outcome(reference_symbolic_decomposition, surface, polys, support)
+    if isinstance(got[0], type):
+        return got
+    positive, certs = got
+    square = reference_pair_poly(surface, positive, positive)
+    square = square if isinstance(square, Polynomial) else Polynomial.constant(square, variables)
+    return positive, [tuple(c) for c in certs], square
+
+
+def _check_against_reference(surface, variables, vecs, support):
+    polys = tuple(_poly(variables, c) for c in zip(*vecs))
+    assert _affine_vectors(polys, variables, "affine") == vecs
+    got = _symbolic_outcome(surface, variables, vecs, support)
+    want = _reference_outcome(surface, variables, polys, support)
+    assert got == want
+    return got
+
+
+@settings(max_examples=120, deadline=None)
+@given(affine_families())
+def test_symbolic_decomposition_matches_reference(case):
+    _check_against_reference(*case)
+
+
+def _dp4_vec(*entries):
+    return tuple(Q(x) for x in entries)
+
+
+class TestVectorKernel:
+    def test_multiplicity_constant_in_t(self):
+        # (3 + t)L + 2e1 has support e1 with nu = 2 for every t, since L.e1 = 0
+        vecs = (_dp4_vec(3, 2, 0, 0, 0, 0), _dp4_vec(1, 0, 0, 0, 0, 0))
+        _, certs, _ = _check_against_reference(DP4, ("t",), vecs, ["e1"])
+        assert certs[0] == ("mult", "e1", Polynomial.constant(2, ("t",)))
+        vf = one_param_volume(DP4, (p("3 + t", ("t",)), 2, 0, 0, 0, 0), 0, 1)
+        assert [c.support for c in vf.chambers] == [("e1",)]
+        assert vf.pw.pieces[0].poly == p("(3 + t)^2", ("t",))
+
+    def test_indefinite_support_raises_in_both(self):
+        bad = SurfaceModel(
+            "bad",
+            ("a", "b"),
+            [[-1, 2], [2, -1]],
+            negative_curves={"a": (1, 0), "b": (0, 1)},
+            eff_generators={"g": (-1, -1)},
+        )
+        vecs = (_dp4_vec(-3, -3), _dp4_vec(1, 0))
+        got = _check_against_reference(bad, ("t",), vecs, ["a", "b"])
+        assert got[0] is IndefiniteSupport
+        assert _outcome(_decompose, bad, _dp4_vec(-3, -3)) == _outcome(
+            reference_decompose, bad, _dp4_vec(-3, -3)
+        )
+        assert _outcome(_decompose, bad, _dp4_vec(-3, -3))[0] is IndefiniteSupport
+
+    def test_rational_gram_pairings(self):
+        c, e = RATIONAL.negative_curves["c"], RATIONAL.negative_curves["e"]
+        assert RATIONAL.curve_labels == ("c", "e")
+        assert RATIONAL.curve_pairings(c) == (Q(-1, 18), Q(10, 9))
+        assert RATIONAL.curve_pairings(e) == (Q(10, 9), Q(-2, 9))
+        assert RATIONAL.curve_pairings((Q(1, 5), Q(2, 7))) == tuple(
+            RATIONAL.pair((Q(1, 5), Q(2, 7)), x) for x in (c, e)
+        )
+
+    def test_terms_of_degree_two_are_rejected(self):
+        with pytest.raises(InvalidModel, match="affine"):
+            _affine_vectors((p("t^2", ("t",)), 0), ("t",), "family must be affine")
+        with pytest.raises(InvalidModel, match="affine"):
+            _affine_vectors((p("t*s", ("t", "s")), 0), ("t", "s"), "family must be affine")
+        with pytest.raises(InvalidModel, match="affine in its parameter"):
+            one_param_volume(DP4, (p("4 - t^2", ("t",)), -1, -1, -1, -1, -1), 0, 1)
+        with pytest.raises(InvalidModel, match="affine in t"):
+            two_param_flag_volume(DP4, (p("4 - t^2", ("t",)), -1, -1, -1, -1, -1), 0, 1, "L")
+
+
+@st.composite
+def surface_classes(draw):
+    """A surface and a class: a rational nonnegative combination of curves,
+    sometimes pushed off the cone by a random vector."""
+    surface = draw(st.sampled_from(KERNEL_SURFACES))
+    labels = sorted(surface.negative_curves)
+    d = [Q(0)] * surface.rank
+    for label in draw(st.lists(st.sampled_from(labels), min_size=1, max_size=5)):
+        w = draw(st.fractions(min_value=0, max_value=3, max_denominator=4))
+        d = [x + w * y for x, y in zip(d, surface.negative_curves[label])]
+    if draw(st.booleans()):
+        d = [x + draw(fractions) for x in d]
+    return surface, tuple(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(surface_classes())
+@example((DP4, _dp4_vec(Q(9, 4), -1, -1, -1, -1, -1)))
+@example((RATIONAL, (Q(1), Q(-5))))
+@example((A2, _dp4_vec(1, 2, 1)))
+def test_decompose_matches_reference(case):
+    surface, d = case
+    assert _outcome(_decompose, surface, d) == _outcome(reference_decompose, surface, d)
+
+
+def test_decompose_second_round():
+    res = _decompose(A2, _dp4_vec(1, 2, 1))
+    assert res.support == ("c1", "c2")
+    assert res.negative == (("c1", Q(2)), ("c2", Q(1)))
+    assert res.positive == _dp4_vec(1, 0, 0)
+    assert res.support_gram == ((-2, 1), (1, -2))
