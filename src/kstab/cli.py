@@ -4,7 +4,7 @@ Exact rationals are printed as "p/q" strings; the optional --approx flag
 adds a decimal column but never replaces the exact value.  Reports are
 plain aligned text by default and canonical JSON with --json; identical
 inputs produce byte-identical reports.  Exit codes: 0 success, 2 expected
-computation errors (bad cone data, irrational walls, failed golden rows),
+computation errors (bad cone data, failed certificates, failed golden rows),
 64 usage errors.
 """
 

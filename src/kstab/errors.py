@@ -25,10 +25,11 @@ class DomainError(KstabError):
 
 
 class IrrationalWall(KstabError):
-    """A chamber wall is a real but irrational root of a degree-2 polynomial.
+    """A real but irrational root of a degree-2 polynomial in the search interval.
 
-    Walls are required to be rational; approximating one would silently break
-    the exactness guarantee, so the engine refuses instead.
+    Raised by ``poly.rational_roots_in_interval``, which refuses to
+    approximate such a root.  Chamber walls never raise it: each is the root
+    of an affine certificate with rational coefficients.
     """
 
 

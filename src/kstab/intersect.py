@@ -30,6 +30,12 @@ def _sorted_key(idx: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in idx))
 
 
+def _sized(v: ClassVec, rank: int) -> ClassVec:
+    if len(v) != rank:
+        raise InvalidModel("class vectors must match the basis size")
+    return v
+
+
 @dataclass(frozen=True)
 class Chamber:
     """One certified chamber of a one-parameter family on a threefold.
@@ -41,9 +47,6 @@ class Chamber:
     hi: Fraction
     p0: ClassVec
     p1: ClassVec
-
-    def positive_part(self, t: Fraction) -> ClassVec:
-        return tuple(a + to_q(t) * b for a, b in zip(self.p0, self.p1))
 
 
 class ThreefoldModel:
@@ -101,7 +104,7 @@ class ThreefoldModel:
             if ref in self.basis:
                 return tuple(Q(1) if b == ref else Q(0) for b in self.basis)
             raise KeyError(f"unknown divisor {ref!r} on model {self.name}")
-        return qvec(ref)
+        return _sized(qvec(ref), self.rank)
 
     def curve_pairing(self, curve: str, cls: Sequence) -> Fraction:
         """Pairing of a declared curve with a divisor class."""
@@ -208,7 +211,7 @@ class SurfaceModel:
             if ref in self.basis:
                 return tuple(Q(1) if b == ref else Q(0) for b in self.basis)
             raise KeyError(f"unknown class {ref!r} on surface {self.name}")
-        return qvec(ref)
+        return _sized(qvec(ref), self.rank)
 
 
 def restrict_to_surface(

@@ -45,7 +45,7 @@ from .errors import (
     OddLattice,
 )
 from .poly import Polynomial
-from .rationals import Q, det, to_q
+from .rationals import Q, det, rank, to_q
 
 DEFAULT_ENUM_BOUND = 10**6
 
@@ -439,8 +439,8 @@ def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> list[frozen
             if extended not in subgroups:
                 subgroups.add(extended)
                 frontier.append(extended)
-    rank = {c: i for i, c in enumerate(vectors)}
-    ordered = sorted(subgroups, key=lambda h: (len(h), sorted(rank[c] for c in h)))
+    position = {c: i for i, c in enumerate(vectors)}
+    ordered = sorted(subgroups, key=lambda h: (len(h), sorted(position[c] for c in h)))
     return [frozenset(vectors[c] for c in h) for h in ordered]
 
 
@@ -530,9 +530,7 @@ def is_saturated(ambient: GramLattice, sub_basis: Sequence[Sequence[int]]) -> bo
         return True
     if any(len(row) != ambient.rank for row in rows):
         raise ValueError("sub-basis vectors must match the ambient rank")
-    from .rationals import rank as qrank
-
-    if qrank([[Q(x) for x in row] for row in rows]) != len(rows):
+    if rank([[Q(x) for x in row] for row in rows]) != len(rows):
         raise DependentBasis("sub-basis is linearly dependent")
     _, d, _ = smith_normal_form(rows)
     k = len(rows)

@@ -526,10 +526,6 @@ class PiecewisePolynomial:
                 return piece.poly(x)
         return self.pieces[-1].poly(x)
 
-    def breakpoints(self) -> list[Fraction]:
-        """Interior breakpoints only."""
-        return [p.hi for p in self.pieces[:-1]]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewisePolynomial):
             return NotImplemented

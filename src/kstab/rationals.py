@@ -1,17 +1,20 @@
-"""Exact rational scalars and tiny exact linear algebra helpers.
+"""Exact rational scalars and the one exact elimination kernel.
 
-The scalar type of the whole engine is :class:`fractions.Fraction`, which
-already guarantees the two invariants we need (lowest terms, positive
-denominator).  This module adds the canonical string form used everywhere in
-reports and model files ("p/q", plain "p" for integers) and the handful of
-exact vector/matrix routines shared by the lattice, intersection and Zariski
-modules.  Everything here is pure and allocation-light; matrices are lists of
-lists of Fractions and are never mutated by callers.
+The scalar type of the whole engine is :class:`fractions.Fraction` (lowest
+terms, positive denominator).  This module adds the canonical string form
+used in reports and model files ("p/q", plain "p" for integers) and the
+linear algebra shared by the lattice, toric and Zariski modules.  That
+linear algebra is one fraction-free (Bareiss) row reduction, ``_echelon``;
+``det``, ``rank``, ``solve_general``, ``mat_inverse`` and the
+negative-definite solve are a few lines over it.  With no row swap, pivot k
+is the k-th leading minor, so Sylvester's criterion comes out of the same
+elimination that solves the system.  Inputs are never mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -59,34 +62,77 @@ def mat_transpose(a: Sequence[Sequence[Fraction]]) -> QMat:
     return [list(row) for row in zip(*a)]
 
 
-def identity(n: int) -> QMat:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+# -- the elimination kernel ----------------------------------------------------
 
 
-def mat_copy(a: Sequence[Sequence[Fraction]]) -> QMat:
-    return [[to_q(x) for x in row] for row in a]
+def _echelon(rows: Sequence[Sequence], width: int) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free (Bareiss) row echelon form on the first ``width`` columns.
+
+    Each row is scaled to integers; ``scale`` is the product of the factors.
+    Rows are swapped only on a zero pivot, and a column with no pivot left
+    is skipped.  Every entry below a pivot row is then a minor of the scaled
+    matrix (Sylvester's identity), so the division by the previous pivot is
+    exact.  Columns past ``width`` (right-hand sides) ride along.  Returns
+    the integer rows, the pivot columns, the number of swaps and ``scale``.
+    """
+    m = []
+    scale = 1
+    for row in rows:
+        row = [to_q(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    cols: list[int] = []
+    swaps = 0
+    prev = 1
+    for c in range(width):
+        r = len(cols)
+        if r == len(m):
+            break
+        if m[r][c] == 0:
+            i = next((i for i in range(r + 1, len(m)) if m[i][c]), None)
+            if i is None:
+                continue
+            m[r], m[i] = m[i], m[r]
+            swaps += 1
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        cols.append(c)
+        prev = p
+    return m, cols, swaps, scale
+
+
+def _back_substitute(m: list[list[int]], cols: list[int], width: int, j: int) -> list[Fraction]:
+    """The solution of an echelon system for its column j, free variables 0.
+
+    With d the last pivot, d * x is an integer vector (Cramer's rule on the
+    pivot rows and columns), so the substitution runs in exact integer
+    division and divides by d once at the end.
+    """
+    d = m[len(cols) - 1][cols[-1]] if cols else 1
+    y = [0] * width
+    for k in range(len(cols) - 1, -1, -1):
+        row = m[k]
+        y[cols[k]] = (d * row[j] - sum(row[i] * y[i] for i in cols[k + 1:])) // row[cols[k]]
+    return [Fraction(v, d) for v in y]
 
 
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant: the last pivot, signed by the swaps and unscaled."""
     n = len(a)
-    m = mat_copy(a)
-    sign = 1
-    result = Q(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        p = m[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / p
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return sign * result
+    if n == 0:
+        return Q(1)
+    m, cols, swaps, scale = _echelon(a, n)
+    if len(cols) < n:
+        return Q(0)
+    return Fraction((-1) ** swaps * m[-1][-1], scale)
+
+
+def rank(a: Sequence[Sequence[Fraction]]) -> int:
+    return len(_echelon(a, len(a[0]))[1]) if a else 0
 
 
 def solve_general(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> QVec | None:
@@ -95,92 +141,47 @@ def solve_general(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> QVe
     Returns None when the system is inconsistent.  Free variables are set
     to zero, so the result is deterministic.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [list(row) + [to_q(bi)] for row, bi in zip(mat_copy(a), b, strict=True)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
-    x = [Q(0)] * cols
-    for (pr, pc) in pivots:
-        x[pc] = m[pr][cols]
-    return tuple(x)
+    width = len(a[0]) if a else 0
+    m, cols, _, _ = _echelon([list(row) + [bi] for row, bi in zip(a, b, strict=True)], width)
+    if any(row[width] for row in m[len(cols):]):
+        return None
+    return tuple(_back_substitute(m, cols, width, width))
 
 
 def mat_inverse(a: Sequence[Sequence[Fraction]]) -> QMat | None:
     """Exact inverse of a square matrix; None if singular."""
     n = len(a)
-    m = [list(row) + [Q(1) if i == j else Q(0) for j in range(n)]
-         for i, row in enumerate(mat_copy(a))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    m, cols, _, _ = _echelon([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], n)
+    if len(cols) < n:
+        return None
+    return [list(row) for row in zip(*(_back_substitute(m, cols, n, n + j) for j in range(n)))]
 
 
-def rank(a: Sequence[Sequence[Fraction]]) -> int:
-    rows = len(a)
-    if rows == 0:
-        return 0
-    cols = len(a[0])
-    m = mat_copy(a)
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                factor = m[i][c] / m[r][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+def solve_negative_definite(
+    gram: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]]
+) -> list[QVec] | None:
+    """The solution of gram * x = b for each b in rhs; None unless gram is negative definite.
+
+    Sylvester's criterion: with no swap, pivot k is the k-th leading minor
+    of gram with its rows scaled by positive factors, so the pivots must
+    alternate in sign, starting negative.  A swap means a leading minor is 0.
+    """
+    n = len(gram)
+    m, cols, swaps, _ = _echelon([list(row) + [b[i] for b in rhs] for i, row in enumerate(gram)], n)
+    if swaps or len(cols) < n or any((m[k][k] < 0) != (k % 2 == 0) for k in range(n)):
+        return None
+    return [tuple(_back_substitute(m, cols, n, n + j)) for j in range(len(rhs))]
 
 
 def is_negative_definite(gram: Sequence[Sequence[Fraction]]) -> bool:
     """Sylvester test: leading principal minors alternate, starting negative."""
-    n = len(gram)
-    for k in range(1, n + 1):
-        minor = det([row[:k] for row in gram[:k]])
-        if (-1) ** k * minor <= 0:
-            return False
-    return True
+    return solve_negative_definite(gram, ()) is not None
 
 
 def isqrt_exact(n: int) -> int | None:
     """Integer square root when n is a perfect square, else None."""
     if n < 0:
         return None
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 

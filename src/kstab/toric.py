@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .errors import DegeneratePolytope, InvariantViolation, NotReflexive, OriginNotInterior
 
-from .rationals import Q, qvec, to_q
+from .rationals import Q, qvec, rank, to_q
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 
@@ -75,9 +75,7 @@ class LatticePolytope:
         vertices = []
         for p in pts:
             normals = [f.normal for f in facets if _dot(f.normal, p) == f.offset]
-            from .rationals import rank as _rank
-
-            if len(normals) >= 3 and _rank([list(n) for n in normals]) == 3:
+            if len(normals) >= 3 and rank([list(n) for n in normals]) == 3:
                 vertices.append(p)
         self.vertices: tuple[Vec3, ...] = tuple(vertices)
         self.facets: tuple[Facet, ...] = tuple(
@@ -108,8 +106,6 @@ def _affine_rank(pts: list[Vec3]) -> int:
     if len(pts) < 2:
         return 0
     base = pts[0]
-    from .rationals import rank
-
     return rank([list(_sub(p, base)) for p in pts[1:]])
 
 

@@ -19,8 +19,10 @@ positive part and every certificate are rational dot products, one per
 coefficient vector, and a certificate is its tuple (constant, slopes).
 The volume P^2 is the quadratic form of the positive part's coefficient
 vectors.  Polynomials are built only for the results.  A failed
-certificate splits the chamber at the rational root of the offending
-affine function; an irrational wall raises instead of approximating.
+certificate splits the chamber at the root of the offending affine
+function, which has rational coefficients, so every wall is rational.
+Both families run one certified-cell loop: certify a cell, or split it at
+the points the failed certification names.
 
 Threefold side: there is no Zariski decomposition in general, so chamber
 data (interval plus positive part, affine in the parameter) is *input*, and
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     CertificateViolation,
@@ -48,7 +50,7 @@ from .errors import (
 from .intersect import Chamber, SurfaceModel, ThreefoldModel, triple_product
 from .lp import Infeasible, Unbounded, in_cone, max_shift
 from .poly import PiecewisePolynomial, Polynomial
-from .rationals import Q, QVec, dot, is_negative_definite, mat_inverse, qvec, solve_general, to_q
+from .rationals import Q, QVec, dot, qvec, solve_general, solve_negative_definite, to_q
 
 _MAX_SPLIT_DEPTH = 32
 
@@ -151,11 +153,10 @@ def _decompose(surface: SurfaceModel, d: QVec) -> ZariskiResult:
         support = sorted(support + violators)
         index = [labels.index(b) for b in support]
         gram = [[rows[a][j] for j in index] for a in support]
-        if not is_negative_definite(gram):
+        sols = solve_negative_definite(gram, [[d_pairs[j] for j in index]])
+        if sols is None:
             raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
-        inv = mat_inverse(gram)
-        rhs = [d_pairs[j] for j in index]
-        nu = {a: sum((x * y for x, y in zip(inv[i], rhs)), Q(0)) for i, a in enumerate(support)}
+        nu = dict(zip(support, sols[0]))
         pairs = tuple(
             x - sum((nu[a] * rows[a][j] for a in support), Q(0)) for j, x in enumerate(d_pairs)
         )
@@ -303,8 +304,9 @@ def _symbolic_decomposition(
 ) -> tuple[Affine, list[_Cert]]:
     """Positive part and certificates of an affine family for a fixed support.
 
-    On the support the multiplicities solve Gram * nu = (D.C)_C, one solve
-    per coefficient vector; P = D - sum(nu_C C), and P.C is each nef
+    On the support the multiplicities solve Gram * nu = (D.C)_C for every
+    coefficient vector in one elimination, which also checks that the Gram
+    is negative definite; P = D - sum(nu_C C), and P.C is each nef
     certificate.  With a sorted support the certificates come sorted by
     (kind, label).
     """
@@ -315,11 +317,11 @@ def _symbolic_decomposition(
         index = [surface.curve_labels.index(label) for label in support]
         curves = [surface.negative_curves[label] for label in support]
         gram = [[row[j] for j in index] for row in map(surface.curve_pairings, curves)]
-        if not is_negative_definite(gram):
-            raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
-        inv = mat_inverse(gram)
         rhs = [[row[j] for j in index] for row in map(surface.curve_pairings, vecs)]
-        nus = [tuple(sum((x * y for x, y in zip(row, r)), Q(0)) for r in rhs) for row in inv]
+        sols = solve_negative_definite(gram, rhs)
+        if sols is None:
+            raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
+        nus = list(zip(*sols))
         positive = tuple(
             tuple(x - sum((nu[k] * c[n] for nu, c in zip(nus, curves)), Q(0)) for n, x in enumerate(v))
             for k, v in enumerate(vecs)
@@ -339,39 +341,56 @@ class _SChamber:
     positive: Affine
 
 
-def _march_one_param(
-    surface: SurfaceModel,
-    vecs: Affine,
-    lo: Fraction,
-    hi: Fraction,
-    depth: int = 0,
-) -> list[_SChamber]:
+class _SplitRequest(Exception):
+    def __init__(self, points: Sequence[Fraction]):
+        self.points = list(points)
+
+
+def _certified_cells(lo: Fraction, hi: Fraction, certify: Callable[[Fraction, Fraction], object]) -> list:
+    """Certify [lo, hi] as cells, left to right, splitting where certification fails.
+
+    certify(a, b) returns the cell on [a, b] or raises _SplitRequest with
+    the points to split at; only the points inside (a, b) count.
+    """
+    cells = []
+    stack = [(lo, hi, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        if depth > _MAX_SPLIT_DEPTH:
+            raise WallCrossingDegeneracy("chamber subdivision did not terminate")
+        if a == b:
+            continue
+        try:
+            cells.append(certify(a, b))
+        except _SplitRequest as split:
+            cuts = sorted({r for r in split.points if a < r < b})
+            if not cuts:
+                raise WallCrossingDegeneracy(
+                    f"cannot certify [{a}, {b}] and no interior split point was found"
+                ) from None
+            bounds = [a] + cuts + [b]
+            stack.extend((x, y, depth + 1) for x, y in reversed(list(zip(bounds, bounds[1:]))))
+    return cells
+
+
+def _march_one_param(surface: SurfaceModel, vecs: Affine, lo: Fraction, hi: Fraction) -> list[_SChamber]:
     """Chamber structure of an affine one-parameter family on [lo, hi] (all within pseff)."""
-    if depth > _MAX_SPLIT_DEPTH:
-        raise WallCrossingDegeneracy("chamber subdivision did not terminate")
-    if lo == hi:
-        return []
-    # both ends are in the cone, which is convex, so the midpoint is too
-    decomp = _decompose(surface, _at(vecs, (lo + hi) / 2))
-    positive, certs = _symbolic_decomposition(surface, vecs, decomp.support)
-    roots: set[Fraction] = set()
-    for cert in certs:
-        if _value(cert.coeffs, lo) < 0 or _value(cert.coeffs, hi) < 0:
-            roots.update(_interior_zero(cert.coeffs, lo, hi))
-    if not roots:
-        # the wall at hi: a certificate that vanishes there and decreases across it
-        upper = next(
-            ((c.kind, c.label) for c in certs if _value(c.coeffs, hi) == 0 and c.coeffs[1] < 0), None
-        )
-        return [_SChamber(lo, hi, decomp.support, upper, positive)]
-    cuts = [lo] + sorted(roots) + [hi]
-    out: list[_SChamber] = []
-    for a, b in zip(cuts, cuts[1:]):
-        out.extend(_march_one_param(surface, vecs, a, b, depth + 1))
+
+    def certify(a: Fraction, b: Fraction) -> _SChamber:
+        # both ends are in the cone, which is convex, so the midpoint is too
+        decomp = _decompose(surface, _at(vecs, (a + b) / 2))
+        positive, certs = _symbolic_decomposition(surface, vecs, decomp.support)
+        failed = [c.coeffs for c in certs if _value(c.coeffs, a) < 0 or _value(c.coeffs, b) < 0]
+        if failed:
+            raise _SplitRequest(r for c in failed for r in _zero_of(c) or ())
+        # the wall at b: a certificate that vanishes there and decreases across it
+        upper = next(((c.kind, c.label) for c in certs if _value(c.coeffs, b) == 0 and c.coeffs[1] < 0), None)
+        return _SChamber(a, b, decomp.support, upper, positive)
+
     # stitch identical neighbours (a split point that was not a real wall)
     stitched: list[_SChamber] = []
-    for ch in out:
-        if stitched and stitched[-1].support == ch.support and stitched[-1].hi == ch.lo:
+    for ch in _certified_cells(lo, hi, certify):
+        if stitched and stitched[-1].support == ch.support:
             stitched[-1] = replace(ch, lo=stitched[-1].lo)
         else:
             stitched.append(ch)
@@ -394,6 +413,8 @@ def one_param_volume(
     is continuous by construction (the piecewise constructor re-checks).
     """
     lo, hi = to_q(lo), to_q(hi)
+    if len(family) != surface.rank:
+        raise InvalidModel("class vectors must match the basis size")
     var = _family_var(family, var)
     vecs = _affine_vectors(family, (var,), "family must be affine in its parameter")
     start, slope = _at(vecs, lo), vecs[1]
@@ -491,6 +512,8 @@ def two_param_flag_volume(
     failure splits the t-interval at the rational root responsible.
     """
     t_lo, t_hi = to_q(t_lo), to_q(t_hi)
+    if len(a_family) != surface.rank:
+        raise InvalidModel("class vectors must match the basis size")
     tvar = _family_var(a_family, tvar)
     a_vecs = _affine_vectors(a_family, (tvar,), "restriction family must be affine in t")
     z_vec = surface.class_vector(z)
@@ -498,41 +521,10 @@ def two_param_flag_volume(
     # max_shift only finds some s >= 0 with A(t) - s*Z in the cone; that
     # puts A(t) in the cone too when Z lies in it
     z_in_cone = _on_generator_ray(gens, z_vec) or in_cone(gens, z_vec) is not None
-    chambers = _flag_chambers(surface, a_vecs, t_lo, t_hi, z_vec, z_in_cone, (tvar, svar), depth=0)
+    chambers = _certified_cells(
+        t_lo, t_hi, lambda a, b: _certify_t_chamber(surface, a_vecs, a, b, z_vec, z_in_cone, (tvar, svar))
+    )
     return FlagDecomposition(tuple(chambers), tvar, svar)
-
-
-def _flag_chambers(
-    surface: SurfaceModel,
-    a_vecs: Affine,
-    t_lo: Fraction,
-    t_hi: Fraction,
-    z_vec: QVec,
-    z_in_cone: bool,
-    both: tuple[str, str],
-    depth: int,
-) -> list[FlagChamber]:
-    if depth > _MAX_SPLIT_DEPTH:
-        raise WallCrossingDegeneracy("t-chamber subdivision did not terminate")
-    if t_lo == t_hi:
-        return []
-    try:
-        return [_certify_t_chamber(surface, a_vecs, t_lo, t_hi, z_vec, z_in_cone, both)]
-    except _SplitRequest as split:
-        cuts = sorted({r for r in split.points if t_lo < r < t_hi})
-        if not cuts:
-            raise WallCrossingDegeneracy(
-                f"cannot certify [{t_lo}, {t_hi}] and no interior split point was found"
-            ) from None
-        out: list[FlagChamber] = []
-        for a, b in zip([t_lo] + cuts, cuts + [t_hi]):
-            out.extend(_flag_chambers(surface, a_vecs, a, b, z_vec, z_in_cone, both, depth + 1))
-        return out
-
-
-class _SplitRequest(Exception):
-    def __init__(self, points: Sequence[Fraction]):
-        self.points = list(points)
 
 
 def _certify_t_chamber(
@@ -578,7 +570,7 @@ def _certify_t_chamber(
         else:
             upper = tau
         if any(_value(lower, t) > _value(upper, t) for t in (t_lo, t_hi)):
-            raise _SplitRequest(_interior_zero(tuple(x - y for x, y in zip(lower, upper)), t_lo, t_hi))
+            raise _SplitRequest(_zero_of(tuple(x - y for x, y in zip(lower, upper))) or ())
         split_points: list[Fraction] = []
         for cert in certs:
             c0, ct, cs = cert.coeffs
@@ -586,7 +578,7 @@ def _certify_t_chamber(
             on_walls = [(c0 + cs * w[0], ct + cs * w[1]) for w in (lower, upper)]
             if any(_value(c, t) < 0 for c in on_walls for t in (t_lo, t_hi)):
                 for c in on_walls:
-                    split_points.extend(_interior_zero(c, t_lo, t_hi))
+                    split_points.extend(_zero_of(c) or ())
         if split_points:
             raise _SplitRequest(split_points)
         cells.append(
@@ -627,12 +619,6 @@ def _wall_from_cert(
     if wall is None:
         raise WallCrossingDegeneracy("wall certificate does not depend on the inner parameter")
     return wall
-
-
-def _interior_zero(c: Sequence[Fraction], lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """The root of an affine scalar in one variable, when it lies in (lo, hi)."""
-    zero = _zero_of(c)
-    return [zero[0]] if zero is not None and lo < zero[0] < hi else []
 
 
 def _threshold_at(a_vecs: Affine, minus_z: QVec, gens: list[QVec], t: Fraction) -> Fraction:

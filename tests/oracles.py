@@ -19,7 +19,12 @@ the references for the integer kernels that replaced them.
 ``reference_pair_poly`` are the chamber layer as it was before its
 coefficient-vector kernel: the decomposition re-pairs the whole current
 class with every curve each round, and the symbolic decomposition and the
-squares are built from ``Polynomial`` products.
+squares are built from ``Polynomial`` products.  ``reference_det``,
+``reference_rank``, ``reference_solve_general``, ``reference_mat_inverse``
+and ``reference_is_negative_definite`` are the engine's original separate
+Gaussian eliminations over ``Fraction`` rows, the references for the single
+fraction-free elimination kernel; the Zariski oracles above run on them, so
+they stay independent of that kernel.
 """
 
 import itertools
@@ -31,7 +36,7 @@ from kstab.errors import IndefiniteSupport, InvalidModel
 from kstab.lattice import discriminant_group, discriminant_quadratic
 from kstab.lp import Infeasible, LPResult, Unbounded
 from kstab.poly import Polynomial
-from kstab.rationals import det, is_negative_definite, mat_inverse, to_q
+from kstab.rationals import to_q
 from kstab.toric import Facet
 from kstab.zariski import ZariskiResult
 
@@ -46,6 +51,114 @@ def _int_rows(vectors):
             row.append(q.numerator)
         out.append(tuple(row))
     return out
+
+
+def _ref_copy(a):
+    return [[to_q(x) for x in row] for row in a]
+
+
+def reference_det(a):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    n = len(a)
+    m = _ref_copy(a)
+    sign = 1
+    result = Q(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Q(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        p = m[col][col]
+        result *= p
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                factor = m[r][col] / p
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return sign * result
+
+
+def reference_solve_general(a, b):
+    """One solution of a consistent system, free variables 0; None when inconsistent."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(row) + [to_q(bi)] for row, bi in zip(_ref_copy(a), b, strict=True)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if m[i][cols] != 0:
+            return None
+    x = [Q(0)] * cols
+    for (pr, pc) in pivots:
+        x[pc] = m[pr][cols]
+    return tuple(x)
+
+
+def reference_mat_inverse(a):
+    """Exact inverse by Gauss-Jordan over Fractions; None if singular."""
+    n = len(a)
+    m = [list(row) + [Q(1) if i == j else Q(0) for j in range(n)]
+         for i, row in enumerate(_ref_copy(a))]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        p = m[col][col]
+        m[col] = [x / p for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def reference_rank(a):
+    rows = len(a)
+    if rows == 0:
+        return 0
+    cols = len(a[0])
+    m = _ref_copy(a)
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, rows):
+            if m[i][c] != 0:
+                factor = m[i][c] / m[r][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def reference_is_negative_definite(gram):
+    """Sylvester test: leading principal minors alternate, starting negative."""
+    n = len(gram)
+    for k in range(1, n + 1):
+        minor = reference_det([row[:k] for row in gram[:k]])
+        if (-1) ** k * minor <= 0:
+            return False
+    return True
 
 
 class ZariskiOracle:
@@ -75,10 +188,10 @@ class ZariskiOracle:
             for i in range(start, n):
                 cand = prefix + (i,)
                 gram = [[self.pairs[a][b] for b in cand] for a in cand]
-                d = det([[Q(x) for x in row] for row in gram])
+                d = reference_det([[Q(x) for x in row] for row in gram])
                 if (-1) ** (k + 1) * d <= 0:
                     continue  # not negative definite (earlier minors already hold)
-                inv = mat_inverse([[Q(x) for x in row] for row in gram])
+                inv = reference_mat_inverse([[Q(x) for x in row] for row in gram])
                 delta = int(d)
                 adj = [[int(inv[r][c] * delta) for c in range(k + 1)] for r in range(k + 1)]
                 out.append((cand, adj, delta))
@@ -454,9 +567,9 @@ def reference_symbolic_decomposition(surface, d_polys, support):
     certs = []
     if support:
         gram = [[surface.pair(a, b) for b in curves] for a in curves]
-        if not is_negative_definite(gram):
+        if not reference_is_negative_definite(gram):
             raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
-        inv = mat_inverse(gram)
+        inv = reference_mat_inverse(gram)
         rhs = [reference_pair_poly(surface, d_polys, c) for c in curves]
         nus = []
         for i in range(len(support)):
@@ -487,9 +600,9 @@ def _ref_pair_curve(surface, vec, label):
 def _ref_solve_support(surface, d, support):
     curves = [surface.negative_curves[label] for label in support]
     gram = [[_ref_pair_curve(surface, a, label) for label in support] for a in curves]
-    if not is_negative_definite(gram):
+    if not reference_is_negative_definite(gram):
         raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
-    inv = mat_inverse(gram)
+    inv = reference_mat_inverse(gram)
     rhs = [_ref_pair_curve(surface, d, label) for label in support]
     nu = [sum((inv[i][j] * rhs[j] for j in range(len(rhs))), Q(0)) for i in range(len(rhs))]
     return dict(zip(support, nu))
