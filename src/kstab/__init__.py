@@ -17,122 +17,154 @@ package has five computational layers:
 
 The command line front end (``kstab``) exposes the same operations plus a
 golden verification suite (``kstab verify-paper``).
+
+Names load on first use: ``import kstab`` imports no layer, and
+``from kstab import X`` (or ``kstab.X``) imports only the module that
+defines X.  ``polytope_volume`` is ``toric.volume``; ``volume`` is
+``zariski.volume``.
 """
 
-from .errors import (
-    CertificateViolation,
-    DegenerateLattice,
-    DegeneratePolytope,
-    DependentBasis,
-    DomainError,
-    GroupTooLarge,
-    IndefiniteSupport,
-    InvalidModel,
-    InvariantViolation,
-    IrrationalWall,
-    KstabError,
-    ModelFileError,
-    NonpositiveVolume,
-    NotPseudoEffective,
-    NotReflexive,
-    OddLattice,
-    OriginNotInterior,
-    UnboundedDirection,
-    WallCrossingDegeneracy,
-)
-from .intersect import (
-    Chamber,
-    SurfaceModel,
-    ThreefoldModel,
-    anticanonical_volume,
-    bl_p3_quintic,
-    blowup_node,
-    blowup_p3_curve,
-    blowup_v4_conic,
-    dp4_surface,
-    quadric_surface,
-    restrict_to_surface,
-    sing_line_model,
-    triple_product,
-)
-from .invariants import (
-    DivisorialVerdict,
-    FlagReport,
-    beta,
-    refined_s_flag,
-    s_invariant,
-    sing_line_bound,
-)
-from .k3cat import (
-    BN_EXCLUDING_PAIRS,
-    TYPE_PAIRS,
-    CatalogEntry,
-    NLDivisorRecord,
-    catalog,
-    cyclic_cover_volume,
-    genus_volume,
-    is_bn_excluding,
-    k3_section_count,
-    nl_gram,
-    type_match,
-)
-from .lattice import (
-    DiscriminantGroup,
-    GramLattice,
-    Overlattice,
-    determinant,
-    discriminant_bilinear,
-    discriminant_group,
-    discriminant_quadratic,
-    even_overlattices,
-    integer_search_quadratic,
-    is_primitivity_forced,
-    is_saturated,
-    isotropic_elements,
-    signature,
-    smith_normal_form,
-)
-from .models import (
-    PRESET_NAMES,
-    format_class,
-    load_model,
-    parse_class_expr,
-    parse_model,
-    preset,
-    serialize_model,
-)
-from .poly import (
-    PiecewisePolynomial,
-    Polynomial,
-    check_c1,
-    format_polynomial,
-    integrate_piecewise,
-    parse_polynomial,
-    rational_roots_in_interval,
-)
-from .toric import (
-    LatticePolytope,
-    anticanonical_degree,
-    barycenter,
-    is_reflexive,
-    polar_dual,
-    toric_kps_check,
-)
-from .toric import volume as polytope_volume
-from .verify import verify_paper
-from .zariski import (
-    FlagCell,
-    FlagChamber,
-    FlagDecomposition,
-    VolumeChamber,
-    VolumeFunction,
-    ZariskiResult,
-    one_param_volume,
-    pseff_threshold,
-    threefold_volume_certified,
-    two_param_flag_volume,
-    volume,
-    zariski_decompose,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "errors": (
+        "CertificateViolation",
+        "DegenerateLattice",
+        "DegeneratePolytope",
+        "DependentBasis",
+        "DomainError",
+        "GroupTooLarge",
+        "IndefiniteSupport",
+        "InvalidModel",
+        "InvariantViolation",
+        "IrrationalWall",
+        "KstabError",
+        "ModelFileError",
+        "NonpositiveVolume",
+        "NotPseudoEffective",
+        "NotReflexive",
+        "OddLattice",
+        "OriginNotInterior",
+        "UnboundedDirection",
+        "WallCrossingDegeneracy",
+    ),
+    "intersect": (
+        "Chamber",
+        "SurfaceModel",
+        "ThreefoldModel",
+        "anticanonical_volume",
+        "bl_p3_quintic",
+        "blowup_node",
+        "blowup_p3_curve",
+        "blowup_v4_conic",
+        "dp4_surface",
+        "quadric_surface",
+        "restrict_to_surface",
+        "sing_line_model",
+        "triple_product",
+    ),
+    "invariants": (
+        "DivisorialVerdict",
+        "FlagReport",
+        "beta",
+        "refined_s_flag",
+        "s_invariant",
+        "sing_line_bound",
+    ),
+    "k3cat": (
+        "BN_EXCLUDING_PAIRS",
+        "TYPE_PAIRS",
+        "CatalogEntry",
+        "NLDivisorRecord",
+        "catalog",
+        "cyclic_cover_volume",
+        "genus_volume",
+        "is_bn_excluding",
+        "k3_section_count",
+        "nl_gram",
+        "type_match",
+    ),
+    "lattice": (
+        "DiscriminantGroup",
+        "GramLattice",
+        "Overlattice",
+        "determinant",
+        "discriminant_bilinear",
+        "discriminant_group",
+        "discriminant_quadratic",
+        "even_overlattices",
+        "integer_search_quadratic",
+        "is_primitivity_forced",
+        "is_saturated",
+        "isotropic_elements",
+        "signature",
+        "smith_normal_form",
+    ),
+    "models": (
+        "PRESET_NAMES",
+        "format_class",
+        "load_model",
+        "parse_class_expr",
+        "parse_model",
+        "preset",
+        "serialize_model",
+    ),
+    "poly": (
+        "PiecewisePolynomial",
+        "Polynomial",
+        "check_c1",
+        "format_polynomial",
+        "integrate_piecewise",
+        "parse_polynomial",
+        "rational_roots_in_interval",
+    ),
+    "toric": (
+        "LatticePolytope",
+        "anticanonical_degree",
+        "barycenter",
+        "is_reflexive",
+        "polar_dual",
+        "toric_kps_check",
+    ),
+    "verify": ("verify_paper",),
+    "zariski": (
+        "FlagCell",
+        "FlagChamber",
+        "FlagDecomposition",
+        "VolumeChamber",
+        "VolumeFunction",
+        "ZariskiResult",
+        "one_param_volume",
+        "pseff_threshold",
+        "threefold_volume_certified",
+        "two_param_flag_volume",
+        "volume",
+        "zariski_decompose",
+    ),
+}
+
+# public name -> (module, attribute)
+_WHERE = {name: (module, name) for module, names in _EXPORTS.items() for name in names}
+_WHERE["polytope_volume"] = ("toric", "volume")
+
+_MODULES = frozenset(_EXPORTS) | {"cli", "lp", "rationals"}
+
+__all__ = sorted(_WHERE)
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module, attr = _WHERE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

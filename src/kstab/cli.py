@@ -16,34 +16,7 @@ import sys
 from fractions import Fraction
 
 from .errors import KstabError
-from .intersect import SurfaceModel, ThreefoldModel
-from .invariants import beta, refined_s_flag, s_invariant
-from .k3cat import is_bn_excluding, nl_gram, type_match
-from .lattice import (
-    GramLattice,
-    determinant,
-    discriminant_group,
-    even_overlattices,
-    integer_search_quadratic,
-    is_primitivity_forced,
-    is_saturated,
-    isotropic_elements,
-    signature,
-)
-from .models import (
-    PRESET_NAMES,
-    format_class,
-    load_model,
-    log_discrepancy_default,
-    parse_class_expr,
-    preset,
-)
-from .poly import parse_polynomial
 from .rationals import Q, format_rational, parse_rational
-from .toric import LatticePolytope, anticanonical_degree, barycenter, is_reflexive, polar_dual, toric_kps_check
-from .toric import volume as polytope_volume
-from .verify import rows_as_dicts, verify_paper
-from .zariski import threefold_volume_certified, zariski_decompose
 
 USAGE_EXIT = 64
 ERROR_EXIT = 2
@@ -99,6 +72,8 @@ def _line(key, value, approx):
 
 
 def _get_model(name: str, model_file: str | None):
+    from .models import PRESET_NAMES, load_model, preset
+
     if model_file:
         model = load_model(model_file)
         if model.name == name:
@@ -117,7 +92,9 @@ def _int_rows(text: str, option: str) -> list[list[int]]:
         raise _UsageError(f"{option} takes rows of integers separated by ';', got {text!r}") from None
 
 
-def _parse_gram(text: str) -> GramLattice:
+def _parse_gram(text: str):
+    from .lattice import GramLattice
+
     try:
         return GramLattice(_int_rows(text, "--gram"))
     except ValueError as exc:
@@ -146,6 +123,11 @@ def _parse_box(text: str, variables: tuple[str, ...]) -> dict[str, tuple[int, in
 
 
 def _cmd_sinv(args) -> dict:
+    from .intersect import ThreefoldModel, anticanonical_volume
+    from .invariants import beta, s_invariant
+    from .models import log_discrepancy_default
+    from .zariski import threefold_volume_certified
+
     try:
         a_input = parse_rational(args.A) if args.A else None
     except (ValueError, ZeroDivisionError):
@@ -157,8 +139,6 @@ def _cmd_sinv(args) -> dict:
         known = ", ".join(sorted(set(model.divisors) | set(model.basis)))
         raise _UsageError(f"unknown --divisor {args.divisor!r} on {model.name}; known: {known}")
     vf = threefold_volume_certified(model, args.divisor)
-    from .intersect import anticanonical_volume
-
     v = anticanonical_volume(model)
     s_value = s_invariant(vf, v)
     a_value = a_input if a_input is not None else log_discrepancy_default(model.name, args.divisor)
@@ -203,6 +183,8 @@ _FLAG_SETUPS = {
 
 
 def _flag_family(kind: str):
+    from .poly import parse_polynomial
+
     c = ("t",)
     p = lambda s: parse_polynomial(s, c)
     if kind == "dp4":
@@ -217,6 +199,9 @@ def _flag_family(kind: str):
 
 
 def _cmd_flag_sinv(args) -> dict:
+    from .invariants import refined_s_flag
+    from .models import parse_class_expr, preset
+
     setup = _FLAG_SETUPS.get((args.model, args.surface))
     if setup is None:
         known = ", ".join(f"{m}/{s}" for (m, s) in sorted(_FLAG_SETUPS))
@@ -248,6 +233,10 @@ def _cmd_flag_sinv(args) -> dict:
 
 
 def _cmd_zariski(args) -> dict:
+    from .intersect import SurfaceModel
+    from .models import format_class, parse_class_expr
+    from .zariski import zariski_decompose
+
     model = _get_model(args.model, args.model_file)
     if not isinstance(model, SurfaceModel):
         raise KstabError(f"{args.model} is not a surface model")
@@ -267,6 +256,16 @@ def _cmd_zariski(args) -> dict:
 
 
 def _cmd_lattice(args) -> dict:
+    from .lattice import (
+        determinant,
+        discriminant_group,
+        even_overlattices,
+        is_primitivity_forced,
+        is_saturated,
+        isotropic_elements,
+        signature,
+    )
+
     gram = _parse_gram(args.gram)
     if args.lattice_op == "disc":
         group = discriminant_group(gram)
@@ -308,17 +307,24 @@ def _cmd_lattice(args) -> dict:
         }
     if args.lattice_op == "saturate":
         sub = _int_rows(args.sub, "--sub")
+        try:
+            saturated = is_saturated(gram, sub)
+        except ValueError as exc:
+            raise _UsageError(f"--sub {args.sub!r}: {exc}") from None
         return {
             "command": "lattice saturate",
             "gram": [list(r) for r in gram.gram],
             "sub_basis": sub,
-            "saturated": is_saturated(gram, sub),
+            "saturated": saturated,
             "claims": ["lattice:saturation"],
         }
     raise _UsageError("unknown lattice operation")
 
 
 def _cmd_lattice_search(args) -> dict:
+    from .lattice import integer_search_quadratic
+    from .poly import parse_polynomial
+
     try:
         form = parse_polynomial(args.form)
     except (ValueError, ZeroDivisionError) as exc:
@@ -337,6 +343,9 @@ def _cmd_lattice_search(args) -> dict:
 
 
 def _cmd_nl_classify(args) -> dict:
+    from .k3cat import is_bn_excluding, nl_gram, type_match
+    from .lattice import determinant, signature
+
     gram = nl_gram(22, args.h, args.m)
     return {
         "command": "nl classify",
@@ -352,12 +361,17 @@ def _cmd_nl_classify(args) -> dict:
 
 
 def _cmd_toric_check(args) -> dict:
+    from .toric import LatticePolytope, anticanonical_degree, barycenter, is_reflexive, polar_dual, toric_kps_check
+    from .toric import volume as polytope_volume
+
     with open(args.vertices, encoding="utf-8") as fh:
-        points = [
-            tuple(int(x) for x in line.split())
-            for line in fh
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        lines = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
+    try:
+        points = [tuple(int(x) for x in line.split()) for line in lines]
+    except ValueError:
+        points = [()]
+    if any(len(point) != 3 for point in points):
+        raise _UsageError(f"--vertices {args.vertices!r} must hold one integer 3-vector per line")
     p = LatticePolytope(points)
     reflexive = is_reflexive(p)
     report = {
@@ -385,10 +399,14 @@ def _cmd_toric_check(args) -> dict:
 
 
 def _cmd_models_list(_args) -> dict:
+    from .models import PRESET_NAMES
+
     return {"command": "models list", "presets": list(PRESET_NAMES)}
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    from .verify import rows_as_dicts, verify_paper
+
     rows = verify_paper()
     fails = [r for r in rows if not r.ok]
     report = {

@@ -34,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     DegenerateLattice,
@@ -44,8 +44,10 @@ from .errors import (
     InvariantViolation,
     OddLattice,
 )
-from .poly import Polynomial
 from .rationals import Q, det, rank, to_q
+
+if TYPE_CHECKING:
+    from .poly import Polynomial
 
 DEFAULT_ENUM_BOUND = 10**6
 

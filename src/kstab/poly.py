@@ -16,15 +16,12 @@ degree) and round-trip through :func:`parse_polynomial`.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, IrrationalWall
 from .rationals import Q, format_rational, sqrt_rational, to_q
-
-logger = logging.getLogger(__name__)
 
 Exponent = tuple[int, ...]
 
@@ -483,8 +480,7 @@ class PiecewisePolynomial:
                 raise ValueError("pieces must be univariate")
             if piece.lo > piece.hi:
                 raise ValueError(f"inverted interval [{piece.lo}, {piece.hi}]")
-            if piece.lo == piece.hi:
-                logger.debug("dropping zero-length chamber at %s", piece.lo)
+            if piece.lo == piece.hi:  # a zero-length chamber carries nothing
                 continue
             built.append(piece)
         if not built:

@@ -5,10 +5,11 @@ terms, positive denominator).  This module adds the canonical string form
 used in reports and model files ("p/q", plain "p" for integers) and the
 linear algebra shared by the lattice, toric and Zariski modules.  That
 linear algebra is one fraction-free (Bareiss) row reduction, ``_echelon``;
-``det``, ``rank``, ``solve_general``, ``mat_inverse`` and the
-negative-definite solve are a few lines over it.  With no row swap, pivot k
-is the k-th leading minor, so Sylvester's criterion comes out of the same
-elimination that solves the system.  Inputs are never mutated.
+``det``, ``rank``, ``solve_general`` (``solve_each`` for several
+right-hand sides at once), ``mat_inverse`` and the negative-definite solve
+are a few lines over it.  With no row swap, pivot k is the k-th leading
+minor, so Sylvester's criterion comes out of the same elimination that
+solves the system.  Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -141,11 +142,23 @@ def solve_general(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> QVe
     Returns None when the system is inconsistent.  Free variables are set
     to zero, so the result is deterministic.
     """
+    sols = solve_each(a, [b])
+    return None if sols is None else sols[0]
+
+
+def solve_each(a: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]]) -> list[QVec] | None:
+    """``solve_general(a, b)`` for each b in rhs, from one elimination.
+
+    Returns None when any of the systems is inconsistent.  The pivot
+    columns depend on a alone (scaling a row keeps its zeros), and with the
+    free variables at zero a consistent system has exactly one solution on
+    them, so each solution is the one ``solve_general`` gives.
+    """
     width = len(a[0]) if a else 0
-    m, cols, _, _ = _echelon([list(row) + [bi] for row, bi in zip(a, b, strict=True)], width)
-    if any(row[width] for row in m[len(cols):]):
+    m, cols, _, _ = _echelon([list(row) + list(bs) for row, *bs in zip(a, *rhs, strict=True)], width)
+    if any(x for row in m[len(cols):] for x in row[width:]):
         return None
-    return tuple(_back_substitute(m, cols, width, width))
+    return [tuple(_back_substitute(m, cols, width, width + j)) for j in range(len(rhs))]
 
 
 def mat_inverse(a: Sequence[Sequence[Fraction]]) -> QMat | None:

@@ -164,14 +164,23 @@ def is_reflexive(p: LatticePolytope) -> bool:
 
 
 def _ordered_facet_vertices(f: Facet) -> list[Vec3]:
-    """Vertices of a facet polygon in rotational order, exactly."""
+    """Vertices of a facet polygon in rotational order, exactly.
+
+    The order compares the vertices' offsets from their centroid.  Scaled by
+    the vertex count times the lcm of the denominators, those offsets are
+    integer vectors, and a positive scale keeps the sign of every cross and
+    dot product below, so the order is the one of the rational offsets.
+    """
     pts = list(f.vertices)
-    centroid = tuple(sum(p[i] for p in pts) / len(pts) for i in range(3))
-    rel = {p: _sub(p, centroid) for p in pts}
+    n, scale = len(pts), lcm(*(x.denominator for p in pts for x in p))
+    ints = [tuple(int(x * scale) for x in p) for p in pts]
+    total = tuple(sum(q[i] for q in ints) for i in range(3))
+    rel = {p: _sub(tuple(n * x for x in q), total) for p, q in zip(pts, ints)}
+    normal = tuple(int(x) for x in f.normal)
     ref = rel[pts[0]]
 
     def half(v: Vec3) -> int:
-        c = _dot(f.normal, _cross(ref, v))
+        c = _dot(normal, _cross(ref, v))
         if c > 0:
             return 0
         if c < 0:
@@ -183,7 +192,7 @@ def _ordered_facet_vertices(f: Facet) -> list[Vec3]:
         ha, hb = half(va), half(vb)
         if ha != hb:
             return -1 if ha < hb else 1
-        c = _dot(f.normal, _cross(va, vb))
+        c = _dot(normal, _cross(va, vb))
         if c == 0:
             return 0
         return -1 if c > 0 else 1

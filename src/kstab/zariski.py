@@ -50,7 +50,7 @@ from .errors import (
 from .intersect import Chamber, SurfaceModel, ThreefoldModel, triple_product
 from .lp import Infeasible, Unbounded, in_cone, max_shift
 from .poly import PiecewisePolynomial, Polynomial
-from .rationals import Q, QVec, dot, qvec, solve_general, solve_negative_definite, to_q
+from .rationals import Q, QVec, dot, qvec, solve_each, solve_negative_definite, to_q
 
 _MAX_SPLIT_DEPTH = 32
 
@@ -734,11 +734,6 @@ def threefold_volume_certified(
 
 def _affine_combination(residual: Affine, eff_vecs: list[QVec]) -> list[tuple[Fraction, Fraction]] | None:
     """Write an affine class family as an affine combination of fixed classes."""
-    if not eff_vecs:
-        return [] if all(x == 0 for v in residual for x in v) else None
     mat = [[eff_vecs[j][i] for j in range(len(eff_vecs))] for i in range(len(residual[0]))]
-    x0 = solve_general(mat, list(residual[0]))
-    x1 = solve_general(mat, list(residual[1]))
-    if x0 is None or x1 is None:
-        return None
-    return list(zip(x0, x1))
+    sols = solve_each(mat, residual)
+    return None if sols is None else list(zip(*sols))

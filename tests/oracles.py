@@ -11,10 +11,11 @@ quadratic on each chamber, exactly, so a flag invariant can be recomputed
 with no chamber code at all.  ``reference_solve_equality_lp`` is the
 engine's original two-phase simplex over ``Fraction`` rows, kept verbatim
 as the reference for the fraction-free solver.  In the same way,
-``reference_isotropic_subgroups``, ``reference_integer_search_quadratic``
-and ``reference_facets`` are the engine's original ``Fraction`` and
-brute-force kernels for the overlattice walk, the box search and the hull,
-the references for the integer kernels that replaced them.
+``reference_isotropic_subgroups``, ``reference_integer_search_quadratic``,
+``reference_facets`` and ``reference_ordered_facet_vertices`` are the
+engine's original ``Fraction`` and brute-force kernels for the overlattice
+walk, the box search, the hull and the facet polygon order, the references
+for the integer kernels that replaced them.
 ``reference_decompose``, ``reference_symbolic_decomposition`` and
 ``reference_pair_poly`` are the chamber layer as it was before its
 coefficient-vector kernel: the decomposition re-pairs the whole current
@@ -29,6 +30,7 @@ they stay independent of that kernel.
 
 import itertools
 from fractions import Fraction as Q
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -531,6 +533,34 @@ def reference_facets(vertices):
         if key not in seen:
             seen[key] = [p for p in vertices if _ref_dot(n, p) == offset]
     return tuple(Facet(normal=n, offset=c, vertices=tuple(sorted(pts))) for (n, c), pts in sorted(seen.items()))
+
+
+def reference_ordered_facet_vertices(f):
+    """Vertices of a facet polygon in rotational order, sorted by Fraction cross products."""
+    pts = list(f.vertices)
+    centroid = tuple(sum(p[i] for p in pts) / len(pts) for i in range(3))
+    rel = {p: _ref_sub(p, centroid) for p in pts}
+    ref = rel[pts[0]]
+
+    def half(v):
+        c = _ref_dot(f.normal, _ref_cross(ref, v))
+        if c > 0:
+            return 0
+        if c < 0:
+            return 1
+        return 0 if _ref_dot(ref, v) > 0 else 1
+
+    def compare(a, b):
+        va, vb = rel[a], rel[b]
+        ha, hb = half(va), half(vb)
+        if ha != hb:
+            return -1 if ha < hb else 1
+        c = _ref_dot(f.normal, _ref_cross(va, vb))
+        if c == 0:
+            return 0
+        return -1 if c > 0 else 1
+
+    return sorted(pts, key=cmp_to_key(compare))
 
 
 # -- the chamber layer before its coefficient-vector kernel --------------------

@@ -156,6 +156,13 @@ class TestExitCodes:
     def test_missing_file_is_64(self, capsys):
         assert main(["toric", "check", "--vertices", "/nonexistent/file"]) == 64
 
+    @pytest.mark.parametrize("text", ["1/2 0 0\n0 1 0\n0 0 1\n", "1 0\n0 1\n-1 -1\n", "a b c\n"])
+    def test_malformed_vertex_file_is_64(self, capsys, tmp_path, text):
+        path = tmp_path / "vertices.txt"
+        path.write_text(text)
+        assert main(["toric", "check", "--vertices", str(path)]) == 64
+        assert capsys.readouterr().err.startswith("usage error: --vertices")
+
 
 class TestMalformedLatticeInput:
     @pytest.mark.parametrize(
@@ -166,6 +173,7 @@ class TestMalformedLatticeInput:
             ("lattice", "disc", "--gram", "2 1.5; 1.5 2"),
             ("lattice", "disc", "--gram", "2 1; 0 2"),
             ("lattice", "saturate", "--gram", "2 1; 1 2", "--sub", "1 x"),
+            ("lattice", "saturate", "--gram", "2 1; 1 2", "--sub", "1 0 0"),
             ("lattice", "search", "--form", "-22 + 28*c - 8*c^2", "--op", ">", "--box", "c=a..2"),
             ("lattice", "search", "--form", "-22 + 28*c - 8*c^2", "--op", ">", "--box", "c 1..2"),
             ("lattice", "search", "--form", "-22 + 28*c - 8*c^2", "--op", ">", "--box", "c=1:2"),

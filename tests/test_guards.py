@@ -1,19 +1,29 @@
-"""Guards on inputs and on the certified-cell loop, and the tracer's entry points.
+"""Guards on inputs and on the certified-cell loop, the tracer's entry points
+and the import graph.
 
 A class or family of the wrong length is an InvalidModel, not a wrong
 answer or a bare IndexError.  The split-depth guard of the certified-cell
 loop raises WallCrossingDegeneracy for one- and two-parameter families
 alike.  Every entry point the benchmark tracer rebinds must exist, since
-the tracer looks each one up with no guard.
+the tracer looks each one up with no guard.  A command imports only its
+own layer: the package loads names on first use, ``cli`` imports each
+layer inside the command that uses it, and the lattice layer does not pull
+in the chamber layers.  No library module holds an ``assert``, which
+``python -O`` would strip.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from kstab import zariski
+import kstab
+from kstab import toric, zariski
 from kstab.errors import InvalidModel, WallCrossingDegeneracy
 from kstab.intersect import bl_p3_quintic, dp4_surface
 from kstab.poly import Polynomial
@@ -61,9 +71,13 @@ class TestSplitGuard:
         assert zariski.two_param_flag_volume(dp4_surface(), MOVING, 0, 1, "L").chambers
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "kstab"
+
+
 def test_every_traced_entry_point_resolves():
     # read the table out of the tracer's source; nothing there is run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     table = next(
         node.value for node in tree.body
@@ -76,3 +90,70 @@ def test_every_traced_entry_point_resolves():
         for name in attribute.split("."):
             owner = getattr(owner, name)
         assert callable(owner), f"{module}.{attribute}"
+
+
+def _kstab_modules_after(statement: str) -> set[str]:
+    """The kstab modules a fresh interpreter holds after running statement."""
+    code = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'kstab'))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def _executed_at_import(tree: ast.Module):
+    """Every node of a module outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+class TestImportGraph:
+    def test_the_package_loads_no_layer(self):
+        assert _kstab_modules_after("import kstab") == {"kstab"}
+
+    def test_the_lattice_layer_leaves_the_chamber_layers_out(self):
+        loaded = _kstab_modules_after("import kstab.lattice")
+        assert "kstab.lattice" in loaded
+        assert not loaded & {"kstab.poly", "kstab.zariski", "kstab.lp", "kstab.intersect", "kstab.verify"}
+
+    def test_every_public_name_resolves(self):
+        assert len(kstab.__all__) == 97
+        for name in kstab.__all__:
+            assert getattr(kstab, name) is not None, name
+        assert kstab.polytope_volume is toric.volume
+        assert kstab.volume is zariski.volume
+        assert set(kstab.__all__) <= set(dir(kstab))
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from kstab import *", namespace)
+        assert set(kstab.__all__) <= set(namespace)
+        assert namespace["polytope_volume"] is toric.volume
+
+    def test_submodules_import_as_before(self):
+        assert isinstance(toric, types.ModuleType) and toric.__name__ == "kstab.toric"
+        assert kstab.lp is importlib.import_module("kstab.lp")
+        assert _kstab_modules_after("from kstab import toric") == {"kstab", "kstab.errors", "kstab.rationals", "kstab.toric"}
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="nosuch"):
+            kstab.nosuch
+        assert not hasattr(kstab, "nosuch")
+
+    def test_cli_imports_only_errors_and_rationals_at_module_level(self):
+        tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+        relative = set()
+        for node in _executed_at_import(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                relative.add(node.module)
+            assert not (isinstance(node, ast.Import) and any(a.name.startswith("kstab") for a in node.names))
+        assert relative == {"errors", "rationals"}
+
+    @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+    def test_no_assert_in_the_library(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))

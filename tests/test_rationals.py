@@ -13,7 +13,15 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from kstab.rationals import det, is_negative_definite, mat_inverse, rank, solve_general, solve_negative_definite
+from kstab.rationals import (
+    det,
+    is_negative_definite,
+    mat_inverse,
+    rank,
+    solve_each,
+    solve_general,
+    solve_negative_definite,
+)
 from oracles import (
     reference_det,
     reference_is_negative_definite,
@@ -67,6 +75,13 @@ class TestAgainstReference:
         b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
         assert rank(a) == reference_rank(a)
         assert solve_general(a, b) == reference_solve_general(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(), st.data())
+    def test_solve_each(self, a, data):
+        rhs = data.draw(st.lists(st.lists(entries, min_size=len(a), max_size=len(a)), max_size=3))
+        sols = [reference_solve_general(a, b) for b in rhs]
+        assert solve_each(a, rhs) == (None if None in sols else sols)
 
     @settings(max_examples=200, deadline=None)
     @given(grams(), st.data())

@@ -3,8 +3,9 @@
 Volumes were derived by hand (prism = triangle area 3/2 times height 2;
 bipyramid = two pyramids over a lattice triangle of area 9/2) and the
 asymmetric control's dual barycenter (1/4, -1/4, 0) by the pyramid-centroid
-formula, all before running the engine.  The integer facet scan is checked
-against the original Fraction scan frozen in ``oracles``.
+formula, all before running the engine.  The integer facet scan and facet
+polygon order are checked against the original Fraction routines frozen in
+``oracles``.
 """
 
 import random
@@ -30,7 +31,7 @@ from kstab.toric import (
     toric_kps_check,
     volume,
 )
-from oracles import reference_facets
+from oracles import reference_facets, reference_ordered_facet_vertices
 
 
 class TestHull:
@@ -190,3 +191,24 @@ def test_facet_scan_matches_reference(points):
     facets = toric._facets(pts)
     assert facets == reference_facets(pts)
     assert all(isinstance(x, Q) for f in facets for x in (*f.normal, f.offset))
+
+
+def _vertices(p):
+    return [tuple(int(x) for x in v) for v in p.vertices]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=4, max_size=12))
+@example(_vertices(prism()))
+@example(_vertices(cube()))
+@example(_vertices(octahedron()))
+def test_facet_order_matches_reference(points):
+    # a lattice polytope, and its rational polar dual when the origin is inside
+    try:
+        p = LatticePolytope(points)
+    except DegeneratePolytope:
+        return
+    polytopes = [p, polar_dual(p)] if p.contains_origin_interior() else [p]
+    for q in polytopes:
+        for f in q.facets:
+            assert toric._ordered_facet_vertices(f) == reference_ordered_facet_vertices(f)

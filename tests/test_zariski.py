@@ -5,6 +5,9 @@ no shared code path: it enumerates every negative-definite subset of the
 declared curves, solves for the candidate negative part, and keeps the
 unique subset whose certificates all hold.  DERIVED chamber data for the
 flag decompositions was computed by hand from the dp4 Gram diag(1,-1^5).
+The threefold certificate solves for both residual vectors in one
+elimination; it is checked against two separate solves, by the engine's
+``solve_general`` and by the original elimination frozen in ``oracles``.
 """
 
 import itertools
@@ -34,9 +37,15 @@ from kstab.intersect import (
 )
 from kstab.lp import Unbounded, max_shift
 from kstab.poly import Polynomial, check_c1, parse_polynomial
-from kstab.rationals import is_negative_definite, qvec
-from oracles import reference_decompose, reference_pair_poly, reference_symbolic_decomposition
+from kstab.rationals import is_negative_definite, qvec, solve_general
+from oracles import (
+    reference_decompose,
+    reference_pair_poly,
+    reference_solve_general,
+    reference_symbolic_decomposition,
+)
 from kstab.zariski import (
+    _affine_combination,
     _affine_square,
     _affine_vectors,
     _decompose,
@@ -569,3 +578,66 @@ def test_decompose_second_round():
     assert res.negative == (("c1", Q(2)), ("c2", Q(1)))
     assert res.positive == _dp4_vec(1, 0, 0)
     assert res.support_gram == ((-2, 1), (1, -2))
+
+
+# -- the threefold certificate: one elimination for both residual vectors -----
+
+THREEFOLDS = (bl_p3_quintic(),) + tuple(sing_line_model(g, k) for g, k in ((12, 0), (12, 1), (12, 2), (10, 1)))
+
+
+def _separate_solves(solve, residual, eff_vecs):
+    mat = [[v[i] for v in eff_vecs] for i in range(len(residual[0]))]
+    x0, x1 = solve(mat, list(residual[0])), solve(mat, list(residual[1]))
+    return None if x0 is None or x1 is None else list(zip(x0, x1))
+
+
+def _check_combination(residual, eff_vecs):
+    got = _affine_combination(residual, eff_vecs)
+    assert got == _separate_solves(solve_general, residual, eff_vecs)
+    assert got == _separate_solves(reference_solve_general, residual, eff_vecs)
+    return got
+
+
+@pytest.mark.parametrize("model", THREEFOLDS, ids=lambda m: m.name)
+def test_affine_combination_on_declared_chambers(model):
+    eff_vecs = [model.effective_classes[label] for label in sorted(model.effective_classes)]
+    for divisor, chambers in model.chambers.items():
+        b = model.class_vector(divisor)
+        for ch in chambers:
+            residual = (
+                tuple(x - y for x, y in zip(model.anticanonical, ch.p0)),
+                tuple(-x - y for x, y in zip(b, ch.p1)),
+            )
+            assert _check_combination(residual, eff_vecs) is not None
+
+
+@st.composite
+def affine_residuals(draw):
+    """Effective classes and a residual: half an affine combination of them, half arbitrary."""
+    vec = st.tuples(*[fractions] * draw(st.integers(1, 4)))
+    eff_vecs = draw(st.lists(vec, max_size=4))
+    if eff_vecs and draw(st.booleans()):
+        coeffs = [(draw(fractions), draw(fractions)) for _ in eff_vecs]
+        residual = tuple(
+            tuple(sum((c[j] * x for c, x in zip(coeffs, col)), Q(0)) for col in zip(*eff_vecs)) for j in (0, 1)
+        )
+    else:
+        residual = (draw(vec), draw(vec))
+    return residual, eff_vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_residuals())
+# parallel classes: a free variable, which stays at zero; no classes at all
+@example((((Q(1), Q(2)), (Q(3), Q(6))), [(Q(1), Q(2)), (Q(2), Q(4))]))
+@example((((Q(0), Q(1)), (Q(0), Q(0))), []))
+def test_affine_combination_matches_separate_solves(case):
+    _check_combination(*case)
+
+
+def test_affine_combination_inconsistent():
+    eff_vecs = [(Q(0), Q(1))]
+    # inconsistent in the constant vector, then in the slope vector only
+    assert _check_combination(((Q(1), Q(0)), (Q(0), Q(0))), eff_vecs) is None
+    assert _check_combination(((Q(0), Q(1)), (Q(1), Q(1))), eff_vecs) is None
+    assert _check_combination(((Q(0), Q(2)), (Q(0), Q(-1))), eff_vecs) == [(2, -1)]
