@@ -48,6 +48,7 @@ _EXPORTS = {
         "OddLattice",
         "OriginNotInterior",
         "UnboundedDirection",
+        "UnknownLabel",
         "WallCrossingDegeneracy",
     ),
     "intersect": (

@@ -81,6 +81,16 @@ class ModelFileError(KstabError):
     """A model file cannot be parsed."""
 
 
+class UnknownLabel(KstabError, KeyError):
+    """A model, class or divisor name that is not declared.
+
+    It is also a ``KeyError``, which is what a lookup by an unknown name
+    raised before, so ``except KeyError`` still catches it.
+    """
+
+    __str__ = KstabError.__str__
+
+
 class NonpositiveVolume(KstabError):
     """An S-invariant normalization needs a positive anticanonical volume."""
 

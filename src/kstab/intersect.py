@@ -14,14 +14,15 @@ quintic; conventions are the dominant bug source in intersection rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
-from .errors import InvalidModel
+from .errors import InvalidModel, UnknownLabel
 from .rationals import Q, QVec, dot, qvec, to_q
+from .records import Record
 
 ClassVec = QVec
 
@@ -36,8 +37,13 @@ def _sized(v: ClassVec, rank: int) -> ClassVec:
     return v
 
 
-@dataclass(frozen=True)
-class Chamber:
+def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """v as integers over one common denominator: (numerators, denominator)."""
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+class Chamber(Record):
     """One certified chamber of a one-parameter family on a threefold.
 
     The positive part is affine in the parameter: P(t) = p0 + t * p1.
@@ -78,6 +84,14 @@ class ThreefoldModel:
                 raise InvalidModel(f"conflicting values for triple index {key}")
             table[key] = value
         self.triple = table
+        # the form as integer terms (i, j, k, w) over one denominator, one
+        # per ordered index triple with a nonzero entry
+        self._den = lcm(*(x.denominator for x in table.values()))
+        self._terms = [
+            (*idx, value.numerator * (self._den // value.denominator))
+            for key, value in table.items() if value
+            for idx in set(permutations(key))
+        ]
         self.anticanonical = qvec(anticanonical)
         if len(self.anticanonical) != r:
             raise InvalidModel("anticanonical vector has the wrong length")
@@ -103,7 +117,7 @@ class ThreefoldModel:
                 return self.divisors[ref]
             if ref in self.basis:
                 return tuple(Q(1) if b == ref else Q(0) for b in self.basis)
-            raise KeyError(f"unknown divisor {ref!r} on model {self.name}")
+            raise UnknownLabel(f"unknown divisor {ref!r} on model {self.name}")
         return _sized(qvec(ref), self.rank)
 
     def curve_pairing(self, curve: str, cls: Sequence) -> Fraction:
@@ -111,24 +125,28 @@ class ThreefoldModel:
         return dot(self.curves[curve], qvec(cls))
 
 
-def triple_product(model: ThreefoldModel, a, b, c):
-    """Full symmetric contraction; entries may be rationals or polynomials."""
-    r = model.rank
-    a, b, c = list(a), list(b), list(c)
-    if len(a) != r or len(b) != r or len(c) != r:
-        raise InvalidModel("class vectors must match the basis size")
-    total = None
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                coeff = model.entry(i, j, k)
-                if coeff == 0:
-                    continue
-                term = a[i] * b[j] * c[k] * coeff
-                total = term if total is None else total + term
-    if total is None:
-        return Q(0)
-    return total
+def _contraction(model: ThreefoldModel, x: Sequence[int], y: Sequence[int], z: Sequence[int]) -> int:
+    return sum(w * x[i] * y[j] * z[k] for i, j, k, w in model._terms)
+
+
+def triple_product(model: ThreefoldModel, a, b, c) -> Fraction:
+    """The symmetric trilinear form on three rational class vectors."""
+    (x, dx), (y, dy), (z, dz) = (_scaled(_sized(qvec(v), model.rank)) for v in (a, b, c))
+    return Fraction(_contraction(model, x, y, z), model._den * dx * dy * dz)
+
+
+def affine_cube(model: ThreefoldModel, p0, p1) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Coefficients of 1, t, t^2, t^3 in (p0 + t*p1)^3.
+
+    The coefficient of t^k is C(3, k) * p0^(3-k) * p1^k: four contractions
+    of the integer form.
+    """
+    (x, dx), (y, dy) = (_scaled(_sized(qvec(v), model.rank)) for v in (p0, p1))
+    factors = ((x, x, x), (x, x, y), (x, y, y), (y, y, y))
+    return tuple(
+        Fraction(binomial * _contraction(model, *rows), model._den * dx ** (3 - k) * dy**k)
+        for k, (binomial, rows) in enumerate(zip((1, 3, 3, 1), factors))
+    )
 
 
 def anticanonical_volume(model: ThreefoldModel) -> Fraction:
@@ -196,8 +214,7 @@ class SurfaceModel:
         """v.C for every declared curve C, in the order of curve_labels."""
         if len(v) != self.rank:
             raise InvalidModel("class vectors must match the basis size")
-        den = lcm(*(x.denominator for x in v))
-        ints = [x.numerator * (den // x.denominator) for x in v]
+        ints, den = _scaled(v)
         den *= self._gc_den
         return tuple(Fraction(sum(map(mul, ints, row)), den) for row in self._gc_rows)
 
@@ -210,7 +227,7 @@ class SurfaceModel:
                 return self.negative_curves[ref]
             if ref in self.basis:
                 return tuple(Q(1) if b == ref else Q(0) for b in self.basis)
-            raise KeyError(f"unknown class {ref!r} on surface {self.name}")
+            raise UnknownLabel(f"unknown class {ref!r} on surface {self.name}")
         return _sized(qvec(ref), self.rank)
 
 

@@ -18,18 +18,17 @@ divisors" - completeness over all divisors is never a computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidModel, NonpositiveVolume
 from .intersect import SurfaceModel
 from .poly import PiecewisePolynomial, integrate_piecewise
 from .rationals import Q, to_q
+from .records import Record
 from .zariski import FlagDecomposition, VolumeFunction, _affine_square, _affine_vectors, two_param_flag_volume
 
 
-@dataclass(frozen=True)
-class DivisorialVerdict:
+class DivisorialVerdict(Record):
     divisor: str
     log_discrepancy: Fraction
     expected_vanishing: Fraction
@@ -47,8 +46,7 @@ class DivisorialVerdict:
         return "positive"
 
 
-@dataclass(frozen=True)
-class FlagReport:
+class FlagReport(Record):
     surface: str
     curve: str
     value: Fraction

@@ -13,9 +13,8 @@ any even degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lattice import GramLattice
+from .records import Record
 
 DEGREE = 22
 
@@ -53,8 +52,7 @@ def nl_gram(d: int, h: int, m: int) -> GramLattice:
     return GramLattice([[d, h], [h, m]])
 
 
-@dataclass(frozen=True)
-class NLDivisorRecord:
+class NLDivisorRecord(Record):
     d: int
     h: int
     m: int
@@ -65,8 +63,7 @@ class NLDivisorRecord:
         return nl_gram(self.d, self.h, self.m)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     record: NLDivisorRecord
     tags: tuple[str, ...]
 

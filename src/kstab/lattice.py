@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -45,6 +44,7 @@ from .errors import (
     OddLattice,
 )
 from .rationals import Q, det, rank, to_q
+from .records import Record
 
 if TYPE_CHECKING:
     from .poly import Polynomial
@@ -247,8 +247,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]],
 # -- discriminant groups -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(Record):
     """A = L*/L presented by invariant factors and dual-vector generators.
 
     ``generators[i]`` is a rational coordinate vector (in the original
@@ -302,12 +301,9 @@ def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
         di = d[i][i]
         if di in (0, 1):
             continue
-        column = tuple(Q(v[r][i], di) for r in range(lattice.rank))
         factors.append(di)
-        gens.append(column)
-    group = DiscriminantGroup(lattice, tuple(factors), tuple(gens))
-    object.__setattr__(group, "generators", tuple(group.canonical(g) for g in gens))
-    return group
+        gens.append(tuple(Q(v[r][i] % di, di) for r in range(lattice.rank)))  # canonical, in [0, 1)
+    return DiscriminantGroup(lattice, tuple(factors), tuple(gens))
 
 
 def discriminant_quadratic(lattice: GramLattice, x: Sequence[Fraction]) -> Fraction:
@@ -386,8 +382,7 @@ def is_primitivity_forced(lattice: GramLattice, bound: int | None = None) -> boo
     return iso == [zero]
 
 
-@dataclass(frozen=True)
-class Overlattice:
+class Overlattice(Record):
     """An even overlattice with its basis certificate.
 
     ``basis`` rows express the new basis in rational coordinates of the
@@ -511,13 +506,7 @@ def even_overlattices(lattice: GramLattice, bound: int | None = None) -> list[Ov
         over = GramLattice([[x // scale**2 for x in row] for row in pairs])
         if not over.is_even():
             raise OddLattice("overlattice from an isotropic subgroup must stay even")
-        out.append(
-            Overlattice(
-                gram=over,
-                basis=tuple(tuple(row) for row in basis),
-                subgroup=tuple(sorted(subgroup)),
-            )
-        )
+        out.append(Overlattice(over, tuple(tuple(row) for row in basis), tuple(sorted(subgroup))))
     return out
 
 

@@ -22,13 +22,13 @@ are never priced, so the tableau does not carry them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InvariantViolation
 from .rationals import Q, to_q
+from .records import Record
 
 
 class Infeasible(Exception):
@@ -39,8 +39,7 @@ class Unbounded(Exception):
     pass
 
 
-@dataclass
-class LPResult:
+class LPResult(Record):
     value: Fraction
     x: tuple[Fraction, ...]
     basis: tuple[int, ...]

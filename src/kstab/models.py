@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ModelFileError
+from .errors import ModelFileError, UnknownLabel
 from .intersect import (
     Chamber,
     SurfaceModel,
@@ -69,7 +69,7 @@ def preset(name: str) -> ThreefoldModel | SurfaceModel:
         "sing_line": lambda: sing_line_model(12, 0),
     }
     if name not in table:
-        raise KeyError(f"unknown model {name!r}; presets: {', '.join(PRESET_NAMES)}")
+        raise UnknownLabel(f"unknown model {name!r}; presets: {', '.join(PRESET_NAMES)}")
     return table[name]()
 
 
@@ -117,6 +117,8 @@ def parse_class_expr(text: str, basis: tuple[str, ...]):
                 coeff = parse_rational(tok)
             except ZeroDivisionError:
                 raise ModelFileError(f"zero denominator in {tok!r} in {text!r}") from None
+            except ValueError:  # more digits than int() converts
+                raise ModelFileError(f"a coefficient of {len(tok)} characters is too long") from None
         else:
             if tok not in basis:
                 raise ModelFileError(f"unknown class {tok!r}; basis is {basis}")
@@ -189,7 +191,9 @@ def serialize_model(model: ThreefoldModel | SurfaceModel) -> str:
             lines += ["", "negative_curves"]
             for label in sorted(model.negative_curves):
                 lines.append(f"{label}: {_vec_line(model.negative_curves[label])}")
-        if model.eff_generators:
+        # an empty cone is written too when there are curves: a missing
+        # section means "the negative curves generate the cone"
+        if model.eff_generators or model.negative_curves:
             lines += ["", "eff_cone"]
             for label in sorted(model.eff_generators):
                 lines.append(f"{label}: {_vec_line(model.eff_generators[label])}")
@@ -285,14 +289,13 @@ def parse_model(text: str) -> ThreefoldModel | SurfaceModel:
     canonical = None
     if "canonical" in sections:
         canonical = qvec(num(x, "canonical") for x in sections["canonical"][0].split())
-    eff = labelled("eff_cone")
     return SurfaceModel(
         name,
         basis,
         gram,
         canonical=canonical,
         negative_curves=labelled("negative_curves"),
-        eff_generators=eff or None,
+        eff_generators=labelled("eff_cone") if "eff_cone" in sections else None,
     )
 
 

@@ -16,12 +16,12 @@ degree) and round-trip through :func:`parse_polynomial`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, IrrationalWall
 from .rationals import Q, format_rational, sqrt_rational, to_q
+from .records import Record
 
 Exponent = tuple[int, ...]
 
@@ -329,12 +329,30 @@ class _Tokens:
         return tok
 
 
+# The largest total degree, and exponent, that parse_polynomial builds.  The
+# engine's families and forms have degree at most 5; the cap stops an input
+# such as (c+1)^3200 before it is expanded.  A power is also capped by the
+# bits of its coefficients, so that nested powers of constants such as
+# ((((2^64)^64)^64)^64)^64 stay small too.
+MAX_PARSED_DEGREE = 64
+MAX_PARSED_BITS = 4096
+
+
+def _bits(p: Polynomial) -> int:
+    """Bit length of the largest numerator or denominator of p's coefficients."""
+    return max((max(abs(c.numerator), c.denominator).bit_length() for c in p._coeffs.values()), default=0)
+
+
 def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Polynomial:
     """Parse +, -, *, /, ^, parentheses, integers and variable names.
 
     Adjacent factors such as ``2t`` are not supported; multiplication is
     explicit except for a leading sign.  Division is only allowed by integer
-    literals (exact rational coefficients).
+    literals (exact rational coefficients).  An exponent above
+    MAX_PARSED_DEGREE, a product or power whose total degree would pass it,
+    and a power whose coefficients would pass MAX_PARSED_BITS raise
+    ValueError before anything is expanded, as do nesting too deep for the
+    recursive descent and any other malformed input.
     """
     toks = _Tokens(text)
     known = tuple(variables) if variables is not None else None
@@ -360,6 +378,8 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Polyn
             op = toks.next()
             rhs = parse_factor()
             if op == "*":
+                if node.degree() + rhs.degree() > MAX_PARSED_DEGREE:
+                    raise ValueError(f"product of degree above {MAX_PARSED_DEGREE}")
                 node = node * rhs
             else:
                 if rhs.degree() > 0:
@@ -372,13 +392,18 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Polyn
 
     def parse_factor() -> Polynomial:
         node = parse_atom()
+        exponent = 1  # (a^b)^c = a^(b*c), checked as a whole before expanding
         while toks.peek() == "^":
             toks.next()
             exp_tok = toks.next()
             if not exp_tok.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
-            node = node ** int(exp_tok)
-        return node
+            exponent *= int(exp_tok)
+            if exponent > MAX_PARSED_DEGREE or node.degree() * exponent > MAX_PARSED_DEGREE:
+                raise ValueError(f"power of degree or exponent above {MAX_PARSED_DEGREE}")
+            if _bits(node) * exponent > MAX_PARSED_BITS:
+                raise ValueError(f"power with coefficients above {MAX_PARSED_BITS} bits")
+        return node if exponent == 1 else node**exponent
 
     def parse_atom() -> Polynomial:
         tok = toks.next()
@@ -393,9 +418,14 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Polyn
             return parse_factor()
         if tok.isdigit():
             return Polynomial.constant(Q(int(tok)), known or ())
-        return Polynomial.var(tok, vars_of(tok))
+        if tok.isidentifier():
+            return Polynomial.var(tok, vars_of(tok))
+        raise ValueError(f"expected a number, a variable or '(' but found {tok!r}")
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
     if toks.peek() is not None:
         raise ValueError(f"trailing tokens near {toks.peek()!r}")
     if known is not None:
@@ -456,8 +486,7 @@ def rational_roots_in_interval(p: Polynomial, lo, hi) -> list[Fraction]:
 # -- piecewise functions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(Record):
     lo: Fraction
     hi: Fraction
     poly: Polynomial

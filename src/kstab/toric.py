@@ -21,7 +21,6 @@ and exactly verifiable, and it is all the Fano-threefold applications need.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
@@ -30,6 +29,7 @@ from typing import Iterable, Sequence
 from .errors import DegeneratePolytope, InvariantViolation, NotReflexive, OriginNotInterior
 
 from .rationals import Q, qvec, rank, to_q
+from .records import Record
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 
@@ -50,8 +50,7 @@ def _sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(Record):
     normal: Vec3  # primitive integer outward normal
     offset: Fraction  # <normal, x> <= offset on the polytope
     vertices: tuple[Vec3, ...]
@@ -139,7 +138,7 @@ def _facets(vertices: tuple[Vec3, ...]) -> tuple[Facet, ...]:
         if (n, offset) not in seen:
             seen[n, offset] = [v for v, p in zip(vertices, pts) if _dot(n, p) == offset]
     return tuple(
-        Facet(normal=tuple(Q(x) for x in n), offset=Q(offset, scale), vertices=tuple(sorted(on)))
+        Facet(tuple(Q(x) for x in n), Q(offset, scale), tuple(sorted(on)))
         for (n, offset), on in sorted(seen.items())
     )
 

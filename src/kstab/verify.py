@@ -13,7 +13,6 @@ value, on purpose: an honest mismatch beats a doctored pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -43,6 +42,7 @@ from .lattice import (
 from .models import preset
 from .poly import check_c1, parse_polynomial
 from .rationals import Q, format_rational
+from .records import Record
 from .toric import (
     anticanonical_degree,
     barycenter,
@@ -57,8 +57,7 @@ from .toric import (
 from .zariski import threefold_volume_certified
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     claim: str
     expected: str
     computed: str

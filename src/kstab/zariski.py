@@ -35,7 +35,6 @@ tagged as certified relative to the declared curves - never absolutely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -47,16 +46,16 @@ from .errors import (
     UnboundedDirection,
     WallCrossingDegeneracy,
 )
-from .intersect import Chamber, SurfaceModel, ThreefoldModel, triple_product
+from .intersect import Chamber, SurfaceModel, ThreefoldModel, affine_cube
 from .lp import Infeasible, Unbounded, in_cone, max_shift
 from .poly import PiecewisePolynomial, Polynomial
 from .rationals import Q, QVec, dot, qvec, solve_each, solve_negative_definite, to_q
+from .records import Record
 
 _MAX_SPLIT_DEPTH = 32
 
 
-@dataclass(frozen=True)
-class ZariskiResult:
+class ZariskiResult(Record):
     """Positive/negative splitting of a pseudo-effective surface class."""
 
     positive: QVec
@@ -71,8 +70,7 @@ class ZariskiResult:
         return Q(0)
 
 
-@dataclass(frozen=True)
-class VolumeChamber:
+class VolumeChamber(Record):
     """One chamber of a one-parameter volume function.
 
     positive part P(t) = p0 + t*p1; support lists the curves carrying the
@@ -86,8 +84,7 @@ class VolumeChamber:
     support: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class VolumeFunction:
+class VolumeFunction(Record):
     pw: PiecewisePolynomial
     chambers: tuple[VolumeChamber, ...]
     certificate: str
@@ -170,10 +167,10 @@ def _decompose(surface: SurfaceModel, d: QVec) -> ZariskiResult:
                 "list is not a genuine configuration of irreducible negative curves"
             )
     return ZariskiResult(
-        positive=positive,
-        negative=tuple((label, nu[label]) for label in support),
-        support=tuple(support),
-        support_gram=tuple(tuple(g) for g in gram) if support else (),
+        positive,
+        tuple((label, nu[label]) for label in support),
+        tuple(support),
+        tuple(tuple(g) for g in gram) if support else (),
     )
 
 
@@ -290,8 +287,7 @@ def _affine_square(surface: SurfaceModel, vecs: Affine, variables: Sequence[str]
 # -- symbolic chamber machinery ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Cert:
+class _Cert(Record):
     """An affine certificate (constant, slope, ...) with provenance."""
 
     kind: str  # "mult" or "nef"
@@ -332,8 +328,7 @@ def _symbolic_decomposition(
     return positive, certs
 
 
-@dataclass(frozen=True)
-class _SChamber:
+class _SChamber(Record):
     lo: Fraction
     hi: Fraction
     support: tuple[str, ...]
@@ -391,7 +386,7 @@ def _march_one_param(surface: SurfaceModel, vecs: Affine, lo: Fraction, hi: Frac
     stitched: list[_SChamber] = []
     for ch in _certified_cells(lo, hi, certify):
         if stitched and stitched[-1].support == ch.support:
-            stitched[-1] = replace(ch, lo=stitched[-1].lo)
+            stitched[-1] = _SChamber(stitched[-1].lo, ch.hi, ch.support, ch.upper_cert, ch.positive)
         else:
             stitched.append(ch)
     return stitched
@@ -445,14 +440,13 @@ def one_param_volume(
     pw = PiecewisePolynomial(pieces, var)
     if pw(s_end) < 0:
         raise CertificateViolation("volume is negative at the pseudo-effective threshold")
-    return VolumeFunction(pw, tuple(vol_chambers), certificate="relative to declared curves")
+    return VolumeFunction(pw, tuple(vol_chambers), "relative to declared curves")
 
 
 # -- two-parameter flag machinery --------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlagCell:
+class FlagCell(Record):
     """One cell of a two-parameter decomposition.
 
     The bounds are affine polynomials in the outer parameter; the volume is
@@ -466,15 +460,13 @@ class FlagCell:
     support: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FlagChamber:
+class FlagChamber(Record):
     t_lo: Fraction
     t_hi: Fraction
     cells: tuple[FlagCell, ...]
 
 
-@dataclass(frozen=True)
-class FlagDecomposition:
+class FlagDecomposition(Record):
     chambers: tuple[FlagChamber, ...]
     tvar: str
     svar: str
@@ -583,11 +575,11 @@ def _certify_t_chamber(
             raise _SplitRequest(split_points)
         cells.append(
             FlagCell(
-                s_lo=_affine_poly(both[:1], lower),
-                s_hi=_affine_poly(both[:1], upper),
-                volume=_affine_square(surface, positive, both),
-                positive=tuple(_affine_poly(both, c) for c in zip(*positive)),
-                support=sch.support,
+                _affine_poly(both[:1], lower),
+                _affine_poly(both[:1], upper),
+                _affine_square(surface, positive, both),
+                tuple(_affine_poly(both, c) for c in zip(*positive)),
+                sch.support,
             )
         )
         lower = upper
@@ -723,13 +715,11 @@ def threefold_volume_certified(
                     raise CertificateViolation(
                         f"positive part pairs negatively with curve {curve_label!r} at {var} = {t_end}"
                     )
-        p_t = tuple(_affine_poly((var,), c) for c in zip(p0, p1))
-        vol = triple_product(model, p_t, p_t, p_t)
-        vol = vol if isinstance(vol, Polynomial) else Polynomial.constant(vol, (var,))
+        vol = Polynomial._make((var,), {(k,): c for k, c in enumerate(affine_cube(model, p0, p1))})
         pieces.append((lo, hi, vol))
         vol_chambers.append(VolumeChamber(lo, hi, chamber.p0, chamber.p1, ()))
     pw = PiecewisePolynomial(pieces, var)
-    return VolumeFunction(pw, tuple(vol_chambers), certificate="relative to declared curves")
+    return VolumeFunction(pw, tuple(vol_chambers), "relative to declared curves")
 
 
 def _affine_combination(residual: Affine, eff_vecs: list[QVec]) -> list[tuple[Fraction, Fraction]] | None:

@@ -25,7 +25,10 @@ squares are built from ``Polynomial`` products.  ``reference_det``,
 and ``reference_is_negative_definite`` are the engine's original separate
 Gaussian eliminations over ``Fraction`` rows, the references for the single
 fraction-free elimination kernel; the Zariski oracles above run on them, so
-they stay independent of that kernel.
+they stay independent of that kernel.  ``reference_triple_product`` is the
+threefold contraction as it was before the integer cubic form: an r^3 loop
+over ``model.entry`` that takes rationals or ``Polynomial`` entries, so the
+volume polynomial of a chamber can be rebuilt from ``Polynomial`` products.
 """
 
 import itertools
@@ -674,3 +677,23 @@ def reference_decompose(surface, d):
         support=tuple(support),
         support_gram=gram,
     )
+
+
+def reference_triple_product(model, a, b, c):
+    """Full symmetric contraction; entries may be rationals or polynomials."""
+    r = model.rank
+    a, b, c = list(a), list(b), list(c)
+    if len(a) != r or len(b) != r or len(c) != r:
+        raise InvalidModel("class vectors must match the basis size")
+    total = None
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                coeff = model.entry(i, j, k)
+                if coeff == 0:
+                    continue
+                term = a[i] * b[j] * c[k] * coeff
+                total = term if total is None else total + term
+    if total is None:
+        return Q(0)
+    return total

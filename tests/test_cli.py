@@ -180,6 +180,10 @@ class TestMalformedLatticeInput:
             ("lattice", "search", "--form", "-22 + 28*c - 8*c^2", "--op", ">", "--box", "d=1..2"),
             ("lattice", "search", "--form", "c^", "--op", ">", "--box", "c=1..2"),
             ("lattice", "search", "--form", "c/0", "--op", ">", "--box", "c=1..2"),
+            ("lattice", "search", "--form", "2**", "--op", ">", "--box", "c=1..2"),
+            ("lattice", "search", "--form", "c + )", "--op", ">", "--box", "c=1..2"),
+            ("lattice", "search", "--form", "(c+1)^3200", "--op", ">", "--box", "c=2..2"),
+            ("lattice", "search", "--form", "(" * 5000 + "c" + ")" * 5000, "--op", ">", "--box", "c=1..2"),
         ],
     )
     def test_usage_error_is_64(self, capsys, argv):

@@ -85,7 +85,7 @@ def _grammar(files):
             "--sub": _values(["1 0 0; 0 1 0", "1 0; 0 1", "0 0 1"], ["1 0", "1 0 0; 2 0 0", "0 0 0", "x", ""]),
         }, ("--sub",)),
         "lattice search": (["lattice", "search"], {
-            "--form": _values(["-22 + 28*c - 8*c^2", "a^2 - 2*b^2 - 1", "c"], ["c^3 - 2", "c^", "c/0", "c d e", ""]),
+            "--form": _values(["-22 + 28*c - 8*c^2", "a^2 - 2*b^2 - 1", "c"], ["c^3 - 2", "c^", "c/0", "c d e", "", "2**", "c + )", "(c+1)^3200"]),
             "--op": st.sampled_from([">", ">=", "<", "<=", "==", "=", "!"]),
             "--box": _values(["c=-100..100", "c=5..1", "a=1..3,b=-3..-1"], ["c=0..10000000", "c=a..2", "c", "d=1..2"]),
         }, {"--form", "--op", "--box"}),

@@ -2,14 +2,16 @@
 and the import graph.
 
 A class or family of the wrong length is an InvalidModel, not a wrong
-answer or a bare IndexError.  The split-depth guard of the certified-cell
-loop raises WallCrossingDegeneracy for one- and two-parameter families
-alike.  Every entry point the benchmark tracer rebinds must exist, since
+answer or a bare IndexError, and an unknown class, divisor or model name is
+an UnknownLabel, a KstabError that is also a KeyError.  The split-depth
+guard of the certified-cell loop raises WallCrossingDegeneracy for one- and
+two-parameter families alike.  Every entry point the benchmark tracer rebinds must exist, since
 the tracer looks each one up with no guard.  A command imports only its
 own layer: the package loads names on first use, ``cli`` imports each
 layer inside the command that uses it, and the lattice layer does not pull
-in the chamber layers.  No library module holds an ``assert``, which
-``python -O`` would strip.
+in the chamber layers.  No command and no layer imports ``dataclasses`` or
+``inspect``.  No library module holds an ``assert``, which ``python -O``
+would strip.
 """
 
 import ast
@@ -24,8 +26,9 @@ import pytest
 
 import kstab
 from kstab import toric, zariski
-from kstab.errors import InvalidModel, WallCrossingDegeneracy
+from kstab.errors import InvalidModel, KstabError, UnknownLabel, WallCrossingDegeneracy
 from kstab.intersect import bl_p3_quintic, dp4_surface
+from kstab.models import preset
 from kstab.poly import Polynomial
 
 T = Polynomial.var("t")
@@ -53,6 +56,24 @@ class TestWrongLength:
         with pytest.raises(InvalidModel, match="basis size"):
             model.class_vector((1,) * (model.rank + 1))
         assert model.class_vector((1,) * model.rank) == (1,) * model.rank
+
+
+class TestUnknownLabels:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: zariski.threefold_volume_certified(preset("bl_p3_quintic"), "nosuch"),
+            lambda: zariski.zariski_decompose(preset("dp4"), "nosuch"),
+            lambda: zariski.pseff_threshold(preset("dp4"), "L", "nosuch"),
+            lambda: preset("nosuch"),
+        ],
+        ids=["threefold-class", "surface-class", "surface-direction", "preset"],
+    )
+    def test_a_typed_error_that_is_still_a_key_error(self, call):
+        with pytest.raises(UnknownLabel, match="nosuch") as info:
+            call()
+        assert isinstance(info.value, KstabError) and isinstance(info.value, KeyError)
+        assert str(info.value).startswith("unknown")  # no KeyError quoting
 
 
 class TestSplitGuard:
@@ -100,6 +121,18 @@ def _kstab_modules_after(statement: str) -> set[str]:
     return set(proc.stdout.split())
 
 
+def _imported_by(*args: str) -> set[str]:
+    """Every module a fresh interpreter imports while running ``python args``.
+
+    ``-X importtime`` lists each import on stderr, the interpreter's own
+    start-up included.
+    """
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {ln.rsplit("|", 1)[1].strip() for ln in proc.stderr.splitlines() if ln.startswith("import time:")}
+
+
 def _executed_at_import(tree: ast.Module):
     """Every node of a module outside function bodies."""
     stack = list(tree.body)
@@ -121,7 +154,7 @@ class TestImportGraph:
         assert not loaded & {"kstab.poly", "kstab.zariski", "kstab.lp", "kstab.intersect", "kstab.verify"}
 
     def test_every_public_name_resolves(self):
-        assert len(kstab.__all__) == 97
+        assert len(kstab.__all__) == 98
         for name in kstab.__all__:
             assert getattr(kstab, name) is not None, name
         assert kstab.polytope_volume is toric.volume
@@ -137,7 +170,7 @@ class TestImportGraph:
     def test_submodules_import_as_before(self):
         assert isinstance(toric, types.ModuleType) and toric.__name__ == "kstab.toric"
         assert kstab.lp is importlib.import_module("kstab.lp")
-        assert _kstab_modules_after("from kstab import toric") == {"kstab", "kstab.errors", "kstab.rationals", "kstab.toric"}
+        assert _kstab_modules_after("from kstab import toric") == {"kstab", "kstab.errors", "kstab.rationals", "kstab.records", "kstab.toric"}
 
     def test_an_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="nosuch"):
@@ -152,6 +185,24 @@ class TestImportGraph:
                 relative.add(node.module)
             assert not (isinstance(node, ast.Import) and any(a.name.startswith("kstab") for a in node.names))
         assert relative == {"errors", "rationals"}
+
+    @pytest.mark.parametrize(
+        "args",
+        [("-m", "kstab.cli", "lattice", "disc", "--gram", "22 0; 0 -2"), ("-c", "import kstab.verify")],
+        ids=["lattice-disc", "import-verify"],
+    )
+    def test_no_dataclasses_or_inspect(self, args):
+        # the result records are built without dataclasses, which imports inspect
+        imported = _imported_by(*args)
+        assert "kstab.rationals" in imported
+        assert not imported & {"dataclasses", "inspect"}
+
+    @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+    def test_no_dataclasses_in_the_library(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            assert "dataclasses" not in names + [getattr(node, "module", None)]
 
     @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
     def test_no_assert_in_the_library(self, path):

@@ -3,7 +3,10 @@
 The closed form (4H - E)^3 = 62 - 8d + 2g for blowups of P^3 along curves
 is implemented here independently of the tensor contraction, per the
 dual-route requirement; restriction Grams are checked against values
-computed by hand from the preset tensors.
+computed by hand from the preset tensors.  The integer cubic form behind
+``triple_product`` and ``affine_cube`` is compared with the r^3 loop of
+``Polynomial`` products it replaced (``oracles.reference_triple_product``)
+on random classes, random affine chambers and every declared chamber.
 """
 
 import itertools
@@ -11,9 +14,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kstab.errors import InvalidModel
 from kstab.intersect import (
+    ThreefoldModel,
+    affine_cube,
     anticanonical_volume,
     bl_p3_quintic,
     blowup_node,
@@ -25,7 +31,9 @@ from kstab.intersect import (
     sing_line_model,
     triple_product,
 )
-from kstab.poly import Polynomial, parse_polynomial
+from kstab.models import preset
+from kstab.poly import Polynomial
+from oracles import reference_triple_product
 
 
 class TestTripleProduct:
@@ -57,13 +65,71 @@ class TestTripleProduct:
             shifted = tuple(x + y for x, y in zip(a, b))
             assert triple_product(m, shifted, b, c) == base + triple_product(m, b, b, c)
 
-    def test_polynomial_entries(self):
+    def test_affine_family_cube(self):
         # (A - tE)^3 on the singular-line model = 22 - 6t^2 - 4t^3
         m = sing_line_model(12, 0)
+        assert affine_cube(m, (1, 0), (0, -1)) == (22, 0, -6, -4)
+
+    def test_polynomial_entries_are_rejected(self):
         t = Polynomial.var("t")
-        family = (Polynomial.constant(1, ("t",)), -t)
-        cubic = triple_product(m, family, family, family)
-        assert cubic == parse_polynomial("22 - 6*t^2 - 4*t^3")
+        with pytest.raises(TypeError):
+            triple_product(sing_line_model(12, 0), (1, -t), (1, 0), (1, 0))
+
+
+THREEFOLD_PRESETS = ("bl_node_22", "bl_p3_quintic", "bl_v4_conic", "sing_line")
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def threefold_models(draw):
+    """Every threefold preset, sing_line(g, k) for any g >= 3 and k >= 0, and random forms."""
+    kind = draw(st.sampled_from(THREEFOLD_PRESETS + ("sing_line(g,k)", "random")))
+    if kind == "sing_line(g,k)":
+        return preset(f"sing_line({draw(st.integers(3, 40))},{draw(st.integers(0, 12))})")
+    if kind == "random":
+        r = draw(st.integers(1, 4))
+        keys = list(itertools.combinations_with_replacement(range(r), 3))
+        triple = {key: draw(fractions) for key in keys if draw(st.booleans())}
+        return ThreefoldModel("random", [f"b{i}" for i in range(r)], triple, [1] * r)
+    return preset(kind)
+
+
+def _vectors(draw, model, n):
+    return [tuple(draw(fractions) for _ in range(model.rank)) for _ in range(n)]
+
+
+class TestAgainstThePolynomialContraction:
+    """The integer form against the r^3 loop it replaced, frozen in oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_triple_product(self, data):
+        model = data.draw(threefold_models())
+        a, b, c = _vectors(data.draw, model, 3)
+        assert triple_product(model, a, b, c) == reference_triple_product(model, a, b, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_affine_chambers(self, data):
+        model = data.draw(threefold_models())
+        p0, p1 = _vectors(data.draw, model, 2)
+        t = Polynomial.var("t")
+        p_t = [Polynomial.constant(x, ("t",)) + y * t for x, y in zip(p0, p1)]
+        cubic = reference_triple_product(model, p_t, p_t, p_t)
+        cubic = cubic if isinstance(cubic, Polynomial) else Polynomial.constant(cubic, ("t",))
+        assert affine_cube(model, p0, p1) == tuple(cubic.coefficient((k,)) for k in range(4))
+
+    @pytest.mark.parametrize("name", THREEFOLD_PRESETS + ("sing_line(12,1)", "sing_line(12,2)", "sing_line(10,1)"))
+    def test_declared_chambers(self, name):
+        from kstab.zariski import threefold_volume_certified
+
+        model = preset(name)
+        t = Polynomial.var("t")
+        for divisor, chambers in model.chambers.items():
+            vf = threefold_volume_certified(model, divisor)
+            for piece, ch in zip(vf.pw.pieces, chambers):
+                p_t = [Polynomial.constant(x, ("t",)) + y * t for x, y in zip(ch.p0, ch.p1)]
+                assert piece.poly == reference_triple_product(model, p_t, p_t, p_t)
 
 
 class TestBlowupPresets:

@@ -145,6 +145,33 @@ class TestSmith:
         assert abs(_int_det(u)) == 1
         assert abs(_int_det(v)) == 1
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda m: st.integers(1, 4).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(-12, 12) | st.just(0), min_size=n, max_size=n), min_size=m, max_size=m
+                )
+            )
+        )
+    )
+    @example([[0, 0, 0], [0, 0, 0]])
+    @example([[4], [6]])
+    def test_snf_against_sympy(self, matrix):
+        # sympy's Smith form (its diagonal, up to sign) and its integer
+        # matrix algebra are the independent route
+        import sympy
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        u, d, v = smith_normal_form(matrix)
+        a = sympy.Matrix(matrix)
+        assert sympy.Matrix(u) * a * sympy.Matrix(v) == sympy.Matrix(d)
+        assert sympy.Matrix(u).det() in (1, -1) and sympy.Matrix(v).det() in (1, -1)
+        diagonal = [d[i][i] for i in range(min(a.shape))]
+        assert diagonal == [abs(x) for x in sympy_snf(a, domain=sympy.ZZ).diagonal()]
+        assert all(x >= 0 for x in diagonal)
+        assert all(y % x == 0 for x, y in zip(diagonal, diagonal[1:]) if x)
+
 
 def _int_det(m):
     from kstab.rationals import det

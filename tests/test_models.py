@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kstab.errors import ModelFileError
-from kstab.intersect import SurfaceModel, ThreefoldModel
+from kstab.intersect import Chamber, SurfaceModel, ThreefoldModel
 from kstab.models import (
     PRESET_NAMES,
     format_class,
@@ -80,10 +80,53 @@ class TestClassExpr:
     def test_signs_compose(self, text, vec):
         assert parse_class_expr(text, ("L", "e1")) == vec
 
-    @pytest.mark.parametrize("text", ["L e1", "L 2", "L * e1", "1/0", "1/0 L", "L -"])
+    @pytest.mark.parametrize("text", ["L e1", "L 2", "L * e1", "1/0", "1/0 L", "L -", pytest.param("9" * 5000 + " L", id="5000-digits")])
     def test_malformed_is_model_file_error(self, text):
         with pytest.raises(ModelFileError):
             parse_class_expr(text, ("L", "e1"))
+
+
+numbers = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+labels = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True)
+
+
+@st.composite
+def model_variants(draw):
+    """A preset, or sing_line(g, k), with its declared data redrawn at random.
+
+    Threefolds get a random form, anticanonical class, curves, effective
+    classes, divisors and chamber tables; surfaces keep their Gram and
+    negative curves (whose squares must stay negative) and get a random
+    canonical class and effective cone.
+    """
+    name = draw(st.sampled_from(PRESET_NAMES + ("sing_line(g,k)",)))
+    if name == "sing_line(g,k)":
+        name = f"sing_line({draw(st.integers(3, 40))},{draw(st.integers(0, 12))})"
+    model = preset(name)
+    if not draw(st.booleans()):
+        return model
+    r = model.rank
+    vec = st.tuples(*[numbers] * r)
+    labelled = st.dictionaries(labels, vec, max_size=3)
+    if isinstance(model, SurfaceModel):
+        return SurfaceModel(
+            model.name, model.basis, model.gram, canonical=draw(st.none() | vec),
+            negative_curves=model.negative_curves, eff_generators=draw(labelled),
+        )
+    keys = st.tuples(*[st.integers(0, r - 1)] * 3).map(lambda k: tuple(sorted(k)))
+    chamber = st.builds(Chamber, numbers, numbers, vec, vec)
+    return ThreefoldModel(
+        model.name, model.basis, draw(st.dictionaries(keys, numbers)), draw(vec),
+        curves=draw(labelled), effective_classes=draw(labelled), divisors=draw(labelled),
+        chambers=draw(st.dictionaries(labels, st.lists(chamber, max_size=3).map(tuple), max_size=2)),
+    )
+
+
+def _model_data(model):
+    if isinstance(model, SurfaceModel):
+        return (model.name, model.basis, model.gram, model.canonical, model.negative_curves, model.eff_generators)
+    return (model.name, model.basis, model.triple, model.anticanonical, model.curves, model.effective_classes,
+            model.divisors, model.chambers)
 
 
 class TestRoundTrip:
@@ -95,6 +138,21 @@ class TestRoundTrip:
         text = serialize_model(model)
         parsed = parse_model(text)
         assert serialize_model(parsed) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_serialize_parse_round_trip(self, data):
+        model = data.draw(model_variants())
+        text = serialize_model(model)
+        parsed = parse_model(text)
+        assert serialize_model(parsed) == text
+        assert _model_data(parsed) == _model_data(model)
+
+    def test_empty_cone_with_curves_round_trips(self):
+        dp4 = preset("dp4")
+        model = SurfaceModel("dp4", dp4.basis, dp4.gram, negative_curves=dp4.negative_curves, eff_generators={})
+        parsed = parse_model(serialize_model(model))
+        assert parsed.eff_generators == {} and parsed.negative_curves == dp4.negative_curves
 
     def test_parsed_model_computes(self):
         from kstab.invariants import s_invariant

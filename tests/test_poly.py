@@ -3,14 +3,21 @@
 Expected values for the integration examples were frozen from an
 independent antiderivative computation (power rule by hand) before the
 engine existed; the quadrature cross-check lives in test_properties.py.
+Sum, product, power, substitution and integration are also compared with
+sympy on random polynomials, and canonical strings round-trip through the
+parser.
 """
 
 from fractions import Fraction as Q
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from kstab.errors import DomainError, IrrationalWall
 from kstab.poly import (
+    MAX_PARSED_BITS,
+    MAX_PARSED_DEGREE,
     PiecewisePolynomial,
     Polynomial,
     check_c1,
@@ -85,6 +92,116 @@ class TestPolynomialArithmetic:
 
     def test_derivative(self):
         assert P("22 - 6*t^2 - 4*t^3").derivative("t") == P("-12*t - 12*t^2")
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text", ["2**", "x + )", "x * / 2", "^2", "(", "x + ^", "x²"])
+    def test_an_operator_is_not_a_variable(self, text):
+        with pytest.raises(ValueError):
+            P(text)
+
+    def test_identifiers_and_integers_still_parse(self):
+        assert P("x_1 + 2*y2").vars == ("x_1", "y2")
+        assert P("(2)") == 2
+
+    @pytest.mark.parametrize(
+        "text", ["(c+1)^3200", "c^65", "c^8^9", "c^2*c^63", "(c^33)^2", "c^99999999999999999999", "2^65"]
+    )
+    def test_degree_cap(self, text):
+        with pytest.raises(ValueError, match=str(MAX_PARSED_DEGREE)):
+            P(text)
+
+    def test_deep_nesting(self):
+        with pytest.raises(ValueError, match="nested"):
+            P("(" * 5000 + "c" + ")" * 5000)
+        assert P("(" * 50 + "c" + ")" * 50) == P("c")
+
+    def test_coefficient_cap(self):
+        with pytest.raises(ValueError, match=str(MAX_PARSED_BITS)):
+            P("(((((2^64)^64)^64)^64)^64)")
+
+    def test_up_to_the_caps(self):
+        assert P("(c+1)^64").degree() == 64
+        assert P("c^8^8") == P("c^64") == P("c^32*c^32")
+        assert P("c^2^3^0") == 1
+        assert P("2^64") == 2**64
+        assert P("(2^32)^64") == 2**2048
+
+
+# -- differential tests against sympy --------------------------------------
+
+VARIABLE_SETS = (("t",), ("s", "t"), ("u", "v"), ("x_1", "y2"))
+coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def polynomials(draw, variables=None, max_degree=3):
+    variables = variables if variables is not None else draw(st.sampled_from(VARIABLE_SETS))
+    exps = st.tuples(*[st.integers(0, max_degree)] * len(variables))
+    return Polynomial(variables, draw(st.dictionaries(exps, coefficients, max_size=5)))
+
+
+def to_sympy(p):
+    if not isinstance(p, Polynomial):
+        return sympy.Rational(p.numerator, p.denominator)
+    syms = sympy.symbols(p.vars) if p.vars else ()
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(syms, exp)))
+        for exp, c in p.coeffs.items()
+    ))
+
+
+def same(ours, theirs):
+    return sympy.expand(to_sympy(ours) - theirs) == 0
+
+
+class TestAgainstSympy:
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials(), polynomials())
+    def test_add_and_multiply(self, p, q):
+        if len(set(p.vars) | set(q.vars)) > 2:
+            with pytest.raises(ValueError):
+                p + q
+            return
+        assert same(p + q, to_sympy(p) + to_sympy(q))
+        assert same(p - q, to_sympy(p) - to_sympy(q))
+        assert same(p * q, to_sympy(p) * to_sympy(q))
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomials(max_degree=2), st.integers(0, 5))
+    def test_power(self, p, n):
+        assert same(p**n, to_sympy(p) ** n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_subs(self, data):
+        p = data.draw(polynomials(("s", "t")))
+        var, rest = data.draw(st.sampled_from((("s", "t"), ("t", "s"))))
+        replacement = data.draw(polynomials((rest,)) | coefficients)
+        expected = to_sympy(p).subs(sympy.Symbol(var), to_sympy(replacement))
+        assert same(p.subs(var, replacement), expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_integrate(self, data):
+        p = data.draw(polynomials(("s", "t")))
+        bounds = polynomials(("t",), max_degree=2) | coefficients
+        lo, hi = data.draw(bounds), data.draw(bounds)
+        expected = sympy.integrate(to_sympy(p), (sympy.Symbol("s"), to_sympy(lo), to_sympy(hi)))
+        assert same(p.integrate("s", lo, hi), expected)
+        # a univariate integral is a rational
+        f = data.draw(polynomials(("t",)))
+        a, b = data.draw(coefficients), data.draw(coefficients)
+        value = f.integrate("t", a, b)
+        assert isinstance(value, Q) and same(value, sympy.integrate(to_sympy(f), (sympy.Symbol("t"), a, b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(max_degree=5))
+def test_format_parse_round_trip(p):
+    text = format_polynomial(p)
+    assert parse_polynomial(text, p.vars) == p
+    assert format_polynomial(parse_polynomial(text, p.vars)) == text
 
 
 class TestRoots:
