@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -180,18 +180,25 @@ class SurfaceModel:
         self.canonical = qvec(canonical) if canonical is not None else None
         self.negative_curves = {k: qvec(v) for k, v in (negative_curves or {}).items()}
         # Gram * C for every declared curve, as integer rows over one common
-        # denominator, so that a class meets every curve in integer dots
+        # denominator, so that a class meets every curve in integer dots;
+        # each row is itself integer dots, on the Gram scaled to integers once
         self.curve_labels = tuple(sorted(self.negative_curves))
-        gcs = []
+        flat, gram_den = _scaled([x for row in rows for x in row])
+        int_gram = [flat[i * r:(i + 1) * r] for i in range(r)]
+        gcs = []  # (numerators, denominator) in lowest terms
         for label in self.curve_labels:
             cls = self.negative_curves[label]
             if len(cls) != r:
                 raise InvalidModel("class vectors must match the basis size")
-            gcs.append(self.gram_vector(cls))
-            if dot(cls, gcs[-1]) >= 0:
+            ints, den = _scaled(cls)
+            gc = [sum(map(mul, row, ints)) for row in int_gram]
+            if sum(map(mul, ints, gc)) >= 0:
                 raise InvalidModel(f"declared negative curve {label!r} has square >= 0")
-        self._gc_den = lcm(*(x.denominator for gc in gcs for x in gc))
-        self._gc_rows = [tuple(x.numerator * (self._gc_den // x.denominator) for x in gc) for gc in gcs]
+            den *= gram_den
+            g = gcd(den, *gc)
+            gcs.append(([x // g for x in gc], den // g))
+        self._gc_den = lcm(*(den for _, den in gcs))
+        self._gc_rows = [tuple(x * (self._gc_den // den) for x in gc) for gc, den in gcs]
         if eff_generators is None:
             eff_generators = dict(self.negative_curves)
         self.eff_generators = {k: qvec(v) for k, v in eff_generators.items()}

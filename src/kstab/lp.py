@@ -1,11 +1,18 @@
-"""Tiny exact linear programming over the rationals.
+"""Tiny exact linear programming over the rationals, with checked answers.
 
-A two-phase dense simplex with Bland's rule: deterministic, exact, and
-entirely adequate for the cone problems this engine meets (at most six
-equality constraints and a couple of dozen nonnegative variables).  Used
+A two-phase dense simplex for the cone problems this engine meets (at most
+nine equality constraints and a few hundred nonnegative variables).  Used
 for effective-cone membership and for pseudo-effective thresholds, where
-the optimal basis doubles as a certificate that can be re-solved with a
-symbolic parameter.
+the optimal basis and its dual prove the threshold on a whole interval of
+a parameter (``zariski._parametric_threshold``).
+
+Pricing is Dantzig's rule: the entering column has the largest reduced
+cost, the lowest index on ties; the leaving row has the smallest ratio,
+ties to the smallest basic index.  After a degenerate pivot (one whose row
+has right-hand side 0) the entering column is Bland's, the lowest index
+with a positive reduced cost, until the next nondegenerate pivot.  Bland's
+rule cannot cycle within one degenerate vertex, and the objective rises
+strictly from vertex to vertex, so the method terminates.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): one integer
 matrix T and one common denominator D > 0, the last pivot, so that T/D is
@@ -13,17 +20,29 @@ the rational tableau.  Constraint rows are scaled to integers, and
 redundant ones dropped, before the simplex starts.  A pivot on p updates
 every other row as (x*p - f*y) // D; the division is exact because D is,
 up to sign, the determinant of the current basis, and a remainder raises
-InvariantViolation rather than going on with a wrong tableau.  Scaling a
-row by a positive integer changes no ratio and no sign of a reduced cost,
-so Bland's rule makes the same pivots as on a tableau of Fractions, and
-the returned value, solution and basis are the same.  Artificial columns
-are never priced, so the tableau does not carry them.
+InvariantViolation rather than going on with a wrong tableau.  Artificial
+columns are never priced, so the tableau does not carry them.
+
+The simplex is not trusted; its answers are (exact LP by verifying a
+basis, Applegate-Cook-Dash-Espinoza 2007).  Every tableau row also carries
+the integer combination of the caller's rows that it is: an identity block
+that goes through the reduction and every pivot unpriced, so the objective
+row names the dual.  Before an answer leaves this module it is checked
+against the caller's a, b and c, each row scaled to integers, by integer
+dot products alone, and a failed check raises InvariantViolation:
+
+- an optimum: x >= 0 with a*x = b, and a dual y with y*a >= c and
+  y*b = c*x (``LPResult.dual``);
+- Infeasible: a Farkas y with y*a >= 0 and y*b < 0 (``Infeasible.farkas``),
+  also when the reduction finds a row 0 = nonzero;
+- Unbounded: a ray r >= 0 with a*r = 0 and c*r > 0 (``Unbounded.ray``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -32,17 +51,28 @@ from .records import Record
 
 
 class Infeasible(Exception):
-    pass
+    """No x >= 0 solves a*x = b; ``farkas`` is a y with y*a >= 0 and y*b < 0."""
+
+    def __init__(self, farkas: tuple[Fraction, ...] = ()):
+        super().__init__()
+        self.farkas = farkas
 
 
 class Unbounded(Exception):
-    pass
+    """c*x has no maximum on the feasible set; ``ray`` is an r >= 0 with a*r = 0 and c*r > 0."""
+
+    def __init__(self, ray: tuple[Fraction, ...] = ()):
+        super().__init__()
+        self.ray = ray
 
 
 class LPResult(Record):
+    """An optimum x, its value c*x, its basis and a dual y with y*a >= c and y*b = c*x."""
+
     value: Fraction
     x: tuple[Fraction, ...]
     basis: tuple[int, ...]
+    dual: tuple[Fraction, ...]
 
 
 def _pivot(tab: list[list[int]], basis: list[int], denom: int, row: int, col: int) -> int:
@@ -63,16 +93,23 @@ def _pivot(tab: list[list[int]], basis: list[int], denom: int, row: int, col: in
     return p
 
 
-def _run_simplex(tab: list[list[int]], basis: list[int], denom: int, ncols: int) -> int:
-    # maximize; objective row is last, stored as z-row coefficients
-    # (reduced costs) over denom > 0; Bland's rule: smallest eligible
-    # structural column, then smallest ratio, ties to the smallest basic
-    # index.  Ratios rhs/a are compared by cross-multiplying.
+def _run_simplex(tab: list[list[int]], basis: list[int], denom: int, ncols: int) -> tuple[int, int | None]:
+    """Pivot to an optimum: returns the denominator, and None or an unbounded column.
+
+    The objective row is last, as reduced costs over denom > 0 to maximize;
+    the right-hand side is the last column, and only the first ncols
+    columns are priced.  Ratios rhs/a are compared by cross-multiplying.
+    """
+    bland = False
     while True:
         obj = tab[-1]
-        col = next((j for j in range(ncols) if obj[j] > 0), None)
+        if bland:
+            col = next((j for j in range(ncols) if obj[j] > 0), None)
+        else:
+            top = max(obj[:ncols], default=0)
+            col = obj.index(top) if top > 0 else None
         if col is None:
-            return denom
+            return denom, None
         best_row = None
         for r in range(len(tab) - 1):
             a = tab[r][col]
@@ -85,15 +122,59 @@ def _run_simplex(tab: list[list[int]], basis: list[int], denom: int, ncols: int)
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[best_row]):
                     best_row = r
         if best_row is None:
-            raise Unbounded()
+            return denom, col
+        bland = tab[best_row][-1] == 0
         denom = _pivot(tab, basis, denom, best_row, col)
 
 
-def _integer_row(values: Sequence[Fraction]) -> list[int]:
-    """The values times the least positive integer that clears their denominators."""
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times the least positive integer that clears their denominators, and that integer."""
     qs = [to_q(v) for v in values]
-    scale = lcm(*(q.denominator for q in qs))
-    return [q.numerator * (scale // q.denominator) for q in qs]
+    scale = lcm(*[q.denominator for q in qs])
+    if scale == 1:
+        return [q.numerator for q in qs], 1
+    return [q.numerator * (scale // q.denominator) for q in qs], scale
+
+
+# -- certificates: integer dot products against the caller's rows [a | b] --------
+
+
+def _optimum(
+    rows: list[list[int]], scales: list[int], cost: list[int], cscale: int,
+    xs: list[int], denom: int, u: list[int], basis: Sequence[int],
+) -> LPResult:
+    """The checked optimum x = xs/denom of max cost*x, with the dual u/denom.
+
+    rows are the caller's rows [a | b], row i scaled by scales[i], and cost
+    is c scaled by cscale; u is a dual of the scaled problem.
+    """
+    if any(v < 0 for v in xs) or any(sum(map(mul, row, xs)) != denom * row[-1] for row in rows):
+        raise InvariantViolation("the simplex optimum is not a feasible point")
+    ua = [sum(map(mul, u, col)) for col in zip(*rows)] if rows else [0]  # u*[a | b]
+    cx = sum(map(mul, cost, xs))
+    if ua[-1] != cx or any(v < denom * cj for v, cj in zip(ua, cost)):
+        raise InvariantViolation("the simplex optimum has no dual certificate")
+    return LPResult(
+        Fraction(cx, denom * cscale),
+        tuple(Fraction(v, denom) for v in xs),
+        tuple(sorted(j for j in basis if j < len(cost))),
+        tuple(Fraction(ui * s, denom * cscale) for ui, s in zip(u, scales)),
+    )
+
+
+def _infeasible(rows: list[list[int]], scales: list[int], y: list[int]) -> Infeasible:
+    """Infeasible, once y is checked to be a Farkas functional of the scaled rows."""
+    ya = [sum(map(mul, y, col)) for col in zip(*rows)]  # y*[a | b]
+    if ya[-1] >= 0 or any(v < 0 for v in ya[:-1]):
+        raise InvariantViolation("the simplex found no Farkas certificate of infeasibility")
+    return Infeasible(tuple(Fraction(yi * s) for yi, s in zip(y, scales)))
+
+
+def _unbounded(rows: list[list[int]], cost: list[int], ray: list[int], denom: int) -> Unbounded:
+    """Unbounded, once ray is checked to be an improving ray of the scaled problem."""
+    if any(v < 0 for v in ray) or any(sum(map(mul, row, ray)) for row in rows) or sum(map(mul, cost, ray)) <= 0:
+        raise InvariantViolation("the simplex found no improving ray of unboundedness")
+    return Unbounded(tuple(Fraction(v, denom) for v in ray))
 
 
 def solve_equality_lp(
@@ -103,17 +184,25 @@ def solve_equality_lp(
 ) -> LPResult:
     """Maximize c*x subject to a*x = b, x >= 0 (all data exact rationals).
 
-    Raises Infeasible or Unbounded.  Redundant constraint rows are removed
-    up front so the optimal basis is always a genuine invertible column set.
+    Raises Infeasible or Unbounded, each with its certificate.  Redundant
+    constraint rows are removed up front so the optimal basis is always a
+    genuine invertible column set.
     """
     ncols = len(a[0]) if a else 0
-    # integer rows [a | b], each reduced against the rows kept before it
-    # so it vanishes in their lead columns; dependent rows are dropped
-    # (inconsistent ones mean infeasible)
+    nrows = len(a)
+    scaled = [_integer_row([*row, bi]) for row, bi in zip(a, b)]
+    rows = [r for r, _ in scaled]
+    scales = [s for _, s in scaled]
+    cost, cscale = _integer_row(c)
+    # tableau rows [a-part | transform | rhs], the transform being the
+    # combination of the caller's rows that the row is; each row is
+    # reduced against the rows kept before it so it vanishes in their lead
+    # columns, and dependent rows are dropped (inconsistent ones mean
+    # infeasible)
     tab: list[list[int]] = []
     leads: list[int] = []
-    for row, bi in zip(a, b):
-        r = _integer_row([*row, bi])
+    for i, row in enumerate(rows):
+        r = row[:ncols] + [int(k == i) for k in range(nrows)] + row[ncols:]
         for prev, lead in zip(tab, leads):
             f = r[lead]
             if f:
@@ -121,32 +210,32 @@ def solve_equality_lp(
                 r = [x * p - f * y for x, y in zip(r, prev)]
         lead = next((j for j in range(ncols) if r[j]), None)
         if lead is None:
-            if r[ncols]:
-                raise Infeasible()
+            if r[-1]:
+                # 0 = nonzero: the transform, signed so that y*b < 0
+                raise _infeasible(rows, scales, [-x if r[-1] > 0 else x for x in r[ncols:-1]])
             continue
         # lowest terms, with b >= 0 (and a positive lead when b = 0)
         g = gcd(*r)
-        if r[ncols] < 0 or (r[ncols] == 0 and r[lead] < 0):
+        if r[-1] < 0 or (r[-1] == 0 and r[lead] < 0):
             g = -g
         tab.append([x // g for x in r])
         leads.append(lead)
     m = len(tab)
     if m == 0:
-        if any(x > 0 for x in c):
-            # all-zero constraints: any x works, unbounded unless c <= 0
-            raise Unbounded()
-        return LPResult(Q(0), tuple([Q(0)] * ncols), ())
+        # every row of a is 0, so any x >= 0 is feasible
+        col = next((j for j in range(ncols) if cost[j] > 0), None)
+        if col is not None:
+            raise _unbounded(rows, cost, [int(j == col) for j in range(ncols)], 1)
+        return _optimum(rows, scales, cost, cscale, [0] * ncols, 1, [0] * nrows, ())
     basis = [ncols + i for i in range(m)]
-    # phase 1: maximize -sum(artificials) of the rows normalised to a lead
-    # entry of +-1 (other row weights would change Bland's pivots); row i
-    # is |lead_i| times its normalised row, so weights lcm/|lead_i| give an
-    # integer z-row
-    weights = [abs(row[lead]) for row, lead in zip(tab, leads)]
-    common = lcm(*weights)
-    tab.append([sum(common // w * row[j] for w, row in zip(weights, tab)) for j in range(ncols + 1)])
-    denom = _run_simplex(tab, basis, 1, ncols)
+    # phase 1: maximize -sum(artificials); the z-row is the sum of the rows
+    tab.append([sum(col) for col in zip(*tab)])
+    denom, col = _run_simplex(tab, basis, 1, ncols)
+    if col is not None:
+        raise InvariantViolation("phase 1 of the simplex cannot be unbounded")
     if tab[-1][-1] != 0:
-        raise Infeasible()
+        # the z-row is w*[a | b] with w*a <= 0 and w*b > 0
+        raise _infeasible(rows, scales, [-x for x in tab[-1][ncols:-1]])
     # pivot any artificial variables out of the basis
     for r in range(m):
         if basis[r] >= ncols:
@@ -158,21 +247,28 @@ def solve_equality_lp(
                 denom = -denom
                 tab[:] = [[-x for x in row] for row in tab]
     tab.pop()
-    # phase 2: maximize c, scaled to integers, as reduced costs over denom
-    cost = _integer_row(c) + [0]
-    zrow = [denom * x for x in cost]
+    # phase 2: maximize c, scaled to integers, as reduced costs over denom;
+    # the z-row is [denom*c - u*a | -u | -u*b] for the dual u
+    zrow = [denom * x for x in cost] + [0] * (nrows + 1)
     for r in range(m):
         factor = cost[basis[r]] if basis[r] < ncols else 0
         if factor:
             zrow = [x - factor * y for x, y in zip(zrow, tab[r])]
     tab.append(zrow)
-    denom = _run_simplex(tab, basis, denom, ncols)
-    x = [Q(0)] * ncols
+    denom, col = _run_simplex(tab, basis, denom, ncols)
+    if col is not None:
+        # raising column col keeps every basic variable >= 0
+        ray = [0] * ncols
+        ray[col] = denom
+        for r in range(m):
+            if basis[r] < ncols:
+                ray[basis[r]] = -tab[r][col]
+        raise _unbounded(rows, cost, ray, denom)
+    xs = [0] * ncols
     for r in range(m):
         if basis[r] < ncols:
-            x[basis[r]] = Q(tab[r][-1], denom)
-    value = sum((to_q(ci) * xi for ci, xi in zip(c, x)), Q(0))
-    return LPResult(value, tuple(x), tuple(sorted(b_ for b_ in basis if b_ < ncols)))
+            xs[basis[r]] = tab[r][-1]
+    return _optimum(rows, scales, cost, cscale, xs, denom, [-x for x in tab[-1][ncols:-1]], basis)
 
 
 def in_cone(generators: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
@@ -199,9 +295,9 @@ def max_shift(
     """Maximize s >= 0 with base + s*direction in the generator cone.
 
     The first LP variable is s; the optimal basis (column indices into
-    [s, generators...]) certifies the answer and supports parametric
-    re-solving.  Raises Infeasible when even s = 0 fails, Unbounded when
-    the direction never leaves the cone.
+    [s, generators...]) and the dual certify the answer and support
+    parametric re-solving.  Raises Infeasible when even s = 0 fails,
+    Unbounded when the direction never leaves the cone.
     """
     n = len(base)
     cols = [[-to_q(direction[i])] + [to_q(g[i]) for g in generators] for i in range(n)]

@@ -47,7 +47,7 @@ from .errors import (
     WallCrossingDegeneracy,
 )
 from .intersect import Chamber, SurfaceModel, ThreefoldModel, affine_cube
-from .lp import Infeasible, Unbounded, in_cone, max_shift
+from .lp import Infeasible, LPResult, Unbounded, in_cone, max_shift
 from .poly import PiecewisePolynomial, Polynomial
 from .rationals import Q, QVec, dot, qvec, solve_each, solve_negative_definite, to_q
 from .records import Record
@@ -548,7 +548,7 @@ def _certify_t_chamber(
             if _threshold_at(a_vecs, minus_z, gens, t_end) != 0:
                 raise _SplitRequest([mid])
         return FlagChamber(t_lo, t_hi, ())
-    tau = _parametric_threshold(a_vecs, minus_z, gens, tau_mid, t_lo, t_hi)
+    tau = _parametric_threshold(a_vecs, minus_z, gens, lp, t_lo, t_hi)
     # sampled chamber structure in s at the midpoint
     s_chambers = _march_one_param(surface, (a_mid, minus_z), Q(0), tau_mid)
     # symbolic (t, s) reconstruction of each cell; walls s = w0 + w1*t
@@ -624,21 +624,28 @@ def _parametric_threshold(
     a_vecs: Affine,
     minus_z: QVec,
     gens: list[QVec],
-    tau_mid: Fraction,
+    lp: LPResult,
     t_lo: Fraction,
     t_hi: Fraction,
 ) -> tuple[Fraction, Fraction]:
-    """tau(t) = tau0 + tau1*t, by a three-point concavity argument.
+    """tau(t) = tau0 + tau1*t, from the midpoint's optimal basis or by a three-point probe.
 
-    The feasible region {(t, s) : A(t) - sZ effective} is convex because A
-    is affine, so tau is concave on the chamber.  A concave function that
-    meets the endpoint chord at the midpoint as well equals the chord on
-    the whole interval (the difference is concave, >= 0 by the chord bound
-    and <= 0 by the three-point bound).  When the midpoint value leaves the
-    chord, tau has a kink; the two half-chords locate it exactly and the
-    chamber is split there.
+    lp is max_shift at the midpoint.  When its basis proves tau affine on
+    the chamber (``_threshold_from_basis``) no further LP runs.  Otherwise
+    the probe decides: the feasible region {(t, s) : A(t) - sZ effective}
+    is convex because A is affine, so tau is concave on the chamber.  A
+    concave function that meets the endpoint chord at the midpoint as well
+    equals the chord on the whole interval (the difference is concave, >= 0
+    by the chord bound and <= 0 by the three-point bound).  When the
+    midpoint value leaves the chord, tau has a kink; the two half-chords
+    locate it exactly and the chamber is split there.  When the basis
+    proves tau affine, the probe would accept the same line.
     """
+    tau = _threshold_from_basis(a_vecs, minus_z, gens, lp, t_lo, t_hi)
+    if tau is not None:
+        return tau
     mid = (t_lo + t_hi) / 2
+    tau_mid = lp.value
     tau_lo = _threshold_at(a_vecs, minus_z, gens, t_lo)
     tau_hi = _threshold_at(a_vecs, minus_z, gens, t_hi)
     slope = (tau_hi - tau_lo) / (t_hi - t_lo)
@@ -655,6 +662,40 @@ def _parametric_threshold(
     if t_lo < kink < t_hi:
         raise _SplitRequest([kink])
     raise _SplitRequest([mid])
+
+
+def _threshold_from_basis(
+    a_vecs: Affine,
+    minus_z: QVec,
+    gens: list[QVec],
+    lp: LPResult,
+    t_lo: Fraction,
+    t_hi: Fraction,
+) -> tuple[Fraction, Fraction] | None:
+    """tau(t) on [t_lo, t_hi] as proved by the optimal basis of lp, or None.
+
+    In max_shift(A(t), -Z, gens) the parameter enters only through the
+    right-hand side A(t) (Gass-Saaty 1955).  On the basis B of the
+    midpoint optimum, B*x = A(t) has the affine solution x(t).  If x(t) >= 0
+    at both ends it is feasible on the whole chamber.  The checked dual y
+    of the midpoint does not involve t, so it stays feasible; if y*A(t) is
+    the s-entry of x(t), as affine functions, weak duality makes that entry
+    tau(t).  None when any of this fails.
+    """
+    basis = lp.basis
+    if not basis or basis[0] != 0:  # s, column 0, is not basic
+        return None
+    mat = [[-minus_z[i] if j == 0 else gens[j - 1][i] for j in basis] for i in range(len(minus_z))]
+    sols = solve_each(mat, a_vecs)
+    if sols is None:
+        return None
+    x0, x1 = sols
+    if any(u + v * t < 0 for u, v in zip(x0, x1) for t in (t_lo, t_hi)):
+        return None
+    tau = (x0[0], x1[0])
+    if tuple(dot(lp.dual, a) for a in a_vecs) != tau:
+        return None
+    return tau
 
 
 # -- threefold chamber certification ------------------------------------------

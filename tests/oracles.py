@@ -29,6 +29,9 @@ they stay independent of that kernel.  ``reference_triple_product`` is the
 threefold contraction as it was before the integer cubic form: an r^3 loop
 over ``model.entry`` that takes rationals or ``Polynomial`` entries, so the
 volume polynomial of a chamber can be rebuilt from ``Polynomial`` products.
+``reference_parametric_threshold`` is the flag layer's pseudo-effective
+threshold tau(t) as it was before the optimal basis proved it: three LPs, at
+the midpoint and both ends of a t-chamber, and the chord and kink argument.
 """
 
 import itertools
@@ -37,13 +40,13 @@ from functools import cmp_to_key
 from math import gcd, lcm
 from typing import NamedTuple
 
-from kstab.errors import IndefiniteSupport, InvalidModel
+from kstab.errors import IndefiniteSupport, InvalidModel, NotPseudoEffective
 from kstab.lattice import discriminant_group, discriminant_quadratic
-from kstab.lp import Infeasible, LPResult, Unbounded
+from kstab.lp import Infeasible, LPResult, Unbounded, max_shift
 from kstab.poly import Polynomial
 from kstab.rationals import to_q
 from kstab.toric import Facet
-from kstab.zariski import ZariskiResult
+from kstab.zariski import ZariskiResult, _at, _SplitRequest
 
 
 def _int_rows(vectors):
@@ -372,7 +375,7 @@ def reference_solve_equality_lp(a, b, c):
         if any(x > 0 for x in c):
             # all-zero constraints: any x works, unbounded unless c <= 0
             raise Unbounded()
-        return LPResult(Q(0), tuple([Q(0)] * ncols), ())
+        return LPResult(Q(0), tuple([Q(0)] * ncols), (), ())
     # make rhs nonnegative
     for i in range(m):
         if rhs[i] < 0:
@@ -418,7 +421,7 @@ def reference_solve_equality_lp(a, b, c):
         if basis[r] < ncols:
             x[basis[r]] = tab[r][-1]
     value = sum((to_q(ci) * xi for ci, xi in zip(c, x)), Q(0))
-    return LPResult(value, tuple(x), tuple(sorted(b_ for b_ in basis if b_ < ncols)))
+    return LPResult(value, tuple(x), tuple(sorted(b_ for b_ in basis if b_ < ncols)), ())
 
 
 def reference_isotropic_elements(lattice, bound=None):
@@ -697,3 +700,43 @@ def reference_triple_product(model, a, b, c):
     if total is None:
         return Q(0)
     return total
+
+
+# -- the flag threshold before basis verification -------------------------------
+
+
+def _ref_threshold_at(a_vecs, minus_z, gens, t):
+    try:
+        return max_shift(_at(a_vecs, t), minus_z, gens).value
+    except Infeasible:
+        raise NotPseudoEffective(f"family leaves the effective cone at {t}") from None
+
+
+def reference_parametric_threshold(a_vecs, minus_z, gens, tau_mid, t_lo, t_hi):
+    """tau(t) = tau0 + tau1*t, by a three-point concavity argument.
+
+    The feasible region {(t, s) : A(t) - sZ effective} is convex because A
+    is affine, so tau is concave on the chamber.  A concave function that
+    meets the endpoint chord at the midpoint as well equals the chord on
+    the whole interval (the difference is concave, >= 0 by the chord bound
+    and <= 0 by the three-point bound).  When the midpoint value leaves the
+    chord, tau has a kink; the two half-chords locate it exactly and the
+    chamber is split there.
+    """
+    mid = (t_lo + t_hi) / 2
+    tau_lo = _ref_threshold_at(a_vecs, minus_z, gens, t_lo)
+    tau_hi = _ref_threshold_at(a_vecs, minus_z, gens, t_hi)
+    slope = (tau_hi - tau_lo) / (t_hi - t_lo)
+    if tau_lo + slope * (mid - t_lo) == tau_mid:
+        return (tau_lo - slope * t_lo, slope)
+    # kink: intersect the chords through (lo, mid) and (mid, hi)
+    left_slope = (tau_mid - tau_lo) / (mid - t_lo)
+    right_slope = (tau_hi - tau_mid) / (t_hi - mid)
+    if left_slope == right_slope:
+        raise _SplitRequest([mid])
+    kink = (
+        (tau_mid - right_slope * mid) - (tau_lo - left_slope * t_lo)
+    ) / (left_slope - right_slope)
+    if t_lo < kink < t_hi:
+        raise _SplitRequest([kink])
+    raise _SplitRequest([mid])

@@ -7,17 +7,21 @@ computed by hand from the preset tensors.  The integer cubic form behind
 ``triple_product`` and ``affine_cube`` is compared with the r^3 loop of
 ``Polynomial`` products it replaced (``oracles.reference_triple_product``)
 on random classes, random affine chambers and every declared chamber.
+A surface's integer Gram * C rows, built from the Gram scaled to integers
+once, are compared with the ``Fraction`` products of ``gram_vector``.
 """
 
 import itertools
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kstab.errors import InvalidModel
 from kstab.intersect import (
+    SurfaceModel,
     ThreefoldModel,
     affine_cube,
     anticanonical_volume,
@@ -31,7 +35,7 @@ from kstab.intersect import (
     sing_line_model,
     triple_product,
 )
-from kstab.models import preset
+from kstab.models import PRESET_NAMES, preset
 from kstab.poly import Polynomial
 from oracles import reference_triple_product
 
@@ -235,3 +239,55 @@ class TestSurfaces:
 
         with pytest.raises(InvalidModel):
             SurfaceModel("bad", ("x",), [[1]], negative_curves={"c": (1,)})
+
+
+def _fraction_gc_rows(surface):
+    """Gram * C for every curve by Fraction products, over the least common denominator."""
+    gcs = [surface.gram_vector(surface.negative_curves[label]) for label in surface.curve_labels]
+    den = lcm(*(x.denominator for gc in gcs for x in gc))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in gc) for gc in gcs]
+
+
+SURFACE_PRESETS = [name for name in PRESET_NAMES if isinstance(preset(name), SurfaceModel)]
+
+
+@st.composite
+def surface_grams(draw):
+    """A symmetric rational Gram of rank 1-4 and 1-5 curves with rational entries."""
+    r = draw(st.integers(1, 4))
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    gram = [[Q(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            gram[i][j] = gram[j][i] = draw(entries)
+    curves = {f"c{k}": tuple(draw(entries) for _ in range(r)) for k in range(draw(st.integers(1, 5)))}
+    return gram, curves
+
+
+class TestIntegerGramRows:
+    @pytest.mark.parametrize("name", SURFACE_PRESETS)
+    def test_presets(self, name):
+        s = preset(name)
+        assert (s._gc_den, s._gc_rows) == _fraction_gc_rows(s)
+
+    def test_restricted_surface_with_denominators(self):
+        base = restrict_to_surface(blowup_node(22), (1, -1), [(Q(1, 2), Q(1, 3)), (0, Q(1, 3))])
+        s = SurfaceModel("node|S", base.basis, base.gram, negative_curves={"c": (1, -6), "e": (0, 1)})
+        assert s._gc_den > 1
+        assert (s._gc_den, s._gc_rows) == _fraction_gc_rows(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(surface_grams())
+    def test_random_grams(self, case):
+        gram, curves = case
+        basis = [f"b{i}" for i in range(len(gram))]
+
+        def square(c):
+            return sum(x * gram[i][j] * y for i, x in enumerate(c) for j, y in enumerate(c))
+
+        negative = {k: c for k, c in curves.items() if square(c) < 0}
+        s = SurfaceModel("random", basis, gram, negative_curves=negative)
+        assert (s._gc_den, s._gc_rows) == _fraction_gc_rows(s)
+        if len(negative) < len(curves):
+            with pytest.raises(InvalidModel, match="square >= 0"):
+                SurfaceModel("random", basis, gram, negative_curves=curves)

@@ -40,7 +40,7 @@ FIELDS = {
     CatalogEntry: (("record", "tags"), {}),
     DiscriminantGroup: (("lattice", "factors", "generators"), {}),
     Overlattice: (("gram", "basis", "subgroup"), {}),
-    LPResult: (("value", "x", "basis"), {}),
+    LPResult: (("value", "x", "basis", "dual"), {}),
     Piece: (("lo", "hi", "poly", "label"), {"label": None}),
     Facet: (("normal", "offset", "vertices"), {}),
     Row: (("claim", "expected", "computed", "ok", "note"), {"note": ""}),
@@ -161,7 +161,7 @@ def test_a_default_before_a_required_field_is_rejected():
 
 
 def test_lp_result_is_frozen_and_hashable():
-    res = LPResult(1, (0, 1), (1,))
-    assert hash(res) == hash((1, (0, 1), (1,)))
+    res = LPResult(1, (0, 1), (1,), (1,))
+    assert hash(res) == hash((1, (0, 1), (1,), (1,)))
     with pytest.raises(AttributeError):
         res.value = 2

@@ -13,10 +13,12 @@ elimination; it is checked against two separate solves, by the engine's
 import itertools
 import random
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kstab import zariski
 from kstab.errors import (
     CertificateViolation,
     IndefiniteSupport,
@@ -35,12 +37,13 @@ from kstab.intersect import (
     restrict_to_surface,
     sing_line_model,
 )
-from kstab.lp import Unbounded, max_shift
+from kstab.lp import LPResult, Unbounded, max_shift
 from kstab.poly import Polynomial, check_c1, parse_polynomial
 from kstab.rationals import is_negative_definite, qvec, solve_general
 from oracles import (
     reference_decompose,
     reference_pair_poly,
+    reference_parametric_threshold,
     reference_solve_general,
     reference_symbolic_decomposition,
 )
@@ -641,3 +644,118 @@ def test_affine_combination_inconsistent():
     assert _check_combination(((Q(1), Q(0)), (Q(0), Q(0))), eff_vecs) is None
     assert _check_combination(((Q(0), Q(1)), (Q(1), Q(1))), eff_vecs) is None
     assert _check_combination(((Q(0), Q(2)), (Q(0), Q(-1))), eff_vecs) == [(2, -1)]
+
+
+# -- the basis-verified flag threshold against the three-LP probe ---------------
+
+
+def sing_line_surface(c, k):
+    """sing_line(g, k), g = c^2 + 1, restricted to its anticanonical surface A.
+
+    The Gram is diag(2g - 2, -2) = diag(2c^2, -2), whatever k is.  E is the
+    negative curve; the cone is spanned by E and the isotropic class
+    R = A - cE, so that the volume vanishes on the cone's boundary.
+    """
+    model = sing_line_model(c * c + 1, k)
+    base = restrict_to_surface(model, model.anticanonical, [(1, 0), (0, 1)])
+    return SurfaceModel(
+        base.name, base.basis, base.gram,
+        negative_curves={"E": (0, 1)}, eff_generators={"E": (0, 1), "R": (1, -c)},
+    )
+
+
+@st.composite
+def flag_families(draw):
+    """A(t) = a0 + t*a1 and a curve Z on dp4 or a sing_line(g, k) restriction.
+
+    a0 is an ample class (-K on dp4, A on the restriction) plus a
+    nonnegative combination of cone generators, a1 a small integer
+    combination of them; Z is a generator or a basis class.
+    """
+    if draw(st.booleans()):
+        surface, a0 = DP4, [3, -1, -1, -1, -1, -1]
+    else:
+        surface, a0 = sing_line_surface(draw(st.integers(2, 6)), draw(st.integers(0, 12))), [1, 0]
+    pool = sorted(surface.eff_generators.values())
+    a1 = [0] * surface.rank
+    for g in draw(st.lists(st.sampled_from(pool), max_size=3)):
+        a0 = [x + draw(st.integers(0, 2)) * y for x, y in zip(a0, g)]
+    for g in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)):
+        a1 = [x + draw(st.integers(-1, 1)) * y for x, y in zip(a1, g)]
+    units = [tuple(int(i == j) for j in range(surface.rank)) for i in range(surface.rank)]
+    z = draw(st.sampled_from(pool + units))
+    family = tuple(_poly(("t",), (c, s)) for c, s in zip(a0, a1))
+    return surface, family, draw(st.sampled_from([Q(1, 2), Q(1), Q(2)])), z
+
+
+def _flag_outcome(surface, family, hi, z):
+    try:
+        return two_param_flag_volume(surface, family, 0, hi, z)
+    except KstabError as exc:
+        return type(exc), str(exc)
+
+
+def _probe(a_vecs, minus_z, gens, lp, t_lo, t_hi):
+    return reference_parametric_threshold(a_vecs, minus_z, gens, lp.value, t_lo, t_hi)
+
+
+def _proved_thresholds(surface, family, hi, z):
+    """The flag outcome, and each (arguments, tau) that the optimal basis proved."""
+    proved = []
+    real = zariski._threshold_from_basis
+
+    def spy(*args):
+        tau = real(*args)
+        proved.append((args, tau))
+        return tau
+
+    with mock.patch.object(zariski, "_threshold_from_basis", spy):
+        return _flag_outcome(surface, family, hi, z), proved
+
+
+T = Polynomial.var("t")
+
+
+def _moving(minus_k):
+    """-K - t*e1."""
+    return tuple(Polynomial.constant(x, ("t",)) - (T if i == 1 else 0) for i, x in enumerate(minus_k))
+
+
+L4, L3 = (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0)
+MINUS_K4, MINUS_K3 = (3, -1, -1, -1, -1, -1), (3, -1, -1, -1, -1, -1, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag_families())
+@example((DP4, MINUS_K4, Q(1), L4))
+@example((DP4, _moving(MINUS_K4), Q(1), L4))
+@example((DP3, _moving(MINUS_K3), Q(1), L3))
+def test_basis_threshold_matches_three_lp_probe(case):
+    got, proved = _proved_thresholds(*case)
+    for (a_vecs, minus_z, gens, lp, t_lo, t_hi), tau in proved:
+        if tau is not None:
+            assert reference_parametric_threshold(a_vecs, minus_z, gens, lp.value, t_lo, t_hi) == tau
+    with mock.patch.object(zariski, "_parametric_threshold", _probe):
+        want = _flag_outcome(*case)
+    assert got == want
+
+
+def test_moving_flag_takes_both_routes():
+    # -K - t*e1 against L on the cubic surface: tau(t) has a kink in [0, 1/2],
+    # so the first two t-chambers fall back to the probe, which splits at it,
+    # and the three chambers after the splits are proved from the basis alone
+    got, proved = _proved_thresholds(DP3, _moving(MINUS_K3), Q(1), L3)
+    assert isinstance(got, zariski.FlagDecomposition)
+    assert [tau is not None for _, tau in proved] == [False, False, True, True, True]
+
+
+def test_a_dual_off_the_basis_sends_the_chamber_to_the_probe():
+    # doubling the midpoint dual keeps it feasible (y*g >= 0, y*Z >= 1) but
+    # it no longer prices the basis: y*A(t) = 2*tau(t), so no tau is proved
+    gens = [DP4.eff_generators[k] for k in sorted(DP4.eff_generators)]
+    a_vecs = _affine_vectors(MINUS_K4, ("t",), "affine")
+    minus_z = tuple(-x for x in L4)
+    lp = max_shift(a_vecs[0], minus_z, gens)
+    assert zariski._threshold_from_basis(a_vecs, minus_z, gens, lp, Q(0), Q(1)) == (lp.value, 0)
+    doubled = LPResult(lp.value, lp.x, lp.basis, tuple(2 * y for y in lp.dual))
+    assert zariski._threshold_from_basis(a_vecs, minus_z, gens, doubled, Q(0), Q(1)) is None
