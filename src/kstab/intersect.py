@@ -179,29 +179,38 @@ class SurfaceModel:
         self.gram: tuple[QVec, ...] = tuple(rows)
         self.canonical = qvec(canonical) if canonical is not None else None
         self.negative_curves = {k: qvec(v) for k, v in (negative_curves or {}).items()}
-        # Gram * C for every declared curve, as integer rows over one common
-        # denominator, so that a class meets every curve in integer dots;
-        # each row is itself integer dots, on the Gram scaled to integers once
+        # the Gram scaled to integers once; Gram * C for every declared curve
+        # as integer rows over one common denominator, so that a class meets
+        # every curve in integer dots; and each curve as integers over one
+        # common denominator
         self.curve_labels = tuple(sorted(self.negative_curves))
-        flat, gram_den = _scaled([x for row in rows for x in row])
-        int_gram = [flat[i * r:(i + 1) * r] for i in range(r)]
-        gcs = []  # (numerators, denominator) in lowest terms
+        flat, self._gram_den = _scaled([x for row in rows for x in row])
+        self._int_gram = [flat[i * r:(i + 1) * r] for i in range(r)]
+        gcs, curves = [], []  # (numerators, denominator), gcs in lowest terms
         for label in self.curve_labels:
             cls = self.negative_curves[label]
             if len(cls) != r:
                 raise InvalidModel("class vectors must match the basis size")
             ints, den = _scaled(cls)
-            gc = [sum(map(mul, row, ints)) for row in int_gram]
+            gc = [sum(map(mul, row, ints)) for row in self._int_gram]
             if sum(map(mul, ints, gc)) >= 0:
                 raise InvalidModel(f"declared negative curve {label!r} has square >= 0")
-            den *= gram_den
+            curves.append((ints, den))
+            den *= self._gram_den
             g = gcd(den, *gc)
             gcs.append(([x // g for x in gc], den // g))
         self._gc_den = lcm(*(den for _, den in gcs))
         self._gc_rows = [tuple(x * (self._gc_den // den) for x in gc) for gc, den in gcs]
+        self._curve_den = lcm(*(den for _, den in curves))
+        self._curve_ints = {
+            label: [x * (self._curve_den // den) for x in ints] for label, (ints, den) in zip(self.curve_labels, curves)
+        }
         if eff_generators is None:
             eff_generators = dict(self.negative_curves)
         self.eff_generators = {k: qvec(v) for k, v in eff_generators.items()}
+        if any(len(v) != r for v in self.eff_generators.values()):
+            raise InvalidModel("class vectors must match the basis size")
+        self._cone = None  # the generators in label order as an lp.Cone, built by kstab.zariski on first use
 
     @property
     def rank(self) -> int:
@@ -213,17 +222,16 @@ class SurfaceModel:
             raise InvalidModel("class vectors must match the basis size")
         return sum((a[i] * self.gram[i][j] * b[j] for i in range(self.rank) for j in range(self.rank)), Q(0))
 
-    def gram_vector(self, v: Sequence[Fraction]) -> QVec:
-        """Gram * v, so that pairings with v are single dot products."""
-        return tuple(dot(row, v) for row in self.gram)
-
     def curve_pairings(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """v.C for every declared curve C, in the order of curve_labels."""
         if len(v) != self.rank:
             raise InvalidModel("class vectors must match the basis size")
         ints, den = _scaled(v)
-        den *= self._gc_den
-        return tuple(Fraction(sum(map(mul, ints, row)), den) for row in self._gc_rows)
+        return tuple(Fraction(x, den * self._gc_den) for x in self._pairings(ints))
+
+    def _pairings(self, ints: Sequence[int]) -> list[int]:
+        """_gc_den * v.C for every declared curve C, for an integer vector v."""
+        return [sum(map(mul, ints, row)) for row in self._gc_rows]
 
     def square(self, a: Sequence) -> Fraction:
         return self.pair(a, a)

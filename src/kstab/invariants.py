@@ -25,7 +25,14 @@ from .intersect import SurfaceModel
 from .poly import PiecewisePolynomial, integrate_piecewise
 from .rationals import Q, to_q
 from .records import Record
-from .zariski import FlagDecomposition, VolumeFunction, _affine_square, _affine_vectors, two_param_flag_volume
+from .zariski import (
+    FlagDecomposition,
+    VolumeFunction,
+    _affine_square,
+    _affine_vectors,
+    _integer_family,
+    two_param_flag_volume,
+)
 
 
 class DivisorialVerdict(Record):
@@ -156,7 +163,7 @@ def _correction_integral(
     var = correction.variable
     for t_lo, t_hi, family in restriction_family:
         vecs = _affine_vectors(family, (var,), "restriction family must be affine in t")
-        square = _affine_square(surface, vecs, (var,))
+        square = _affine_square(surface, _integer_family(vecs), (var,))
         for piece in correction.pieces:
             lo, hi = max(piece.lo, to_q(t_lo)), min(piece.hi, to_q(t_hi))
             if lo >= hi:

@@ -4,7 +4,10 @@ A two-phase dense simplex for the cone problems this engine meets (at most
 nine equality constraints and a few hundred nonnegative variables).  Used
 for effective-cone membership and for pseudo-effective thresholds, where
 the optimal basis and its dual prove the threshold on a whole interval of
-a parameter (``zariski._parametric_threshold``).
+a parameter (``zariski._parametric_threshold``).  A :class:`Cone` holds
+its generators with their integer rows built once, so the many LPs over
+one surface's effective cone add only their own columns and right-hand
+sides.
 
 Pricing is Dantzig's rule: the entering column has the largest reduced
 cost, the lowest index on ties; the leaving row has the smallest ratio,
@@ -45,8 +48,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import InvariantViolation
-from .rationals import Q, to_q
+from .errors import InvalidModel, InvariantViolation
+from .rationals import to_q
 from .records import Record
 
 
@@ -129,11 +132,45 @@ def _run_simplex(tab: list[list[int]], basis: list[int], denom: int, ncols: int)
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """The values times the least positive integer that clears their denominators, and that integer."""
-    qs = [to_q(v) for v in values]
+    qs = [v if isinstance(v, int) else to_q(v) for v in values]
     scale = lcm(*[q.denominator for q in qs])
     if scale == 1:
         return [q.numerator for q in qs], 1
     return [q.numerator * (scale // q.denominator) for q in qs], scale
+
+
+class Cone(tuple):
+    """Column vectors, the generators of a cone, with their integer rows built once.
+
+    ``rows[i]`` is ``_integer_row`` of the i-th entries of the columns.  As
+    the matrix a of ``solve_equality_lp`` a Cone gives the same scaled rows
+    [a | b] as its columns written out, from these rows and b alone.
+    """
+
+    def __new__(cls, columns: Sequence[Sequence[Fraction]]):
+        self = super().__new__(cls, (tuple(map(to_q, col)) for col in columns))
+        self.rows = [_integer_row(entries) for entries in zip(*self)]
+        _same_length(len(self.rows), *self)
+        return self
+
+    def widened(self, column: Sequence[Fraction]) -> "Cone":
+        """This cone with one more column, put first; its rows reuse the integer rows."""
+        out = tuple.__new__(Cone, (tuple(map(to_q, column)), *self))
+        rows = self.rows or [([], 1)] * len(column)
+        _same_length(len(rows), column)
+        out.rows = [_joined(([x.numerator], x.denominator), row) for x, row in zip(out[0], rows)]
+        return out
+
+
+def _same_length(n: int, *vectors: Sequence) -> None:
+    if any(len(v) != n for v in vectors):
+        raise InvalidModel("class vectors must match the basis size")
+
+
+def _joined(*parts: tuple[list[int], int]) -> tuple[list[int], int]:
+    """Integer rows, each with its scale, side by side as one integer row over their least common scale."""
+    scale = lcm(*(s for _, s in parts))
+    return sum((ints if s == scale else [x * (scale // s) for x in ints] for ints, s in parts), []), scale
 
 
 # -- certificates: integer dot products against the caller's rows [a | b] --------
@@ -184,15 +221,20 @@ def solve_equality_lp(
 ) -> LPResult:
     """Maximize c*x subject to a*x = b, x >= 0 (all data exact rationals).
 
-    Raises Infeasible or Unbounded, each with its certificate.  Redundant
-    constraint rows are removed up front so the optimal basis is always a
-    genuine invertible column set.
+    a is a list of rows, or a Cone of its columns.  Raises Infeasible or
+    Unbounded, each with its certificate.  Redundant constraint rows are
+    removed up front so the optimal basis is always a genuine invertible
+    column set.
     """
-    ncols = len(a[0]) if a else 0
-    nrows = len(a)
-    scaled = [_integer_row([*row, bi]) for row, bi in zip(a, b)]
-    rows = [r for r, _ in scaled]
-    scales = [s for _, s in scaled]
+    if isinstance(a, Cone):
+        _same_length(len(a.rows), b)
+        scaled = [_joined(row, ([q.numerator], q.denominator)) for row, q in zip(a.rows, map(to_q, b))]
+        ncols = len(a)
+    else:
+        scaled = [_integer_row([*row, bi]) for row, bi in zip(a, b)]
+        ncols = len(a[0]) if a else 0
+    rows, scales = [r for r, _ in scaled], [s for _, s in scaled]
+    nrows = len(rows)
     cost, cscale = _integer_row(c)
     # tableau rows [a-part | transform | rhs], the transform being the
     # combination of the caller's rows that the row is; each row is
@@ -274,14 +316,14 @@ def solve_equality_lp(
 def in_cone(generators: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     """Nonnegative coefficients writing target in the cone, or None.
 
-    Generators and target are coordinate vectors of equal length; the cone
-    is their nonnegative span.
+    Generators, a list or a Cone, and target are coordinate vectors of
+    equal length; the cone is their nonnegative span.
     """
     if not generators:
         return () if all(to_q(x) == 0 for x in target) else None
-    a = [[to_q(g[i]) for g in generators] for i in range(len(target))]
+    cone = generators if isinstance(generators, Cone) else Cone(generators)
     try:
-        res = solve_equality_lp(a, list(target), [Q(0)] * len(generators))
+        res = solve_equality_lp(cone, target, [0] * len(cone))
     except Infeasible:
         return None
     return res.x
@@ -297,9 +339,8 @@ def max_shift(
     The first LP variable is s; the optimal basis (column indices into
     [s, generators...]) and the dual certify the answer and support
     parametric re-solving.  Raises Infeasible when even s = 0 fails,
-    Unbounded when the direction never leaves the cone.
+    Unbounded when the direction never leaves the cone.  The generators
+    are a list or a Cone.
     """
-    n = len(base)
-    cols = [[-to_q(direction[i])] + [to_q(g[i]) for g in generators] for i in range(n)]
-    c = [Q(1)] + [Q(0)] * len(generators)
-    return solve_equality_lp(cols, list(base), c)
+    cone = generators if isinstance(generators, Cone) else Cone(generators)
+    return solve_equality_lp(cone.widened([-to_q(x) for x in direction]), base, [1] + [0] * len(cone))

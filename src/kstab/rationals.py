@@ -7,9 +7,11 @@ linear algebra shared by the lattice, toric and Zariski modules.  That
 linear algebra is one fraction-free (Bareiss) row reduction, ``_echelon``;
 ``det``, ``rank``, ``solve_general`` (``solve_each`` for several
 right-hand sides at once), ``mat_inverse`` and the negative-definite solve
-are a few lines over it.  With no row swap, pivot k is the k-th leading
-minor, so Sylvester's criterion comes out of the same elimination that
-solves the system.  Inputs are never mutated.
+are a few lines over it; the last gives integer numerators over one
+positive denominator, for the Zariski layer's integer certificates.
+With no row swap, pivot k is the k-th leading minor, so Sylvester's
+criterion comes out of the same elimination that solves the system.
+Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _echelon(rows: Sequence[Sequence], width: int) -> tuple[list[list[int]], lis
     m = []
     scale = 1
     for row in rows:
-        row = [to_q(x) for x in row]
+        row = [x if isinstance(x, int) else to_q(x) for x in row]
         den = lcm(*(x.denominator for x in row))
         m.append([x.numerator * (den // x.denominator) for x in row])
         scale *= den
@@ -106,19 +108,27 @@ def _echelon(rows: Sequence[Sequence], width: int) -> tuple[list[list[int]], lis
     return m, cols, swaps, scale
 
 
-def _back_substitute(m: list[list[int]], cols: list[int], width: int, j: int) -> list[Fraction]:
-    """The solution of an echelon system for its column j, free variables 0.
+def _solutions(m: list[list[int]], cols: list[int], width: int, count: int) -> tuple[list[list[int]], int]:
+    """The solutions of an echelon system for its columns width, width + 1, ...
 
-    With d the last pivot, d * x is an integer vector (Cramer's rule on the
-    pivot rows and columns), so the substitution runs in exact integer
-    division and divides by d once at the end.
+    Free variables are 0.  With d the absolute value of the last pivot,
+    d * x is an integer vector (Cramer's rule on the pivot rows and
+    columns), so the substitution runs in exact integer division; each
+    solution comes back as integer numerators over the one denominator d.
     """
-    d = m[len(cols) - 1][cols[-1]] if cols else 1
-    y = [0] * width
-    for k in range(len(cols) - 1, -1, -1):
-        row = m[k]
-        y[cols[k]] = (d * row[j] - sum(row[i] * y[i] for i in cols[k + 1:])) // row[cols[k]]
-    return [Fraction(v, d) for v in y]
+    d = abs(m[len(cols) - 1][cols[-1]]) if cols else 1
+    sols = []
+    for j in range(width, width + count):
+        y = [0] * width
+        for k in range(len(cols) - 1, -1, -1):
+            row = m[k]
+            y[cols[k]] = (d * row[j] - sum(row[i] * y[i] for i in cols[k + 1:])) // row[cols[k]]
+        sols.append(y)
+    return sols, d
+
+
+def _fractions(sols: list[list[int]], den: int) -> list[QVec]:
+    return [tuple(Fraction(v, den) for v in y) for y in sols]
 
 
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -158,7 +168,7 @@ def solve_each(a: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]
     m, cols, _, _ = _echelon([list(row) + list(bs) for row, *bs in zip(a, *rhs, strict=True)], width)
     if any(x for row in m[len(cols):] for x in row[width:]):
         return None
-    return [tuple(_back_substitute(m, cols, width, width + j)) for j in range(len(rhs))]
+    return _fractions(*_solutions(m, cols, width, len(rhs)))
 
 
 def mat_inverse(a: Sequence[Sequence[Fraction]]) -> QMat | None:
@@ -167,14 +177,15 @@ def mat_inverse(a: Sequence[Sequence[Fraction]]) -> QMat | None:
     m, cols, _, _ = _echelon([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], n)
     if len(cols) < n:
         return None
-    return [list(row) for row in zip(*(_back_substitute(m, cols, n, n + j) for j in range(n)))]
+    return [list(row) for row in zip(*_fractions(*_solutions(m, cols, n, n)))]
 
 
 def solve_negative_definite(
     gram: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]]
-) -> list[QVec] | None:
+) -> tuple[list[list[int]], int] | None:
     """The solution of gram * x = b for each b in rhs; None unless gram is negative definite.
 
+    The solutions come as integer numerators over one positive denominator.
     Sylvester's criterion: with no swap, pivot k is the k-th leading minor
     of gram with its rows scaled by positive factors, so the pivots must
     alternate in sign, starting negative.  A swap means a leading minor is 0.
@@ -183,7 +194,7 @@ def solve_negative_definite(
     m, cols, swaps, _ = _echelon([list(row) + [b[i] for b in rhs] for i, row in enumerate(gram)], n)
     if swaps or len(cols) < n or any((m[k][k] < 0) != (k % 2 == 0) for k in range(n)):
         return None
-    return [tuple(_back_substitute(m, cols, n, n + j)) for j in range(len(rhs))]
+    return _solutions(m, cols, n, len(rhs))
 
 
 def is_negative_definite(gram: Sequence[Sequence[Fraction]]) -> bool:

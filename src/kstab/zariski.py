@@ -3,10 +3,9 @@
 Surface side: the classical iterative decomposition (grow the support by
 every declared curve the mobile part meets negatively, re-solve, repeat)
 against the model's negative-curve list, with pseudo-effectivity decided by
-an exact LP over the declared effective-cone generators.  The class is
-paired with every curve once, in integer dot products against the
-model's Gram * C rows; each round updates those pairings from the
-curve-curve pairings of the support.
+an exact LP over the declared effective-cone generators, whose integer LP
+rows each surface builds once.  Each round is the symbolic decomposition
+below of the constant family on the support so far.
 
 One- and two-parameter families are handled symbolically: on a chamber the
 support is constant, so the negative-part coefficients and the positive
@@ -14,15 +13,19 @@ part are affine in the parameters and every certificate (coefficient
 nonnegativity, nefness against each declared curve) is an affine function
 checked exactly at chamber endpoints or cell vertices.  A family is read
 once into coefficient vectors (the constant class and one slope class per
-parameter; a term of degree > 1 is rejected), so the multiplicities, the
-positive part and every certificate are rational dot products, one per
-coefficient vector, and a certificate is its tuple (constant, slopes).
-The volume P^2 is the quadratic form of the positive part's coefficient
-vectors.  Polynomials are built only for the results.  A failed
-certificate splits the chamber at the root of the offending affine
-function, which has rational coefficients, so every wall is rational.
-Both families run one certified-cell loop: certify a cell, or split it at
-the points the failed certification names.
+parameter; a term of degree > 1 is rejected) and held as integer
+numerators over one positive denominator.  The multiplicities come from
+one fraction-free solve on the integer support Gram, the positive part is
+an integer combination, and a certificate is its integer tuple (constant,
+slopes) over a positive denominator.  Every decision is a sign, a zero or
+a root, none of which a positive scale changes, so a certificate at a
+rational point p/q is the integer c0*q + c1*p.  The volume P^2 is the
+quadratic form of the positive part's vectors on the Gram scaled to
+integers once.  Fractions and polynomials are built only for the results.
+A failed certificate splits the chamber at the root of the offending
+affine function, which is rational, so every wall is rational.  Both
+families run one certified-cell loop: certify a cell, or split it at the
+points the failed certification names.
 
 Threefold side: there is no Zariski decomposition in general, so chamber
 data (interval plus positive part, affine in the parameter) is *input*, and
@@ -36,6 +39,7 @@ tagged as certified relative to the declared curves - never absolutely.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import (
@@ -46,8 +50,8 @@ from .errors import (
     UnboundedDirection,
     WallCrossingDegeneracy,
 )
-from .intersect import Chamber, SurfaceModel, ThreefoldModel, affine_cube
-from .lp import Infeasible, LPResult, Unbounded, in_cone, max_shift
+from .intersect import Chamber, SurfaceModel, ThreefoldModel, _scaled, affine_cube
+from .lp import Cone, Infeasible, LPResult, Unbounded, in_cone, max_shift
 from .poly import PiecewisePolynomial, Polynomial
 from .rationals import Q, QVec, dot, qvec, solve_each, solve_negative_definite, to_q
 from .records import Record
@@ -97,12 +101,14 @@ class VolumeFunction(Record):
         return self.pw(t)
 
 
-def _eff_data(surface: SurfaceModel) -> tuple[list[str], list[QVec]]:
-    labels = sorted(surface.eff_generators)
-    return labels, [surface.eff_generators[k] for k in labels]
+def _eff_data(surface: SurfaceModel) -> Cone:
+    """The declared effective generators in label order, as an LP cone built once per surface."""
+    if surface._cone is None:
+        surface._cone = Cone(surface.eff_generators[k] for k in sorted(surface.eff_generators))
+    return surface._cone
 
 
-def _on_generator_ray(gens: list[QVec], v: Sequence[Fraction]) -> bool:
+def _on_generator_ray(gens: Sequence[QVec], v: Sequence[Fraction]) -> bool:
     """Whether v is 0 or a positive multiple of one generator: in the cone, no LP needed."""
     for g in gens:
         i = next((j for j, x in enumerate(g) if x != 0), None)
@@ -122,8 +128,7 @@ def zariski_decompose(surface: SurfaceModel, divisor) -> ZariskiResult:
     an incomplete negative-curve list).
     """
     d = surface.class_vector(divisor)
-    _, gens = _eff_data(surface)
-    if in_cone(gens, d) is None:
+    if in_cone(_eff_data(surface), d) is None:
         raise NotPseudoEffective(f"{d} is outside the declared effective cone")
     return _decompose(surface, d)
 
@@ -131,47 +136,28 @@ def zariski_decompose(surface: SurfaceModel, divisor) -> ZariskiResult:
 def _decompose(surface: SurfaceModel, d: QVec) -> ZariskiResult:
     """Zariski decomposition of a class vector already known to be in the cone.
 
-    d is paired with every curve once; each round the pairings of the mobile
-    part d - sum(nu_C C) follow from those and the curve-curve pairings of
-    the support.
+    Each round decomposes the constant family d on the support found so
+    far; its nef certificates are the mobile part's pairings with every
+    curve, and each curve met negatively joins the support.
     """
-    labels = surface.curve_labels
-    d_pairs = surface.curve_pairings(d)
-    rows: dict[str, tuple[Fraction, ...]] = {}  # C.C' for C in the support, C' any curve
+    family = _integer_family((d,))
     support: list[str] = []
-    nu: dict[str, Fraction] = {}
-    pairs = d_pairs
     while True:
-        violators = [label for label, x in zip(labels, pairs) if x < 0 and label not in nu]
+        ((positive,), den), certs = _symbolic_decomposition(surface, family, support)
+        violators = [c.label for c in certs if c.kind == "nef" and c.coeffs[0] < 0 and c.label not in support]
         if not violators:
             break
-        for a in violators:
-            rows[a] = surface.curve_pairings(surface.negative_curves[a])
         support = sorted(support + violators)
-        index = [labels.index(b) for b in support]
-        gram = [[rows[a][j] for j in index] for a in support]
-        sols = solve_negative_definite(gram, [[d_pairs[j] for j in index]])
-        if sols is None:
-            raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
-        nu = dict(zip(support, sols[0]))
-        pairs = tuple(
-            x - sum((nu[a] * rows[a][j] for a in support), Q(0)) for j, x in enumerate(d_pairs)
-        )
-    positive = d
-    for label in support:
-        positive = tuple(x - nu[label] * y for x, y in zip(positive, surface.negative_curves[label]))
-    for label, coeff in nu.items():
+    nu = tuple((c.label, Fraction(c.coeffs[0], c.den)) for c in certs if c.kind == "mult")
+    for label, coeff in nu:
         if coeff < 0:
             raise InvalidModel(
                 f"negative multiplicity {coeff} on {label}: the declared curve "
                 "list is not a genuine configuration of irreducible negative curves"
             )
-    return ZariskiResult(
-        positive,
-        tuple((label, nu[label]) for label in support),
-        tuple(support),
-        tuple(tuple(g) for g in gram) if support else (),
-    )
+    scale = surface._curve_den * surface._gc_den
+    gram = tuple(tuple(Fraction(x, scale) for x in row) for row in _support_gram(surface, support))
+    return ZariskiResult(tuple(Fraction(x, den) for x in positive), nu, tuple(support), gram)
 
 
 def volume(surface: SurfaceModel, divisor) -> Fraction:
@@ -187,24 +173,24 @@ def pseff_threshold(surface: SurfaceModel, divisor, direction) -> Fraction:
     """Largest s with D - s*Z still inside the declared effective cone."""
     d = surface.class_vector(divisor)
     z = surface.class_vector(direction)
-    _, gens = _eff_data(surface)
     try:
-        res = max_shift(d, tuple(-x for x in z), gens)
+        res = max_shift(d, tuple(-x for x in z), _eff_data(surface))
     except Infeasible:
         raise NotPseudoEffective(f"{d} is outside the declared effective cone") from None
     except Unbounded:
-        raise UnboundedDirection(
-            f"{z} is anti-effective for the declared cone; the threshold is infinite"
-        ) from None
+        raise UnboundedDirection(f"{z} is anti-effective for the declared cone; the threshold is infinite") from None
     return res.value
 
 
 # -- affine coefficient vectors ------------------------------------------------
 
 # An affine class family is held as its coefficient vectors: the constant
-# class, then one slope class per parameter.  An affine scalar, such as a
-# certificate, is the matching tuple (constant, slope, ...) of rationals.
+# class, then one slope class per parameter.  The chamber loops hold a
+# family as integer numerators over one positive denominator; an affine
+# scalar, such as a certificate, is the matching tuple (constant, slope,
+# ...), with a denominator wherever its value is needed.
 Affine = tuple[QVec, ...]
+Family = tuple[tuple[tuple[int, ...], ...], int]
 
 
 def _family_var(family, var: str | None) -> str:
@@ -236,29 +222,37 @@ def _affine_vectors(family: Sequence, variables: Sequence[str], message: str) ->
     return tuple(tuple(col) for col in cols)
 
 
-def _value(c: Sequence[Fraction], *point: Fraction) -> Fraction:
-    """An affine scalar (constant, slope, ...) at a point."""
-    total = c[0]
+def _integer_family(vecs: Affine) -> Family:
+    """Rational coefficient vectors as integer numerators over one positive denominator."""
+    flat, den = _scaled([x for v in vecs for x in v])
+    r = len(vecs[0])
+    return tuple(tuple(flat[k:k + r]) for k in range(0, len(flat), r)), den
+
+
+def _value(c: Sequence, *point: Fraction):
+    """An affine scalar (constant, slope, ...) at a rational point, times a positive scale.
+
+    The scale is the product of the point's denominators, so the sign and
+    the zeros are those of the value.
+    """
+    total, scale = c[0], 1
     for slope, x in zip(c[1:], point):
-        total += slope * x
+        total = total * x.denominator + slope * x.numerator * scale
+        scale *= x.denominator
     return total
 
 
-def _at(vecs: Affine, *point: Fraction) -> QVec:
-    """An affine class family at a point."""
-    return tuple(_value(c, *point) for c in zip(*vecs))
+def _at(family: Family, *point: Fraction) -> QVec:
+    """A family at a rational point, as a rational class; its vectors may also hold rationals."""
+    vecs, den = family
+    for x in point:
+        den *= x.denominator
+    return tuple(Fraction(_value(c, *point), den) for c in zip(*vecs))
 
 
-def _zero_of(c: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-    """Where an affine scalar vanishes, solved for its last variable.
-
-    The result is that variable as an affine scalar in the others: for one
-    variable, the 1-tuple (root,).  None when the last slope is 0.
-    """
-    slope = c[-1]
-    if slope == 0:
-        return None
-    return tuple(-x / slope for x in c[:-1])
+def _root(c: Sequence[int]) -> tuple[Fraction, ...]:
+    """Where an affine scalar in one variable vanishes: (root,), or () when its slope is 0."""
+    return (Fraction(-c[0], c[1]),) if c[1] else ()
 
 
 def _exponents(n: int) -> list[tuple[int, ...]]:
@@ -266,21 +260,23 @@ def _exponents(n: int) -> list[tuple[int, ...]]:
     return [(0,) * n] + [tuple(int(j == k) for j in range(n)) for k in range(n)]
 
 
-def _affine_poly(variables: tuple[str, ...], c: Sequence[Fraction]) -> Polynomial:
-    """The polynomial c[0] + c[1]*variables[0] + ..., built directly."""
-    return Polynomial._make(variables, dict(zip(_exponents(len(variables)), c)))
+def _affine_poly(variables: tuple[str, ...], c: Sequence[int], den: int) -> Polynomial:
+    """The polynomial (c[0] + c[1]*variables[0] + ...) / den, built directly."""
+    return Polynomial._make(variables, {e: Fraction(x, den) for e, x in zip(_exponents(len(variables)), c) if x})
 
 
-def _affine_square(surface: SurfaceModel, vecs: Affine, variables: Sequence[str]) -> Polynomial:
-    """P^2 for an affine class P, as the quadratic form of its coefficient vectors."""
+def _affine_square(surface: SurfaceModel, family: Family, variables: Sequence[str]) -> Polynomial:
+    """P^2 for an affine class P, as the quadratic form of its coefficient vectors on the integer Gram."""
+    vecs, den = family
     variables = tuple(variables)
     exps = _exponents(len(variables))
-    gvs = [surface.gram_vector(v) for v in vecs]
+    gvs = [[sum(map(mul, row, v)) for row in surface._int_gram] for v in vecs]
+    scale = surface._gram_den * den * den
     coeffs = {}
     for i, v in enumerate(vecs):
         for j in range(i, len(vecs)):
             exp = tuple(a + b for a, b in zip(exps[i], exps[j]))
-            coeffs[exp] = dot(v, gvs[j]) * (1 if i == j else 2)
+            coeffs[exp] = Fraction(sum(map(mul, v, gvs[j])) * (1 if i == j else 2), scale)
     return Polynomial._make(variables, coeffs)
 
 
@@ -288,44 +284,53 @@ def _affine_square(surface: SurfaceModel, vecs: Affine, variables: Sequence[str]
 
 
 class _Cert(Record):
-    """An affine certificate (constant, slope, ...) with provenance."""
+    """An affine certificate: integer coefficients (constant, slope, ...) over den > 0, with provenance."""
 
     kind: str  # "mult" or "nef"
     label: str
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
+    den: int
+
+
+def _support_gram(surface: SurfaceModel, support: Sequence[str]) -> list[list[int]]:
+    """The Gram of the support curves, times _curve_den * _gc_den."""
+    index = [surface.curve_labels.index(label) for label in support]
+    return [[row[j] for j in index] for row in (surface._pairings(surface._curve_ints[a]) for a in support)]
 
 
 def _symbolic_decomposition(
-    surface: SurfaceModel, vecs: Affine, support: Sequence[str]
-) -> tuple[Affine, list[_Cert]]:
-    """Positive part and certificates of an affine family for a fixed support.
+    surface: SurfaceModel, family: Family, support: Sequence[str]
+) -> tuple[Family, list[_Cert]]:
+    """Positive part and certificates of an integer affine family for a fixed support.
 
-    On the support the multiplicities solve Gram * nu = (D.C)_C for every
-    coefficient vector in one elimination, which also checks that the Gram
-    is negative definite; P = D - sum(nu_C C), and P.C is each nef
-    certificate.  With a sorted support the certificates come sorted by
-    (kind, label).
+    With V_k the family's vectors, the integer support Gram G gives
+    G * y_k = (V_k.C)_C up to positive scales, solved for every k in one
+    elimination that also checks that G is negative definite, as y_k over
+    one p > 0.  The multiplicities are y_k up to a positive scale, and
+    P_k = p*V_k - sum(y_kC * C) over p times the family's denominator;
+    P.C is each nef certificate.  With a sorted support the certificates
+    come sorted by (kind, label).
     """
+    vecs, den = family
     support = list(support)
     certs: list[_Cert] = []
-    positive = vecs
     if support:
         index = [surface.curve_labels.index(label) for label in support]
-        curves = [surface.negative_curves[label] for label in support]
-        gram = [[row[j] for j in index] for row in map(surface.curve_pairings, curves)]
-        rhs = [[row[j] for j in index] for row in map(surface.curve_pairings, vecs)]
-        sols = solve_negative_definite(gram, rhs)
+        rhs = [[row[j] for j in index] for row in map(surface._pairings, vecs)]
+        sols = solve_negative_definite(_support_gram(surface, support), rhs)
         if sols is None:
             raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
-        nus = list(zip(*sols))
-        positive = tuple(
-            tuple(x - sum((nu[k] * c[n] for nu, c in zip(nus, curves)), Q(0)) for n, x in enumerate(v))
-            for k, v in enumerate(vecs)
+        ys, p = sols
+        curves = [surface._curve_ints[label] for label in support]
+        vecs = tuple(
+            tuple(p * x - sum(y * c[n] for y, c in zip(yk, curves)) for n, x in enumerate(v)) for v, yk in zip(vecs, ys)
         )
-        certs = [_Cert("mult", label, nu) for label, nu in zip(support, nus)]
-    nef = zip(*map(surface.curve_pairings, positive))
-    certs += [_Cert("nef", label, c) for label, c in zip(surface.curve_labels, nef)]
-    return positive, certs
+        cd = surface._curve_den
+        certs = [_Cert("mult", label, tuple(y[i] * cd for y in ys), p * den) for i, label in enumerate(support)]
+        den *= p
+    nef = zip(*map(surface._pairings, vecs))
+    certs += [_Cert("nef", label, c, den * surface._gc_den) for label, c in zip(surface.curve_labels, nef)]
+    return (vecs, den), certs
 
 
 class _SChamber(Record):
@@ -333,7 +338,7 @@ class _SChamber(Record):
     hi: Fraction
     support: tuple[str, ...]
     upper_cert: tuple[str, str] | None  # certificate vanishing at hi (None at the threshold)
-    positive: Affine
+    positive: Family
 
 
 class _SplitRequest(Exception):
@@ -368,16 +373,24 @@ def _certified_cells(lo: Fraction, hi: Fraction, certify: Callable[[Fraction, Fr
     return cells
 
 
-def _march_one_param(surface: SurfaceModel, vecs: Affine, lo: Fraction, hi: Fraction) -> list[_SChamber]:
+def _interval(lo, hi) -> tuple[Fraction, Fraction]:
+    """lo and hi as rationals; InvalidModel unless lo < hi."""
+    lo, hi = to_q(lo), to_q(hi)
+    if not lo < hi:
+        raise InvalidModel(f"the interval [{lo}, {hi}] is empty")
+    return lo, hi
+
+
+def _march_one_param(surface: SurfaceModel, family: Family, lo: Fraction, hi: Fraction) -> list[_SChamber]:
     """Chamber structure of an affine one-parameter family on [lo, hi] (all within pseff)."""
 
     def certify(a: Fraction, b: Fraction) -> _SChamber:
         # both ends are in the cone, which is convex, so the midpoint is too
-        decomp = _decompose(surface, _at(vecs, (a + b) / 2))
-        positive, certs = _symbolic_decomposition(surface, vecs, decomp.support)
+        decomp = _decompose(surface, _at(family, (a + b) / 2))
+        positive, certs = _symbolic_decomposition(surface, family, decomp.support)
         failed = [c.coeffs for c in certs if _value(c.coeffs, a) < 0 or _value(c.coeffs, b) < 0]
         if failed:
-            raise _SplitRequest(r for c in failed for r in _zero_of(c) or ())
+            raise _SplitRequest(r for c in failed for r in _root(c))
         # the wall at b: a certificate that vanishes there and decreases across it
         upper = next(((c.kind, c.label) for c in certs if _value(c.coeffs, b) == 0 and c.coeffs[1] < 0), None)
         return _SChamber(a, b, decomp.support, upper, positive)
@@ -402,18 +415,19 @@ def one_param_volume(
     """Certified volume function of an affine one-parameter family.
 
     The family is a class vector whose entries are affine polynomials in a
-    single parameter.  The interval is subdivided at the rational chamber
-    walls; on each chamber the support is constant, the negative part is
-    affine, and vol = P(t)^2 is an exact quadratic.  The assembled function
-    is continuous by construction (the piecewise constructor re-checks).
+    single parameter.  The interval, which must have lo < hi, is subdivided
+    at the rational chamber walls; on each chamber the support is constant,
+    the negative part is affine, and vol = P(t)^2 is an exact quadratic.
+    The assembled function is continuous by construction (the piecewise
+    constructor re-checks).
     """
-    lo, hi = to_q(lo), to_q(hi)
+    lo, hi = _interval(lo, hi)
     if len(family) != surface.rank:
         raise InvalidModel("class vectors must match the basis size")
     var = _family_var(family, var)
     vecs = _affine_vectors(family, (var,), "family must be affine in its parameter")
-    start, slope = _at(vecs, lo), vecs[1]
-    _, gens = _eff_data(surface)
+    start, slope = _at((vecs, 1), lo), vecs[1]
+    gens = _eff_data(surface)
     # max_shift only finds some s >= 0 with start + s*slope in the cone;
     # that puts the start in the cone too when -slope lies in it
     if not _on_generator_ray(gens, tuple(-x for x in slope)) and in_cone(gens, start) is None:
@@ -427,16 +441,16 @@ def one_param_volume(
         s_end = hi
     pieces = []
     vol_chambers = []
-    for ch in _march_one_param(surface, vecs, lo, s_end):
+    for ch in _march_one_param(surface, _integer_family(vecs), lo, s_end):
         vol = _affine_square(surface, ch.positive, (var,))
         pieces.append((ch.lo, ch.hi, vol, ",".join(ch.support) if ch.support else "nef"))
-        vol_chambers.append(VolumeChamber(ch.lo, ch.hi, ch.positive[0], ch.positive[1], ch.support))
+        vecs, den = ch.positive
+        p0, p1 = (tuple(Fraction(x, den) for x in v) for v in vecs)
+        vol_chambers.append(VolumeChamber(ch.lo, ch.hi, p0, p1, ch.support))
     if s_end < hi:
         zero = Polynomial.constant(0, (var,))
         pieces.append((s_end, hi, zero, "outside-pseff"))
-        vol_chambers.append(
-            VolumeChamber(s_end, hi, tuple([Q(0)] * surface.rank), tuple([Q(0)] * surface.rank), ())
-        )
+        vol_chambers.append(VolumeChamber(s_end, hi, (Q(0),) * surface.rank, (Q(0),) * surface.rank, ()))
     pw = PiecewisePolynomial(pieces, var)
     if pw(s_end) < 0:
         raise CertificateViolation("volume is negative at the pseudo-effective threshold")
@@ -494,7 +508,7 @@ def two_param_flag_volume(
     tvar: str | None = None,
     svar: str = "s",
 ) -> FlagDecomposition:
-    """Certified cell structure of vol(A(t) - s*Z) over a t-interval.
+    """Certified cell structure of vol(A(t) - s*Z) over a t-interval, t_lo < t_hi.
 
     On every cell the Zariski support of A(t) - s*Z is constant, the s-walls
     are affine functions of t, and the volume is a bivariate polynomial.
@@ -503,37 +517,38 @@ def two_param_flag_volume(
     threshold) are affine, so checks at cell vertices are complete; any
     failure splits the t-interval at the rational root responsible.
     """
-    t_lo, t_hi = to_q(t_lo), to_q(t_hi)
+    t_lo, t_hi = _interval(t_lo, t_hi)
     if len(a_family) != surface.rank:
         raise InvalidModel("class vectors must match the basis size")
     tvar = _family_var(a_family, tvar)
     a_vecs = _affine_vectors(a_family, (tvar,), "restriction family must be affine in t")
     z_vec = surface.class_vector(z)
-    _, gens = _eff_data(surface)
+    gens = _eff_data(surface)
     # max_shift only finds some s >= 0 with A(t) - s*Z in the cone; that
     # puts A(t) in the cone too when Z lies in it
     z_in_cone = _on_generator_ray(gens, z_vec) or in_cone(gens, z_vec) is not None
+    minus_z = tuple(-x for x in z_vec)
+    family = _integer_family((*a_vecs, minus_z))
     chambers = _certified_cells(
-        t_lo, t_hi, lambda a, b: _certify_t_chamber(surface, a_vecs, a, b, z_vec, z_in_cone, (tvar, svar))
+        t_lo, t_hi,
+        lambda a, b: _certify_t_chamber(surface, a_vecs, minus_z, family, a, b, z_in_cone, (tvar, svar)),
     )
     return FlagDecomposition(tuple(chambers), tvar, svar)
 
 
 def _certify_t_chamber(
-    surface: SurfaceModel,
-    a_vecs: Affine,
-    t_lo: Fraction,
-    t_hi: Fraction,
-    z_vec: QVec,
-    z_in_cone: bool,
-    both: tuple[str, str],
+    surface: SurfaceModel, a_vecs: Affine, minus_z: QVec, family: Family,
+    t_lo: Fraction, t_hi: Fraction, z_in_cone: bool, both: tuple[str, str],
 ) -> FlagChamber:
+    """One t-chamber of A(t) - s*Z; family is (A0, A1, -Z) over its denominator.
+
+    A wall s = (w0 + w1*t) / dw is held as ((w0, w1), dw) with dw > 0.
+    """
     mid = (t_lo + t_hi) / 2
-    a_mid = _at(a_vecs, mid)
-    _, gens = _eff_data(surface)
+    a_mid = _at((a_vecs, 1), mid)
+    gens = _eff_data(surface)
     if not z_in_cone and in_cone(gens, a_mid) is None:
         raise NotPseudoEffective(f"restriction family leaves the effective cone at {mid}")
-    minus_z = tuple(-x for x in z_vec)
     try:
         lp = max_shift(a_mid, minus_z, gens)
     except Infeasible:
@@ -548,85 +563,69 @@ def _certify_t_chamber(
             if _threshold_at(a_vecs, minus_z, gens, t_end) != 0:
                 raise _SplitRequest([mid])
         return FlagChamber(t_lo, t_hi, ())
-    tau = _parametric_threshold(a_vecs, minus_z, gens, lp, t_lo, t_hi)
+    tau = _scaled(_parametric_threshold(a_vecs, minus_z, gens, lp, t_lo, t_hi))
     # sampled chamber structure in s at the midpoint
-    s_chambers = _march_one_param(surface, (a_mid, minus_z), Q(0), tau_mid)
-    # symbolic (t, s) reconstruction of each cell; walls s = w0 + w1*t
-    d_vecs = (a_vecs[0], a_vecs[1], minus_z)
+    s_chambers = _march_one_param(surface, _integer_family((a_mid, minus_z)), Q(0), tau_mid)
+    # symbolic (t, s) reconstruction of each cell
     cells: list[FlagCell] = []
-    lower = (Q(0), Q(0))
+    lower = ((0, 0), 1)
     for idx, sch in enumerate(s_chambers):
-        positive, certs = _symbolic_decomposition(surface, d_vecs, sch.support)
-        if idx + 1 < len(s_chambers):
-            upper = _wall_from_cert(certs, sch.upper_cert, mid, sch.hi)
-        else:
-            upper = tau
-        if any(_value(lower, t) > _value(upper, t) for t in (t_lo, t_hi)):
-            raise _SplitRequest(_zero_of(tuple(x - y for x, y in zip(lower, upper))) or ())
+        positive, certs = _symbolic_decomposition(surface, family, sch.support)
+        upper = _wall_from_cert(certs, sch.upper_cert, mid, sch.hi) if idx + 1 < len(s_chambers) else tau
+        (l, dl), (u, du) = lower, upper
+        gap = (l[0] * du - u[0] * dl, l[1] * du - u[1] * dl)  # (lower - upper) * dl * du
+        if any(_value(gap, t) > 0 for t in (t_lo, t_hi)):
+            raise _SplitRequest(_root(gap))
         split_points: list[Fraction] = []
         for cert in certs:
             c0, ct, cs = cert.coeffs
-            # on a wall s = w(t) the certificate is affine in t
-            on_walls = [(c0 + cs * w[0], ct + cs * w[1]) for w in (lower, upper)]
+            # on a wall s = w(t) the certificate, times the wall's dw, is affine in t
+            on_walls = [(c0 * dw + cs * w[0], ct * dw + cs * w[1]) for w, dw in (lower, upper)]
             if any(_value(c, t) < 0 for c in on_walls for t in (t_lo, t_hi)):
                 for c in on_walls:
-                    split_points.extend(_zero_of(c) or ())
+                    split_points.extend(_root(c))
         if split_points:
             raise _SplitRequest(split_points)
-        cells.append(
-            FlagCell(
-                _affine_poly(both[:1], lower),
-                _affine_poly(both[:1], upper),
-                _affine_square(surface, positive, both),
-                tuple(_affine_poly(both, c) for c in zip(*positive)),
-                sch.support,
-            )
-        )
+        vecs, pden = positive
+        cells.append(FlagCell(
+            _affine_poly(both[:1], *lower), _affine_poly(both[:1], *upper), _affine_square(surface, positive, both),
+            tuple(_affine_poly(both, c, pden) for c in zip(*vecs)), sch.support,
+        ))
         lower = upper
     if cells:
         # the volume must vanish at the pseudo-effective threshold: P(t, tau(t))^2 = 0
-        p0, pt, ps = positive
-        at_tau = (
-            tuple(x + tau[0] * y for x, y in zip(p0, ps)),
-            tuple(x + tau[1] * y for x, y in zip(pt, ps)),
-        )
-        if not _affine_square(surface, at_tau, both[:1]).is_zero():
+        (p0, pt, ps), pden = positive
+        (w0, w1), dw = tau
+        at_tau = (tuple(x * dw + w0 * y for x, y in zip(p0, ps)), tuple(x * dw + w1 * y for x, y in zip(pt, ps)))
+        if not _affine_square(surface, (at_tau, pden * dw), both[:1]).is_zero():
             raise _SplitRequest([mid])
     return FlagChamber(t_lo, t_hi, tuple(cells))
 
 
 def _wall_from_cert(
-    certs: list[_Cert],
-    tag: tuple[str, str] | None,
-    t_mid: Fraction,
-    s_at_mid: Fraction,
-) -> tuple[Fraction, Fraction]:
-    """Wall s = w0 + w1*t from the certificate that vanishes on it."""
+    certs: list[_Cert], tag: tuple[str, str] | None, t_mid: Fraction, s_at_mid: Fraction
+) -> tuple[tuple[int, int], int]:
+    """Wall s = (w0 + w1*t) / dw from the certificate that vanishes on it, as ((w0, w1), dw)."""
     chosen = next((c for c in certs if (c.kind, c.label) == tag), None)
     if chosen is None:
         chosen = next((c for c in certs if _value(c.coeffs, t_mid, s_at_mid) == 0), None)
     if chosen is None:
         raise WallCrossingDegeneracy("no certificate vanishes on the sampled wall")
-    wall = _zero_of(chosen.coeffs)
-    if wall is None:
+    c0, ct, cs = chosen.coeffs if chosen.coeffs[2] > 0 else (-x for x in chosen.coeffs)
+    if cs == 0:
         raise WallCrossingDegeneracy("wall certificate does not depend on the inner parameter")
-    return wall
+    return (-c0, -ct), cs
 
 
-def _threshold_at(a_vecs: Affine, minus_z: QVec, gens: list[QVec], t: Fraction) -> Fraction:
+def _threshold_at(a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], t: Fraction) -> Fraction:
     try:
-        return max_shift(_at(a_vecs, t), minus_z, gens).value
+        return max_shift(_at((a_vecs, 1), t), minus_z, gens).value
     except Infeasible:
         raise NotPseudoEffective(f"family leaves the effective cone at {t}") from None
 
 
 def _parametric_threshold(
-    a_vecs: Affine,
-    minus_z: QVec,
-    gens: list[QVec],
-    lp: LPResult,
-    t_lo: Fraction,
-    t_hi: Fraction,
+    a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction
 ) -> tuple[Fraction, Fraction]:
     """tau(t) = tau0 + tau1*t, from the midpoint's optimal basis or by a three-point probe.
 
@@ -656,21 +655,14 @@ def _parametric_threshold(
     right_slope = (tau_hi - tau_mid) / (t_hi - mid)
     if left_slope == right_slope:
         raise _SplitRequest([mid])
-    kink = (
-        (tau_mid - right_slope * mid) - (tau_lo - left_slope * t_lo)
-    ) / (left_slope - right_slope)
+    kink = ((tau_mid - right_slope * mid) - (tau_lo - left_slope * t_lo)) / (left_slope - right_slope)
     if t_lo < kink < t_hi:
         raise _SplitRequest([kink])
     raise _SplitRequest([mid])
 
 
 def _threshold_from_basis(
-    a_vecs: Affine,
-    minus_z: QVec,
-    gens: list[QVec],
-    lp: LPResult,
-    t_lo: Fraction,
-    t_hi: Fraction,
+    a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction
 ) -> tuple[Fraction, Fraction] | None:
     """tau(t) on [t_lo, t_hi] as proved by the optimal basis of lp, or None.
 
@@ -734,25 +726,22 @@ def threefold_volume_certified(
         if len(p0) != model.rank or len(p1) != model.rank:
             raise InvalidModel("class vectors must match the basis size")
         # the residual (-K - tB) - P(t), as its constant and slope vectors
-        residual = (
-            tuple(x - y for x, y in zip(k, p0)),
-            tuple(-x - y for x, y in zip(b_vec, p1)),
-        )
+        residual = (tuple(x - y for x, y in zip(k, p0)), tuple(-x - y for x, y in zip(b_vec, p1)))
         mu = _affine_combination(residual, eff_vecs)
         if mu is None:
             raise CertificateViolation(
                 f"residual on [{lo}, {hi}] is not a combination of the declared effective classes"
             )
-        for label, coeff in zip(eff_labels, mu):
+        for label, (c0, c1) in zip(eff_labels, mu):
             for t_end in (lo, hi):
-                if _value(coeff, t_end) < 0:
+                if c0 + c1 * t_end < 0:
                     raise CertificateViolation(
                         f"negative coefficient of {label} at {var} = {t_end} on [{lo}, {hi}]"
                     )
         for curve_label, curve in sorted(model.curves.items()):
-            pairing = (dot(p0, curve), dot(p1, curve))
+            c0, c1 = dot(p0, curve), dot(p1, curve)
             for t_end in (lo, hi):
-                if _value(pairing, t_end) < 0:
+                if c0 + c1 * t_end < 0:
                     raise CertificateViolation(
                         f"positive part pairs negatively with curve {curve_label!r} at {var} = {t_end}"
                     )

@@ -46,7 +46,7 @@ from kstab.lp import Infeasible, LPResult, Unbounded, max_shift
 from kstab.poly import Polynomial
 from kstab.rationals import to_q
 from kstab.toric import Facet
-from kstab.zariski import ZariskiResult, _at, _SplitRequest
+from kstab.zariski import ZariskiResult, _SplitRequest
 
 
 def _int_rows(vectors):
@@ -706,8 +706,9 @@ def reference_triple_product(model, a, b, c):
 
 
 def _ref_threshold_at(a_vecs, minus_z, gens, t):
+    a_t = tuple(c + s * t for c, s in zip(*a_vecs))
     try:
-        return max_shift(_at(a_vecs, t), minus_z, gens).value
+        return max_shift(a_t, minus_z, gens).value
     except Infeasible:
         raise NotPseudoEffective(f"family leaves the effective cone at {t}") from None
 

@@ -5,7 +5,8 @@ A class or family of the wrong length is an InvalidModel, not a wrong
 answer or a bare IndexError, and an unknown class, divisor or model name is
 an UnknownLabel, a KstabError that is also a KeyError.  The split-depth
 guard of the certified-cell loop raises WallCrossingDegeneracy for one- and
-two-parameter families alike.  Every entry point the benchmark tracer rebinds must exist, since
+two-parameter families alike, and an empty or reversed interval is an
+InvalidModel for both.  Every entry point the benchmark tracer rebinds must exist, since
 the tracer looks each one up with no guard.  A command imports only its
 own layer: the package loads names on first use, ``cli`` imports each
 layer inside the command that uses it, and the lattice layer does not pull
@@ -27,7 +28,7 @@ import pytest
 import kstab
 from kstab import toric, zariski
 from kstab.errors import InvalidModel, KstabError, UnknownLabel, WallCrossingDegeneracy
-from kstab.intersect import bl_p3_quintic, dp4_surface
+from kstab.intersect import SurfaceModel, bl_p3_quintic, dp4_surface
 from kstab.models import preset
 from kstab.poly import Polynomial
 
@@ -49,6 +50,10 @@ class TestWrongLength:
         with pytest.raises(InvalidModel, match="basis size"):
             zariski.two_param_flag_volume(dp4_surface(), (0, T), 0, 1, "L")
 
+    def test_effective_generators_are_checked(self):
+        with pytest.raises(InvalidModel, match="basis size"):
+            SurfaceModel("s", ("a", "b"), [[1, 0], [0, -1]], negative_curves={"c": (0, 1)}, eff_generators={"g": (1,)})
+
     def test_class_vectors_are_checked_on_both_models(self):
         with pytest.raises(InvalidModel, match="basis size"):
             dp4_surface().class_vector((1, 0, 0, 0, 0, 0, 0))
@@ -56,6 +61,29 @@ class TestWrongLength:
         with pytest.raises(InvalidModel, match="basis size"):
             model.class_vector((1,) * (model.rank + 1))
         assert model.class_vector((1,) * model.rank) == (1,) * model.rank
+
+
+class TestEmptyIntervals:
+    """Both family entry points need lo < hi.  Unchecked, a reversed flag
+    interval gives a chamber [1, 0] with a negative integral, and an empty
+    or reversed one-parameter interval a bare ValueError from the piecewise
+    constructor or a WallCrossingDegeneracy."""
+
+    def test_reversed_flag_interval(self):
+        with pytest.raises(InvalidModel, match=r"interval \[1, 0\] is empty"):
+            zariski.two_param_flag_volume(dp4_surface(), MINUS_K, 1, 0, "L")
+
+    def test_empty_flag_interval(self):
+        with pytest.raises(InvalidModel, match=r"interval \[1/2, 1/2\] is empty"):
+            zariski.two_param_flag_volume(dp4_surface(), MINUS_K, "1/2", "1/2", "L")
+
+    def test_empty_one_param_interval(self):
+        with pytest.raises(InvalidModel, match=r"interval \[0, 0\] is empty"):
+            zariski.one_param_volume(dp4_surface(), (3 - T, -1, -1, -1, -1, -1), 0, 0)
+
+    def test_reversed_one_param_interval(self):
+        with pytest.raises(InvalidModel, match=r"interval \[1, 0\] is empty"):
+            zariski.one_param_volume(dp4_surface(), (3 - T, -1, -1, -1, -1, -1), 1, 0)
 
 
 class TestUnknownLabels:

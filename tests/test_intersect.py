@@ -243,7 +243,10 @@ class TestSurfaces:
 
 def _fraction_gc_rows(surface):
     """Gram * C for every curve by Fraction products, over the least common denominator."""
-    gcs = [surface.gram_vector(surface.negative_curves[label]) for label in surface.curve_labels]
+    gcs = [
+        tuple(sum((g * x for g, x in zip(row, surface.negative_curves[label])), Q(0)) for row in surface.gram)
+        for label in surface.curve_labels
+    ]
     den = lcm(*(x.denominator for gc in gcs for x in gc))
     return den, [tuple(x.numerator * (den // x.denominator) for x in gc) for gc in gcs]
 
@@ -288,6 +291,9 @@ class TestIntegerGramRows:
         negative = {k: c for k, c in curves.items() if square(c) < 0}
         s = SurfaceModel("random", basis, gram, negative_curves=negative)
         assert (s._gc_den, s._gc_rows) == _fraction_gc_rows(s)
+        # the Gram and the curves as integers over one positive denominator each
+        assert [[Q(x, s._gram_den) for x in row] for row in s._int_gram] == [list(row) for row in s.gram]
+        assert {k: tuple(Q(x, s._curve_den) for x in v) for k, v in s._curve_ints.items()} == s.negative_curves
         if len(negative) < len(curves):
             with pytest.raises(InvalidModel, match="square >= 0"):
                 SurfaceModel("random", basis, gram, negative_curves=curves)

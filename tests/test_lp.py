@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kstab import lp
-from kstab.errors import InvariantViolation, KstabError
+from kstab.errors import InvalidModel, InvariantViolation, KstabError
 from kstab.lp import Infeasible, Unbounded, _pivot, _run_simplex, in_cone, max_shift, solve_equality_lp
 from oracles import reference_solve_equality_lp
 
@@ -292,3 +292,53 @@ def test_matches_fraction_reference(problem):
     a, b, c = problem
     got = solve_checked(a, b, c)
     assert got == _outcome(reference_solve_equality_lp, a, b, c)
+
+
+def _full_outcome(a, b, c):
+    """The whole answer: the LPResult, or the exception type with its certificate."""
+    try:
+        return solve_equality_lp(a, b, c)
+    except Infeasible as exc:
+        return Infeasible, exc.farkas
+    except Unbounded as exc:
+        return Unbounded, exc.ray
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps(), st.lists(entries, min_size=4, max_size=4))
+def test_a_cone_of_columns_solves_as_its_rows(problem, head):
+    """A Cone as the matrix, and a widened Cone, give the rows written out:
+    the same scaled rows, so the same pivots, answer and certificate."""
+    a, b, c = problem
+    cone = lp.Cone(_cols(a))
+    assert cone.rows == [lp._integer_row(row) for row in a]
+    assert _full_outcome(cone, b, c) == _full_outcome(a, b, c)
+    wide = [[h, *row] for h, row in zip(head, a)]
+    c_wide = [Q(1), *c]
+    assert _full_outcome(cone.widened(head[:len(a)]), b, c_wide) == _full_outcome(wide, b, c_wide)
+
+
+def test_cone_entry_points_reuse_the_rows():
+    gens = [(1, 0), (1, 2), (0, Q(1, 3))]
+    cone = lp.Cone(gens)
+    assert in_cone(cone, (3, 2)) == in_cone(gens, (3, 2))
+    assert max_shift((3, 2), (-1, -1), cone) == max_shift((3, 2), (-1, -1), gens)
+    res = max_shift((1, 0), (-1, 0), lp.Cone([]))
+    assert res == max_shift((1, 0), (-1, 0), []) and res.value == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: in_cone([(1, 0), (1,)], (1, 1)),
+        lambda: in_cone([(1, 0, 5), (0, 1, 0)], (1, 1)),
+        lambda: max_shift((1, 1), (1,), [(1, 0), (0, 1)]),
+        lambda: solve_equality_lp(lp.Cone([(1, 0)]), [1], [1]),
+    ],
+    ids=["ragged-generators", "longer-generators", "short-direction", "short-right-hand-side"],
+)
+def test_vectors_of_another_length_are_rejected(call):
+    # unchecked, the longer generators are cut to the target's length and
+    # the answer is (1, 1), their third coordinates never read
+    with pytest.raises(InvalidModel, match="basis size"):
+        call()

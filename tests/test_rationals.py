@@ -90,12 +90,22 @@ class TestAgainstReference:
         rhs = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3))
         definite = reference_is_negative_definite(gram)
         assert is_negative_definite(gram) == definite
-        sols = solve_negative_definite(gram, rhs)
+        sols = _solved(gram, rhs)
         if definite:
             inv = reference_mat_inverse(gram)
             assert sols == [_mat_vec(inv, b) for b in rhs]
         else:
             assert sols is None
+
+
+def _solved(gram, rhs):
+    """solve_negative_definite's integer numerators over their positive denominator, as Fractions."""
+    sols = solve_negative_definite(gram, rhs)
+    if sols is None:
+        return None
+    nums, den = sols
+    assert den > 0 and all(type(x) is int for y in nums for x in y)
+    return [tuple(Q(x, den) for x in y) for y in nums]
 
 
 class TestAgainstSympy:
@@ -149,7 +159,7 @@ class TestEdgeCases:
     def test_negative_definite_solve(self):
         gram = [[Q(-2), Q(1)], [Q(1), Q(-2)]]
         assert is_negative_definite(gram)
-        assert solve_negative_definite(gram, [[Q(1), Q(0)], [Q(0), Q(3)]]) == [
+        assert _solved(gram, [[Q(1), Q(0)], [Q(0), Q(3)]]) == [
             (Q(-2, 3), Q(-1, 3)),
             (Q(-1), Q(-2)),
         ]
@@ -161,7 +171,7 @@ class TestEdgeCases:
         assert mat_inverse([]) == []
         assert solve_general([], []) == ()
         assert is_negative_definite([])
-        assert solve_negative_definite([], [[]]) == [()]
+        assert _solved([], [[]]) == [()]
 
     @pytest.mark.parametrize(
         "a",

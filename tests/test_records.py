@@ -47,7 +47,7 @@ FIELDS = {
     ZariskiResult: (("positive", "negative", "support", "support_gram"), {}),
     VolumeChamber: (("lo", "hi", "p0", "p1", "support"), {}),
     VolumeFunction: (("pw", "chambers", "certificate"), {}),
-    _Cert: (("kind", "label", "coeffs"), {}),
+    _Cert: (("kind", "label", "coeffs", "den"), {}),
     _SChamber: (("lo", "hi", "support", "upper_cert", "positive"), {}),
     FlagCell: (("s_lo", "s_hi", "volume", "positive", "support"), {}),
     FlagChamber: (("t_lo", "t_hi", "cells"), {}),

@@ -52,6 +52,7 @@ from kstab.zariski import (
     _affine_square,
     _affine_vectors,
     _decompose,
+    _integer_family,
     _symbolic_decomposition,
     one_param_volume,
     pseff_threshold,
@@ -463,15 +464,23 @@ def affine_families(draw):
 
 
 def _symbolic_outcome(surface, variables, vecs, support):
-    """The kernel's output as polynomials in the family's variables."""
-    got = _outcome(_symbolic_decomposition, surface, vecs, support)
+    """The kernel's output as polynomials in the family's variables.
+
+    The positive part and every certificate are integer numerators over a
+    positive denominator; each is rebuilt here as exact Fractions, so the
+    comparison with the reference is equality, not equality up to scale.
+    """
+    got = _outcome(_symbolic_decomposition, surface, _integer_family(vecs), support)
     if isinstance(got[0], type):
         return got
-    positive, certs = got
+    (pvecs, den), certs = got
+    assert den > 0 and all(c.den > 0 for c in certs)
+    assert all(type(x) is int for v in pvecs for x in v) and all(type(x) is int for c in certs for x in c.coeffs)
+    positive = tuple(_poly(variables, [Q(x, den) for x in c]) for c in zip(*pvecs))
     return (
-        tuple(_poly(variables, c) for c in zip(*positive)),
-        [(c.kind, c.label, _poly(variables, c.coeffs)) for c in certs],
-        _affine_square(surface, positive, variables),
+        positive,
+        [(c.kind, c.label, _poly(variables, [Q(x, c.den) for x in c.coeffs])) for c in certs],
+        _affine_square(surface, (pvecs, den), variables),
     )
 
 
@@ -498,6 +507,27 @@ def _check_against_reference(surface, variables, vecs, support):
 @given(affine_families())
 def test_symbolic_decomposition_matches_reference(case):
     _check_against_reference(*case)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(affine_families(), st.data())
+def test_integer_signs_match_fraction_values(case, data):
+    """At random rational points, the integer sign of every certificate is the sign of its Fraction value."""
+    surface, variables, vecs, support = case
+    got = _outcome(_symbolic_decomposition, surface, _integer_family(vecs), support)
+    if isinstance(got[0], type):
+        return
+    point = [data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=9)) for _ in variables]
+    for cert in got[1]:
+        exact = sum((Q(x, cert.den) * y for x, y in zip(cert.coeffs, [1, *point])), Q(0))
+        assert _sign(zariski._value(cert.coeffs, *point)) == _sign(exact)
+        if len(variables) == 1 and cert.coeffs[1]:
+            (root,) = zariski._root(cert.coeffs)
+            assert exact + Q(cert.coeffs[1], cert.den) * (root - point[0]) == 0
 
 
 def _dp4_vec(*entries):
