@@ -252,7 +252,9 @@ class DiscriminantGroup(Record):
 
     ``generators[i]`` is a rational coordinate vector (in the original
     lattice basis) of order ``factors[i]``; the factors divide one another in
-    increasing order and multiply to |det|.
+    increasing order and multiply to |det|.  The last factor e is the
+    exponent: e times any element is in L, so the isotropic search and the
+    overlattice walk hold every element as integer numerators over e.
     """
 
     lattice: GramLattice
@@ -332,42 +334,42 @@ def discriminant_bilinear(lattice: GramLattice, x: Sequence[Fraction], y: Sequen
     return value % 1
 
 
-def _form_table(group: DiscriminantGroup) -> tuple[int, list[list[int]]]:
-    """(D, T): T[i][j] = D * g_i.G.g_j is an integer for the generators g_i.
+def _form_table(group: DiscriminantGroup) -> tuple[int, list[tuple[int, ...]], list[list[int]]]:
+    """(e, N, T): generator numerators N_i = e * g_i over the exponent e, and
+    T[i][j] = N_i.G.N_j.
 
-    For elements c, c' in group coordinates, b(c, c') = c.T.c' / D in Q/Z
-    and q(c) = c.T.c / D in Q/2Z.
+    For elements c, c' in group coordinates, b(c, c') = c.T.c' / e^2 in Q/Z
+    and q(c) = c.T.c / e^2 in Q/2Z.
     """
-    gram, gens = group.lattice.gram, group.generators
-    pairs = [
-        [sum(x * gram[r][s] * y[s] for r, x in enumerate(g) for s in range(len(y))) for y in gens]
-        for g in gens
-    ]
-    d = math.lcm(*(x.denominator for row in pairs for x in row))
-    return d, [[int(x * d) for x in row] for row in pairs]
+    gram = group.lattice.gram
+    e = group.factors[-1] if group.factors else 1
+    nums = [tuple(x.numerator * (e // x.denominator) for x in g) for g in group.generators]
+    g_nums = [[sum(a * x for a, x in zip(row, n)) for row in gram] for n in nums]
+    return e, nums, [[sum(a * x for a, x in zip(m, gn)) for gn in g_nums] for m in nums]
 
 
 def _isotropic_coords(
     lattice: GramLattice, bound: int | None
-) -> tuple[DiscriminantGroup, tuple[int, list[list[int]]], dict[tuple[int, ...], tuple[Fraction, ...]]]:
-    """Group, form table and isotropic elements {coordinates: vector}, sorted by vector."""
+) -> tuple[DiscriminantGroup, int, list[list[int]], dict[tuple[int, ...], tuple[int, ...]]]:
+    """Group, exponent e, form table and isotropic elements {coordinates:
+    numerators over e}, sorted by numerators (the order of the vectors)."""
     group = discriminant_group(lattice)
     if group.order > _enum_bound(bound):
         raise GroupTooLarge(f"group of order {group.order} exceeds the bound")
     if not lattice.is_even():
         raise OddLattice("discriminant quadratic form needs an even lattice")
-    d, t = table = _form_table(group)
-    iso = []
+    e, nums, t = _form_table(group)
+    iso = {}
     for c in itertools.product(*(range(f) for f in group.factors)):
-        if sum(ci * tij * cj for ci, row in zip(c, t) for tij, cj in zip(row, c)) % (2 * d) == 0:
-            iso.append(c)
-    vectors = {c: group.element(c) for c in iso}
-    return group, table, dict(sorted(vectors.items(), key=lambda item: item[1]))
+        if sum(ci * tij * cj for ci, row in zip(c, t) for tij, cj in zip(row, c)) % (2 * e * e) == 0:
+            iso[c] = tuple(sum(ci * n[r] for ci, n in zip(c, nums)) % e for r in range(lattice.rank))
+    return group, e, t, dict(sorted(iso.items(), key=lambda item: item[1]))
 
 
 def isotropic_elements(lattice: GramLattice, bound: int | None = None) -> list[tuple[Fraction, ...]]:
     """All discriminant-group elements with q = 0 in Q/2Z (0 included)."""
-    return list(_isotropic_coords(lattice, bound)[2].values())
+    _, e, _, iso = _isotropic_coords(lattice, bound)
+    return [tuple(Q(x, e) for x in v) for v in iso.values()]
 
 
 def is_primitivity_forced(lattice: GramLattice, bound: int | None = None) -> bool:
@@ -377,9 +379,7 @@ def is_primitivity_forced(lattice: GramLattice, bound: int | None = None) -> boo
     proper even overlattice; with none, every embedding into a larger even
     lattice is primitive.
     """
-    iso = isotropic_elements(lattice, bound)
-    zero = tuple([Q(0)] * lattice.rank)
-    return iso == [zero]
+    return len(_isotropic_coords(lattice, bound)[3]) == 1
 
 
 class Overlattice(Record):
@@ -399,8 +399,10 @@ class Overlattice(Record):
         return int(1 / abs(b))
 
 
-def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> list[frozenset]:
-    group, (d, t), vectors = _isotropic_coords(lattice, bound)
+def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> tuple[int, list, list[list[int]]]:
+    """(e, numerators of the isotropic elements in vector order, subgroups as
+    ascending position lists, ordered by size and then by those lists)."""
+    group, e, t, vectors = _isotropic_coords(lattice, bound)
     factors = group.factors
 
     def add(x, y):
@@ -410,7 +412,7 @@ def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> list[frozen
     orth = {}
     for g in vectors:
         tg = [sum(tij * gj for tij, gj in zip(row, g)) for row in t]
-        orth[g] = frozenset(h for h in vectors if sum(a * b for a, b in zip(tg, h)) % d == 0)
+        orth[g] = frozenset(h for h in vectors if sum(a * b for a, b in zip(tg, h)) % (e * e) == 0)
 
     trivial = frozenset({tuple(0 for _ in factors)})
     subgroups = {trivial}
@@ -437,16 +439,8 @@ def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> list[frozen
                 subgroups.add(extended)
                 frontier.append(extended)
     position = {c: i for i, c in enumerate(vectors)}
-    ordered = sorted(subgroups, key=lambda h: (len(h), sorted(position[c] for c in h)))
-    return [frozenset(vectors[c] for c in h) for h in ordered]
-
-
-def _lattice_basis_from_rational_rows(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Z-basis (HNF-style, deterministic) of the lattice spanned by the rows."""
-    denom = math.lcm(*(x.denominator for row in rows for x in row))
-    ints = [[int(x * denom) for x in row] for row in rows]
-    hnf = _hermite_normal_form(ints)
-    return [[Q(x, denom) for x in row] for row in hnf]
+    keyed = sorted((len(h), sorted(position[c] for c in h)) for h in subgroups)
+    return e, list(vectors.values()), [positions for _, positions in keyed]
 
 
 def _hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
@@ -484,29 +478,30 @@ def even_overlattices(lattice: GramLattice, bound: int | None = None) -> list[Ov
 
     The list always contains the lattice itself (trivial subgroup) and is
     deterministically ordered by subgroup size.  det(overlattice) scales by
-    1/|H|^2.
+    1/|H|^2.  On numerators over the exponent e, the basis is H/e for the row
+    HNF H of [e*I; subgroup] (HNF commutes with a positive scale), and the
+    Gram is H.G.H^T / e^2.
     """
     if not lattice.is_even():
         raise OddLattice("overlattice enumeration is defined for even lattices")
-    out: list[Overlattice] = []
+    e, numerators, subgroups = _isotropic_subgroups(lattice, bound)
+    vectors = [tuple(Q(x, e) for x in v) for v in numerators]
     n = lattice.rank
-    for subgroup in _isotropic_subgroups(lattice, bound):
-        rows = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-        rows += [list(v) for v in subgroup]
-        basis = _lattice_basis_from_rational_rows(rows)
-        if len(basis) != n:
-            raise InvariantViolation(f"overlattice basis has {len(basis)} rows, expected {n}")
-        # gram = basis.G.basis^T, computed on the integer rows scale * basis
-        scale = math.lcm(*(x.denominator for row in basis for x in row))
-        ints = [[int(x * scale) for x in row] for row in basis]
-        g_ints = [[sum(g * b for g, b in zip(g_row, row)) for g_row in lattice.gram] for row in ints]
-        pairs = [[sum(a * x for a, x in zip(row, g_row)) for g_row in g_ints] for row in ints]
-        if any(x % scale**2 for row in pairs for x in row):
+    scaled = [[e if i == j else 0 for j in range(n)] for i in range(n)]
+    out: list[Overlattice] = []
+    for subgroup in subgroups:
+        h = _hermite_normal_form(scaled + [numerators[i] for i in subgroup])
+        if len(h) != n:
+            raise InvariantViolation(f"overlattice basis has {len(h)} rows, expected {n}")
+        g_rows = [[sum(g * b for g, b in zip(g_row, row)) for g_row in lattice.gram] for row in h]
+        pairs = [[sum(a * x for a, x in zip(row, g_row)) for g_row in g_rows] for row in h]
+        if any(x % (e * e) for row in pairs for x in row):
             raise InvariantViolation("overlattice from an isotropic subgroup must stay integral")
-        over = GramLattice([[x // scale**2 for x in row] for row in pairs])
+        over = GramLattice([[x // (e * e) for x in row] for row in pairs])
         if not over.is_even():
             raise OddLattice("overlattice from an isotropic subgroup must stay even")
-        out.append(Overlattice(over, tuple(tuple(row) for row in basis), tuple(sorted(subgroup))))
+        basis = tuple(tuple(Q(x, e) for x in row) for row in h)
+        out.append(Overlattice(over, basis, tuple(vectors[i] for i in subgroup)))
     return out
 
 

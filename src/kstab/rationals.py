@@ -56,15 +56,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Q(0))
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> QMat:
-    cols = list(zip(*b))
-    return [[dot(row, col) for col in cols] for row in a]
-
-
-def mat_transpose(a: Sequence[Sequence[Fraction]]) -> QMat:
-    return [list(row) for row in zip(*a)]
-
-
 # -- the elimination kernel ----------------------------------------------------
 
 

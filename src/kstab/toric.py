@@ -1,11 +1,12 @@
 """Lattice polytopes in rank 3: exact hulls, polar duals, toric criteria.
 
-The hull is computed by exhaustive supporting-plane search with rational
-arithmetic (every triple of points proposes a plane; a plane with all
-points on one side is a facet).  That is quadratic-ish in the number of
-points, entirely adequate at this scale, and immune to the degeneracies
-that plague floating-point incremental hulls: coplanar point sets simply
-propose the same facet several times and are deduplicated.
+The hull is computed by exhaustive supporting-plane search in integers
+(every triple of points, scaled by the lcm of their denominators, proposes
+a primitive plane; a plane with all points on one side is a facet).  Each
+distinct plane gets one side scan, recorded for it and its negation, and
+the extreme points are read off the integer normals through each point.
+That is quadratic-ish in the number of points, adequate at this scale, and
+immune to the degeneracies of floating-point incremental hulls.
 
 Polar duality uses the convention that pairs a reflexive polytope with the
 convex hull of the *inward* facet normals, P* = {y : <y, x> >= -1 for all
@@ -71,16 +72,17 @@ class LatticePolytope:
             raise DegeneratePolytope("points do not span a 3-dimensional polytope")
         facets = _facets(tuple(pts))
         # a point is extreme iff the facets through it have normals of rank 3
-        vertices = []
-        for p in pts:
-            normals = [f.normal for f in facets if _dot(f.normal, p) == f.offset]
-            if len(normals) >= 3 and rank([list(n) for n in normals]) == 3:
-                vertices.append(p)
-        self.vertices: tuple[Vec3, ...] = tuple(vertices)
+        through: list[list[tuple[int, ...]]] = [[] for _ in pts]
+        for f, on in facets:
+            normal = tuple(x.numerator for x in f.normal)
+            for i in on:
+                through[i].append(normal)
+        extreme = [_spans_space(normals) for normals in through]
+        self.vertices: tuple[Vec3, ...] = tuple(p for p, keep in zip(pts, extreme) if keep)
         self.facets: tuple[Facet, ...] = tuple(
-            Facet(f.normal, f.offset, tuple(v for v in f.vertices if v in set(vertices)))
-            for f in facets
+            Facet(f.normal, f.offset, tuple(pts[i] for i in on if extreme[i])) for f, on in facets
         )
+        self._dual: LatticePolytope | None = None
 
     def __eq__(self, other):
         return isinstance(other, LatticePolytope) and self.vertices == other.vertices
@@ -108,38 +110,53 @@ def _affine_rank(pts: list[Vec3]) -> int:
     return rank([list(_sub(p, base)) for p in pts[1:]])
 
 
-def _facets(vertices: tuple[Vec3, ...]) -> tuple[Facet, ...]:
+def _spans_space(normals: list[tuple[int, ...]]) -> bool:
+    """True iff the integer 3-vectors have rank 3."""
+    for a, b in itertools.combinations(normals, 2):
+        axb = _cross(a, b)
+        if axb != (0, 0, 0):
+            return any(_dot(axb, c) for c in normals)
+    return False
+
+
+def _facets(vertices: tuple[Vec3, ...]) -> tuple[tuple[Facet, tuple[int, ...]], ...]:
+    """Each facet of the hull of sorted distinct points, with the indices of the points on it."""
     # scaled by the lcm D of the denominators, the points are integers: the
     # normals are unchanged and every offset is D times the rational one
     scale = lcm(*(x.denominator for p in vertices for x in p))
-    pts = [tuple(int(x * scale) for x in p) for p in vertices]
-    seen: dict[tuple[tuple[int, ...], int], list[Vec3]] = {}
+    pts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in vertices]
+    # each plane's side decision, for (n, c) and (-n, -c): the outward facet and its points, or None
+    decided: dict[tuple[tuple[int, ...], int], tuple | None] = {}
     for a, b, c in itertools.combinations(pts, 3):
         n = _cross(_sub(b, a), _sub(c, a))
         if n == (0, 0, 0):
             continue
         g = gcd(*n)
-        n = (n[0] // g, n[1] // g, n[2] // g)
-        offset = _dot(n, a)
+        n = n0, n1, n2 = (n[0] // g, n[1] // g, n[2] // g)
+        offset = n0 * a[0] + n1 * a[1] + n2 * a[2]
+        if (n, offset) in decided:
+            continue
         above = below = False
-        for p in pts:
-            d = _dot(n, p) - offset
+        on = []
+        for i, (x, y, z) in enumerate(pts):
+            d = n0 * x + n1 * y + n2 * z - offset
             if d > 0:
                 above = True
             elif d < 0:
                 below = True
+            else:
+                on.append(i)
             if above and below:
                 break
-        if above and below:
-            continue
-        if above:
-            n = (-n[0], -n[1], -n[2])
-            offset = -offset
-        if (n, offset) not in seen:
-            seen[n, offset] = [v for v, p in zip(vertices, pts) if _dot(n, p) == offset]
+        negated = ((-n0, -n1, -n2), -offset)
+        side = None if above and below else ((negated if above else (n, offset)), tuple(on))
+        decided[n, offset] = side
+        if above or below:  # a plane through every point is a facet both ways
+            decided[negated] = side
+    facets = sorted({side for side in decided.values() if side is not None})
     return tuple(
-        Facet(tuple(Q(x) for x in n), Q(offset, scale), tuple(sorted(on)))
-        for (n, offset), on in sorted(seen.items())
+        (Facet(tuple(Q(x) for x in n), Q(offset, scale), tuple(vertices[i] for i in on)), on)
+        for (n, offset), on in facets
     )
 
 
@@ -147,12 +164,14 @@ def polar_dual(p: LatticePolytope) -> LatticePolytope:
     """Dual polytope conv{-n/c : <n, x> <= c a facet}, origin strictly inside.
 
     Equivalently {y : <y, x> >= -1 for all x in P}; applying it twice
-    returns the original polytope.
+    returns the original polytope.  The dual is built once and stored on
+    ``p``, so a LatticePolytope must not be changed after construction.
     """
-    if not p.contains_origin_interior():
-        raise OriginNotInterior("polar duality needs the origin strictly inside")
-    verts = [tuple(-x / f.offset for x in f.normal) for f in p.facets]
-    return LatticePolytope(verts)
+    if p._dual is None:
+        if not p.contains_origin_interior():
+            raise OriginNotInterior("polar duality needs the origin strictly inside")
+        p._dual = LatticePolytope([tuple(-x / f.offset for x in f.normal) for f in p.facets])
+    return p._dual
 
 
 def is_reflexive(p: LatticePolytope) -> bool:

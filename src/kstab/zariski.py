@@ -67,12 +67,6 @@ class ZariskiResult(Record):
     support: tuple[str, ...]
     support_gram: tuple[QVec, ...]
 
-    def negative_coefficient(self, label: str) -> Fraction:
-        for name, c in self.negative:
-            if name == label:
-                return c
-        return Q(0)
-
 
 class VolumeChamber(Record):
     """One chamber of a one-parameter volume function.

@@ -15,7 +15,13 @@ as the reference for the fraction-free solver.  In the same way,
 ``reference_facets`` and ``reference_ordered_facet_vertices`` are the
 engine's original ``Fraction`` and brute-force kernels for the overlattice
 walk, the box search, the hull and the facet polygon order, the references
-for the integer kernels that replaced them.
+for the integer kernels that replaced them.  ``reference_even_overlattices``
+is the overlattice construction as it was before the discriminant elements
+became integer numerators: a row HNF of the rational rows [I; subgroup]
+over the lcm of their denominators, with the Gram as a ``Fraction`` matrix
+product (``mat_mul``, ``mat_transpose``).  ``reference_polytope`` is the
+hull's extreme-point test as it was before the integer on-plane indices:
+``Fraction`` dot products and a ``Fraction`` rank over ``reference_facets``.
 ``reference_decompose``, ``reference_symbolic_decomposition`` and
 ``reference_pair_poly`` are the chamber layer as it was before its
 coefficient-vector kernel: the decomposition re-pairs the whole current
@@ -41,7 +47,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from kstab.errors import IndefiniteSupport, InvalidModel, NotPseudoEffective
-from kstab.lattice import discriminant_group, discriminant_quadratic
+from kstab.lattice import GramLattice, Overlattice, discriminant_group, discriminant_quadratic
 from kstab.lp import Infeasible, LPResult, Unbounded, max_shift
 from kstab.poly import Polynomial
 from kstab.rationals import to_q
@@ -59,6 +65,15 @@ def _int_rows(vectors):
             row.append(q.numerator)
         out.append(tuple(row))
     return out
+
+
+def mat_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum((to_q(x) * y for x, y in zip(row, col)), Q(0)) for col in cols] for row in a]
+
+
+def mat_transpose(a):
+    return [list(row) for row in zip(*a)]
 
 
 def _ref_copy(a):
@@ -465,6 +480,51 @@ def reference_isotropic_subgroups(lattice, bound=None):
     return sorted(subgroups, key=lambda h: (len(h), sorted(h)))
 
 
+def reference_hermite_normal_form(rows):
+    """Row-style HNF (nonzero rows, pivot-positive, reduced above pivots)."""
+    m = [list(r) for r in rows]
+    cols = len(m[0]) if m else 0
+    pivot_row = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(pivot_row, len(m)):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
+        # gcd out the column below the pivot
+        for r in range(pivot_row + 1, len(m)):
+            while m[r][col] != 0:
+                q = m[pivot_row][col] // m[r][col]
+                m[pivot_row] = [a - q * b for a, b in zip(m[pivot_row], m[r])]
+                m[pivot_row], m[r] = m[r], m[pivot_row]
+        if m[pivot_row][col] < 0:
+            m[pivot_row] = [-x for x in m[pivot_row]]
+        for r in range(pivot_row):
+            q = m[r][col] // m[pivot_row][col]
+            if q:
+                m[r] = [a - q * b for a, b in zip(m[r], m[pivot_row])]
+        pivot_row += 1
+    return [row for row in m[:pivot_row] if any(row)]
+
+
+def reference_even_overlattices(lattice):
+    """Overlattices of the Fraction closure search's subgroups, by the rational-rows HNF."""
+    n = lattice.rank
+    gram = [[Q(x) for x in row] for row in lattice.gram]
+    out = []
+    for subgroup in reference_isotropic_subgroups(lattice):
+        rows = [[Q(int(i == j)) for j in range(n)] for i in range(n)] + [list(v) for v in subgroup]
+        denom = lcm(*(x.denominator for row in rows for x in row))
+        hnf = reference_hermite_normal_form([[int(x * denom) for x in row] for row in rows])
+        basis = [[Q(x, denom) for x in row] for row in hnf]
+        over = GramLattice(mat_mul(mat_mul(basis, gram), mat_transpose(basis)))
+        out.append(Overlattice(over, tuple(tuple(row) for row in basis), tuple(sorted(subgroup))))
+    return out
+
+
 def reference_integer_search_quadratic(form, comparison, box):
     """Every point of the box where ``form <comparison> 0``, tried one by one."""
     ops = {
@@ -539,6 +599,20 @@ def reference_facets(vertices):
         if key not in seen:
             seen[key] = [p for p in vertices if _ref_dot(n, p) == offset]
     return tuple(Facet(normal=n, offset=c, vertices=tuple(sorted(pts))) for (n, c), pts in sorted(seen.items()))
+
+
+def reference_polytope(points):
+    """(vertices, facets) of the hull: a point is extreme iff the Fraction
+    rank of the facet normals through it is 3."""
+    pts = sorted({tuple(Q(x) for x in p) for p in points})
+    facets = reference_facets(tuple(pts))
+    vertices = []
+    for p in pts:
+        normals = [list(f.normal) for f in facets if _ref_dot(f.normal, p) == f.offset]
+        if len(normals) >= 3 and reference_rank(normals) == 3:
+            vertices.append(p)
+    kept = set(vertices)
+    return tuple(vertices), tuple(Facet(f.normal, f.offset, tuple(v for v in f.vertices if v in kept)) for f in facets)
 
 
 def reference_ordered_facet_vertices(f):

@@ -31,7 +31,7 @@ from kstab.toric import (
     toric_kps_check,
     volume,
 )
-from oracles import reference_facets, reference_ordered_facet_vertices
+from oracles import reference_facets, reference_ordered_facet_vertices, reference_polytope
 
 
 class TestHull:
@@ -179,18 +179,33 @@ class TestEquivariance:
 
 
 COORDS = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+POINT_SETS = st.lists(st.tuples(COORDS, COORDS, COORDS), min_size=4, max_size=20)
+# a square with its centre and an edge midpoint under an apex: collinear
+# triples and a five-point coplanar facet
+COPLANAR = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0), (1, 0, 0), (1, 1, 2)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(COORDS, COORDS, COORDS), min_size=4, max_size=20))
-# a square with its centre and an edge midpoint under an apex: collinear
-# triples and a five-point coplanar facet
-@example([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0), (1, 0, 0), (1, 1, 2)])
+@given(POINT_SETS)
+@example(COPLANAR)
+@example([(0, 0, 0), (0, 0, 1), (1, 0, 0), (-1, 0, 0)])  # flat: its plane is a facet both ways
 def test_facet_scan_matches_reference(points):
     pts = tuple(sorted({tuple(Q(x) for x in p) for p in points}))
     facets = toric._facets(pts)
-    assert facets == reference_facets(pts)
-    assert all(isinstance(x, Q) for f in facets for x in (*f.normal, f.offset))
+    assert tuple(f for f, _ in facets) == reference_facets(pts)
+    assert all(isinstance(x, Q) for f, _ in facets for x in (*f.normal, f.offset))
+    assert all(tuple(pts[i] for i in on) == f.vertices for f, on in facets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(POINT_SETS)
+@example(COPLANAR)
+def test_polytope_matches_reference(points):
+    try:
+        p = LatticePolytope(points)
+    except DegeneratePolytope:
+        return
+    assert (p.vertices, p.facets) == reference_polytope(points)
 
 
 def _vertices(p):
@@ -212,3 +227,18 @@ def test_facet_order_matches_reference(points):
     for q in polytopes:
         for f in q.facets:
             assert toric._ordered_facet_vertices(f) == reference_ordered_facet_vertices(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(POINT_SETS)
+@example(_vertices(prism()))
+@example(_vertices(asymmetric_reflexive()))
+def test_polar_dual_is_a_stored_involution(points):
+    try:
+        p = LatticePolytope(points)
+    except DegeneratePolytope:
+        return
+    if not p.contains_origin_interior():
+        return
+    assert polar_dual(p) is polar_dual(p)
+    assert polar_dual(polar_dual(p)).vertices == p.vertices
