@@ -182,24 +182,8 @@ _FLAG_SETUPS = {
 }
 
 
-def _flag_family(kind: str):
-    from .poly import parse_polynomial
-
-    c = ("t",)
-    p = lambda s: parse_polynomial(s, c)
-    if kind == "dp4":
-        return [
-            (Q(0), Q(2), (p("4 - 2*t"), p("-1 + 1/2*t"), p("-1 + 1/2*t"),
-                          p("-1 + 1/2*t"), p("-1 + 1/2*t"), p("-1 + 1/2*t")))
-        ]
-    return [
-        (Q(0), Q(1), (p("3 - t"), p("2*t"))),
-        (Q(1), Q(2), (p("4 - 2*t"), p("4 - 2*t"))),
-    ]
-
-
 def _cmd_flag_sinv(args) -> dict:
-    from .invariants import refined_s_flag
+    from .invariants import _flag_family, refined_s_flag
     from .models import parse_class_expr, preset
 
     setup = _FLAG_SETUPS.get((args.model, args.surface))

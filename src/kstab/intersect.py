@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import InvalidModel, UnknownLabel
-from .rationals import Q, QVec, dot, qvec, to_q
+from .rationals import Q, QVec, dot, qvec, scaled, to_q
 from .records import Record
 
 ClassVec = QVec
@@ -35,12 +34,6 @@ def _sized(v: ClassVec, rank: int) -> ClassVec:
     if len(v) != rank:
         raise InvalidModel("class vectors must match the basis size")
     return v
-
-
-def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
-    """v as integers over one common denominator: (numerators, denominator)."""
-    den = lcm(*(x.denominator for x in v))
-    return [x.numerator * (den // x.denominator) for x in v], den
 
 
 class Chamber(Record):
@@ -86,12 +79,8 @@ class ThreefoldModel:
         self.triple = table
         # the form as integer terms (i, j, k, w) over one denominator, one
         # per ordered index triple with a nonzero entry
-        self._den = lcm(*(x.denominator for x in table.values()))
-        self._terms = [
-            (*idx, value.numerator * (self._den // value.denominator))
-            for key, value in table.items() if value
-            for idx in set(permutations(key))
-        ]
+        weights, self._den = scaled(table.values())
+        self._terms = [(*idx, w) for key, w in zip(table, weights) if w for idx in set(permutations(key))]
         self.anticanonical = qvec(anticanonical)
         if len(self.anticanonical) != r:
             raise InvalidModel("anticanonical vector has the wrong length")
@@ -131,7 +120,7 @@ def _contraction(model: ThreefoldModel, x: Sequence[int], y: Sequence[int], z: S
 
 def triple_product(model: ThreefoldModel, a, b, c) -> Fraction:
     """The symmetric trilinear form on three rational class vectors."""
-    (x, dx), (y, dy), (z, dz) = (_scaled(_sized(qvec(v), model.rank)) for v in (a, b, c))
+    (x, dx), (y, dy), (z, dz) = (scaled(_sized(qvec(v), model.rank)) for v in (a, b, c))
     return Fraction(_contraction(model, x, y, z), model._den * dx * dy * dz)
 
 
@@ -141,7 +130,7 @@ def affine_cube(model: ThreefoldModel, p0, p1) -> tuple[Fraction, Fraction, Frac
     The coefficient of t^k is C(3, k) * p0^(3-k) * p1^k: four contractions
     of the integer form.
     """
-    (x, dx), (y, dy) = (_scaled(_sized(qvec(v), model.rank)) for v in (p0, p1))
+    (x, dx), (y, dy) = (scaled(_sized(qvec(v), model.rank)) for v in (p0, p1))
     factors = ((x, x, x), (x, x, y), (x, y, y), (y, y, y))
     return tuple(
         Fraction(binomial * _contraction(model, *rows), model._den * dx ** (3 - k) * dy**k)
@@ -179,32 +168,23 @@ class SurfaceModel:
         self.gram: tuple[QVec, ...] = tuple(rows)
         self.canonical = qvec(canonical) if canonical is not None else None
         self.negative_curves = {k: qvec(v) for k, v in (negative_curves or {}).items()}
-        # the Gram scaled to integers once; Gram * C for every declared curve
-        # as integer rows over one common denominator, so that a class meets
-        # every curve in integer dots; and each curve as integers over one
-        # common denominator
+        # the Gram and the curves each scaled to integers once, and Gram * C
+        # for every declared curve as an integer row over their product, so
+        # that a class meets every curve in integer dots
         self.curve_labels = tuple(sorted(self.negative_curves))
-        flat, self._gram_den = _scaled([x for row in rows for x in row])
+        if any(len(self.negative_curves[label]) != r for label in self.curve_labels):
+            raise InvalidModel("class vectors must match the basis size")
+        flat, self._gram_den = scaled([x for row in rows for x in row])
         self._int_gram = [flat[i * r:(i + 1) * r] for i in range(r)]
-        gcs, curves = [], []  # (numerators, denominator), gcs in lowest terms
-        for label in self.curve_labels:
-            cls = self.negative_curves[label]
-            if len(cls) != r:
-                raise InvalidModel("class vectors must match the basis size")
-            ints, den = _scaled(cls)
-            gc = [sum(map(mul, row, ints)) for row in self._int_gram]
+        flat, self._curve_den = scaled([x for label in self.curve_labels for x in self.negative_curves[label]])
+        self._curve_ints = {label: flat[i * r:(i + 1) * r] for i, label in enumerate(self.curve_labels)}
+        self._gc_den = self._gram_den * self._curve_den
+        self._gc_rows = []
+        for label, ints in self._curve_ints.items():
+            gc = tuple(sum(map(mul, row, ints)) for row in self._int_gram)
             if sum(map(mul, ints, gc)) >= 0:
                 raise InvalidModel(f"declared negative curve {label!r} has square >= 0")
-            curves.append((ints, den))
-            den *= self._gram_den
-            g = gcd(den, *gc)
-            gcs.append(([x // g for x in gc], den // g))
-        self._gc_den = lcm(*(den for _, den in gcs))
-        self._gc_rows = [tuple(x * (self._gc_den // den) for x in gc) for gc, den in gcs]
-        self._curve_den = lcm(*(den for _, den in curves))
-        self._curve_ints = {
-            label: [x * (self._curve_den // den) for x in ints] for label, (ints, den) in zip(self.curve_labels, curves)
-        }
+            self._gc_rows.append(gc)
         if eff_generators is None:
             eff_generators = dict(self.negative_curves)
         self.eff_generators = {k: qvec(v) for k, v in eff_generators.items()}
@@ -226,7 +206,7 @@ class SurfaceModel:
         """v.C for every declared curve C, in the order of curve_labels."""
         if len(v) != self.rank:
             raise InvalidModel("class vectors must match the basis size")
-        ints, den = _scaled(v)
+        ints, den = scaled(v)
         return tuple(Fraction(x, den * self._gc_den) for x in self._pairings(ints))
 
     def _pairings(self, ints: Sequence[int]) -> list[int]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import InvalidModel, NonpositiveVolume
 from .intersect import SurfaceModel
-from .poly import PiecewisePolynomial, integrate_piecewise
+from .poly import PiecewisePolynomial, integrate_piecewise, parse_polynomial
 from .rationals import Q, to_q
 from .records import Record
 from .zariski import (
@@ -99,6 +99,25 @@ def sing_line_bound(g: int, k: int) -> Fraction:
     if k < 0:
         raise ValueError("pinch-point count must be nonnegative")
     return 1 + Q(g - 12 + k, 4 * (g - 1))
+
+
+def _flag_family(kind: str) -> list[tuple[Fraction, Fraction, tuple]]:
+    """The restricted positive parts A(t) of -K - tS on bl_p3_quintic, as chambers for refined_s_flag.
+
+    kind "dp4": S a hyperplane through the flag line, restricted to dP4;
+    otherwise S = Qtilde, restricted to the quadric.
+    """
+    c = ("t",)
+    p = lambda s: parse_polynomial(s, c)
+    if kind == "dp4":
+        return [
+            (Q(0), Q(2), (p("4 - 2*t"), p("-1 + 1/2*t"), p("-1 + 1/2*t"),
+                          p("-1 + 1/2*t"), p("-1 + 1/2*t"), p("-1 + 1/2*t")))
+        ]
+    return [
+        (Q(0), Q(1), (p("3 - t"), p("2*t"))),
+        (Q(1), Q(2), (p("4 - 2*t"), p("4 - 2*t"))),
+    ]
 
 
 def refined_s_flag(

@@ -30,7 +30,6 @@ search checks its number of rows and of solutions against it.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -43,7 +42,7 @@ from .errors import (
     InvariantViolation,
     OddLattice,
 )
-from .rationals import Q, det, rank, to_q
+from .rationals import Q, det, rank, scaled, to_q
 from .records import Record
 
 if TYPE_CHECKING:
@@ -605,8 +604,8 @@ def integer_search_quadratic(
     bound = _enum_bound(None)
     # integer coefficients k[(i, j)] of x^i y^j, y the last variable; the
     # positive scale keeps every sign
-    scale = math.lcm(*(c.denominator for c in coeffs.values()))
-    k = {(0,) * (2 - len(exp)) + exp: int(c * scale) for exp, c in coeffs.items()}
+    ints, _ = scaled(coeffs.values())
+    k = {(0,) * (2 - len(exp)) + exp: c for exp, c in zip(coeffs, ints)}
 
     def coeff(i: int, j: int) -> int:
         return k.get((i, j), 0)

@@ -44,12 +44,12 @@ dot products alone, and a failed check raises InvariantViolation:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
 from .errors import InvalidModel, InvariantViolation
-from .rationals import to_q
+from .rationals import common, scaled, to_q
 from .records import Record
 
 
@@ -130,26 +130,17 @@ def _run_simplex(tab: list[list[int]], basis: list[int], denom: int, ncols: int)
         denom = _pivot(tab, basis, denom, best_row, col)
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values times the least positive integer that clears their denominators, and that integer."""
-    qs = [v if isinstance(v, int) else to_q(v) for v in values]
-    scale = lcm(*[q.denominator for q in qs])
-    if scale == 1:
-        return [q.numerator for q in qs], 1
-    return [q.numerator * (scale // q.denominator) for q in qs], scale
-
-
 class Cone(tuple):
     """Column vectors, the generators of a cone, with their integer rows built once.
 
-    ``rows[i]`` is ``_integer_row`` of the i-th entries of the columns.  As
+    ``rows[i]`` is ``rationals.scaled`` of the i-th entries of the columns.  As
     the matrix a of ``solve_equality_lp`` a Cone gives the same scaled rows
     [a | b] as its columns written out, from these rows and b alone.
     """
 
     def __new__(cls, columns: Sequence[Sequence[Fraction]]):
         self = super().__new__(cls, (tuple(map(to_q, col)) for col in columns))
-        self.rows = [_integer_row(entries) for entries in zip(*self)]
+        self.rows = [scaled(entries) for entries in zip(*self)]
         _same_length(len(self.rows), *self)
         return self
 
@@ -169,8 +160,8 @@ def _same_length(n: int, *vectors: Sequence) -> None:
 
 def _joined(*parts: tuple[list[int], int]) -> tuple[list[int], int]:
     """Integer rows, each with its scale, side by side as one integer row over their least common scale."""
-    scale = lcm(*(s for _, s in parts))
-    return sum((ints if s == scale else [x * (scale // s) for x in ints] for ints, s in parts), []), scale
+    rows, scale = common(parts)
+    return sum(rows, []), scale
 
 
 # -- certificates: integer dot products against the caller's rows [a | b] --------
@@ -221,21 +212,21 @@ def solve_equality_lp(
 ) -> LPResult:
     """Maximize c*x subject to a*x = b, x >= 0 (all data exact rationals).
 
-    a is a list of rows, or a Cone of its columns.  Raises Infeasible or
-    Unbounded, each with its certificate.  Redundant constraint rows are
-    removed up front so the optimal basis is always a genuine invertible
-    column set.
+    a is a list of rows, or a Cone of its columns; a list becomes the Cone
+    of its columns, and a matrix with no columns has a zero row for each
+    entry of b.  Raises Infeasible or Unbounded, each with its certificate.
+    Redundant constraint rows are removed up front so the optimal basis is
+    always a genuine invertible column set.
     """
-    if isinstance(a, Cone):
-        _same_length(len(a.rows), b)
-        scaled = [_joined(row, ([q.numerator], q.denominator)) for row, q in zip(a.rows, map(to_q, b))]
-        ncols = len(a)
-    else:
-        scaled = [_integer_row([*row, bi]) for row, bi in zip(a, b)]
-        ncols = len(a[0]) if a else 0
-    rows, scales = [r for r, _ in scaled], [s for _, s in scaled]
-    nrows = len(rows)
-    cost, cscale = _integer_row(c)
+    if not isinstance(a, Cone):
+        _same_length(len(a[0]) if a else 0, *a)
+        a = Cone(zip(*a))
+    a_rows = a.rows or [([], 1)] * len(b)
+    _same_length(len(a_rows), b)
+    joined = [_joined(row, ([q.numerator], q.denominator)) for row, q in zip(a_rows, map(to_q, b))]
+    rows, scales = [r for r, _ in joined], [s for _, s in joined]
+    ncols, nrows = len(a), len(rows)
+    cost, cscale = scaled(c)
     # tableau rows [a-part | transform | rhs], the transform being the
     # combination of the caller's rows that the row is; each row is
     # reduced against the rows kept before it so it vanishes in their lead

@@ -1,10 +1,12 @@
-"""Exact rational scalars and the one exact elimination kernel.
+"""Exact rational scalars, the one denominator-clearing rule and the one
+exact elimination kernel.
 
 The scalar type of the whole engine is :class:`fractions.Fraction` (lowest
 terms, positive denominator).  This module adds the canonical string form
-used in reports and model files ("p/q", plain "p" for integers) and the
-linear algebra shared by the lattice, toric and Zariski modules.  That
-linear algebra is one fraction-free (Bareiss) row reduction, ``_echelon``;
+used in reports and model files ("p/q", plain "p" for integers).  Every
+layer that computes on integers clears denominators with ``scaled`` and
+``common`` alone.  The linear algebra shared by the lattice, toric and
+Zariski modules is one fraction-free (Bareiss) row reduction, ``_echelon``;
 ``det``, ``rank``, ``solve_general`` (``solve_each`` for several
 right-hand sides at once), ``mat_inverse`` and the negative-definite solve
 are a few lines over it; the last gives integer numerators over one
@@ -56,6 +58,28 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Q(0))
 
 
+def scaled(values: Iterable) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator.
+
+    Returns (numerators, denominator); the denominator is the least
+    positive integer that clears every value, 1 for all-integer input.
+    """
+    qs = [v if isinstance(v, int) else to_q(v) for v in values]
+    den = lcm(*(q.denominator for q in qs))
+    if den == 1:
+        return [q.numerator for q in qs], 1
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def common(parts: Sequence[tuple[Sequence[int], int]]) -> tuple[list[list[int]], int]:
+    """Integer vectors, each over its own positive denominator, over the lcm of the denominators.
+
+    Returns (vectors, denominator), every vector keeping its values.
+    """
+    den = lcm(*(d for _, d in parts))
+    return [list(v) if d == den else [x * (den // d) for x in v] for v, d in parts], den
+
+
 # -- the elimination kernel ----------------------------------------------------
 
 
@@ -72,9 +96,8 @@ def _echelon(rows: Sequence[Sequence], width: int) -> tuple[list[list[int]], lis
     m = []
     scale = 1
     for row in rows:
-        row = [x if isinstance(x, int) else to_q(x) for x in row]
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
+        ints, den = scaled(row)
+        m.append(ints)
         scale *= den
     cols: list[int] = []
     swaps = 0

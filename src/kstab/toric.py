@@ -24,12 +24,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DegeneratePolytope, InvariantViolation, NotReflexive, OriginNotInterior
 
-from .rationals import Q, qvec, rank, to_q
+from .rationals import Q, qvec, rank, scaled, to_q
 from .records import Record
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -123,8 +123,8 @@ def _facets(vertices: tuple[Vec3, ...]) -> tuple[tuple[Facet, tuple[int, ...]], 
     """Each facet of the hull of sorted distinct points, with the indices of the points on it."""
     # scaled by the lcm D of the denominators, the points are integers: the
     # normals are unchanged and every offset is D times the rational one
-    scale = lcm(*(x.denominator for p in vertices for x in p))
-    pts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in vertices]
+    flat, scale = scaled([x for p in vertices for x in p])
+    pts = [tuple(flat[k:k + 3]) for k in range(0, len(flat), 3)]
     # each plane's side decision, for (n, c) and (-n, -c): the outward facet and its points, or None
     decided: dict[tuple[tuple[int, ...], int], tuple | None] = {}
     for a, b, c in itertools.combinations(pts, 3):
@@ -190,8 +190,8 @@ def _ordered_facet_vertices(f: Facet) -> list[Vec3]:
     dot product below, so the order is the one of the rational offsets.
     """
     pts = list(f.vertices)
-    n, scale = len(pts), lcm(*(x.denominator for p in pts for x in p))
-    ints = [tuple(int(x * scale) for x in p) for p in pts]
+    flat, _ = scaled([x for p in pts for x in p])
+    n, ints = len(pts), [flat[k:k + 3] for k in range(0, len(flat), 3)]
     total = tuple(sum(q[i] for q in ints) for i in range(3))
     rel = {p: _sub(tuple(n * x for x in q), total) for p, q in zip(pts, ints)}
     normal = tuple(int(x) for x in f.normal)
@@ -218,24 +218,12 @@ def _ordered_facet_vertices(f: Facet) -> list[Vec3]:
     return sorted(pts, key=cmp_to_key(compare))
 
 
-def _triangulation(p: LatticePolytope, apex_mode: str) -> list[tuple[Vec3, Vec3, Vec3, Vec3]]:
-    """Tetrahedra covering the polytope, from a chosen apex.
-
-    apex_mode "centroid" cones from the vertex average (interior), "vertex"
-    cones from the first vertex over the facets avoiding it; the two give
-    independent triangulations for the volume cross-check.
-    """
-    if apex_mode == "centroid":
-        n = len(p.vertices)
-        apex = tuple(sum(v[i] for v in p.vertices) / n for i in range(3))
-        facets = p.facets
-    elif apex_mode == "vertex":
-        apex = p.vertices[0]
-        facets = tuple(f for f in p.facets if apex not in f.vertices)
-    else:
-        raise ValueError("apex_mode must be 'centroid' or 'vertex'")
+def _triangulation(p: LatticePolytope) -> list[tuple[Vec3, Vec3, Vec3, Vec3]]:
+    """Tetrahedra covering the polytope: each facet fan coned from the vertex average, an interior point."""
+    n = len(p.vertices)
+    apex = tuple(sum(v[i] for v in p.vertices) / n for i in range(3))
     tets = []
-    for f in facets:
+    for f in p.facets:
         ring = _ordered_facet_vertices(f)
         for i in range(1, len(ring) - 1):
             tets.append((apex, ring[0], ring[i], ring[i + 1]))
@@ -249,16 +237,16 @@ def _tet_volume(t: tuple[Vec3, Vec3, Vec3, Vec3]) -> Fraction:
     return abs(det) / 6
 
 
-def volume(p: LatticePolytope, apex_mode: str = "centroid") -> Fraction:
+def volume(p: LatticePolytope) -> Fraction:
     """Exact Euclidean volume via triangulation."""
-    return sum((_tet_volume(t) for t in _triangulation(p, apex_mode)), Q(0))
+    return sum((_tet_volume(t) for t in _triangulation(p)), Q(0))
 
 
-def barycenter(p: LatticePolytope, apex_mode: str = "centroid") -> Vec3:
+def barycenter(p: LatticePolytope) -> Vec3:
     """Exact centroid: volume-weighted average of tetrahedron centroids."""
     total = Q(0)
     acc = [Q(0), Q(0), Q(0)]
-    for t in _triangulation(p, apex_mode):
+    for t in _triangulation(p):
         v = _tet_volume(t)
         total += v
         for i in range(3):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .intersect import restrict_to_surface, triple_product
-from .invariants import refined_s_flag, s_invariant, sing_line_bound
+from .invariants import _flag_family, refined_s_flag, s_invariant, sing_line_bound
 from .k3cat import (
     BN_EXCLUDING_PAIRS,
     TYPE_PAIRS,
@@ -97,24 +97,6 @@ def _models(overrides: dict | None) -> Callable[[str], object]:
     return get
 
 
-def _dp4_restriction():
-    c = ("t",)
-    p = lambda s: parse_polynomial(s, c)
-    return [
-        (Q(0), Q(2), (p("4 - 2*t"), p("-1 + 1/2*t"), p("-1 + 1/2*t"),
-                      p("-1 + 1/2*t"), p("-1 + 1/2*t"), p("-1 + 1/2*t")))
-    ]
-
-
-def _quadric_restriction():
-    c = ("t",)
-    p = lambda s: parse_polynomial(s, c)
-    return [
-        (Q(0), Q(1), (p("3 - t"), p("2*t"))),
-        (Q(1), Q(2), (p("4 - 2*t"), p("4 - 2*t"))),
-    ]
-
-
 def verify_paper(overrides: dict | None = None) -> list[Row]:
     """Run the whole golden suite and return its rows."""
     get = _models(overrides)
@@ -155,9 +137,9 @@ def verify_paper(overrides: dict | None = None) -> list[Row]:
 
     # flag refinements
     dp4 = get("dp4")
-    ruling = refined_s_flag(dp4, _dp4_restriction(), (1, 0, 0, 0, 0, 0), 22, curve_label="l2")
+    ruling = refined_s_flag(dp4, _flag_family("dp4"), (1, 0, 0, 0, 0, 0), 22, curve_label="l2")
     rows.append(_row("flag:dp4-ruling", Q(53, 88), ruling.value))
-    line = refined_s_flag(dp4, _dp4_restriction(), (1, -1, -1, 0, 0, 0), 22, curve_label="l1")
+    line = refined_s_flag(dp4, _flag_family("dp4"), (1, -1, -1, 0, 0, 0), 22, curve_label="l1")
     rows.append(
         _row(
             "flag:dp4-line",
@@ -172,7 +154,7 @@ def verify_paper(overrides: dict | None = None) -> list[Row]:
         )
     )
     quadric = get("quadric")
-    diag = refined_s_flag(quadric, _quadric_restriction(), (1, 1), 22, curve_label="diagonal")
+    diag = refined_s_flag(quadric, _flag_family("quadric"), (1, 1), 22, curve_label="diagonal")
     rows.append(_row("flag:quadric-diagonal", Q(1, 2), diag.value))
 
     # singular-line mechanics

@@ -50,10 +50,10 @@ from .errors import (
     UnboundedDirection,
     WallCrossingDegeneracy,
 )
-from .intersect import Chamber, SurfaceModel, ThreefoldModel, _scaled, affine_cube
+from .intersect import Chamber, SurfaceModel, ThreefoldModel, affine_cube
 from .lp import Cone, Infeasible, LPResult, Unbounded, in_cone, max_shift
 from .poly import PiecewisePolynomial, Polynomial
-from .rationals import Q, QVec, dot, qvec, solve_each, solve_negative_definite, to_q
+from .rationals import Q, QVec, dot, qvec, scaled, solve_each, solve_negative_definite, to_q
 from .records import Record
 
 _MAX_SPLIT_DEPTH = 32
@@ -218,7 +218,7 @@ def _affine_vectors(family: Sequence, variables: Sequence[str], message: str) ->
 
 def _integer_family(vecs: Affine) -> Family:
     """Rational coefficient vectors as integer numerators over one positive denominator."""
-    flat, den = _scaled([x for v in vecs for x in v])
+    flat, den = scaled([x for v in vecs for x in v])
     r = len(vecs[0])
     return tuple(tuple(flat[k:k + r]) for k in range(0, len(flat), r)), den
 
@@ -557,7 +557,7 @@ def _certify_t_chamber(
             if _threshold_at(a_vecs, minus_z, gens, t_end) != 0:
                 raise _SplitRequest([mid])
         return FlagChamber(t_lo, t_hi, ())
-    tau = _scaled(_parametric_threshold(a_vecs, minus_z, gens, lp, t_lo, t_hi))
+    tau = scaled(_parametric_threshold(a_vecs, minus_z, gens, lp, t_lo, t_hi))
     # sampled chamber structure in s at the midpoint
     s_chambers = _march_one_param(surface, _integer_family((a_mid, minus_z)), Q(0), tau_mid)
     # symbolic (t, s) reconstruction of each cell

@@ -22,6 +22,9 @@ over the lcm of their denominators, with the Gram as a ``Fraction`` matrix
 product (``mat_mul``, ``mat_transpose``).  ``reference_polytope`` is the
 hull's extreme-point test as it was before the integer on-plane indices:
 ``Fraction`` dot products and a ``Fraction`` rank over ``reference_facets``.
+``reference_volume_barycenter`` shares no hull code with the engine: scipy's
+Qhull picks the boundary triangles in floating point, and the tetrahedra
+they span with an interior point are summed exactly in ``Fraction``.
 ``reference_decompose``, ``reference_symbolic_decomposition`` and
 ``reference_pair_poly`` are the chamber layer as it was before its
 coefficient-vector kernel: the decomposition re-pairs the whole current
@@ -613,6 +616,26 @@ def reference_polytope(points):
             vertices.append(p)
     kept = set(vertices)
     return tuple(vertices), tuple(Facet(f.normal, f.offset, tuple(v for v in f.vertices if v in kept)) for f in facets)
+
+
+def reference_volume_barycenter(points):
+    """(volume, barycenter) of the hull of rational 3-points, from Qhull's facet triangles.
+
+    Each boundary triangle of ``scipy.spatial.ConvexHull`` is coned from the
+    exact average of the points, which is interior, and the tetrahedra's
+    volumes and weighted centroids are summed in Fractions.
+    """
+    from scipy.spatial import ConvexHull
+
+    pts = [tuple(Q(x) for x in p) for p in points]
+    apex = tuple(sum(p[i] for p in pts) / len(pts) for i in range(3))
+    total, moment = Q(0), (Q(0), Q(0), Q(0))
+    for tri in ConvexHull([[float(x) for x in p] for p in pts]).simplices:
+        a, b, c = (pts[i] for i in tri)
+        vol = abs(_ref_dot(_ref_sub(a, apex), _ref_cross(_ref_sub(b, apex), _ref_sub(c, apex)))) / 6
+        total += vol
+        moment = tuple(m + vol * (apex[i] + a[i] + b[i] + c[i]) / 4 for i, m in enumerate(moment))
+    return total, tuple(m / total for m in moment)
 
 
 def reference_ordered_facet_vertices(f):

@@ -14,7 +14,6 @@ once, are compared with the ``Fraction`` products of ``gram_vector``.
 import itertools
 import random
 from fractions import Fraction as Q
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,13 +241,16 @@ class TestSurfaces:
 
 
 def _fraction_gc_rows(surface):
-    """Gram * C for every curve by Fraction products, over the least common denominator."""
-    gcs = [
+    """Gram * C for every curve by Fraction products."""
+    return [
         tuple(sum((g * x for g, x in zip(row, surface.negative_curves[label])), Q(0)) for row in surface.gram)
         for label in surface.curve_labels
     ]
-    den = lcm(*(x.denominator for gc in gcs for x in gc))
-    return den, [tuple(x.numerator * (den // x.denominator) for x in gc) for gc in gcs]
+
+
+def _rational_gc_rows(surface):
+    """The integer rows Gram * C over their denominator, as rationals."""
+    return [tuple(Q(x, surface._gc_den) for x in row) for row in surface._gc_rows]
 
 
 SURFACE_PRESETS = [name for name in PRESET_NAMES if isinstance(preset(name), SurfaceModel)]
@@ -271,13 +273,13 @@ class TestIntegerGramRows:
     @pytest.mark.parametrize("name", SURFACE_PRESETS)
     def test_presets(self, name):
         s = preset(name)
-        assert (s._gc_den, s._gc_rows) == _fraction_gc_rows(s)
+        assert _rational_gc_rows(s) == _fraction_gc_rows(s)
 
     def test_restricted_surface_with_denominators(self):
         base = restrict_to_surface(blowup_node(22), (1, -1), [(Q(1, 2), Q(1, 3)), (0, Q(1, 3))])
         s = SurfaceModel("node|S", base.basis, base.gram, negative_curves={"c": (1, -6), "e": (0, 1)})
         assert s._gc_den > 1
-        assert (s._gc_den, s._gc_rows) == _fraction_gc_rows(s)
+        assert _rational_gc_rows(s) == _fraction_gc_rows(s)
 
     @settings(max_examples=200, deadline=None)
     @given(surface_grams())
@@ -290,7 +292,7 @@ class TestIntegerGramRows:
 
         negative = {k: c for k, c in curves.items() if square(c) < 0}
         s = SurfaceModel("random", basis, gram, negative_curves=negative)
-        assert (s._gc_den, s._gc_rows) == _fraction_gc_rows(s)
+        assert _rational_gc_rows(s) == _fraction_gc_rows(s)
         # the Gram and the curves as integers over one positive denominator each
         assert [[Q(x, s._gram_den) for x in row] for row in s._int_gram] == [list(row) for row in s.gram]
         assert {k: tuple(Q(x, s._curve_den) for x in v) for k, v in s._curve_ints.items()} == s.negative_curves

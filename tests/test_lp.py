@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kstab import lp
+from kstab import lp, rationals
 from kstab.errors import InvalidModel, InvariantViolation, KstabError
 from kstab.lp import Infeasible, Unbounded, _pivot, _run_simplex, in_cone, max_shift, solve_equality_lp
 from oracles import reference_solve_equality_lp
@@ -90,6 +90,16 @@ class TestSimplex:
     def test_all_zero_rows(self):
         assert solve_checked([[0, 0], [0, 0]], [0, 0], [1, 0]) is Unbounded
         assert solve_checked([[0, 0]], [0], [-1, 0]) == 0
+
+    def test_a_matrix_with_no_columns(self):
+        # each row reads 0 = b_i: the empty x is optimal when b = 0, with
+        # the zero dual, and otherwise a Farkas vector picks a nonzero b_i
+        res = solve_equality_lp([[], []], [0, 0], [])
+        assert (res.value, res.x, res.basis, res.dual) == (0, (), (), (0, 0))
+        for b, farkas in (([1, 0], (-1, 0)), ([0, -2], (0, 1))):
+            with pytest.raises(Infeasible) as info:
+                solve_equality_lp([[], []], b, [])
+            assert info.value.farkas == farkas
 
 
 class TestCone:
@@ -311,7 +321,7 @@ def test_a_cone_of_columns_solves_as_its_rows(problem, head):
     the same scaled rows, so the same pivots, answer and certificate."""
     a, b, c = problem
     cone = lp.Cone(_cols(a))
-    assert cone.rows == [lp._integer_row(row) for row in a]
+    assert cone.rows == [rationals.scaled(row) for row in a]
     assert _full_outcome(cone, b, c) == _full_outcome(a, b, c)
     wide = [[h, *row] for h, row in zip(head, a)]
     c_wide = [Q(1), *c]

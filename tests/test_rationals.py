@@ -1,6 +1,11 @@
-"""The fraction-free elimination kernel behind kstab.rationals.
+"""The fraction-free elimination kernel behind kstab.rationals, and the
+denominator-clearing rule every integer layer starts from.
 
-Three routes pin it: the engine's original separate Gaussian eliminations,
+``scaled`` and ``common`` are pinned by their contract alone: every value
+comes back, and the denominator is the least positive one, which for
+integer numerators n over D means gcd(D, n...) = 1 (a common factor g > 1
+would leave D/g a smaller denominator, and any D that clears the values is
+a multiple of the least one).  Three routes pin the elimination: the engine's original separate Gaussian eliminations,
 frozen in ``oracles`` (a hypothesis differential test), sympy's ``Matrix``
 (det, rank, inverse and solve), and hand-made edge cases: a zero leading
 pivot that forces a row swap, the empty matrix, singular matrices, an
@@ -8,16 +13,20 @@ inconsistent system and a rank-deficient one.
 """
 
 from fractions import Fraction as Q
+from functools import reduce
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from kstab.rationals import (
+    common,
     det,
     is_negative_definite,
     mat_inverse,
     rank,
+    scaled,
     solve_each,
     solve_general,
     solve_negative_definite,
@@ -202,3 +211,31 @@ class TestEdgeCases:
         # wide and tall systems
         assert solve_general([[Q(0), Q(2), Q(4)]], [Q(1)]) == (0, Q(1, 2), 0)
         assert solve_general([[Q(1)], [Q(2)], [Q(3)]], [Q(1, 3), Q(2, 3), Q(1)]) == (Q(1, 3),)
+
+
+class TestClearingDenominators:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(-20, 20, max_denominator=30)), max_size=8))
+    def test_scaled(self, values):
+        ints, den = scaled(values)
+        assert den > 0 and all(type(x) is int for x in ints)
+        assert [Q(x, den) for x in ints] == [Q(v) for v in values]
+        assert gcd(den, *ints) == 1
+        if all(type(v) is int for v in values):
+            assert (ints, den) == (values, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.integers(-50, 50), min_size=3, max_size=3), st.integers(1, 30)), max_size=5))
+    def test_common(self, parts):
+        vectors, den = common(parts)
+        assert [[Q(x, den) for x in v] for v in vectors] == [[Q(x, d) for x in v] for v, d in parts]
+        # the least common multiple, folded pairwise as x*y/gcd(x, y)
+        assert den == reduce(lambda x, y: x * y // gcd(x, y), (d for _, d in parts), 1)
+        if all(gcd(d, *v) == 1 for v, d in parts):
+            assert gcd(den, *(x for v in vectors for x in v)) == 1
+
+    def test_strings_and_empty_input(self):
+        assert scaled(["1/2", Q(2, 3), 4]) == ([3, 4, 24], 6)
+        assert scaled([]) == ([], 1)
+        assert common([]) == ([], 1)
+        assert common([([1, 2], 2), ([3], 3), ([], 1)]) == ([[3, 6], [6], []], 6)

@@ -31,7 +31,7 @@ from kstab.toric import (
     toric_kps_check,
     volume,
 )
-from oracles import reference_facets, reference_ordered_facet_vertices, reference_polytope
+from oracles import reference_facets, reference_ordered_facet_vertices, reference_polytope, reference_volume_barycenter
 
 
 class TestHull:
@@ -105,9 +105,12 @@ class TestVolumeBarycenter:
         assert barycenter(cube()) == (0, 0, 0)
 
     def test_independent_triangulations_agree(self):
-        for p in (prism(), bipyramid(), cube(), octahedron(), simplex_p3(), asymmetric_reflexive()):
-            assert volume(p, "centroid") == volume(p, "vertex")
-            assert barycenter(p, "centroid") == barycenter(p, "vertex")
+        # the Qhull triangles of each polytope and of its dual, whose
+        # vertices have denominators for the stretched octahedron
+        stretched = LatticePolytope([(2, 0, 0), (-2, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+        for p in (prism(), bipyramid(), cube(), octahedron(), simplex_p3(), asymmetric_reflexive(), stretched):
+            for q in (p, polar_dual(p)):
+                assert (volume(q), barycenter(q)) == reference_volume_barycenter(q.vertices)
 
     def test_asymmetric_dual_barycenter(self):
         dual = polar_dual(asymmetric_reflexive())
