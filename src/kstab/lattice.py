@@ -11,10 +11,13 @@ returned as a new Gram matrix plus the rational basis-change certificate.
 Internally the isotropic elements and subgroups are found in group
 coordinates: an element is an integer tuple c with 0 <= c_i < f_i over the
 invariant factors f_i, and b and q are one integer table over a common
-denominator.  The subgroup walk extends an isotropic subgroup H only by an
-isotropic g orthogonal to all of H, so H + <g> is a union of cosets and
-stays isotropic with no closure search (Nikulin 1979).  Rational vectors
-are made only for the results.
+denominator.  A subgroup is a bitmask over the isotropic elements.  The
+walk extends an isotropic H only by an isotropic g orthogonal to all of H,
+so H + <g> is a union of cosets and stays isotropic with no closure search
+(Nikulin 1979).  Its size is |H| times k, the order of g modulo H, read
+off g's multiples; a known subgroup of that size containing H and g is
+H + <g>, so each subgroup is built, and its cosets enumerated, once.
+Rational vectors are made only for the results.
 
 ``integer_search_quadratic`` takes forms of total degree at most two and
 solves the box row by row: in each row the form is a quadratic in the last
@@ -32,6 +35,8 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
+from math import gcd, prod
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -55,7 +60,11 @@ def _enum_bound(bound: int | None) -> int:
     if bound is not None:
         return bound
     env = os.environ.get("KSTAB_ENUM_BOUND")
-    return int(env) if env else DEFAULT_ENUM_BOUND
+    if not env:
+        return DEFAULT_ENUM_BOUND
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise DomainError(f"KSTAB_ENUM_BOUND must be a positive integer, got {env!r}")
+    return int(env)
 
 
 class GramLattice:
@@ -95,11 +104,7 @@ class GramLattice:
     def pair(self, v: Sequence[int], w: Sequence[int]) -> int:
         if len(v) != self.rank or len(w) != self.rank:
             raise ValueError(f"vectors must have length {self.rank}")
-        return sum(
-            int(v[i]) * self.gram[i][j] * int(w[j])
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return sum(int(a) * x * int(b) for a, row in zip(v, self.gram) for x, b in zip(row, w))
 
 
 def determinant(lattice: GramLattice) -> int:
@@ -193,17 +198,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]],
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # find a pivot
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    pivot, best = (i, j), abs(a[i][j])
-        if pivot is None:
+        # the pivot: the first entry of least absolute value
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
+        if not nonzero:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        _, i, j = min(nonzero)
+        row_swap(t, i)
+        col_swap(t, j)
         while True:
             # kill column t
             done = True
@@ -224,16 +225,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]],
             if done:
                 break
         # enforce divisibility d_t | a[i][j] for the trailing block
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
-        if bad:
-            row_op(t, bad[0], 1)
+        bad = next((i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % a[t][t]), None)
+        if bad is not None:
+            row_op(t, bad, 1)
             continue
         t += 1
     for i in range(limit):
@@ -262,10 +256,7 @@ class DiscriminantGroup(Record):
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
+        return prod(self.factors)
 
     def canonical(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Reduce a dual vector modulo the lattice to coordinates in [0,1)^r."""
@@ -285,10 +276,7 @@ class DiscriminantGroup(Record):
         """All group elements in a deterministic (sorted) order."""
         if self.order > _enum_bound(bound):
             raise GroupTooLarge(f"group of order {self.order} exceeds the bound")
-        out = set()
-        for coords in itertools.product(*(range(f) for f in self.factors)):
-            out.add(self.element(coords))
-        return sorted(out)
+        return sorted({self.element(coords) for coords in itertools.product(*(range(f) for f in self.factors))})
 
 
 def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
@@ -358,10 +346,10 @@ def _isotropic_coords(
     if not lattice.is_even():
         raise OddLattice("discriminant quadratic form needs an even lattice")
     e, nums, t = _form_table(group)
-    iso = {}
+    iso, columns = {}, [tuple(n[r] for n in nums) for r in range(lattice.rank)]
     for c in itertools.product(*(range(f) for f in group.factors)):
-        if sum(ci * tij * cj for ci, row in zip(c, t) for tij, cj in zip(row, c)) % (2 * e * e) == 0:
-            iso[c] = tuple(sum(ci * n[r] for ci, n in zip(c, nums)) % e for r in range(lattice.rank))
+        if sum(map(mul, c, [sum(map(mul, row, c)) for row in t])) % (2 * e * e) == 0:
+            iso[c] = tuple(sum(map(mul, c, col)) % e for col in columns)
     return group, e, t, dict(sorted(iso.items(), key=lambda item: item[1]))
 
 
@@ -400,45 +388,60 @@ class Overlattice(Record):
 
 def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> tuple[int, list, list[list[int]]]:
     """(e, numerators of the isotropic elements in vector order, subgroups as
-    ascending position lists, ordered by size and then by those lists)."""
+    ascending position lists, ordered by size and then by those lists).
+
+    H + <g> has |H|*k elements, k the order of g modulo H: if a known
+    subgroup of that size holds H and g, it is H + <g> and is skipped.  A new
+    one is built from its k cosets of H and checked to stay isotropic.
+    """
     group, e, t, vectors = _isotropic_coords(lattice, bound)
-    factors = group.factors
+    factors, coords = group.factors, list(vectors)
+    position = {c: i for i, c in enumerate(coords)}
+    zero, m = tuple(0 for _ in factors), len(coords)
 
     def add(x, y):
         return tuple((a + b) % f for a, b, f in zip(x, y, factors))
 
-    # orth[g]: the isotropic elements h with b(g, h) = 0, read off T.g
-    orth = {}
-    for g in vectors:
-        tg = [sum(tij * gj for tij, gj in zip(row, g)) for row in t]
-        orth[g] = frozenset(h for h in vectors if sum(a * b for a, b in zip(tg, h)) % (e * e) == 0)
-
-    trivial = frozenset({tuple(0 for _ in factors)})
-    subgroups = {trivial}
-    frontier = [trivial]
+    # per element g: 0, g, 2g, ... up to its order, with the positions of
+    # the nonzero ones (m, in no subgroup, for one outside the isotropic set:
+    # the subgroup built from g then fails its check), and the mask of the
+    # isotropic h with b(g, h) = 0, read off T.g (b is symmetric)
+    multiples, orth = [], [0] * m
+    for i, (g, nums) in enumerate(vectors.items()):
+        mult = list(itertools.accumulate([g] * (e // gcd(e, *nums)), add, initial=zero))
+        multiples.append((mult, [position.get(x, m) for x in mult[1:]]))
+        tg = [sum(map(mul, row, g)) for row in t]
+        for j in range(i + 1):
+            if sum(map(mul, tg, coords[j])) % (e * e) == 0:
+                orth[i] |= 1 << j
+                orth[j] |= 1 << i
+    subgroups = {1 << position[zero]: [position[zero]]}  # mask: ascending positions
+    frontier = list(subgroups)
     while frontier:
         h = frontier.pop()
-        tried = set(h)
-        for g in vectors:
-            if g in tried or not h <= orth[g]:
-                continue
-            # H + <g> is the union of the cosets H + k.g up to the first k.g
-            # in H, and every element of g + H extends H to the same subgroup
-            coset = {add(x, g) for x in h}
-            tried |= coset
-            extended = coset | h
-            step = add(g, g)
-            while step not in h:
-                extended |= {add(x, step) for x in h}
-                step = add(step, g)
-            if not extended.issubset(vectors):
-                raise InvariantViolation("a subgroup spanned by orthogonal isotropic elements left the isotropic set")
-            extended = frozenset(extended)
-            if extended not in subgroups:
-                subgroups.add(extended)
-                frontier.append(extended)
-    position = {c: i for i, c in enumerate(vectors)}
-    keyed = sorted((len(h), sorted(position[c] for c in h)) for h in subgroups)
+        members = [coords[i] for i in subgroups[h]]
+        above: dict[int, int] = {}  # size: the union of the known subgroups of that size that contain H
+        for s, positions in subgroups.items():
+            if s & h == h:
+                above[len(positions)] = above.get(len(positions), 0) | s
+        candidates = ~h
+        for i in subgroups[h]:
+            candidates &= orth[i]
+        while candidates:
+            i = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            mult, mult_positions = multiples[i]
+            k = next(j for j, p in enumerate(mult_positions, 1) if h >> p & 1)
+            s = above.get(len(members) * k, 0)
+            if not s >> i & 1:  # H + <g> is new: the union of the cosets H + j.g, j < k
+                found = [position.get(add(x, y)) for y in mult[:k] for x in members]
+                if None in found:
+                    raise InvariantViolation("a subgroup spanned by orthogonal isotropic elements left the isotropic set")
+                s = sum(1 << p for p in found)
+                subgroups[s] = sorted(found)
+                above[len(found)] = above.get(len(found), 0) | s
+                frontier.append(s)
+    keyed = sorted((len(positions), positions) for positions in subgroups.values())
     return e, list(vectors.values()), [positions for _, positions in keyed]
 
 
@@ -448,11 +451,7 @@ def _hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
     cols = len(m[0]) if m else 0
     pivot_row = 0
     for col in range(cols):
-        pivot = None
-        for r in range(pivot_row, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(pivot_row, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
@@ -484,24 +483,28 @@ def even_overlattices(lattice: GramLattice, bound: int | None = None) -> list[Ov
     if not lattice.is_even():
         raise OddLattice("overlattice enumeration is defined for even lattices")
     e, numerators, subgroups = _isotropic_subgroups(lattice, bound)
-    vectors = [tuple(Q(x, e) for x in v) for v in numerators]
     n = lattice.rank
-    scaled = [[e if i == j else 0 for j in range(n)] for i in range(n)]
-    out: list[Overlattice] = []
+    e_rows = [[e if i == j else 0 for j in range(n)] for i in range(n)]
+    built = []
     for subgroup in subgroups:
-        h = _hermite_normal_form(scaled + [numerators[i] for i in subgroup])
+        h = _hermite_normal_form(e_rows + [numerators[i] for i in subgroup])
         if len(h) != n:
             raise InvariantViolation(f"overlattice basis has {len(h)} rows, expected {n}")
-        g_rows = [[sum(g * b for g, b in zip(g_row, row)) for g_row in lattice.gram] for row in h]
-        pairs = [[sum(a * x for a, x in zip(row, g_row)) for g_row in g_rows] for row in h]
+        g_rows = [[sum(map(mul, g_row, row)) for g_row in lattice.gram] for row in h]
+        pairs = [[sum(map(mul, row, g_row)) for g_row in g_rows] for row in h]
         if any(x % (e * e) for row in pairs for x in row):
             raise InvariantViolation("overlattice from an isotropic subgroup must stay integral")
         over = GramLattice([[x // (e * e) for x in row] for row in pairs])
         if not over.is_even():
             raise OddLattice("overlattice from an isotropic subgroup must stay even")
-        basis = tuple(tuple(Q(x, e) for x in row) for row in h)
-        out.append(Overlattice(over, basis, tuple(vectors[i] for i in subgroup)))
-    return out
+        built.append((over, h, subgroup))
+    # one Fraction per distinct numerator over e
+    q = {x: Q(x, e) for x in {x for _, h, _ in built for row in h for x in row}.union(*numerators)}
+    vectors = [tuple(q[x] for x in v) for v in numerators]
+    return [
+        Overlattice(over, tuple(tuple(q[x] for x in row) for row in h), tuple(vectors[i] for i in subgroup))
+        for over, h, subgroup in built
+    ]
 
 
 def is_saturated(ambient: GramLattice, sub_basis: Sequence[Sequence[int]]) -> bool:

@@ -167,6 +167,9 @@ def _joined(*parts: tuple[list[int], int]) -> tuple[list[int], int]:
 # -- certificates: integer dot products against the caller's rows [a | b] --------
 
 
+_ZERO = Fraction(0)  # every zero of LPResult.x, as most columns are nonbasic
+
+
 def _optimum(
     rows: list[list[int]], scales: list[int], cost: list[int], cscale: int,
     xs: list[int], denom: int, u: list[int], basis: Sequence[int],
@@ -184,7 +187,7 @@ def _optimum(
         raise InvariantViolation("the simplex optimum has no dual certificate")
     return LPResult(
         Fraction(cx, denom * cscale),
-        tuple(Fraction(v, denom) for v in xs),
+        tuple(Fraction(v, denom) if v else _ZERO for v in xs),
         tuple(sorted(j for j in basis if j < len(cost))),
         tuple(Fraction(ui * s, denom * cscale) for ui, s in zip(u, scales)),
     )

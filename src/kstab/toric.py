@@ -6,7 +6,9 @@ a primitive plane; a plane with all points on one side is a facet).  Each
 distinct plane gets one side scan, recorded for it and its negation, and
 the extreme points are read off the integer normals through each point.
 That is quadratic-ish in the number of points, adequate at this scale, and
-immune to the degeneracies of floating-point incremental hulls.
+immune to the degeneracies of floating-point incremental hulls.  Volume and
+barycenter cone each facet fan from the vertex average on the vertices
+scaled to integers, and build one Fraction per result.
 
 Polar duality uses the convention that pairs a reflexive polytope with the
 convex hull of the *inward* facet normals, P* = {y : <y, x> >= -1 for all
@@ -189,71 +191,62 @@ def _ordered_facet_vertices(f: Facet) -> list[Vec3]:
     integer vectors, and a positive scale keeps the sign of every cross and
     dot product below, so the order is the one of the rational offsets.
     """
-    pts = list(f.vertices)
+    pts = f.vertices
     flat, _ = scaled([x for p in pts for x in p])
     n, ints = len(pts), [flat[k:k + 3] for k in range(0, len(flat), 3)]
     total = tuple(sum(q[i] for q in ints) for i in range(3))
-    rel = {p: _sub(tuple(n * x for x in q), total) for p, q in zip(pts, ints)}
+    rel = [_sub(tuple(n * x for x in q), total) for q in ints]
     normal = tuple(int(x) for x in f.normal)
-    ref = rel[pts[0]]
 
     def half(v: Vec3) -> int:
-        c = _dot(normal, _cross(ref, v))
-        if c > 0:
-            return 0
-        if c < 0:
-            return 1
-        return 0 if _dot(ref, v) > 0 else 1
+        c = _dot(normal, _cross(rel[0], v))
+        return 0 if c > 0 or c == 0 and _dot(rel[0], v) > 0 else 1
 
-    def compare(a: Vec3, b: Vec3) -> int:
-        va, vb = rel[a], rel[b]
-        ha, hb = half(va), half(vb)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        c = _dot(normal, _cross(va, vb))
-        if c == 0:
-            return 0
-        return -1 if c > 0 else 1
+    halves = [half(v) for v in rel]
 
-    return sorted(pts, key=cmp_to_key(compare))
+    def compare(a: int, b: int) -> int:
+        if halves[a] != halves[b]:
+            return halves[a] - halves[b]
+        c = _dot(normal, _cross(rel[a], rel[b]))
+        return (c < 0) - (c > 0)
+
+    return [pts[i] for i in sorted(range(n), key=cmp_to_key(compare))]
 
 
-def _triangulation(p: LatticePolytope) -> list[tuple[Vec3, Vec3, Vec3, Vec3]]:
-    """Tetrahedra covering the polytope: each facet fan coned from the vertex average, an interior point."""
+def _triangulation(p: LatticePolytope) -> tuple[int, list[tuple[tuple[int, ...], ...]]]:
+    """(s, tetrahedra): the polytope scaled by s, the vertex count times the
+    lcm of the denominators, cut into integer tetrahedra, each facet fan
+    coned from the vertex average (an interior point, the integer vertex sum
+    after the scaling)."""
+    flat, den = scaled([x for v in p.vertices for x in v])
     n = len(p.vertices)
-    apex = tuple(sum(v[i] for v in p.vertices) / n for i in range(3))
+    apex = tuple(sum(flat[i::3]) for i in range(3))
     tets = []
     for f in p.facets:
-        ring = _ordered_facet_vertices(f)
-        for i in range(1, len(ring) - 1):
-            tets.append((apex, ring[0], ring[i], ring[i + 1]))
-    return tets
+        ring = [tuple(x.numerator * (n * den // x.denominator) for x in v) for v in _ordered_facet_vertices(f)]
+        tets += [(apex, ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
+    return n * den, tets
 
 
-def _tet_volume(t: tuple[Vec3, Vec3, Vec3, Vec3]) -> Fraction:
-    a, b, c, d = t
-    u, v, w = _sub(b, a), _sub(c, a), _sub(d, a)
-    det = _dot(u, _cross(v, w))
-    return abs(det) / 6
+def _dets(tets: list[tuple[tuple[int, ...], ...]]) -> list[int]:
+    """|det(b - a, c - a, d - a)|, six times each tetrahedron's volume."""
+    return [abs(_dot(_sub(b, a), _cross(_sub(c, a), _sub(d, a)))) for a, b, c, d in tets]
 
 
 def volume(p: LatticePolytope) -> Fraction:
     """Exact Euclidean volume via triangulation."""
-    return sum((_tet_volume(t) for t in _triangulation(p)), Q(0))
+    s, tets = _triangulation(p)
+    return Q(sum(_dets(tets)), 6 * s**3)
 
 
 def barycenter(p: LatticePolytope) -> Vec3:
     """Exact centroid: volume-weighted average of tetrahedron centroids."""
-    total = Q(0)
-    acc = [Q(0), Q(0), Q(0)]
-    for t in _triangulation(p):
-        v = _tet_volume(t)
-        total += v
-        for i in range(3):
-            acc[i] += v * sum(pt[i] for pt in t) / 4
+    s, tets = _triangulation(p)
+    dets = _dets(tets)
+    total = sum(dets)
     if total == 0:
         raise DegeneratePolytope("zero volume")
-    return tuple(x / total for x in acc)
+    return tuple(Q(sum(d * sum(pt[i] for pt in t) for d, t in zip(dets, tets)), 4 * s * total) for i in range(3))
 
 
 def anticanonical_degree(p: LatticePolytope) -> int:

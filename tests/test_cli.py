@@ -90,6 +90,16 @@ class TestLattice:
         report = json.loads(out)
         assert report["count"] == 2
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_enumeration_bound(self, capsys, monkeypatch, value):
+        # a JSON error with exit 2, not a traceback or a "group exceeds the bound"
+        monkeypatch.setenv("KSTAB_ENUM_BOUND", value)
+        code, out = run(capsys, "lattice", "overlattices", "--gram", "2 0; 0 -2", "--json")
+        assert code == 2
+        error = json.loads(out)
+        assert error["error"] == "DomainError"
+        assert "KSTAB_ENUM_BOUND" in error["message"] and repr(value) in error["message"]
+
     def test_saturate(self, capsys):
         code, out = run(
             capsys, "lattice", "saturate", "--gram", "22 11 6; 11 4 1; 6 1 -2", "--sub", "1 0 0; 0 1 0", "--json"

@@ -450,6 +450,11 @@ def small_even_lattices(draw):
 @example(HYPERBOLIC)  # trivial group: no generators, only the zero subgroup
 # (Z/4)^3 with isotropic pairs whose b is an odd integer
 @example(GramLattice([[4, 0, 0], [0, -4, 0], [0, 0, 4]]))
+# the two benchmark groups: (Z/4)^4 with 70 isotropic subgroups, (Z/2)^6 with 59
+@example(GramLattice([[4 * (-1) ** i if i == j else 0 for j in range(4)] for i in range(4)]))
+@example(GramLattice([[2 * (-1) ** i if i == j else 0 for j in range(6)] for i in range(6)]))
+# Z/2 x (Z/8)^2: <(0, 1, 1)> / <(0, 4, 4)> is cyclic of order 4 over a nontrivial H
+@example(GramLattice([[2, 0, 0], [0, 8, 0], [0, 0, -8]]))
 def test_subgroup_walk_matches_reference(even):
     assert isotropic_elements(even) == reference_isotropic_elements(even)
     overs = even_overlattices(even)

@@ -201,6 +201,20 @@ def test_facet_scan_matches_reference(points):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.one_of(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=4, max_size=12), POINT_SETS))
+@example(COPLANAR)
+def test_volume_and_barycenter_match_reference(points):
+    # the integer triangulation on integer clouds (scale = vertex count) and
+    # rational ones and their polar duals (the denominators enter the scale)
+    try:
+        p = LatticePolytope(points)
+    except DegeneratePolytope:
+        return
+    for q in [p, polar_dual(p)] if p.contains_origin_interior() else [p]:
+        assert (volume(q), barycenter(q)) == reference_volume_barycenter(q.vertices)
+
+
+@settings(max_examples=40, deadline=None)
 @given(POINT_SETS)
 @example(COPLANAR)
 def test_polytope_matches_reference(points):
