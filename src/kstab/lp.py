@@ -1,13 +1,12 @@
 """Tiny exact linear programming over the rationals, with checked answers.
 
 A two-phase dense simplex for the cone problems this engine meets (at most
-nine equality constraints and a few hundred nonnegative variables).  Used
-for effective-cone membership and for pseudo-effective thresholds, where
-the optimal basis and its dual prove the threshold on a whole interval of
-a parameter (``zariski._parametric_threshold``).  A :class:`Cone` holds
-its generators with their integer rows built once, so the many LPs over
-one surface's effective cone add only their own columns and right-hand
-sides.
+nine equality constraints and a few hundred nonnegative variables): cone
+membership and pseudo-effective thresholds, where the optimal basis and
+its dual prove a threshold on a whole interval of a parameter
+(``zariski._parametric_threshold``).  A :class:`Cone` holds its generators
+with their integer rows built once, so the many LPs over one surface's
+effective cone add only their own columns and right-hand sides.
 
 Pricing is Dantzig's rule: the entering column has the largest reduced
 cost, the lowest index on ties; the leaving row has the smallest ratio,
@@ -25,6 +24,18 @@ every other row as (x*p - f*y) // D; the division is exact because D is,
 up to sign, the determinant of the current basis, and a remainder raises
 InvariantViolation rather than going on with a wrong tableau.  Artificial
 columns are never priced, so the tableau does not carry them.
+
+A Cone remembers the last MEMORY optimal bases, on it or on a ``widened``
+copy, that are one generator column B per row, each with T = d*B^-1 and
+d = |det B| in integers (``rationals.integer_inverse``).  The LPs whose
+callers read only the value or membership (``in_cone``, and ``max_shift``
+with warm, from ``zariski.pseff_threshold``, ``one_param_volume`` and
+``_threshold_at``) start from the first with T*b >= 0 instead of phase 1:
+at cost 0 it is the answer, else phase 2 runs from T*[a | I | b] over d,
+whose entries are minors, so the exact division holds.  The LP whose basis
+proves a threshold stays cold, as do LPs whose b or widened column needs
+another row scale.  A stale basis costs time, never a wrong answer: the
+answer is checked as any other.
 
 The simplex is not trusted; its answers are (exact LP by verifying a
 basis, Applegate-Cook-Dash-Espinoza 2007).  Every tableau row also carries
@@ -49,8 +60,10 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InvalidModel, InvariantViolation
-from .rationals import common, scaled, to_q
+from .rationals import common, integer_inverse, scaled, to_q
 from .records import Record
+
+MEMORY = 8  # bases a Cone remembers, most recent first
 
 
 class Infeasible(Exception):
@@ -142,15 +155,28 @@ class Cone(tuple):
         self = super().__new__(cls, (tuple(map(to_q, col)) for col in columns))
         self.rows = [scaled(entries) for entries in zip(*self)]
         _same_length(len(self.rows), *self)
+        self._base, self._bases = None, []  # _bases: (columns, T, d), see the module docstring
         return self
 
     def widened(self, column: Sequence[Fraction]) -> "Cone":
-        """This cone with one more column, put first; its rows reuse the integer rows."""
+        """This cone with one more column, put first; its rows reuse the integer rows, its memory is this one's."""
         out = tuple.__new__(Cone, (tuple(map(to_q, column)), *self))
         rows = self.rows or [([], 1)] * len(column)
         _same_length(len(rows), column)
         out.rows = [_joined(([x.numerator], x.denominator), row) for x, row in zip(out[0], rows)]
+        out._base = self if self._base is None else self._base
         return out
+
+    def _remember(self, basis: Sequence[int]) -> None:
+        """Put an optimal basis first in the memory, if it is one nonsingular generator column per row."""
+        gens = self if self._base is None else self._base
+        cols = tuple(sorted(j - len(self) + len(gens) for j in basis))
+        if len(cols) != len(gens.rows) or not all(0 <= j < len(gens) for j in cols):
+            return
+        entry = next((e for e in gens._bases if e[0] == cols), None)
+        inverse = entry[1:] if entry else integer_inverse([[row[j] for j in cols] for row, _ in gens.rows])
+        if inverse is not None:
+            gens._bases[:] = [(cols, *inverse), *(e for e in gens._bases if e is not entry)][:MEMORY]
 
 
 def _same_length(n: int, *vectors: Sequence) -> None:
@@ -212,6 +238,7 @@ def solve_equality_lp(
     a: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
     c: Sequence[Fraction],
+    *, warm: bool = False,
 ) -> LPResult:
     """Maximize c*x subject to a*x = b, x >= 0 (all data exact rationals).
 
@@ -219,7 +246,9 @@ def solve_equality_lp(
     of its columns, and a matrix with no columns has a zero row for each
     entry of b.  Raises Infeasible or Unbounded, each with its certificate.
     Redundant constraint rows are removed up front so the optimal basis is
-    always a genuine invertible column set.
+    always a genuine invertible column set.  With warm, phase 2 may start
+    from a basis the Cone remembers: the value is the same, while x, the
+    basis and the dual may be another optimum's.
     """
     if not isinstance(a, Cone):
         _same_length(len(a[0]) if a else 0, *a)
@@ -230,11 +259,43 @@ def solve_equality_lp(
     rows, scales = [r for r, _ in joined], [s for _, s in joined]
     ncols, nrows = len(a), len(rows)
     cost, cscale = scaled(c)
-    # tableau rows [a-part | transform | rhs], the transform being the
-    # combination of the caller's rows that the row is; each row is
-    # reduced against the rows kept before it so it vanishes in their lead
-    # columns, and dependent rows are dropped (inconsistent ones mean
-    # infeasible)
+    tab, basis, denom = (warm and _remembered(a, rows, scales, any(cost))) or _phase_1(rows, scales, ncols)
+    m = len(tab)
+    # phase 2: maximize c, scaled to integers, as reduced costs over denom;
+    # the z-row is [denom*c - u*a | -u | -u*b] for the dual u
+    zrow = [denom * x for x in cost] + [0] * (nrows + 1)
+    for r in range(m):
+        factor = cost[basis[r]] if basis[r] < ncols else 0
+        if factor:
+            zrow = [x - factor * y for x, y in zip(zrow, tab[r])]
+    tab.append(zrow)
+    denom, col = _run_simplex(tab, basis, denom, ncols)
+    if col is not None:
+        # raising column col keeps every basic variable >= 0
+        ray = [0] * ncols
+        ray[col] = denom
+        for r in range(m):
+            if basis[r] < ncols:
+                ray[basis[r]] = -tab[r][col]
+        raise _unbounded(rows, cost, ray, denom)
+    xs = [0] * ncols
+    for r in range(m):
+        if basis[r] < ncols:
+            xs[basis[r]] = tab[r][-1]
+    res = _optimum(rows, scales, cost, cscale, xs, denom, [-x for x in tab[-1][ncols:-1]], basis)
+    a._remember(basis)
+    return res
+
+
+def _phase_1(rows: list[list[int]], scales: list[int], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """(tableau, basis, denominator): a feasible tableau [a-part | transform | rhs], or Infeasible.
+
+    The transform is the combination of the caller's rows that the row is;
+    each row is reduced against the rows kept before it so it vanishes in
+    their lead columns, and dependent rows are dropped (inconsistent ones
+    mean infeasible).  With no row left, the tableau is empty.
+    """
+    nrows = len(rows)
     tab: list[list[int]] = []
     leads: list[int] = []
     for i, row in enumerate(rows):
@@ -257,14 +318,10 @@ def solve_equality_lp(
         tab.append([x // g for x in r])
         leads.append(lead)
     m = len(tab)
-    if m == 0:
-        # every row of a is 0, so any x >= 0 is feasible
-        col = next((j for j in range(ncols) if cost[j] > 0), None)
-        if col is not None:
-            raise _unbounded(rows, cost, [int(j == col) for j in range(ncols)], 1)
-        return _optimum(rows, scales, cost, cscale, [0] * ncols, 1, [0] * nrows, ())
     basis = [ncols + i for i in range(m)]
-    # phase 1: maximize -sum(artificials); the z-row is the sum of the rows
+    if m == 0:
+        return tab, basis, 1
+    # maximize -sum(artificials); the z-row is the sum of the rows
     tab.append([sum(col) for col in zip(*tab)])
     denom, col = _run_simplex(tab, basis, 1, ncols)
     if col is not None:
@@ -283,41 +340,44 @@ def solve_equality_lp(
                 denom = -denom
                 tab[:] = [[-x for x in row] for row in tab]
     tab.pop()
-    # phase 2: maximize c, scaled to integers, as reduced costs over denom;
-    # the z-row is [denom*c - u*a | -u | -u*b] for the dual u
-    zrow = [denom * x for x in cost] + [0] * (nrows + 1)
-    for r in range(m):
-        factor = cost[basis[r]] if basis[r] < ncols else 0
-        if factor:
-            zrow = [x - factor * y for x, y in zip(zrow, tab[r])]
-    tab.append(zrow)
-    denom, col = _run_simplex(tab, basis, denom, ncols)
-    if col is not None:
-        # raising column col keeps every basic variable >= 0
-        ray = [0] * ncols
-        ray[col] = denom
-        for r in range(m):
-            if basis[r] < ncols:
-                ray[basis[r]] = -tab[r][col]
-        raise _unbounded(rows, cost, ray, denom)
-    xs = [0] * ncols
-    for r in range(m):
-        if basis[r] < ncols:
-            xs[basis[r]] = tab[r][-1]
-    return _optimum(rows, scales, cost, cscale, xs, denom, [-x for x in tab[-1][ncols:-1]], basis)
+    return tab, basis, denom
+
+
+def _remembered(cone: Cone, rows: list[list[int]], scales: list[int], priced: bool) -> tuple | None:
+    """(T*[a | I | b], basis, d) for the first remembered basis with T*b >= 0, or None.
+
+    Unpriced (cost 0), the a-part is left 0.  None too when b or the widened
+    column need a row scale other than the generators', as T is for theirs.
+    """
+    gens = cone if cone._base is None else cone._base
+    if scales != [s for _, s in gens.rows]:
+        return None
+    b = [row[-1] for row in rows]
+    for cols, t, d in gens._bases:
+        xb = [sum(map(mul, trow, b)) for trow in t]
+        if all(v >= 0 for v in xb):
+            tab = []
+            for trow, x in zip(t, xb):  # T*a, summed as a combination of the rows
+                part = [0] * len(cone)
+                for f, row in zip(trow, rows if priced else ()):
+                    part = [y + f * v for y, v in zip(part, row)] if f else part
+                tab.append(part + trow + [x])
+            return tab, [j + len(cone) - len(gens) for j in cols], d
+    return None
 
 
 def in_cone(generators: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     """Nonnegative coefficients writing target in the cone, or None.
 
     Generators, a list or a Cone, and target are coordinate vectors of
-    equal length; the cone is their nonnegative span.
+    equal length; the cone is their nonnegative span.  The coefficients
+    are one checked certificate, which may come from a remembered basis.
     """
     if not generators:
         return () if all(to_q(x) == 0 for x in target) else None
     cone = generators if isinstance(generators, Cone) else Cone(generators)
     try:
-        res = solve_equality_lp(cone, target, [0] * len(cone))
+        res = solve_equality_lp(cone, target, [0] * len(cone), warm=True)
     except Infeasible:
         return None
     return res.x
@@ -327,6 +387,7 @@ def max_shift(
     base: Sequence[Fraction],
     direction: Sequence[Fraction],
     generators: Sequence[Sequence[Fraction]],
+    *, warm: bool = False,
 ) -> LPResult:
     """Maximize s >= 0 with base + s*direction in the generator cone.
 
@@ -334,7 +395,7 @@ def max_shift(
     [s, generators...]) and the dual certify the answer and support
     parametric re-solving.  Raises Infeasible when even s = 0 fails,
     Unbounded when the direction never leaves the cone.  The generators
-    are a list or a Cone.
+    are a list or a Cone.  warm is for callers that read only the value.
     """
     cone = generators if isinstance(generators, Cone) else Cone(generators)
-    return solve_equality_lp(cone.widened([-to_q(x) for x in direction]), base, [1] + [0] * len(cone))
+    return solve_equality_lp(cone.widened([-to_q(x) for x in direction]), base, [1] + [0] * len(cone), warm=warm)

@@ -8,7 +8,8 @@ layer that computes on integers clears denominators with ``scaled`` and
 ``common`` alone.  The linear algebra shared by the lattice, toric and
 Zariski modules is one fraction-free (Bareiss) row reduction, ``_echelon``;
 ``det``, ``rank``, ``solve_general`` (``solve_each`` for several
-right-hand sides at once), ``mat_inverse`` and the negative-definite solve
+right-hand sides at once), ``mat_inverse`` (``integer_inverse`` in
+integers, for the LP's remembered bases) and the negative-definite solve
 are a few lines over it; the last gives integer numerators over one
 positive denominator, for the Zariski layer's integer certificates.
 With no row swap, pivot k is the k-th leading minor, so Sylvester's
@@ -65,7 +66,9 @@ def scaled(values: Iterable) -> tuple[list[int], int]:
     positive integer that clears every value, 1 for all-integer input.
     """
     qs = [v if isinstance(v, int) else to_q(v) for v in values]
-    den = lcm(*(q.denominator for q in qs))
+    # a list: CPython builds a generator's argument tuple by resizing, and
+    # each one it frees stays on the free list of its size, up to 2000
+    den = lcm(*[q.denominator for q in qs])
     if den == 1:
         return [q.numerator for q in qs], 1
     return [q.numerator * (den // q.denominator) for q in qs], den
@@ -76,7 +79,7 @@ def common(parts: Sequence[tuple[Sequence[int], int]]) -> tuple[list[list[int]],
 
     Returns (vectors, denominator), every vector keeping its values.
     """
-    den = lcm(*(d for _, d in parts))
+    den = lcm(*[d for _, d in parts])
     return [list(v) if d == den else [x * (den // d) for x in v] for v, d in parts], den
 
 
@@ -141,10 +144,6 @@ def _solutions(m: list[list[int]], cols: list[int], width: int, count: int) -> t
     return sols, d
 
 
-def _fractions(sols: list[list[int]], den: int) -> list[QVec]:
-    return [tuple(Fraction(v, den) for v in y) for y in sols]
-
-
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant: the last pivot, signed by the swaps and unscaled."""
     n = len(a)
@@ -182,16 +181,24 @@ def solve_each(a: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]
     m, cols, _, _ = _echelon([list(row) + list(bs) for row, *bs in zip(a, *rhs, strict=True)], width)
     if any(x for row in m[len(cols):] for x in row[width:]):
         return None
-    return _fractions(*_solutions(m, cols, width, len(rhs)))
+    sols, d = _solutions(m, cols, width, len(rhs))
+    return [tuple(Fraction(v, d) for v in y) for y in sols]
 
 
-def mat_inverse(a: Sequence[Sequence[Fraction]]) -> QMat | None:
-    """Exact inverse of a square matrix; None if singular."""
+def integer_inverse(a: Sequence[Sequence]) -> tuple[list[list[int]], int] | None:
+    """(T, d), T = d * a^-1 in integers with d = |det a| for an integer a; None if a is singular."""
     n = len(a)
     m, cols, _, _ = _echelon([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], n)
     if len(cols) < n:
         return None
-    return [list(row) for row in zip(*_fractions(*_solutions(m, cols, n, n)))]
+    sols, d = _solutions(m, cols, n, n)
+    return [list(row) for row in zip(*sols)], d
+
+
+def mat_inverse(a: Sequence[Sequence[Fraction]]) -> QMat | None:
+    """Exact inverse of a square matrix; None if singular."""
+    inv = integer_inverse(a)
+    return None if inv is None else [[Fraction(x, inv[1]) for x in row] for row in inv[0]]
 
 
 def solve_negative_definite(
@@ -216,20 +223,9 @@ def is_negative_definite(gram: Sequence[Sequence[Fraction]]) -> bool:
     return solve_negative_definite(gram, ()) is not None
 
 
-def isqrt_exact(n: int) -> int | None:
-    """Integer square root when n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
 def sqrt_rational(x: Fraction) -> Fraction | None:
     """Exact square root of a rational when it exists, else None."""
     if x < 0:
         return None
-    num = isqrt_exact(x.numerator)
-    den = isqrt_exact(x.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    return Fraction(num, den) if num * num == x.numerator and den * den == x.denominator else None

@@ -85,6 +85,7 @@ class LatticePolytope:
             Facet(f.normal, f.offset, tuple(pts[i] for i in on if extreme[i])) for f, on in facets
         )
         self._dual: LatticePolytope | None = None
+        self._tets: tuple[int, list] | None = None  # _triangulation, built on first use
 
     def __eq__(self, other):
         return isinstance(other, LatticePolytope) and self.vertices == other.vertices
@@ -183,20 +184,18 @@ def is_reflexive(p: LatticePolytope) -> bool:
     return polar_dual(p).is_lattice()
 
 
-def _ordered_facet_vertices(f: Facet) -> list[Vec3]:
-    """Vertices of a facet polygon in rotational order, exactly.
+def _ordered_facet_vertices(ring: list[tuple[int, ...]], normal: Sequence[Fraction]) -> list[tuple[int, ...]]:
+    """A facet polygon's vertices, scaled to integers, in rotational order, exactly.
 
     The order compares the vertices' offsets from their centroid.  Scaled by
-    the vertex count times the lcm of the denominators, those offsets are
-    integer vectors, and a positive scale keeps the sign of every cross and
-    dot product below, so the order is the one of the rational offsets.
+    the vertex count, those offsets are integer vectors, and a positive
+    scale keeps the sign of every cross and dot product below, so the order
+    is the one of the rational offsets.
     """
-    pts = f.vertices
-    flat, _ = scaled([x for p in pts for x in p])
-    n, ints = len(pts), [flat[k:k + 3] for k in range(0, len(flat), 3)]
-    total = tuple(sum(q[i] for q in ints) for i in range(3))
-    rel = [_sub(tuple(n * x for x in q), total) for q in ints]
-    normal = tuple(int(x) for x in f.normal)
+    n = len(ring)
+    total = tuple(sum(q[i] for q in ring) for i in range(3))
+    rel = [_sub(tuple(n * x for x in q), total) for q in ring]
+    normal = tuple(int(x) for x in normal)
 
     def half(v: Vec3) -> int:
         c = _dot(normal, _cross(rel[0], v))
@@ -210,22 +209,25 @@ def _ordered_facet_vertices(f: Facet) -> list[Vec3]:
         c = _dot(normal, _cross(rel[a], rel[b]))
         return (c < 0) - (c > 0)
 
-    return [pts[i] for i in sorted(range(n), key=cmp_to_key(compare))]
+    return [ring[i] for i in sorted(range(n), key=cmp_to_key(compare))]
 
 
 def _triangulation(p: LatticePolytope) -> tuple[int, list[tuple[tuple[int, ...], ...]]]:
     """(s, tetrahedra): the polytope scaled by s, the vertex count times the
     lcm of the denominators, cut into integer tetrahedra, each facet fan
     coned from the vertex average (an interior point, the integer vertex sum
-    after the scaling)."""
-    flat, den = scaled([x for v in p.vertices for x in v])
-    n = len(p.vertices)
-    apex = tuple(sum(flat[i::3]) for i in range(3))
-    tets = []
-    for f in p.facets:
-        ring = [tuple(x.numerator * (n * den // x.denominator) for x in v) for v in _ordered_facet_vertices(f)]
-        tets += [(apex, ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
-    return n * den, tets
+    after the scaling).  Built once and stored on ``p``."""
+    if p._tets is None:
+        flat, den = scaled([x for v in p.vertices for x in v])
+        n = len(p.vertices)
+        ints = {v: tuple(n * x for x in flat[3 * k:3 * k + 3]) for k, v in enumerate(p.vertices)}
+        apex = tuple(sum(flat[i::3]) for i in range(3))
+        tets = []
+        for f in p.facets:
+            ring = _ordered_facet_vertices([ints[v] for v in f.vertices], f.normal)
+            tets += [(apex, ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
+        p._tets = n * den, tets
+    return p._tets
 
 
 def _dets(tets: list[tuple[tuple[int, ...], ...]]) -> list[int]:

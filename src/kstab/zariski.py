@@ -168,7 +168,7 @@ def pseff_threshold(surface: SurfaceModel, divisor, direction) -> Fraction:
     d = surface.class_vector(divisor)
     z = surface.class_vector(direction)
     try:
-        res = max_shift(d, tuple(-x for x in z), _eff_data(surface))
+        res = max_shift(d, tuple(-x for x in z), _eff_data(surface), warm=True)
     except Infeasible:
         raise NotPseudoEffective(f"{d} is outside the declared effective cone") from None
     except Unbounded:
@@ -427,7 +427,7 @@ def one_param_volume(
     if not _on_generator_ray(gens, tuple(-x for x in slope)) and in_cone(gens, start) is None:
         raise NotPseudoEffective(f"family is not pseudo-effective at {lo}")
     try:
-        res = max_shift(start, slope, gens)
+        res = max_shift(start, slope, gens, warm=True)
         s_end = min(hi, lo + res.value)
     except Infeasible:
         raise NotPseudoEffective(f"family is not pseudo-effective at {lo}") from None
@@ -613,7 +613,7 @@ def _wall_from_cert(
 
 def _threshold_at(a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], t: Fraction) -> Fraction:
     try:
-        return max_shift(_at((a_vecs, 1), t), minus_z, gens).value
+        return max_shift(_at((a_vecs, 1), t), minus_z, gens, warm=True).value
     except Infeasible:
         raise NotPseudoEffective(f"family leaves the effective cone at {t}") from None
 

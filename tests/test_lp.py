@@ -4,6 +4,7 @@ Fractions in ``oracles``, and tests of the certificates every answer carries:
 each is rechecked here over Fractions, and a solver that hands over a broken
 one is stopped by ``InvariantViolation``."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -352,3 +353,153 @@ def test_vectors_of_another_length_are_rejected(call):
     # the answer is (1, 1), their third coordinates never read
     with pytest.raises(InvalidModel, match="basis size"):
         call()
+
+
+# -- the memory of bases: warm answers against a fresh Cone's ----------------
+
+
+def _dp4_generators():
+    from kstab.intersect import dp4_surface
+
+    gens = dp4_surface().eff_generators
+    return [gens[k] for k in sorted(gens)]
+
+
+QUADRIC_GENERATORS = [(1, 0), (0, 1)]
+weights = st.one_of(st.integers(0, 3), st.just(Q(1, 2)))
+
+
+@st.composite
+def cone_query_sequences(draw):
+    """A generator list (the dp4 preset, the quadric or a small random cone)
+    and a sequence of queries ("in", target) and ("shift", base, direction).
+    Targets are mostly nonnegative combinations of the generators, so the
+    remembered bases get used; some carry a 1/2, which puts a denominator
+    on b, and some are random vectors, mostly outside the cone."""
+    kind = draw(st.sampled_from(["dp4", "quadric", "random"]))
+    if kind == "dp4":
+        gens = _dp4_generators()
+    elif kind == "quadric":
+        gens = QUADRIC_GENERATORS
+    else:
+        n = draw(st.integers(1, 4))
+        gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6))
+    n = len(gens[0])
+    combination = st.lists(weights, min_size=len(gens), max_size=len(gens)).map(
+        lambda w: tuple(sum(wj * g[i] for wj, g in zip(w, gens)) for i in range(n)))
+    vector = st.one_of(combination, combination, combination, st.tuples(*[st.integers(-3, 3)] * n))
+    negated = st.sampled_from(gens).map(lambda g: tuple(-x for x in g))
+    direction = st.one_of(negated, st.tuples(*[st.integers(-2, 2)] * n))
+    query = st.one_of(st.tuples(st.just("in"), vector), st.tuples(st.just("shift"), vector, direction))
+    return gens, draw(st.lists(query, min_size=1, max_size=12))
+
+
+def _shift_value(base, direction, generators, **kw):
+    try:
+        return max_shift(base, direction, generators, **kw).value
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(cone_query_sequences())
+def test_a_reused_cone_answers_as_a_fresh_one(case):
+    """in_cone and max_shift(...).value on one Cone, warmed by the queries
+    before, give the answers of a fresh Cone: the same value, the same None
+    or the same exception type.  Each coefficient vector is checked here."""
+    gens, queries = case
+    cone = lp.Cone(gens)
+    for query in queries:
+        if query[0] == "in":
+            target = query[1]
+            got = in_cone(cone, target)
+            assert (got is None) == (in_cone(lp.Cone(gens), target) is None)
+            if got is not None:
+                assert all(x >= 0 for x in got)
+                assert all(_dot(got, row) == t for row, t in zip(zip(*gens), target))
+        else:
+            _, base, direction = query
+            assert _shift_value(base, direction, cone, warm=True) == _shift_value(base, direction, lp.Cone(gens))
+        assert len(cone._bases) <= lp.MEMORY
+
+
+def _count_pivots(monkeypatch):
+    seen = []
+
+    def spy(*args):
+        seen.append(args[3:])
+        return _pivot(*args)
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    return seen
+
+
+def test_a_repeated_membership_query_runs_no_pivot(monkeypatch):
+    pivots = _count_pivots(monkeypatch)
+    cone = lp.Cone(_dp4_generators())
+    d = (3, -1, -1, -1, -1, 0)  # -K - e5
+    first = in_cone(cone, d)
+    assert first is not None and pivots
+    pivots.clear()
+    assert in_cone(cone, d) == first
+    assert pivots == []
+    # the threshold of the same class starts from that basis: phase 2 only
+    z = (-1, 0, 0, 0, 0, 0)
+    warm = max_shift(d, z, cone, warm=True).value
+    warm_pivots = len(pivots)
+    assert max_shift(d, z, _dp4_generators()).value == warm
+    assert 0 < warm_pivots < len(pivots) - warm_pivots
+
+
+class TestMemory:
+    def test_an_infeasible_remembered_basis_falls_back(self, monkeypatch):
+        # the basis {(1, 0), (0, 1)} gives x = b = (-1, 2) < 0: cold, which finds (1, 0) + 2*(-1, 1)
+        gens = [(1, 0), (0, 1), (-1, 1)]
+        cone = lp.Cone(gens)
+        cone._remember((0, 1))
+        assert [cols for cols, _, _ in cone._bases] == [(0, 1)]
+        pivots = _count_pivots(monkeypatch)
+        assert in_cone(cone, (-1, 2)) == in_cone(gens, (-1, 2)) == (1, 0, 2)
+        assert pivots
+        assert [cols for cols, _, _ in cone._bases] == [(0, 2), (0, 1)]
+
+    def test_a_singular_basis_is_not_remembered(self, monkeypatch):
+        gens = [(1, 0), (2, 0), (0, 1)]
+        cone = lp.Cone(gens)
+        cone._remember((0, 1))
+        assert cone._bases == []
+        pivots = _count_pivots(monkeypatch)
+        assert in_cone(cone, (1, 1)) == in_cone(gens, (1, 1))
+        assert pivots
+
+    def test_a_denominator_on_b_stays_cold(self, monkeypatch):
+        cone = lp.Cone(QUADRIC_GENERATORS)
+        assert in_cone(cone, (1, 1)) == (1, 1)
+        pivots = _count_pivots(monkeypatch)
+        assert in_cone(cone, (Q(1, 2), 1)) == (Q(1, 2), 1)
+        assert pivots
+
+    def test_the_memory_is_capped(self):
+        rng = random.Random(7)
+        gens = _dp4_generators()
+        cone = lp.Cone(gens)
+        for _ in range(100):
+            w = [rng.randint(0, 2) for _ in gens]
+            d = tuple(sum(wj * g[i] for wj, g in zip(w, gens)) for i in range(6))
+            z = tuple(-x for x in rng.choice(gens))
+            assert in_cone(cone, d) is not None
+            assert _shift_value(d, z, cone, warm=True) == _shift_value(d, z, gens)
+        assert 1 < len(cone._bases) <= lp.MEMORY
+
+    def test_a_widened_cone_shares_the_memory(self, monkeypatch):
+        # max_shift widens the cone by s: it starts from the basis in_cone
+        # left, and its optimum, with s basic, is not remembered
+        cone = lp.Cone(QUADRIC_GENERATORS)
+        in_cone(cone, (2, 3))
+        assert cone.widened((1, 1))._base is cone
+        pivots = _count_pivots(monkeypatch)
+        assert max_shift((2, 3), (-1, 0), cone, warm=True).value == 2
+        warm_pivots = len(pivots)
+        assert max_shift((2, 3), (-1, 0), QUADRIC_GENERATORS).value == 2
+        assert warm_pivots < len(pivots) - warm_pivots
+        assert [cols for cols, _, _ in cone._bases] == [(0, 1)]

@@ -10,6 +10,7 @@ polygon order are checked against the original Fraction routines frozen in
 
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -240,10 +241,15 @@ def test_facet_order_matches_reference(points):
         p = LatticePolytope(points)
     except DegeneratePolytope:
         return
+    # the order is taken on the vertices scaled to integers, by the
+    # polytope's common denominator times 3 here (any positive scale)
     polytopes = [p, polar_dual(p)] if p.contains_origin_interior() else [p]
     for q in polytopes:
+        scale = 3 * lcm(*(x.denominator for v in q.vertices for x in v))
         for f in q.facets:
-            assert toric._ordered_facet_vertices(f) == reference_ordered_facet_vertices(f)
+            ints = [tuple(int(x * scale) for x in v) for v in f.vertices]
+            expected = [tuple(int(x * scale) for x in v) for v in reference_ordered_facet_vertices(f)]
+            assert toric._ordered_facet_vertices(ints, f.normal) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,3 +265,19 @@ def test_polar_dual_is_a_stored_involution(points):
         return
     assert polar_dual(p) is polar_dual(p)
     assert polar_dual(polar_dual(p)).vertices == p.vertices
+
+
+def test_each_polytope_is_triangulated_once(monkeypatch):
+    # the degree reads vol(P*) and the criterion bar(P*): one triangulation of P*
+    seen = []
+    real = toric._ordered_facet_vertices
+
+    def spy(ring, normal):
+        seen.append(normal)
+        return real(ring, normal)
+
+    monkeypatch.setattr(toric, "_ordered_facet_vertices", spy)
+    p = asymmetric_reflexive()
+    anticanonical_degree(p)
+    assert not toric_kps_check(p)[0]
+    assert len(seen) == len(polar_dual(p).facets)

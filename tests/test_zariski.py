@@ -12,6 +12,7 @@ elimination; it is checked against two separate solves, by the engine's
 
 import itertools
 import random
+import sys
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -789,3 +790,41 @@ def test_a_dual_off_the_basis_sends_the_chamber_to_the_probe():
     assert zariski._threshold_from_basis(a_vecs, minus_z, gens, lp, Q(0), Q(1)) == (lp.value, 0)
     doubled = LPResult(lp.value, lp.x, lp.basis, tuple(2 * y for y in lp.dual))
     assert zariski._threshold_from_basis(a_vecs, minus_z, gens, doubled, Q(0), Q(1)) is None
+
+
+@pytest.mark.parametrize(
+    "make, minus_k, line", [(dp4_surface, MINUS_K4, L4), (dp3_surface, MINUS_K3, L3)], ids=["dp4", "dp3"]
+)
+def test_a_warmed_cone_leaves_the_chamber_records_unchanged(make, minus_k, line, monkeypatch):
+    """The flag and one-parameter records on a surface whose cone first
+    answered 30 zariski_decompose and 30 pseff_threshold queries equal those
+    of a fresh surface: the LPs whose basis and dual prove tau stay cold."""
+    warm_callers = []
+
+    def spy(*args, warm=False):
+        warm_callers.append((sys._getframe(1).f_code.co_name, warm))
+        return max_shift(*args, warm=warm)
+
+    monkeypatch.setattr(zariski, "max_shift", spy)
+    rng = random.Random(14)
+    warmed = make()
+    curves = warmed.negative_curves
+    labels = sorted(curves)
+    for _ in range(30):
+        weights = {c: rng.randint(0, 3) for c in rng.sample(labels, rng.randint(1, 4))}
+        d = tuple(sum(w * curves[c][i] for c, w in weights.items()) for i in range(warmed.rank))
+        zariski_decompose(warmed, d)
+        pseff_threshold(warmed, d, rng.choice(labels))
+    assert warmed._cone._bases
+    calls = [
+        lambda s: two_param_flag_volume(s, minus_k, 0, 1, line),
+        lambda s: two_param_flag_volume(s, _moving(minus_k), 0, 1, line),
+        lambda s: one_param_volume(s, _moving(minus_k), 0, 3),
+    ]
+    for call in calls:
+        got, want = call(warmed), call(make())
+        assert got == want
+        if isinstance(got, zariski.VolumeFunction):
+            assert got.pw.pieces == want.pw.pieces  # with their labels
+    assert ("_certify_t_chamber", False) in warm_callers
+    assert ("_certify_t_chamber", True) not in warm_callers
