@@ -2,8 +2,9 @@
 
 A two-phase dense simplex for the cone problems this engine meets (at most
 nine equality constraints and a few hundred nonnegative variables): cone
-membership and pseudo-effective thresholds, where the optimal basis and
-its dual prove a threshold on a whole interval of a parameter
+membership, the engine's one test of effectivity on surfaces and
+threefolds alike, and pseudo-effective thresholds, where the optimal
+basis and its dual prove a threshold on a whole interval of a parameter
 (``zariski._parametric_threshold``).  A :class:`Cone` holds its generators
 with their integer rows built once, so the many LPs over one surface's
 effective cone add only their own columns and right-hand sides.
@@ -27,15 +28,17 @@ columns are never priced, so the tableau does not carry them.
 
 A Cone remembers the last MEMORY optimal bases, on it or on a ``widened``
 copy, that are one generator column B per row, each with T = d*B^-1 and
-d = |det B| in integers (``rationals.integer_inverse``).  The LPs whose
-callers read only the value or membership (``in_cone``, and ``max_shift``
-with warm, from ``zariski.pseff_threshold``, ``one_param_volume`` and
-``_threshold_at``) start from the first with T*b >= 0 instead of phase 1:
-at cost 0 it is the answer, else phase 2 runs from T*[a | I | b] over d,
-whose entries are minors, so the exact division holds.  The LP whose basis
-proves a threshold stays cold, as do LPs whose b or widened column needs
-another row scale.  A stale basis costs time, never a wrong answer: the
-answer is checked as any other.
+d = |det B| in integers (``rationals.integer_inverse``).  Every LP over a
+Cone starts from the first with T*b >= 0 instead of phase 1: at cost 0 it
+is the answer, else phase 2 runs from T*[a | I | b] over d, whose entries
+are minors, so the exact division holds.  LPs whose b or widened column
+needs another row scale start cold; so does an LP on a list of rows, which
+is a fresh Cone every call.  No engine output depends on the basis a
+memory gives: the callers read a membership or a value, the same for every
+optimum, or a basis that proves a threshold
+(``zariski._threshold_from_basis``), which proves the exact one whichever
+optimum it is.  A stale basis costs time, never a wrong answer: the answer
+is checked as any other.
 
 The simplex is not trusted; its answers are (exact LP by verifying a
 basis, Applegate-Cook-Dash-Espinoza 2007).  Every tableau row also carries
@@ -238,7 +241,6 @@ def solve_equality_lp(
     a: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
     c: Sequence[Fraction],
-    *, warm: bool = False,
 ) -> LPResult:
     """Maximize c*x subject to a*x = b, x >= 0 (all data exact rationals).
 
@@ -246,9 +248,9 @@ def solve_equality_lp(
     of its columns, and a matrix with no columns has a zero row for each
     entry of b.  Raises Infeasible or Unbounded, each with its certificate.
     Redundant constraint rows are removed up front so the optimal basis is
-    always a genuine invertible column set.  With warm, phase 2 may start
-    from a basis the Cone remembers: the value is the same, while x, the
-    basis and the dual may be another optimum's.
+    always a genuine invertible column set.  Phase 2 may start from a basis
+    the Cone remembers: the value is the same, while x, the basis and the
+    dual may be another optimum's.
     """
     if not isinstance(a, Cone):
         _same_length(len(a[0]) if a else 0, *a)
@@ -259,7 +261,7 @@ def solve_equality_lp(
     rows, scales = [r for r, _ in joined], [s for _, s in joined]
     ncols, nrows = len(a), len(rows)
     cost, cscale = scaled(c)
-    tab, basis, denom = (warm and _remembered(a, rows, scales, any(cost))) or _phase_1(rows, scales, ncols)
+    tab, basis, denom = _remembered(a, rows, scales, any(cost)) or _phase_1(rows, scales, ncols)
     m = len(tab)
     # phase 2: maximize c, scaled to integers, as reduced costs over denom;
     # the z-row is [denom*c - u*a | -u | -u*b] for the dual u
@@ -373,11 +375,9 @@ def in_cone(generators: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
     equal length; the cone is their nonnegative span.  The coefficients
     are one checked certificate, which may come from a remembered basis.
     """
-    if not generators:
-        return () if all(to_q(x) == 0 for x in target) else None
     cone = generators if isinstance(generators, Cone) else Cone(generators)
     try:
-        res = solve_equality_lp(cone, target, [0] * len(cone), warm=True)
+        res = solve_equality_lp(cone, target, [0] * len(cone))
     except Infeasible:
         return None
     return res.x
@@ -387,7 +387,6 @@ def max_shift(
     base: Sequence[Fraction],
     direction: Sequence[Fraction],
     generators: Sequence[Sequence[Fraction]],
-    *, warm: bool = False,
 ) -> LPResult:
     """Maximize s >= 0 with base + s*direction in the generator cone.
 
@@ -395,7 +394,7 @@ def max_shift(
     [s, generators...]) and the dual certify the answer and support
     parametric re-solving.  Raises Infeasible when even s = 0 fails,
     Unbounded when the direction never leaves the cone.  The generators
-    are a list or a Cone.  warm is for callers that read only the value.
+    are a list or a Cone; a Cone may start from a remembered basis.
     """
     cone = generators if isinstance(generators, Cone) else Cone(generators)
-    return solve_equality_lp(cone.widened([-to_q(x) for x in direction]), base, [1] + [0] * len(cone), warm=warm)
+    return solve_equality_lp(cone.widened([-to_q(x) for x in direction]), base, [1] + [0] * len(cone))

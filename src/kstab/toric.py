@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import DegeneratePolytope, InvariantViolation, NotReflexive, OriginNotInterior
 
-from .rationals import Q, qvec, rank, scaled, to_q
+from .rationals import Q, qvec, scaled, to_q
 from .records import Record
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -70,7 +70,7 @@ class LatticePolytope:
         pts = sorted({tuple(to_q(x) for x in p) for p in points})
         if any(len(p) != 3 for p in pts):
             raise ValueError("points must be 3-vectors")
-        if _affine_rank(pts) < 3:
+        if not _spans_space([_sub(p, pts[0]) for p in pts[1:]]):
             raise DegeneratePolytope("points do not span a 3-dimensional polytope")
         facets = _facets(tuple(pts))
         # a point is extreme iff the facets through it have normals of rank 3
@@ -106,15 +106,8 @@ class LatticePolytope:
         )
 
 
-def _affine_rank(pts: list[Vec3]) -> int:
-    if len(pts) < 2:
-        return 0
-    base = pts[0]
-    return rank([list(_sub(p, base)) for p in pts[1:]])
-
-
-def _spans_space(normals: list[tuple[int, ...]]) -> bool:
-    """True iff the integer 3-vectors have rank 3."""
+def _spans_space(normals: Sequence[Sequence[Fraction]]) -> bool:
+    """True iff the 3-vectors, integers or rationals, have rank 3."""
     for a, b in itertools.combinations(normals, 2):
         axb = _cross(a, b)
         if axb != (0, 0, 0):

@@ -41,6 +41,10 @@ volume polynomial of a chamber can be rebuilt from ``Polynomial`` products.
 ``reference_parametric_threshold`` is the flag layer's pseudo-effective
 threshold tau(t) as it was before the optimal basis proved it: three LPs, at
 the midpoint and both ends of a t-chamber, and the chord and kink argument.
+``reference_in_rank2_cone`` decides membership in a cone of rank-2 classes
+with no LP: by Caratheodory, v is in the cone iff it is 0, a positive
+multiple of one generator, or a nonnegative Cramer combination of some
+pair, all in plain ``Fraction`` arithmetic.
 """
 
 import itertools
@@ -838,3 +842,21 @@ def reference_parametric_threshold(a_vecs, minus_z, gens, tau_mid, t_lo, t_hi):
     if t_lo < kink < t_hi:
         raise _SplitRequest([kink])
     raise _SplitRequest([mid])
+
+
+# -- rank-2 cone membership with no LP -------------------------------------------
+
+
+def reference_in_rank2_cone(gens, v):
+    """Whether the rank-2 class v is a nonnegative combination of gens (Caratheodory)."""
+    v = [Q(x) for x in v]
+    if v == [0, 0]:
+        return True
+    for g in gens:
+        if g[0] * v[1] == g[1] * v[0] and g[0] * v[0] + g[1] * v[1] > 0:
+            return True
+    for g, h in itertools.combinations(gens, 2):
+        det = Q(g[0] * h[1] - g[1] * h[0])
+        if det and (v[0] * h[1] - v[1] * h[0]) / det >= 0 and (g[0] * v[1] - g[1] * v[0]) / det >= 0:
+            return True
+    return False

@@ -36,6 +36,19 @@ class TestSinv:
         assert code == 0
         assert "0.8636" in out
 
+    def test_a_model_file_with_more_effective_classes(self, capsys, tmp_path):
+        # H = (1, 0) is effective too; the residual 2t*Qtilde of the E table stays in the cone
+        from kstab.models import preset, serialize_model
+
+        text = serialize_model(preset("bl_p3_quintic")).replace("model threefold bl_p3_quintic", "model threefold mine")
+        path = tmp_path / "mine.model"
+        path.write_text(text.replace("\neffective\n", "\neffective\nH: 1 0\n"))
+        for divisor, value in (("E", "1/4"), ("Qtilde", "19/22")):
+            argv = ("sinv", "--model", "mine", "--divisor", divisor, "--model-file", str(path), "--json")
+            code, out = run(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["S"] == value
+
 
 class TestFlagSinv:
     @pytest.mark.parametrize(
@@ -69,6 +82,12 @@ class TestZariski:
         code, out = run(capsys, "zariski", "--model", "dp4", "--class", "L - 2 e1", "--json")
         assert code == 2
         assert json.loads(out)["error"] == "NotPseudoEffective"
+
+    def test_the_error_writes_the_class_in_rationals(self, capsys):
+        code, out = run(capsys, "zariski", "--model", "quadric", "--class", "f1 - f2", "--json")
+        assert code == 2
+        message = json.loads(out)["message"]
+        assert "(1, -1)" in message and "Fraction(" not in message
 
 
 class TestLattice:

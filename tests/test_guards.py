@@ -246,6 +246,19 @@ class TestImportGraph:
             assert "dataclasses" not in names + [getattr(node, "module", None)]
 
     @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+    def test_the_library_imports_only_the_standard_library(self, path):
+        # every other import is relative, within kstab
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert all(name.partition(".")[0] in sys.stdlib_module_names for name in names), names
+
+    @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
     def test_no_assert_in_the_library(self, path):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))

@@ -318,15 +318,17 @@ def _full_outcome(a, b, c):
 @settings(max_examples=200, deadline=None)
 @given(small_lps(), st.lists(entries, min_size=4, max_size=4))
 def test_a_cone_of_columns_solves_as_its_rows(problem, head):
-    """A Cone as the matrix, and a widened Cone, give the rows written out:
-    the same scaled rows, so the same pivots, answer and certificate."""
+    """A fresh Cone as the matrix, and a fresh Cone's widened copy, give the
+    rows written out: the same scaled rows, so the same pivots, answer and
+    certificate.  (A used Cone may start from a remembered basis, and so
+    return another optimum's x, basis and dual.)"""
     a, b, c = problem
     cone = lp.Cone(_cols(a))
     assert cone.rows == [rationals.scaled(row) for row in a]
     assert _full_outcome(cone, b, c) == _full_outcome(a, b, c)
     wide = [[h, *row] for h, row in zip(head, a)]
     c_wide = [Q(1), *c]
-    assert _full_outcome(cone.widened(head[:len(a)]), b, c_wide) == _full_outcome(wide, b, c_wide)
+    assert _full_outcome(lp.Cone(_cols(a)).widened(head[:len(a)]), b, c_wide) == _full_outcome(wide, b, c_wide)
 
 
 def test_cone_entry_points_reuse_the_rows():
@@ -394,9 +396,9 @@ def cone_query_sequences(draw):
     return gens, draw(st.lists(query, min_size=1, max_size=12))
 
 
-def _shift_value(base, direction, generators, **kw):
+def _shift_value(base, direction, generators):
     try:
-        return max_shift(base, direction, generators, **kw).value
+        return max_shift(base, direction, generators).value
     except (Infeasible, Unbounded) as exc:
         return type(exc)
 
@@ -419,7 +421,7 @@ def test_a_reused_cone_answers_as_a_fresh_one(case):
                 assert all(_dot(got, row) == t for row, t in zip(zip(*gens), target))
         else:
             _, base, direction = query
-            assert _shift_value(base, direction, cone, warm=True) == _shift_value(base, direction, lp.Cone(gens))
+            assert _shift_value(base, direction, cone) == _shift_value(base, direction, lp.Cone(gens))
         assert len(cone._bases) <= lp.MEMORY
 
 
@@ -445,7 +447,7 @@ def test_a_repeated_membership_query_runs_no_pivot(monkeypatch):
     assert pivots == []
     # the threshold of the same class starts from that basis: phase 2 only
     z = (-1, 0, 0, 0, 0, 0)
-    warm = max_shift(d, z, cone, warm=True).value
+    warm = max_shift(d, z, cone).value
     warm_pivots = len(pivots)
     assert max_shift(d, z, _dp4_generators()).value == warm
     assert 0 < warm_pivots < len(pivots) - warm_pivots
@@ -488,7 +490,7 @@ class TestMemory:
             d = tuple(sum(wj * g[i] for wj, g in zip(w, gens)) for i in range(6))
             z = tuple(-x for x in rng.choice(gens))
             assert in_cone(cone, d) is not None
-            assert _shift_value(d, z, cone, warm=True) == _shift_value(d, z, gens)
+            assert _shift_value(d, z, cone) == _shift_value(d, z, gens)
         assert 1 < len(cone._bases) <= lp.MEMORY
 
     def test_a_widened_cone_shares_the_memory(self, monkeypatch):
@@ -498,7 +500,7 @@ class TestMemory:
         in_cone(cone, (2, 3))
         assert cone.widened((1, 1))._base is cone
         pivots = _count_pivots(monkeypatch)
-        assert max_shift((2, 3), (-1, 0), cone, warm=True).value == 2
+        assert max_shift((2, 3), (-1, 0), cone).value == 2
         warm_pivots = len(pivots)
         assert max_shift((2, 3), (-1, 0), QUADRIC_GENERATORS).value == 2
         assert warm_pivots < len(pivots) - warm_pivots

@@ -41,8 +41,16 @@ class TestHull:
         assert p == cube()
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegeneratePolytope):
-            LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)])
+        # coplanar (also on a rational plane), collinear, one point, none
+        for points in (
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)],
+            [(0, 0, 0), (1, 0, Q(1, 2)), (0, 1, Q(1, 2)), (1, 1, 1), (2, -1, Q(1, 2))],
+            [(1, 1, 1), (2, 2, 2), (-1, -1, -1), (Q(1, 2), Q(1, 2), Q(1, 2))],
+            [(1, 2, 3), (1, 2, 3)],
+            [],
+        ):
+            with pytest.raises(DegeneratePolytope):
+                LatticePolytope(points)
 
     def test_facet_counts(self):
         assert len(cube().facets) == 6

@@ -5,9 +5,9 @@ no shared code path: it enumerates every negative-definite subset of the
 declared curves, solves for the candidate negative part, and keeps the
 unique subset whose certificates all hold.  DERIVED chamber data for the
 flag decompositions was computed by hand from the dp4 Gram diag(1,-1^5).
-The threefold certificate solves for both residual vectors in one
-elimination; it is checked against two separate solves, by the engine's
-``solve_general`` and by the original elimination frozen in ``oracles``.
+The threefold certificate is a cone membership of the residual at both
+ends of each chamber; on rank-2 tables it is checked against
+``reference_in_rank2_cone`` in ``oracles``, which runs no LP.
 """
 
 import itertools
@@ -31,6 +31,7 @@ from kstab.errors import (
 from kstab.intersect import (
     Chamber,
     SurfaceModel,
+    ThreefoldModel,
     bl_p3_quintic,
     blowup_node,
     dp4_surface,
@@ -38,18 +39,18 @@ from kstab.intersect import (
     restrict_to_surface,
     sing_line_model,
 )
-from kstab.lp import LPResult, Unbounded, max_shift
+from kstab.invariants import s_invariant
+from kstab.lp import LPResult, Unbounded, _remembered, max_shift
 from kstab.poly import Polynomial, check_c1, parse_polynomial
-from kstab.rationals import is_negative_definite, qvec, solve_general
+from kstab.rationals import is_negative_definite, qvec
 from oracles import (
     reference_decompose,
+    reference_in_rank2_cone,
     reference_pair_poly,
     reference_parametric_threshold,
-    reference_solve_general,
     reference_symbolic_decomposition,
 )
 from kstab.zariski import (
-    _affine_combination,
     _affine_square,
     _affine_vectors,
     _decompose,
@@ -614,67 +615,80 @@ def test_decompose_second_round():
     assert res.support_gram == ((-2, 1), (1, -2))
 
 
-# -- the threefold certificate: one elimination for both residual vectors -----
-
-THREEFOLDS = (bl_p3_quintic(),) + tuple(sing_line_model(g, k) for g, k in ((12, 0), (12, 1), (12, 2), (10, 1)))
+# -- the threefold certificate: the residual in the cone at both chamber ends ----
 
 
-def _separate_solves(solve, residual, eff_vecs):
-    mat = [[v[i] for v in eff_vecs] for i in range(len(residual[0]))]
-    x0, x1 = solve(mat, list(residual[0])), solve(mat, list(residual[1]))
-    return None if x0 is None or x1 is None else list(zip(x0, x1))
+def test_a_residual_off_the_declared_basis_certifies():
+    # with H = (1, 0) declared effective too, the E table's residual 2t*Qtilde
+    # has a free variable; pinned to 0 it read as 4t*H - 2t*E, a negative E
+    m = bl_p3_quintic()
+    model = ThreefoldModel(
+        "bl_h", m.basis, m.triple, m.anticanonical, curves=m.curves,
+        effective_classes={**m.effective_classes, "H": (1, 0)}, divisors=m.divisors, chambers=m.chambers,
+    )
+    vol_e = threefold_volume_certified(model, "E")
+    assert s_invariant(vol_e, 22) == Q(1, 4)
+    assert s_invariant(threefold_volume_certified(model, "Qtilde"), 22) == Q(19, 22)
+    assert vol_e == threefold_volume_certified(bl_p3_quintic(), "E")
 
 
-def _check_combination(residual, eff_vecs):
-    got = _affine_combination(residual, eff_vecs)
-    assert got == _separate_solves(solve_general, residual, eff_vecs)
-    assert got == _separate_solves(reference_solve_general, residual, eff_vecs)
-    return got
+def test_a_residual_outside_the_cone_names_the_chamber_end():
+    # P = -K on [0, 1]: the residual -t*E is in the cone at t = 0 only
+    chambers = (Chamber(Q(0), Q(1), qvec((4, -1)), qvec((0, 0))),)
+    with pytest.raises(CertificateViolation, match="residual at t = 1 on \\[0, 1\\]"):
+        threefold_volume_certified(bl_p3_quintic(), "E", chambers=chambers)
 
 
-@pytest.mark.parametrize("model", THREEFOLDS, ids=lambda m: m.name)
-def test_affine_combination_on_declared_chambers(model):
-    eff_vecs = [model.effective_classes[label] for label in sorted(model.effective_classes)]
-    for divisor, chambers in model.chambers.items():
-        b = model.class_vector(divisor)
-        for ch in chambers:
-            residual = (
-                tuple(x - y for x, y in zip(model.anticanonical, ch.p0)),
-                tuple(-x - y for x, y in zip(b, ch.p1)),
-            )
-            assert _check_combination(residual, eff_vecs) is not None
+_small = st.integers(-3, 3)
+_vec2 = st.tuples(_small, _small)
 
 
 @st.composite
-def affine_residuals(draw):
-    """Effective classes and a residual: half an affine combination of them, half arbitrary."""
-    vec = st.tuples(*[fractions] * draw(st.integers(1, 4)))
-    eff_vecs = draw(st.lists(vec, max_size=4))
-    if eff_vecs and draw(st.booleans()):
-        coeffs = [(draw(fractions), draw(fractions)) for _ in eff_vecs]
-        residual = tuple(
-            tuple(sum((c[j] * x for c, x in zip(coeffs, col)), Q(0)) for col in zip(*eff_vecs)) for j in (0, 1)
-        )
+def rank2_tables(draw):
+    """bl_p3_quintic's form and curves with 1-4 random effective classes, a
+    random divisor B and a chamber table over walls t_0 < ... < t_n.  The
+    table is continuous by construction: P runs affinely between its values
+    at the walls, each the class -K - t_i*B - R_i for a residual R_i that is
+    a nonnegative combination of the effective classes or a random class."""
+    base = bl_p3_quintic()
+    gens = draw(st.lists(_vec2, min_size=1, max_size=4))
+    b = draw(_vec2)
+    walls = sorted(draw(st.sets(st.fractions(0, 3, max_denominator=3), min_size=2, max_size=4)))
+    weights = st.lists(st.fractions(0, 2, max_denominator=2), min_size=len(gens), max_size=len(gens))
+    in_cone_residual = weights.map(lambda w: tuple(sum(x * g[i] for x, g in zip(w, gens)) for i in (0, 1)))
+    residuals = [draw(st.one_of(in_cone_residual, in_cone_residual, _vec2)) for _ in walls]
+    k = base.anticanonical
+    values = [tuple(k[i] - t * b[i] - r[i] for i in (0, 1)) for t, r in zip(walls, residuals)]
+    chambers = []
+    for (lo, p_lo), (hi, p_hi) in zip(zip(walls, values), zip(walls[1:], values[1:])):
+        p1 = tuple((y - x) / (hi - lo) for x, y in zip(p_lo, p_hi))
+        chambers.append(Chamber(lo, hi, tuple(x - lo * v for x, v in zip(p_lo, p1)), p1))
+    model = ThreefoldModel(
+        "rank2", base.basis, base.triple, base.anticanonical, curves=base.curves,
+        effective_classes={f"g{i}": g for i, g in enumerate(gens)},
+    )
+    return model, b, tuple(chambers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank2_tables())
+def test_the_threefold_certificate_matches_the_rank2_oracle(case):
+    model, b, chambers = case
+    gens = list(model.effective_classes.values())
+    want = True
+    for ch in chambers:
+        for t in (ch.lo, ch.hi):
+            p = [x + t * y for x, y in zip(ch.p0, ch.p1)]
+            residual = [k - t * bi - x for k, bi, x in zip(model.anticanonical, b, p)]
+            pairs = [sum(x * c for x, c in zip(p, curve)) for curve in model.curves.values()]
+            want = want and reference_in_rank2_cone(gens, residual) and all(x >= 0 for x in pairs)
+    try:
+        vf = threefold_volume_certified(model, b, chambers=chambers)
+    except CertificateViolation:
+        assert not want
     else:
-        residual = (draw(vec), draw(vec))
-    return residual, eff_vecs
-
-
-@settings(max_examples=150, deadline=None)
-@given(affine_residuals())
-# parallel classes: a free variable, which stays at zero; no classes at all
-@example((((Q(1), Q(2)), (Q(3), Q(6))), [(Q(1), Q(2)), (Q(2), Q(4))]))
-@example((((Q(0), Q(1)), (Q(0), Q(0))), []))
-def test_affine_combination_matches_separate_solves(case):
-    _check_combination(*case)
-
-
-def test_affine_combination_inconsistent():
-    eff_vecs = [(Q(0), Q(1))]
-    # inconsistent in the constant vector, then in the slope vector only
-    assert _check_combination(((Q(1), Q(0)), (Q(0), Q(0))), eff_vecs) is None
-    assert _check_combination(((Q(0), Q(1)), (Q(1), Q(1))), eff_vecs) is None
-    assert _check_combination(((Q(0), Q(2)), (Q(0), Q(-1))), eff_vecs) == [(2, -1)]
+        assert want
+        assert [(c.lo, c.hi) for c in vf.chambers] == [(c.lo, c.hi) for c in chambers]
 
 
 # -- the basis-verified flag threshold against the three-LP probe ---------------
@@ -798,14 +812,17 @@ def test_a_dual_off_the_basis_sends_the_chamber_to_the_probe():
 def test_a_warmed_cone_leaves_the_chamber_records_unchanged(make, minus_k, line, monkeypatch):
     """The flag and one-parameter records on a surface whose cone first
     answered 30 zariski_decompose and 30 pseff_threshold queries equal those
-    of a fresh surface: the LPs whose basis and dual prove tau stay cold."""
-    warm_callers = []
+    of a fresh surface, though the LPs whose basis and dual prove tau start
+    from the remembered bases too: a basis that proves tau proves the exact
+    tau, and the chamber splits do not depend on the basis."""
+    remembered_by = []
 
-    def spy(*args, warm=False):
-        warm_callers.append((sys._getframe(1).f_code.co_name, warm))
-        return max_shift(*args, warm=warm)
+    def spy(*args):
+        # spy <- solve_equality_lp <- max_shift or in_cone <- the zariski caller
+        remembered_by.append((sys._getframe(2).f_code.co_name, sys._getframe(3).f_code.co_name))
+        return _remembered(*args)
 
-    monkeypatch.setattr(zariski, "max_shift", spy)
+    monkeypatch.setattr("kstab.lp._remembered", spy)
     rng = random.Random(14)
     warmed = make()
     curves = warmed.negative_curves
@@ -826,5 +843,4 @@ def test_a_warmed_cone_leaves_the_chamber_records_unchanged(make, minus_k, line,
         assert got == want
         if isinstance(got, zariski.VolumeFunction):
             assert got.pw.pieces == want.pw.pieces  # with their labels
-    assert ("_certify_t_chamber", False) in warm_callers
-    assert ("_certify_t_chamber", True) not in warm_callers
+    assert ("max_shift", "_certify_t_chamber") in remembered_by
