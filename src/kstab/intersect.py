@@ -167,6 +167,8 @@ class SurfaceModel:
                     raise InvalidModel("surface Gram must be symmetric")
         self.gram: tuple[QVec, ...] = tuple(rows)
         self.canonical = qvec(canonical) if canonical is not None else None
+        if self.canonical is not None and len(self.canonical) != r:
+            raise InvalidModel("class vectors must match the basis size")
         self.negative_curves = {k: qvec(v) for k, v in (negative_curves or {}).items()}
         # the Gram and the curves each scaled to integers once, and Gram * C
         # for every declared curve as an integer row over their product, so

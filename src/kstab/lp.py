@@ -1,7 +1,7 @@
 """Tiny exact linear programming over the rationals, with checked answers.
 
-A two-phase dense simplex for the cone problems this engine meets (at most
-nine equality constraints and a few hundred nonnegative variables): cone
+A dense simplex for the cone problems this engine meets (at most nine
+equality constraints and a few hundred nonnegative variables): cone
 membership, the engine's one test of effectivity on surfaces and
 threefolds alike, and pseudo-effective thresholds, where the optimal
 basis and its dual prove a threshold on a whole interval of a parameter
@@ -9,61 +9,63 @@ basis and its dual prove a threshold on a whole interval of a parameter
 with their integer rows built once, so the many LPs over one surface's
 effective cone add only their own columns and right-hand sides.
 
-Pricing is Dantzig's rule: the entering column has the largest reduced
-cost, the lowest index on ties; the leaving row has the smallest ratio,
-ties to the smallest basic index.  After a degenerate pivot (one whose row
-has right-hand side 0) the entering column is Bland's, the lowest index
-with a positive reduced cost, until the next nondegenerate pivot.  Bland's
-rule cannot cycle within one degenerate vertex, and the objective rises
-strictly from vertex to vertex, so the method terminates.
+Every LP starts from a basis: one its Cone remembers, or else the lead
+columns of a Gauss-Jordan reduction, which drops a row that vanishes.  At
+cost 0 every basis is dual feasible, so a dual simplex (Lemke 1954) makes
+it feasible: the lowest-indexed basic variable with a negative value
+leaves, the lowest-indexed column with a negative entry in its row enters
+(Bland 1977: no cycling), and a row with none proves infeasibility.  The
+primal simplex then maximizes c by Dantzig's rule: the entering column has
+the largest reduced cost, the lowest index on ties; the leaving row has the
+smallest ratio, ties to the smallest basic index.  After a degenerate pivot
+(one whose row has right-hand side 0) the entering column is Bland's until
+the next nondegenerate pivot, so no degenerate vertex cycles, and the
+objective rises strictly from vertex to vertex.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): one integer
-matrix T and one common denominator D > 0, the last pivot, so that T/D is
-the rational tableau.  Constraint rows are scaled to integers, and
-redundant ones dropped, before the simplex starts.  A pivot on p updates
-every other row as (x*p - f*y) // D; the division is exact because D is,
-up to sign, the determinant of the current basis, and a remainder raises
-InvariantViolation rather than going on with a wrong tableau.  Artificial
-columns are never priced, so the tableau does not carry them.
+matrix T and one denominator D > 0, the absolute value of the last pivot,
+so that T/D is the rational tableau.  Row i is the Cone's integer row at
+scale s_i with right-hand side q*s_i*b_i, q clearing the denominators of
+b, so the tableau solves for q*x.  A pivot on p updates every other row as
+(x*p - f*y) // D and negates every row when p < 0; the division is exact
+because D is |det| of the basis, and a remainder raises InvariantViolation
+rather than going on with a wrong tableau.
 
 A Cone remembers the last MEMORY optimal bases, on it or on a ``widened``
-copy, that are one generator column B per row, each with T = d*B^-1 and
-d = |det B| in integers (``rationals.integer_inverse``).  Every LP over a
-Cone starts from the first with T*b >= 0 instead of phase 1: at cost 0 it
-is the answer, else phase 2 runs from T*[a | I | b] over d, whose entries
-are minors, so the exact division holds.  LPs whose b or widened column
-needs another row scale start cold; so does an LP on a list of rows, which
-is a fresh Cone every call.  No engine output depends on the basis a
-memory gives: the callers read a membership or a value, the same for every
+copy, that are one generator column B per row, as the optimal tableau
+holds them: T = d*B^-1 with d = |det B|, and T*A of the generator columns.
+An LP over a Cone starts from the one with the fewest negative entries of
+T*b, ties to the most recent, as T*[a | I | b] over d, whose entries are
+minors, so the exact division holds; a widened column that needs another
+row scale starts from the reduction, as does an LP on a list of rows, a
+fresh Cone every call.  No engine output depends on the basis a memory
+gives: the callers read a membership or a value, the same for every
 optimum, or a basis that proves a threshold
 (``zariski._threshold_from_basis``), which proves the exact one whichever
-optimum it is.  A stale basis costs time, never a wrong answer: the answer
-is checked as any other.
+optimum it is.  A stale basis costs time, never a wrong answer.
 
 The simplex is not trusted; its answers are (exact LP by verifying a
 basis, Applegate-Cook-Dash-Espinoza 2007).  Every tableau row also carries
-the integer combination of the caller's rows that it is: an identity block
-that goes through the reduction and every pivot unpriced, so the objective
-row names the dual.  Before an answer leaves this module it is checked
-against the caller's a, b and c, each row scaled to integers, by integer
-dot products alone, and a failed check raises InvariantViolation:
+the integer combination of the caller's rows that it is, an unpriced
+identity block, so the objective row names the dual.  Before an answer
+leaves this module it is checked against the caller's a, b and c, each row
+scaled to integers, by integer dot products alone, and a failed check
+raises InvariantViolation:
 
 - an optimum: x >= 0 with a*x = b, and a dual y with y*a >= c and
   y*b = c*x (``LPResult.dual``);
-- Infeasible: a Farkas y with y*a >= 0 and y*b < 0 (``Infeasible.farkas``),
-  also when the reduction finds a row 0 = nonzero;
+- Infeasible: a Farkas y with y*a >= 0 and y*b < 0 (``Infeasible.farkas``);
 - Unbounded: a ray r >= 0 with a*r = 0 and c*r > 0 (``Unbounded.ray``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Sequence
 
 from .errors import InvalidModel, InvariantViolation
-from .rationals import common, integer_inverse, scaled, to_q
+from .rationals import common, scaled, to_q
 from .records import Record
 
 MEMORY = 8  # bases a Cone remembers, most recent first
@@ -95,11 +97,16 @@ class LPResult(Record):
 
 
 def _pivot(tab: list[list[int]], basis: list[int], denom: int, row: int, col: int) -> int:
-    """Integer-preserving pivot on tab[row][col]; returns the new denominator."""
+    """Integer-preserving pivot on tab[row][col]; returns the new denominator |p|.
+
+    When p < 0 every row is negated in the same pass, so T/D is unchanged.
+    """
     p = tab[row][col]
-    prow = tab[row]
+    prow = tab[row] if p > 0 else [-x for x in tab[row]]
+    p = abs(p)
     for r, cur in enumerate(tab):
         if r == row:
+            tab[r] = prow
             continue
         f = cur[col]
         nums = [x * p - f * y for x, y in zip(cur, prow)] if f else [x * p for x in cur]
@@ -158,7 +165,7 @@ class Cone(tuple):
         self = super().__new__(cls, (tuple(map(to_q, col)) for col in columns))
         self.rows = [scaled(entries) for entries in zip(*self)]
         _same_length(len(self.rows), *self)
-        self._base, self._bases = None, []  # _bases: (columns, T, d), see the module docstring
+        self._base, self._bases = None, []  # _bases: (columns, T, T*A, d), see the module docstring
         return self
 
     def widened(self, column: Sequence[Fraction]) -> "Cone":
@@ -170,16 +177,19 @@ class Cone(tuple):
         out._base = self if self._base is None else self._base
         return out
 
-    def _remember(self, basis: Sequence[int]) -> None:
-        """Put an optimal basis first in the memory, if it is one nonsingular generator column per row."""
+    def _remember(self, tab: list[list[int]], basis: list[int], denom: int) -> None:
+        """Put an optimal basis first in the memory, if it is one generator column per row.
+
+        With tab at the generators' row scales, T = denom*B^-1 and denom = |det B|.
+        """
         gens = self if self._base is None else self._base
-        cols = tuple(sorted(j - len(self) + len(gens) for j in basis))
-        if len(cols) != len(gens.rows) or not all(0 <= j < len(gens) for j in cols):
+        extra = len(self) - len(gens)  # widened columns, first
+        if len(basis) != len(gens.rows) or min(basis, default=extra) < extra:
             return
-        entry = next((e for e in gens._bases if e[0] == cols), None)
-        inverse = entry[1:] if entry else integer_inverse([[row[j] for j in cols] for row, _ in gens.rows])
-        if inverse is not None:
-            gens._bases[:] = [(cols, *inverse), *(e for e in gens._bases if e is not entry)][:MEMORY]
+        order = sorted(range(len(basis)), key=basis.__getitem__)
+        cols = tuple(basis[r] - extra for r in order)
+        entry = cols, [tab[r][len(self):-1] for r in order], [tab[r][extra:len(self)] for r in order], denom
+        gens._bases[:] = [entry, *(e for e in gens._bases if e[0] != cols)][:MEMORY]
 
 
 def _same_length(n: int, *vectors: Sequence) -> None:
@@ -201,12 +211,12 @@ _ZERO = Fraction(0)  # every zero of LPResult.x, as most columns are nonbasic
 
 def _optimum(
     rows: list[list[int]], scales: list[int], cost: list[int], cscale: int,
-    xs: list[int], denom: int, u: list[int], basis: Sequence[int],
+    xs: list[int], denom: int, u: list[int], basis: Sequence[int], q: int,
 ) -> LPResult:
-    """The checked optimum x = xs/denom of max cost*x, with the dual u/denom.
+    """The checked optimum x = xs/(denom*q) of max cost*x, with the dual u/denom.
 
-    rows are the caller's rows [a | b], row i scaled by scales[i], and cost
-    is c scaled by cscale; u is a dual of the scaled problem.
+    rows are the caller's rows [a | q*b], row i scaled by scales[i], and
+    cost is c scaled by cscale; u is a dual of the scaled problem.
     """
     if any(v < 0 for v in xs) or any(sum(map(mul, row, xs)) != denom * row[-1] for row in rows):
         raise InvariantViolation("the simplex optimum is not a feasible point")
@@ -215,8 +225,8 @@ def _optimum(
     if ua[-1] != cx or any(v < denom * cj for v, cj in zip(ua, cost)):
         raise InvariantViolation("the simplex optimum has no dual certificate")
     return LPResult(
-        Fraction(cx, denom * cscale),
-        tuple(Fraction(v, denom) if v else _ZERO for v in xs),
+        Fraction(cx, denom * cscale * q),
+        tuple(Fraction(v, denom * q) if v else _ZERO for v in xs),
         tuple(sorted(j for j in basis if j < len(cost))),
         tuple(Fraction(ui * s, denom * cscale) for ui, s in zip(u, scales)),
     )
@@ -248,7 +258,7 @@ def solve_equality_lp(
     of its columns, and a matrix with no columns has a zero row for each
     entry of b.  Raises Infeasible or Unbounded, each with its certificate.
     Redundant constraint rows are removed up front so the optimal basis is
-    always a genuine invertible column set.  Phase 2 may start from a basis
+    always a genuine invertible column set.  The LP may start from a basis
     the Cone remembers: the value is the same, while x, the basis and the
     dual may be another optimum's.
     """
@@ -257,13 +267,16 @@ def solve_equality_lp(
         a = Cone(zip(*a))
     a_rows = a.rows or [([], 1)] * len(b)
     _same_length(len(a_rows), b)
-    joined = [_joined(row, ([q.numerator], q.denominator)) for row, q in zip(a_rows, map(to_q, b))]
-    rows, scales = [r for r, _ in joined], [s for _, s in joined]
+    rhs, q = scaled([to_q(bi) * s for (_, s), bi in zip(a_rows, b)])
+    rows, scales = [row + [v] for (row, _), v in zip(a_rows, rhs)], [s for _, s in a_rows]
     ncols, nrows = len(a), len(rows)
     cost, cscale = scaled(c)
-    tab, basis, denom = _remembered(a, rows, scales, any(cost)) or _phase_1(rows, scales, ncols)
+    gens = a if a._base is None else a._base
+    warm = scales == [s for _, s in gens.rows]  # a widened column may need other row scales
+    tab, basis, denom = warm and _remembered(a, rows) or _reduced(rows, scales, ncols)
+    denom = _dual_simplex(tab, basis, denom, ncols, rows, scales)
     m = len(tab)
-    # phase 2: maximize c, scaled to integers, as reduced costs over denom;
+    # maximize c, scaled to integers, as reduced costs over denom;
     # the z-row is [denom*c - u*a | -u | -u*b] for the dual u
     zrow = [denom * x for x in cost] + [0] * (nrows + 1)
     for r in range(m):
@@ -284,88 +297,70 @@ def solve_equality_lp(
     for r in range(m):
         if basis[r] < ncols:
             xs[basis[r]] = tab[r][-1]
-    res = _optimum(rows, scales, cost, cscale, xs, denom, [-x for x in tab[-1][ncols:-1]], basis)
-    a._remember(basis)
+    res = _optimum(rows, scales, cost, cscale, xs, denom, [-x for x in tab[-1][ncols:-1]], basis, q)
+    if warm:
+        a._remember(tab, basis, denom)
     return res
 
 
-def _phase_1(rows: list[list[int]], scales: list[int], ncols: int) -> tuple[list[list[int]], list[int], int]:
-    """(tableau, basis, denominator): a feasible tableau [a-part | transform | rhs], or Infeasible.
+def _reduced(rows: list[list[int]], scales: list[int], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """(tableau, basis, denominator): Gauss-Jordan from [a | I | b] over 1, each row on its first nonzero column.
 
-    The transform is the combination of the caller's rows that the row is;
-    each row is reduced against the rows kept before it so it vanishes in
-    their lead columns, and dependent rows are dropped (inconsistent ones
-    mean infeasible).  With no row left, the tableau is empty.
+    A row that vanishes is dropped, or is the Farkas functional if its
+    right-hand side is not 0.  Basic values may be negative.
     """
     nrows = len(rows)
-    tab: list[list[int]] = []
-    leads: list[int] = []
-    for i, row in enumerate(rows):
-        r = row[:ncols] + [int(k == i) for k in range(nrows)] + row[ncols:]
-        for prev, lead in zip(tab, leads):
-            f = r[lead]
-            if f:
-                p = prev[lead]
-                r = [x * p - f * y for x, y in zip(r, prev)]
-        lead = next((j for j in range(ncols) if r[j]), None)
-        if lead is None:
-            if r[-1]:
-                # 0 = nonzero: the transform, signed so that y*b < 0
-                raise _infeasible(rows, scales, [-x if r[-1] > 0 else x for x in r[ncols:-1]])
-            continue
-        # lowest terms, with b >= 0 (and a positive lead when b = 0)
-        g = gcd(*r)
-        if r[-1] < 0 or (r[-1] == 0 and r[lead] < 0):
-            g = -g
-        tab.append([x // g for x in r])
-        leads.append(lead)
-    m = len(tab)
-    basis = [ncols + i for i in range(m)]
-    if m == 0:
-        return tab, basis, 1
-    # maximize -sum(artificials); the z-row is the sum of the rows
-    tab.append([sum(col) for col in zip(*tab)])
-    denom, col = _run_simplex(tab, basis, 1, ncols)
-    if col is not None:
-        raise InvariantViolation("phase 1 of the simplex cannot be unbounded")
-    if tab[-1][-1] != 0:
-        # the z-row is w*[a | b] with w*a <= 0 and w*b > 0
-        raise _infeasible(rows, scales, [-x for x in tab[-1][ncols:-1]])
-    # pivot any artificial variables out of the basis
-    for r in range(m):
-        if basis[r] >= ncols:
-            col = next((j for j in range(ncols) if tab[r][j] != 0), None)
-            if col is None:
-                continue  # fully redundant row (should not survive pre-reduction)
-            denom = _pivot(tab, basis, denom, r, col)
-            if denom < 0:
-                denom = -denom
-                tab[:] = [[-x for x in row] for row in tab]
-    tab.pop()
+    tab = [row[:ncols] + [int(k == i) for k in range(nrows)] + row[ncols:] for i, row in enumerate(rows)]
+    basis = list(range(ncols, ncols + nrows))
+    denom, r = 1, 0
+    while r < len(tab):
+        lead = next((j for j in range(ncols) if tab[r][j]), None)
+        if lead is not None:
+            denom = _pivot(tab, basis, denom, r, lead)
+            r += 1
+        elif tab[r][-1]:
+            # 0 = nonzero: the transform, signed so that y*b < 0
+            raise _infeasible(rows, scales, [-x if tab[r][-1] > 0 else x for x in tab[r][ncols:-1]])
+        else:
+            del tab[r], basis[r]
     return tab, basis, denom
 
 
-def _remembered(cone: Cone, rows: list[list[int]], scales: list[int], priced: bool) -> tuple | None:
-    """(T*[a | I | b], basis, d) for the first remembered basis with T*b >= 0, or None.
+def _dual_simplex(
+    tab: list[list[int]], basis: list[int], denom: int, ncols: int, rows: list[list[int]], scales: list[int],
+) -> int:
+    """Pivot to nonnegative basic values at cost 0 by Bland's rule; returns the denominator, or Infeasible.
 
-    Unpriced (cost 0), the a-part is left 0.  None too when b or the widened
-    column need a row scale other than the generators', as T is for theirs.
+    The lowest-indexed basic variable with a negative value leaves; the
+    lowest-indexed column with a negative entry in its row enters.  A row
+    with none reads y*a >= 0 and y*b < 0 for its transform y.
+    """
+    while True:
+        r = min((r for r in range(len(tab)) if tab[r][-1] < 0), key=basis.__getitem__, default=None)
+        if r is None:
+            return denom
+        col = next((j for j in range(ncols) if tab[r][j] < 0), None)
+        if col is None:
+            raise _infeasible(rows, scales, tab[r][ncols:-1])
+        denom = _pivot(tab, basis, denom, r, col)
+
+
+def _remembered(cone: Cone, rows: list[list[int]]) -> tuple | None:
+    """(T*[a | I | b], basis, d) for the remembered basis with the fewest negative entries of T*b, or None.
+
+    Ties go to the most recent.  T*A is remembered, so only the widened
+    columns are multiplied out.
     """
     gens = cone if cone._base is None else cone._base
-    if scales != [s for _, s in gens.rows]:
-        return None
     b = [row[-1] for row in rows]
-    for cols, t, d in gens._bases:
-        xb = [sum(map(mul, trow, b)) for trow in t]
-        if all(v >= 0 for v in xb):
-            tab = []
-            for trow, x in zip(t, xb):  # T*a, summed as a combination of the rows
-                part = [0] * len(cone)
-                for f, row in zip(trow, rows if priced else ()):
-                    part = [y + f * v for y, v in zip(part, row)] if f else part
-                tab.append(part + trow + [x])
-            return tab, [j + len(cone) - len(gens) for j in cols], d
-    return None
+    starts = [([sum(map(mul, trow, b)) for trow in entry[1]], entry) for entry in gens._bases]
+    if not starts:
+        return None
+    xb, (cols, t, ta, d) = min(starts, key=lambda start: sum(v < 0 for v in start[0]))
+    extra = len(cone) - len(gens)
+    wide = list(zip(*(row[:extra] for row in rows)))
+    tab = [[sum(map(mul, trow, w)) for w in wide] + tarow + trow + [x] for trow, tarow, x in zip(t, ta, xb)]
+    return tab, [j + extra for j in cols], d
 
 
 def in_cone(generators: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> tuple[Fraction, ...] | None:

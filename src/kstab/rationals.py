@@ -8,8 +8,7 @@ layer that computes on integers clears denominators with ``scaled`` and
 ``common`` alone.  The linear algebra shared by the lattice, toric and
 Zariski modules is one fraction-free (Bareiss) row reduction, ``_echelon``;
 ``det``, ``rank``, ``solve_general`` (``solve_each`` for several
-right-hand sides at once), ``mat_inverse`` (``integer_inverse`` in
-integers, for the LP's remembered bases) and the negative-definite solve
+right-hand sides at once), ``mat_inverse`` and the negative-definite solve
 are a few lines over it; the last gives integer numerators over one
 positive denominator, for the Zariski layer's integer certificates.
 With no row swap, pivot k is the k-th leading minor, so Sylvester's
@@ -185,20 +184,14 @@ def solve_each(a: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]
     return [tuple(Fraction(v, d) for v in y) for y in sols]
 
 
-def integer_inverse(a: Sequence[Sequence]) -> tuple[list[list[int]], int] | None:
-    """(T, d), T = d * a^-1 in integers with d = |det a| for an integer a; None if a is singular."""
+def mat_inverse(a: Sequence[Sequence[Fraction]]) -> QMat | None:
+    """Exact inverse of a square matrix, solved for the columns of I; None if singular."""
     n = len(a)
     m, cols, _, _ = _echelon([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], n)
     if len(cols) < n:
         return None
     sols, d = _solutions(m, cols, n, n)
-    return [list(row) for row in zip(*sols)], d
-
-
-def mat_inverse(a: Sequence[Sequence[Fraction]]) -> QMat | None:
-    """Exact inverse of a square matrix; None if singular."""
-    inv = integer_inverse(a)
-    return None if inv is None else [[Fraction(x, inv[1]) for x in row] for row in inv[0]]
+    return [[Fraction(x, d) for x in row] for row in zip(*sols)]
 
 
 def solve_negative_definite(

@@ -271,6 +271,19 @@ class TestComputationErrors:
         assert "Traceback" not in captured.err
 
 
+    def test_a_short_canonical_vector_in_a_model_file_is_exit_2(self, capsys, tmp_path):
+        from kstab.models import preset, serialize_model
+
+        text = serialize_model(preset("dp4")).replace("model surface dp4", "model surface mine")
+        path = tmp_path / "mine.model"
+        path.write_text(text.replace("\n-3 1 1 1 1 1\n", "\n1 2\n"))
+        code = main(["zariski", "--model", "mine", "--class", "L", "--model-file", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"error": "InvalidModel", "message": "class vectors must match the basis size"}
+        assert "Traceback" not in captured.err
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         _, out1 = run(capsys, "zariski", "--model", "dp4", "--class", "3 L - e1 - e2", "--json")

@@ -55,6 +55,12 @@ class TestWrongLength:
         with pytest.raises(InvalidModel, match="basis size"):
             SurfaceModel("s", ("a", "b"), [[1, 0], [0, -1]], negative_curves={"c": (0, 1)}, eff_generators={"g": (1,)})
 
+    def test_a_canonical_vector_is_checked(self):
+        # unchecked, (1, 2) on dP4 is kept, serialized and parsed back
+        model = dp4_surface()
+        with pytest.raises(InvalidModel, match="basis size"):
+            SurfaceModel("s", model.basis, model.gram, canonical=(1, 2), negative_curves=model.negative_curves)
+
     def test_class_vectors_are_checked_on_both_models(self):
         with pytest.raises(InvalidModel, match="basis size"):
             dp4_surface().class_vector((1, 0, 0, 0, 0, 0, 0))

@@ -5,7 +5,9 @@ each is rechecked here over Fractions, and a solver that hands over a broken
 one is stopped by ``InvariantViolation``."""
 
 import random
+import sys
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from kstab import lp, rationals
 from kstab.errors import InvalidModel, InvariantViolation, KstabError
 from kstab.lp import Infeasible, Unbounded, _pivot, _run_simplex, in_cone, max_shift, solve_equality_lp
-from oracles import reference_solve_equality_lp
+from oracles import _ref_pivot, reference_det, reference_solve_equality_lp
 
 
 def _dot(u, v):
@@ -147,10 +149,16 @@ class TestIntegerTableau:
             _pivot([[2, 1], [1, 1]], [0, 1], 3, 0, 0)
         assert issubclass(InvariantViolation, KstabError)
 
-    def test_negative_drive_out_pivot(self, monkeypatch):
-        # x + y = 2, -2x = 0: after phase 1 an artificial is still basic at
-        # zero and leaves through the entry -2; the tableau is negated so the
-        # answer is still read over a positive denominator
+    def test_a_negative_pivot_keeps_the_denominator_positive(self, monkeypatch):
+        # a pivot on -2 returns 2 and negates every row, so T/D is the
+        # rational pivot's tableau
+        tab, basis = [[-2, 1, 3], [1, 1, 1], [4, 0, 2]], [3, 4, 5]
+        want, want_basis = [[Q(x) for x in row] for row in tab], list(basis)
+        _ref_pivot(want, want_basis, 0, 0)
+        assert _pivot(tab, basis, 1, 0, 0) == 2
+        assert [[Q(x, 2) for x in row] for row in tab] == want and basis == want_basis == [0, 4, 5]
+        # the dual simplex pivots on a negative entry: (-1, 2) from the basis
+        # {(1, 0), (0, 1)} leaves through x0 = -1 and enters (-1, 1)
         seen = []
 
         def spy(tab, basis, denom, row, col):
@@ -158,10 +166,10 @@ class TestIntegerTableau:
             return _pivot(tab, basis, denom, row, col)
 
         monkeypatch.setattr(lp, "_pivot", spy)
-        a, b, c = [[1, 1], [-2, 0]], [2, 0], [1, 1]
+        a, b, c = [[1, 0, -1], [0, 1, 1]], [-1, 2], [0, 0, 1]
         res = solve_equality_lp(a, b, c)
         assert min(seen) < 0
-        assert (res.value, res.x, res.basis) == (Q(2), (Q(0), Q(2)), (0, 1))
+        assert (res.value, res.x, res.basis) == (Q(2), (Q(1), Q(0), Q(2)), (0, 2))
         assert res.value == reference_solve_equality_lp(a, b, c).value
         check_optimum(a, b, c, res)
 
@@ -237,6 +245,26 @@ class TestCertificateMutants:
         self._mutate(monkeypatch, "_optimum", lambda args: args[4].__setitem__(0, args[4][0] + 1))
         with pytest.raises(InvariantViolation, match="feasible"):
             solve_equality_lp([[1, 2]], [4], [1, 1])
+
+    def test_the_dual_simplex_ends_in_a_farkas_row(self, monkeypatch):
+        # x - y = 1 and x + y = -3: the reduction leaves x = -1 and y = -2
+        # basic, and the row of x has no negative entry, so its transform
+        # (1, 1) is the certificate: (1, 1)*a = (2, 0) and (1, 1)*b = -2
+        callers = []
+        real = lp._infeasible
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        monkeypatch.setattr(lp, "_infeasible", spy)
+        with pytest.raises(Infeasible) as info:
+            solve_equality_lp([[1, -1], [1, 1]], [1, -3], [0, 0])
+        assert callers == ["_dual_simplex"]
+        assert info.value.farkas == (1, 1)
+        with pytest.raises(Infeasible):
+            solve_equality_lp([[1, 1], [1, 1]], [1, 2], [0, 0])
+        assert callers == ["_dual_simplex", "_reduced"]
 
     def test_corrupted_farkas_functional(self, monkeypatch):
         # _infeasible(rows, scales, y): negate y
@@ -377,7 +405,8 @@ def cone_query_sequences(draw):
     and a sequence of queries ("in", target) and ("shift", base, direction).
     Targets are mostly nonnegative combinations of the generators, so the
     remembered bases get used; some carry a 1/2, which puts a denominator
-    on b, and some are random vectors, mostly outside the cone."""
+    on b, and some are random vectors, integer or fractional, mostly outside
+    the cone."""
     kind = draw(st.sampled_from(["dp4", "quadric", "random"]))
     if kind == "dp4":
         gens = _dp4_generators()
@@ -389,7 +418,9 @@ def cone_query_sequences(draw):
     n = len(gens[0])
     combination = st.lists(weights, min_size=len(gens), max_size=len(gens)).map(
         lambda w: tuple(sum(wj * g[i] for wj, g in zip(w, gens)) for i in range(n)))
-    vector = st.one_of(combination, combination, combination, st.tuples(*[st.integers(-3, 3)] * n))
+    fractional = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vector = st.one_of(combination, combination, combination,
+                       st.tuples(*[st.integers(-3, 3)] * n), st.tuples(*[fractional] * n))
     negated = st.sampled_from(gens).map(lambda g: tuple(-x for x in g))
     direction = st.one_of(negated, st.tuples(*[st.integers(-2, 2)] * n))
     query = st.one_of(st.tuples(st.just("in"), vector), st.tuples(st.just("shift"), vector, direction))
@@ -425,6 +456,62 @@ def test_a_reused_cone_answers_as_a_fresh_one(case):
         assert len(cone._bases) <= lp.MEMORY
 
 
+def _reference_outcome(a, b, c):
+    try:
+        return reference_solve_equality_lp(a, b, c).value
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
+def _check_memory(cone):
+    """Every remembered (columns, T, T*A, d) has T*B = d*I, d = |det B| and
+    T*A as the products of T with the Cone's integer rows."""
+    a = [row for row, _ in cone.rows]
+    for cols, t, ta, d in cone._bases:
+        b = [[row[j] for j in cols] for row in a]
+        n = len(cols)
+        assert [[sum(map(mul, trow, col)) for col in zip(*b)] for trow in t] == \
+            [[d * (i == j) for j in range(n)] for i in range(n)]
+        assert d == abs(reference_det(b))
+        assert ta == [[sum(map(mul, trow, col)) for col in zip(*a)] for trow in t]
+
+
+@settings(max_examples=120, deadline=None)
+@given(cone_query_sequences())
+def test_a_reused_cone_answers_as_the_reference(case):
+    """in_cone and max_shift on one Cone, started from whatever the queries
+    before left in its memory, give the outcome of the Bland simplex over
+    Fractions in ``oracles`` for each query alone; the memory then holds
+    only bases with T = d*B^-1."""
+    gens, queries = case
+    cone = lp.Cone(gens)
+    rows = [list(row) for row in zip(*gens)]
+    for query in queries:
+        if query[0] == "in":
+            target = query[1]
+            got = in_cone(cone, target)
+            assert (got is None) == (_reference_outcome(rows, target, [0] * len(gens)) is Infeasible)
+        else:
+            _, base, direction = query
+            wide = [[-x, *row] for x, row in zip(direction, rows)]
+            want = _reference_outcome(wide, base, [1] + [0] * len(gens))
+            assert _shift_value(base, direction, cone) == want
+    _check_memory(cone)
+
+
+def test_every_remembered_basis_is_d_times_an_inverse():
+    rng = random.Random(16)
+    gens = _dp4_generators()
+    cone = lp.Cone(gens)
+    for _ in range(40):
+        w = [rng.randint(0, 2) for _ in gens]
+        d = tuple(sum(Q(wj, rng.randint(1, 2)) * g[i] for wj, g in zip(w, gens)) for i in range(6))
+        in_cone(cone, d)
+        _shift_value(d, tuple(-x for x in rng.choice(gens)), cone)
+    assert len(cone._bases) == lp.MEMORY
+    _check_memory(cone)
+
+
 def _count_pivots(monkeypatch):
     seen = []
 
@@ -445,7 +532,7 @@ def test_a_repeated_membership_query_runs_no_pivot(monkeypatch):
     pivots.clear()
     assert in_cone(cone, d) == first
     assert pivots == []
-    # the threshold of the same class starts from that basis: phase 2 only
+    # the threshold of the same class starts from that basis, feasible: the primal simplex only
     z = (-1, 0, 0, 0, 0, 0)
     warm = max_shift(d, z, cone).value
     warm_pivots = len(pivots)
@@ -454,32 +541,35 @@ def test_a_repeated_membership_query_runs_no_pivot(monkeypatch):
 
 
 class TestMemory:
-    def test_an_infeasible_remembered_basis_falls_back(self, monkeypatch):
-        # the basis {(1, 0), (0, 1)} gives x = b = (-1, 2) < 0: cold, which finds (1, 0) + 2*(-1, 1)
-        gens = [(1, 0), (0, 1), (-1, 1)]
+    def test_an_infeasible_remembered_basis_starts_the_dual_simplex(self, monkeypatch):
+        # (1, 1) leaves the basis {(1, 0), (0, 1)}, which gives x = b =
+        # (-1, 3) for the next target: one dual pivot, (1, 0) out and the
+        # lower-indexed of (-1, 1) and (-1, 2) in, finds 2*(0, 1) + (-1, 1),
+        # where a fresh Cone first reduces the rows
+        gens = [(1, 0), (0, 1), (-1, 1), (-1, 2)]
         cone = lp.Cone(gens)
-        cone._remember((0, 1))
-        assert [cols for cols, _, _ in cone._bases] == [(0, 1)]
+        assert in_cone(cone, (1, 1)) == (1, 1, 0, 0)
+        assert [e[0] for e in cone._bases] == [(0, 1)]
         pivots = _count_pivots(monkeypatch)
-        assert in_cone(cone, (-1, 2)) == in_cone(gens, (-1, 2)) == (1, 0, 2)
-        assert pivots
-        assert [cols for cols, _, _ in cone._bases] == [(0, 2), (0, 1)]
+        assert in_cone(cone, (-1, 3)) == (0, 2, 1, 0)
+        assert pivots == [(0, 2)]
+        assert in_cone(gens, (-1, 3)) == (0, 2, 1, 0)
+        assert len(pivots) == 4
+        assert [e[0] for e in cone._bases] == [(1, 2), (0, 1)]
+        # (2, 1) is -2 on (-1, 1) in the recent basis and feasible in the
+        # older one, which has fewer negative entries: no pivot
+        pivots.clear()
+        assert in_cone(cone, (2, 1)) == (2, 1, 0, 0)
+        assert pivots == []
 
-    def test_a_singular_basis_is_not_remembered(self, monkeypatch):
-        gens = [(1, 0), (2, 0), (0, 1)]
-        cone = lp.Cone(gens)
-        cone._remember((0, 1))
-        assert cone._bases == []
-        pivots = _count_pivots(monkeypatch)
-        assert in_cone(cone, (1, 1)) == in_cone(gens, (1, 1))
-        assert pivots
-
-    def test_a_denominator_on_b_stays_cold(self, monkeypatch):
+    def test_a_denominator_on_b_starts_from_memory(self, monkeypatch):
         cone = lp.Cone(QUADRIC_GENERATORS)
         assert in_cone(cone, (1, 1)) == (1, 1)
         pivots = _count_pivots(monkeypatch)
+        monkeypatch.setattr(lp, "_reduced", None)  # no cold start
         assert in_cone(cone, (Q(1, 2), 1)) == (Q(1, 2), 1)
-        assert pivots
+        assert max_shift((Q(1, 2), Q(3, 4)), (-1, 0), cone).value == Q(1, 2)
+        assert pivots == [(0, 0)]
 
     def test_the_memory_is_capped(self):
         rng = random.Random(7)
@@ -504,4 +594,4 @@ class TestMemory:
         warm_pivots = len(pivots)
         assert max_shift((2, 3), (-1, 0), QUADRIC_GENERATORS).value == 2
         assert warm_pivots < len(pivots) - warm_pivots
-        assert [cols for cols, _, _ in cone._bases] == [(0, 1)]
+        assert [e[0] for e in cone._bases] == [(0, 1)]
