@@ -272,8 +272,8 @@ def solve_equality_lp(
     ncols, nrows = len(a), len(rows)
     cost, cscale = scaled(c)
     gens = a if a._base is None else a._base
-    warm = scales == [s for _, s in gens.rows]  # a widened column may need other row scales
-    tab, basis, denom = warm and _remembered(a, rows) or _reduced(rows, scales, ncols)
+    gen_scales = scales == [s for _, s in gens.rows]  # a widened column may need other row scales
+    tab, basis, denom = gen_scales and _remembered(a, rows) or _reduced(rows, scales, ncols)
     denom = _dual_simplex(tab, basis, denom, ncols, rows, scales)
     m = len(tab)
     # maximize c, scaled to integers, as reduced costs over denom;
@@ -298,7 +298,7 @@ def solve_equality_lp(
         if basis[r] < ncols:
             xs[basis[r]] = tab[r][-1]
     res = _optimum(rows, scales, cost, cscale, xs, denom, [-x for x in tab[-1][ncols:-1]], basis, q)
-    if warm:
+    if gen_scales:
         a._remember(tab, basis, denom)
     return res
 

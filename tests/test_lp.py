@@ -64,6 +64,19 @@ def solve_checked(a, b, c):
     return res.value
 
 
+def _spy_infeasible(monkeypatch):
+    """The names of the functions that build each Farkas certificate."""
+    callers = []
+    real = lp._infeasible
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    monkeypatch.setattr(lp, "_infeasible", spy)
+    return callers
+
+
 class TestSimplex:
     def test_simple_max(self):
         # max x + y st x + 2y = 4, x,y >= 0 -> x=4
@@ -71,14 +84,24 @@ class TestSimplex:
         assert res.value == 4
         assert res.dual == (1,)
 
-    def test_infeasible(self):
+    def test_infeasible(self, monkeypatch):
+        callers = _spy_infeasible(monkeypatch)
         with pytest.raises(Infeasible):
             solve_equality_lp([[1, 1], [1, 1]], [1, 2], [0, 0])
         # the reduction finds 0 = 1: the certificate is its row combination
+        assert callers == ["_reduced"]
         assert solve_checked([[1, 1], [1, 1]], [1, 2], [0, 0]) is Infeasible
 
-    def test_infeasible_in_phase_1(self):
-        # x - y = 1 and x + y = -3 have the one solution x = -1, y = -2
+    def test_infeasible_in_phase_1(self, monkeypatch):
+        # the first phase is the dual simplex: x - y = 1 and x + y = -3 have
+        # the one solution x = -1, y = -2, which the reduction leaves basic;
+        # the row of x has no negative entry, so its transform (1, 1) is the
+        # certificate: (1, 1)*a = (2, 0) and (1, 1)*b = -2
+        callers = _spy_infeasible(monkeypatch)
+        with pytest.raises(Infeasible) as info:
+            solve_equality_lp([[1, -1], [1, 1]], [1, -3], [0, 0])
+        assert callers == ["_dual_simplex"]
+        assert info.value.farkas == (1, 1)
         assert solve_checked([[1, -1], [1, 1]], [1, -3], [0, 0]) is Infeasible
 
     def test_redundant_rows_ok(self):
@@ -245,26 +268,6 @@ class TestCertificateMutants:
         self._mutate(monkeypatch, "_optimum", lambda args: args[4].__setitem__(0, args[4][0] + 1))
         with pytest.raises(InvariantViolation, match="feasible"):
             solve_equality_lp([[1, 2]], [4], [1, 1])
-
-    def test_the_dual_simplex_ends_in_a_farkas_row(self, monkeypatch):
-        # x - y = 1 and x + y = -3: the reduction leaves x = -1 and y = -2
-        # basic, and the row of x has no negative entry, so its transform
-        # (1, 1) is the certificate: (1, 1)*a = (2, 0) and (1, 1)*b = -2
-        callers = []
-        real = lp._infeasible
-
-        def spy(*args):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return real(*args)
-
-        monkeypatch.setattr(lp, "_infeasible", spy)
-        with pytest.raises(Infeasible) as info:
-            solve_equality_lp([[1, -1], [1, 1]], [1, -3], [0, 0])
-        assert callers == ["_dual_simplex"]
-        assert info.value.farkas == (1, 1)
-        with pytest.raises(Infeasible):
-            solve_equality_lp([[1, 1], [1, 1]], [1, 2], [0, 0])
-        assert callers == ["_dual_simplex", "_reduced"]
 
     def test_corrupted_farkas_functional(self, monkeypatch):
         # _infeasible(rows, scales, y): negate y
@@ -434,28 +437,6 @@ def _shift_value(base, direction, generators):
         return type(exc)
 
 
-@settings(max_examples=120, deadline=None)
-@given(cone_query_sequences())
-def test_a_reused_cone_answers_as_a_fresh_one(case):
-    """in_cone and max_shift(...).value on one Cone, warmed by the queries
-    before, give the answers of a fresh Cone: the same value, the same None
-    or the same exception type.  Each coefficient vector is checked here."""
-    gens, queries = case
-    cone = lp.Cone(gens)
-    for query in queries:
-        if query[0] == "in":
-            target = query[1]
-            got = in_cone(cone, target)
-            assert (got is None) == (in_cone(lp.Cone(gens), target) is None)
-            if got is not None:
-                assert all(x >= 0 for x in got)
-                assert all(_dot(got, row) == t for row, t in zip(zip(*gens), target))
-        else:
-            _, base, direction = query
-            assert _shift_value(base, direction, cone) == _shift_value(base, direction, lp.Cone(gens))
-        assert len(cone._bases) <= lp.MEMORY
-
-
 def _reference_outcome(a, b, c):
     try:
         return reference_solve_equality_lp(a, b, c).value
@@ -478,11 +459,13 @@ def _check_memory(cone):
 
 @settings(max_examples=120, deadline=None)
 @given(cone_query_sequences())
-def test_a_reused_cone_answers_as_the_reference(case):
-    """in_cone and max_shift on one Cone, started from whatever the queries
-    before left in its memory, give the outcome of the Bland simplex over
-    Fractions in ``oracles`` for each query alone; the memory then holds
-    only bases with T = d*B^-1."""
+def test_a_reused_cone_answers_as_a_fresh_one(case):
+    """in_cone and max_shift(...).value on one Cone, started from whatever
+    the queries before left in its memory, give the answers of a fresh Cone
+    and the outcome of the Bland simplex over Fractions in ``oracles`` for
+    each query alone: the same value, the same None or the same exception
+    type.  Each coefficient vector is checked here, and the memory then
+    holds only bases with T = d*B^-1."""
     gens, queries = case
     cone = lp.Cone(gens)
     rows = [list(row) for row in zip(*gens)]
@@ -490,12 +473,18 @@ def test_a_reused_cone_answers_as_the_reference(case):
         if query[0] == "in":
             target = query[1]
             got = in_cone(cone, target)
+            assert (got is None) == (in_cone(lp.Cone(gens), target) is None)
             assert (got is None) == (_reference_outcome(rows, target, [0] * len(gens)) is Infeasible)
+            if got is not None:
+                assert all(x >= 0 for x in got)
+                assert all(_dot(got, row) == t for row, t in zip(zip(*gens), target))
         else:
             _, base, direction = query
+            got = _shift_value(base, direction, cone)
+            assert got == _shift_value(base, direction, lp.Cone(gens))
             wide = [[-x, *row] for x, row in zip(direction, rows)]
-            want = _reference_outcome(wide, base, [1] + [0] * len(gens))
-            assert _shift_value(base, direction, cone) == want
+            assert got == _reference_outcome(wide, base, [1] + [0] * len(gens))
+        assert len(cone._bases) <= lp.MEMORY
     _check_memory(cone)
 
 
