@@ -16,13 +16,15 @@ walk extends an isotropic H only by an isotropic g orthogonal to all of H,
 so H + <g> is a union of cosets and stays isotropic with no closure search
 (Nikulin 1979).  Its size is |H| times k, the order of g modulo H, read
 off g's multiples; a known subgroup of that size containing H and g is
-H + <g>, so each subgroup is built, and its cosets enumerated, once.
-Rational vectors are made only for the results.
+H + <g>, so each subgroup is built, and its cosets enumerated, once.  Each
+subgroup keeps the elements it was built from, and its overlattice's HNF
+runs on those.  Rational vectors are made only for the results.
 
 ``integer_search_quadratic`` takes forms of total degree at most two and
 solves the box row by row: in each row the form is a quadratic in the last
-variable, monotone on either side of its vertex, so the boundaries of the
-solution runs are found by bisection with exact evaluation.  The work is
+variable, whose solutions are the integers between its real roots or the
+rest of the row.  The ends come in closed form from the integer square root
+of the discriminant, with at most two exact evaluations, so the work is
 linear in the side of the first variable, not in the box's area.
 
 Enumerations are guarded by an element bound (default 10**6, overridable
@@ -35,7 +37,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -386,13 +388,15 @@ class Overlattice(Record):
         return int(1 / abs(b))
 
 
-def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> tuple[int, list, list[list[int]]]:
+def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> tuple[int, list, list[tuple[list, list]]]:
     """(e, numerators of the isotropic elements in vector order, subgroups as
-    ascending position lists, ordered by size and then by those lists).
+    (ascending position list, generator positions), ordered by size and then
+    by the position lists).
 
     H + <g> has |H|*k elements, k the order of g modulo H: if a known
     subgroup of that size holds H and g, it is H + <g> and is skipped.  A new
-    one is built from its k cosets of H and checked to stay isotropic.
+    one is built from its k cosets of H and checked to stay isotropic; its
+    generators are H's and g, so at most log2 |H + <g>| of them.
     """
     group, e, t, vectors = _isotropic_coords(lattice, bound)
     factors, coords = group.factors, list(vectors)
@@ -415,17 +419,18 @@ def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> tuple[int, 
             if sum(map(mul, tg, coords[j])) % (e * e) == 0:
                 orth[i] |= 1 << j
                 orth[j] |= 1 << i
-    subgroups = {1 << position[zero]: [position[zero]]}  # mask: ascending positions
+    subgroups = {1 << position[zero]: ([position[zero]], [])}  # mask: ascending positions, generators
     frontier = list(subgroups)
     while frontier:
         h = frontier.pop()
-        members = [coords[i] for i in subgroups[h]]
+        h_positions, h_generators = subgroups[h]
+        members = [coords[i] for i in h_positions]
         above: dict[int, int] = {}  # size: the union of the known subgroups of that size that contain H
-        for s, positions in subgroups.items():
+        for s, (positions, _) in subgroups.items():
             if s & h == h:
                 above[len(positions)] = above.get(len(positions), 0) | s
         candidates = ~h
-        for i in subgroups[h]:
+        for i in h_positions:
             candidates &= orth[i]
         while candidates:
             i = (candidates & -candidates).bit_length() - 1
@@ -438,11 +443,11 @@ def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> tuple[int, 
                 if None in found:
                     raise InvariantViolation("a subgroup spanned by orthogonal isotropic elements left the isotropic set")
                 s = sum(1 << p for p in found)
-                subgroups[s] = sorted(found)
+                subgroups[s] = (sorted(found), h_generators + [i])
                 above[len(found)] = above.get(len(found), 0) | s
                 frontier.append(s)
-    keyed = sorted((len(positions), positions) for positions in subgroups.values())
-    return e, list(vectors.values()), [positions for _, positions in keyed]
+    keyed = sorted((len(positions), positions, generators) for positions, generators in subgroups.values())
+    return e, list(vectors.values()), [(positions, generators) for _, positions, generators in keyed]
 
 
 def _hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
@@ -476,9 +481,11 @@ def even_overlattices(lattice: GramLattice, bound: int | None = None) -> list[Ov
 
     The list always contains the lattice itself (trivial subgroup) and is
     deterministically ordered by subgroup size.  det(overlattice) scales by
-    1/|H|^2.  On numerators over the exponent e, the basis is H/e for the row
-    HNF H of [e*I; subgroup] (HNF commutes with a positive scale), and the
-    Gram is H.G.H^T / e^2.
+    1/|H|^2.  On numerators over the exponent e, the basis is B/e for the row
+    HNF B of [e*I; generators of the subgroup] (HNF commutes with a positive
+    scale), and the Gram is B.G.B^T / e^2.  The generators span the same
+    lattice as the whole subgroup, whose row HNF is unique, so the HNF takes
+    n + log2 |subgroup| rows at most.
     """
     if not lattice.is_even():
         raise OddLattice("overlattice enumeration is defined for even lattices")
@@ -486,8 +493,8 @@ def even_overlattices(lattice: GramLattice, bound: int | None = None) -> list[Ov
     n = lattice.rank
     e_rows = [[e if i == j else 0 for j in range(n)] for i in range(n)]
     built = []
-    for subgroup in subgroups:
-        h = _hermite_normal_form(e_rows + [numerators[i] for i in subgroup])
+    for subgroup, generators in subgroups:
+        h = _hermite_normal_form(e_rows + [numerators[i] for i in generators])
         if len(h) != n:
             raise InvariantViolation(f"overlattice basis has {len(h)} rows, expected {n}")
         g_rows = [[sum(map(mul, g_row, row)) for g_row in lattice.gram] for row in h]
@@ -536,45 +543,43 @@ _HOLDS = {
 _NEGATED = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "==": "=="}
 
 
-def _first(lo: int, hi: int, holds) -> int:
-    """Least y in [lo, hi] with holds(y), for holds false then true; hi + 1 if none."""
-    hi += 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _at(a: int, b: int, c: int, y: int) -> int:
+    """a*y^2 + b*y + c, the box search's one evaluation of a row."""
+    return (a * y + b) * y + c
 
 
 def _row_runs(a: int, b: int, c: int, lo: int, hi: int, comparison: str) -> list[tuple[int, int]]:
-    """Runs [s, e] of the integers y in [lo, hi] with a*y^2 + b*y + c <comparison> 0."""
+    """Runs [s, e] of the integers y in [lo, hi] with a*y^2 + b*y + c <comparison> 0.
+
+    With the leading coefficient made positive, p <= 0 holds exactly on the
+    integers [left, right] between the real roots.  As floor((m + x)/n) =
+    floor((m + floor(x))/n) for an integer m and an integer n > 0, isqrt of
+    the discriminant gives both ends exactly.  A zero of p in [left, right]
+    is one of its ends, so at most two evaluations settle <, >= and ==.
+    """
     if a == 0 and b == 0:
         return [(lo, hi)] if _HOLDS[comparison](c) else []
+    if a < 0 or (a == 0 and b < 0):
+        a, b, c, comparison = -a, -b, -c, _NEGATED[comparison]
     if a == 0:
-        pieces = [(lo, hi, b > 0)]
+        left, right = lo, -c // b
+    elif (d := b * b - 4 * a * c) < 0:
+        left, right = 1, 0
     else:
-        # strictly monotone on each side of the real vertex -b/2a
-        vertex = -b // (2 * a)
-        pieces = [(lo, min(hi, vertex), a < 0), (max(lo, vertex + 1), hi, a > 0)]
-    runs = []
-    for left, right, increasing in pieces:
-        if left > right:
-            continue
-        sign, op = (1, comparison) if increasing else (-1, _NEGATED[comparison])
-        first_ge = _first(left, right, lambda y: sign * ((a * y + b) * y + c) >= 0)
-        first_gt = _first(left, right, lambda y: sign * ((a * y + b) * y + c) > 0)
-        start, end = {
-            ">": (first_gt, right),
-            ">=": (first_ge, right),
-            "<": (left, first_ge - 1),
-            "<=": (left, first_gt - 1),
-            "==": (first_ge, first_gt - 1),
-        }[op]
-        if start <= end:
-            runs.append((start, end))
-    return runs
+        s = isqrt(d)
+        left, right = -((b + s) // (2 * a)), (s - b) // (2 * a)
+    left, right = max(left, lo), min(right, hi)
+    if comparison in ("==", "<", ">="):
+        zeros = {y for y in (left, right) if left <= right and _at(a, b, c, y) == 0}
+        if comparison == "==":
+            return [(y, y) for y in sorted(zeros)]
+        left, right = left + (left in zeros), right - (right in zeros)  # where p < 0
+    if comparison in ("<", "<="):
+        return [(left, right)] if left <= right else []
+    # > and >= hold off [left, right]
+    if left > right:
+        return [(lo, hi)]
+    return [(start, end) for start, end in ((lo, left - 1), (right + 1, hi)) if start <= end]
 
 
 def integer_search_quadratic(
@@ -587,16 +592,18 @@ def integer_search_quadratic(
     The form has total degree at most two, and the box must cover every
     variable of the polynomial; results are sorted tuples in the variable
     order of the polynomial.  The box is solved row by row (one row per value
-    of the first of two variables), and the number of rows and of solutions
-    is checked against the enumeration bound.  Enumeration proves emptiness
-    only within the box, never globally.
+    of the first of two variables), each row in closed form from the integer
+    square root of its discriminant, whatever its width.  The number of rows
+    and of solutions is checked against the enumeration bound.  Enumeration
+    proves emptiness only within the box, never globally.  An unknown
+    comparison or a box that misses a variable raises ``DomainError``.
     """
     if comparison not in _HOLDS:
-        raise ValueError(f"unknown comparison {comparison!r}")
+        raise DomainError(f"unknown comparison {comparison!r}")
     variables = form.vars
     for v in variables:
         if v not in box:
-            raise ValueError(f"box is missing variable {v!r}")
+            raise DomainError(f"box is missing variable {v!r}")
     if form.degree() > 2:
         raise DomainError(f"the box search takes forms of total degree <= 2, got {form.degree()}")
     coeffs = form.coeffs

@@ -44,7 +44,10 @@ the midpoint and both ends of a t-chamber, and the chord and kink argument.
 ``reference_in_rank2_cone`` decides membership in a cone of rank-2 classes
 with no LP: by Caratheodory, v is in the cone iff it is 0, a positive
 multiple of one generator, or a nonnegative Cramer combination of some
-pair, all in plain ``Fraction`` arithmetic.
+pair, all in plain ``Fraction`` arithmetic.  ``reference_row_runs`` is one
+row of the box search as it was before its closed form: on each side of the
+vertex, two bisections with exact evaluation find where the comparison
+starts and stops holding.
 """
 
 import itertools
@@ -556,6 +559,58 @@ def reference_integer_search_quadratic(form, comparison, box):
         if test(value):
             out.append(point)
     return sorted(out)
+
+
+_REF_HOLDS = {
+    ">": lambda v: v > 0,
+    ">=": lambda v: v >= 0,
+    "<": lambda v: v < 0,
+    "<=": lambda v: v <= 0,
+    "==": lambda v: v == 0,
+}
+_REF_NEGATED = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "==": "=="}
+
+
+def _ref_first(lo, hi, holds):
+    """Least y in [lo, hi] with holds(y), for holds false then true; hi + 1 if none."""
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def reference_row_runs(a, b, c, lo, hi, comparison):
+    """Runs [s, e] of the integers y in [lo, hi] with a*y^2 + b*y + c <comparison> 0,
+    split at the vertex."""
+    if a == 0 and b == 0:
+        return [(lo, hi)] if _REF_HOLDS[comparison](c) else []
+    if a == 0:
+        pieces = [(lo, hi, b > 0)]
+    else:
+        # strictly monotone on each side of the real vertex -b/2a
+        vertex = -b // (2 * a)
+        pieces = [(lo, min(hi, vertex), a < 0), (max(lo, vertex + 1), hi, a > 0)]
+    runs = []
+    for left, right, increasing in pieces:
+        if left > right:
+            continue
+        sign, op = (1, comparison) if increasing else (-1, _REF_NEGATED[comparison])
+        first_ge = _ref_first(left, right, lambda y: sign * ((a * y + b) * y + c) >= 0)
+        first_gt = _ref_first(left, right, lambda y: sign * ((a * y + b) * y + c) > 0)
+        start, end = {
+            ">": (first_gt, right),
+            ">=": (first_ge, right),
+            "<": (left, first_ge - 1),
+            "<=": (left, first_gt - 1),
+            "==": (first_ge, first_gt - 1),
+        }[op]
+        if start <= end:
+            runs.append((start, end))
+    return runs
 
 
 def _ref_cross(a, b):

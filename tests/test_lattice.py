@@ -9,6 +9,7 @@ the original Fraction and brute-force kernels frozen in ``oracles``.
 """
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -45,6 +46,7 @@ from oracles import (
     reference_integer_search_quadratic,
     reference_isotropic_elements,
     reference_isotropic_subgroups,
+    reference_row_runs,
 )
 
 NODAL = GramLattice([[22, 0], [0, -2]])
@@ -417,6 +419,30 @@ class TestIntegerSearch:
         with pytest.raises(DomainError):
             integer_search_quadratic(form, ">", {"c": (0, 3)})
 
+    def test_unknown_comparison_and_missing_variable_are_domain_errors(self):
+        form = parse_polynomial("x^2 - y", variables=("x", "y"))
+        with pytest.raises(DomainError, match="unknown comparison"):
+            integer_search_quadratic(form, "!=", {"x": (0, 1), "y": (0, 1)})
+        with pytest.raises(DomainError, match="missing variable 'y'"):
+            integer_search_quadratic(form, "<", {"x": (0, 1)})
+
+    def test_each_row_evaluates_the_form_at_most_twice(self, monkeypatch):
+        # the work per row does not grow with its width of 2 * 10**12 + 1
+        calls = []
+        at = lattice._at
+        monkeypatch.setattr(lattice, "_at", lambda *args: calls.append(args) or at(*args))
+        side = 10**12
+        for comparison in COMPARISONS:
+            for a, b, c in [(1, 0, -10), (-8, 28, -22), (16, -16, 3), (0, 3, -7), (1, -2, 1), (1, 0, 1)]:
+                calls.clear()
+                lattice._row_runs(a, b, c, -side, side, comparison)
+                assert len(calls) <= 2, (a, b, c, comparison)
+        form = parse_polynomial("x^2 + y^2 - 10", variables=("x", "y"))
+        calls.clear()
+        hits = integer_search_quadratic(form, "<", {"x": (-3, 3), "y": (-side, side)})
+        assert hits == reference_integer_search_quadratic(form, "<", {"x": (-3, 3), "y": (-4, 4)})
+        assert len(calls) <= 2 * 7
+
     def test_row_and_solution_bounds(self, monkeypatch):
         form = parse_polynomial("a^2 + b^2 - 1", variables=("a", "b"))
         monkeypatch.setenv("KSTAB_ENUM_BOUND", "10")
@@ -466,6 +492,18 @@ def test_subgroup_walk_matches_reference(even):
         assert [list(row) for row in o.gram.gram] == mat_mul(mat_mul(basis, gram), mat_transpose(basis))
 
 
+@pytest.mark.parametrize("diagonal", [(4, -4, 4, -4), (2, -2, 2, -2, 2, -2)])
+def test_each_overlattice_hnf_takes_at_most_n_plus_log2_h_rows(monkeypatch, diagonal):
+    sizes = []
+    hnf = lattice._hermite_normal_form
+    monkeypatch.setattr(lattice, "_hermite_normal_form", lambda rows: sizes.append(len(rows)) or hnf(rows))
+    n = len(diagonal)
+    overs = even_overlattices(GramLattice([[x if i == j else 0 for j in range(n)] for i, x in enumerate(diagonal)]))
+    assert len(sizes) == len(overs) == {4: 70, 6: 59}[n]
+    for rows, over in zip(sizes, overs):
+        assert rows <= n + math.log2(len(over.subgroup))
+
+
 COMPARISONS = (">", ">=", "<", "<=", "==")
 
 
@@ -488,3 +526,72 @@ def box_searches(draw):
 def test_box_search_matches_reference(search):
     form, comparison, box = search
     assert integer_search_quadratic(form, comparison, box) == reference_integer_search_quadratic(form, comparison, box)
+
+
+BIG = 10**12
+
+
+@st.composite
+def quadratic_rows(draw):
+    """One row (a, b, c, lo, hi, comparison) with coefficients and ends up to about 10**12.
+
+    Most rows are built from their roots, so that double roots, integer and
+    half-integer roots, and square and non-square discriminants all occur,
+    with a row end on a root or one step beside it: the cases where isqrt
+    rounds.  The box strategy above, with small coefficients and sides,
+    reaches none of them at this size.
+    """
+    kind = draw(st.sampled_from(("free", "factored", "factored", "linear", "constant")))
+    anchors = [0]
+    if kind == "free":
+        a, b, c = (draw(st.integers(-BIG, BIG)) for _ in range(3))
+        if a:
+            anchors.append(-b // (2 * a))
+    elif kind == "factored":
+        # k*(u*y - v)*(w*y - x), roots v/u and x/w.  Its discriminant is a
+        # square; c moved by 1 moves it by 4a, beside a square of up to 10**23
+        # when one root is near 10**11, where a float square root misrounds.
+        k = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        u, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        v_max, x_max = draw(st.sampled_from(((5 * 10**5, 5 * 10**5), (BIG // 40, 10))))
+        v, x = draw(st.integers(-v_max, v_max)), draw(st.integers(-x_max, x_max))
+        if v_max == x_max and draw(st.booleans()):
+            x = v * w // u  # a double root when u divides v*w
+        a, b, c = k * u * w, -k * (u * x + w * v), k * v * x + draw(st.sampled_from((0, 0, 1, -1)))
+        anchors += [v // u, x // w]
+    elif kind == "linear":
+        a, b = 0, draw(st.integers(-10**6, 10**6).filter(bool))
+        root = draw(st.integers(-10**6, 10**6))
+        c = -b * root + draw(st.sampled_from((0, 0, 1, -1)))
+        anchors.append(root)
+    else:
+        a, b, c = 0, 0, draw(st.sampled_from((-1, 0, 1, BIG)))
+    ends = st.one_of(st.integers(-BIG, BIG), st.builds(int.__add__, st.sampled_from(anchors), st.integers(-1, 1)))
+    lo, hi = sorted((draw(ends), draw(ends)))
+    return a, b, c, lo, hi, draw(st.sampled_from(COMPARISONS))
+
+
+def _merged(runs):
+    out = []
+    for start, end in sorted(runs):
+        if out and start == out[-1][1] + 1:
+            out[-1] = (out[-1][0], end)
+        else:
+            out.append((start, end))
+    return out
+
+
+@settings(max_examples=600, deadline=None)
+@given(quadratic_rows())
+@example((16, -16, 3, -BIG, BIG, "<="))  # roots 1/4 and 3/4: no integer between them
+@example((16, -16, 3, -BIG, BIG, ">"))
+@example((1, -2, 1, -BIG, BIG, "=="))  # the double root 1 is one run, not two
+@example((-1, 2, -1, 1, 1, ">="))
+@example((1, -1, 0, -5, 5, "=="))  # two adjacent integer roots
+@example((2, -3, 1, 1, 1, "<"))  # roots 1/2 and 1, the row end on the upper one
+def test_row_runs_match_reference(row):
+    a, b, c, lo, hi, comparison = row
+    runs = lattice._row_runs(a, b, c, lo, hi, comparison)
+    assert all(lo <= start <= end <= hi for start, end in runs)
+    assert all(end < start for (_, end), (start, _) in zip(runs, runs[1:]))  # ascending, none repeated
+    assert _merged(runs) == _merged(reference_row_runs(a, b, c, lo, hi, comparison))
