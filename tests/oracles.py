@@ -535,16 +535,18 @@ def reference_even_overlattices(lattice):
     return out
 
 
+_REF_HOLDS = {
+    ">": lambda v: v > 0,
+    ">=": lambda v: v >= 0,
+    "<": lambda v: v < 0,
+    "<=": lambda v: v <= 0,
+    "==": lambda v: v == 0,
+}
+
+
 def reference_integer_search_quadratic(form, comparison, box):
     """Every point of the box where ``form <comparison> 0``, tried one by one."""
-    ops = {
-        ">": lambda v: v > 0,
-        ">=": lambda v: v >= 0,
-        "<": lambda v: v < 0,
-        "<=": lambda v: v <= 0,
-        "==": lambda v: v == 0,
-    }
-    test = ops[comparison]
+    test = _REF_HOLDS[comparison]
     ranges = [range(box[v][0], box[v][1] + 1) for v in form.vars]
     terms = [(c if c.denominator != 1 else c.numerator, exp) for exp, c in form.coeffs.items()]
     out = []
@@ -561,13 +563,6 @@ def reference_integer_search_quadratic(form, comparison, box):
     return sorted(out)
 
 
-_REF_HOLDS = {
-    ">": lambda v: v > 0,
-    ">=": lambda v: v >= 0,
-    "<": lambda v: v < 0,
-    "<=": lambda v: v <= 0,
-    "==": lambda v: v == 0,
-}
 _REF_NEGATED = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "==": "=="}
 
 
