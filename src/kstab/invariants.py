@@ -26,7 +26,6 @@ from .poly import PiecewisePolynomial, integrate_piecewise, parse_polynomial
 from .rationals import Q, to_q
 from .records import Record
 from .zariski import (
-    FlagDecomposition,
     VolumeFunction,
     _affine_square,
     _affine_vectors,
@@ -142,10 +141,8 @@ def refined_s_flag(
         raise NonpositiveVolume(f"normalizing volume {v} must be positive")
     total = Q(0)
     cell_rows: list[tuple[str, str, str]] = []
-    decompositions: list[FlagDecomposition] = []
     for t_lo, t_hi, family in restriction_family:
         flag = two_param_flag_volume(surface, family, t_lo, t_hi, flag_class)
-        decompositions.append(flag)
         total += flag.integral()
         for chamber in flag.chambers:
             for cell in chamber.cells:

@@ -7,6 +7,11 @@ vectors in the original basis (reduced to the fundamental domain [0,1)^r).
 That representation makes the Q/2Z quadratic form a plain matrix product
 and keeps the Nikulin overlattice construction concrete: an overlattice is
 returned as a new Gram matrix plus the rational basis-change certificate.
+The determinant and the rank of a sublattice come from the one elimination
+kernel in ``rationals``, run on the integer rows.  The signature is
+Descartes' rule of signs on the integer characteristic polynomial
+(Faddeev-LeVerrier), exact because a symmetric matrix has only real
+eigenvalues; it makes no ``Fraction``.
 
 Internally the isotropic elements and subgroups are found in group
 coordinates: an element is an integer tuple c with 0 <= c_i < f_i over the
@@ -110,58 +115,35 @@ class GramLattice:
 
 
 def determinant(lattice: GramLattice) -> int:
-    value = det([[Q(x) for x in row] for row in lattice.gram])
+    value = det(lattice.gram)
     if value.denominator != 1:
         raise InvariantViolation(f"determinant {value} of an integer Gram matrix is not an integer")
     return int(value)
 
 
 def signature(lattice: GramLattice) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) by exact congruence diagonalization."""
-    n = lattice.rank
-    m = [[to_q(x) for x in row] for row in lattice.gram]
-    pos = neg = zero = 0
+    """Inertia (positive, negative, zero) by Descartes' rule on the characteristic polynomial.
 
-    def sym_op(i: int, j: int, c: Fraction) -> None:
-        # row_i += c * row_j followed by the same column operation
-        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        for row in m:
-            row[i] = row[i] + c * row[j]
-
-    def sym_swap(i: int, j: int) -> None:
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-    k = 0
-    end = n
-    while k < end:
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, end) if m[i][i] != 0), None)
-            if swap is not None:
-                sym_swap(k, swap)
-            else:
-                off = next((j for j in range(k + 1, end) if m[k][j] != 0), None)
-                if off is not None:
-                    # all trailing diagonals vanish; e_k += e_off makes the
-                    # new diagonal entry 2*m[k][off] != 0
-                    sym_op(k, off, Q(1))
-                else:
-                    # radical direction: park it at the end and shrink
-                    sym_swap(k, end - 1)
-                    end -= 1
-                    zero += 1
-                    continue
-        d = m[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, end):
-            if m[i][k] != 0:
-                sym_op(i, k, -m[i][k] / d)
-        k += 1
-    return pos, neg, zero
+    Faddeev-LeVerrier gives det(x*I - G) = x^n + c_1 x^(n-1) + ... + c_n:
+    M_k = G*M_(k-1) + c_(k-1)*I and c_k = -tr(G*M_k)/k, a division that is
+    exact over the integers.  G is symmetric, so every root is real; then
+    the sign changes of the nonzero c_k count the positive roots exactly,
+    the number of trailing zero coefficients is the multiplicity of the
+    root 0, and the other roots are negative.
+    """
+    g, n = lattice.gram, lattice.rank
+    coeffs, m = [1], [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(map(mul, row, col)) + coeffs[-1] * (i == j) for j, col in enumerate(zip(*m))]
+             for i, row in enumerate(g)]
+        c, rem = divmod(-sum(sum(map(mul, row, col)) for row, col in zip(g, zip(*m))), k)
+        if rem:
+            raise InvariantViolation(f"the trace of G*M_{k} is not divisible by {k}")
+        coeffs.append(c)
+    signs = [c > 0 for c in coeffs if c]
+    pos = sum(s != t for s, t in zip(signs, signs[1:]))
+    zero = n - max(k for k, c in enumerate(coeffs) if c)
+    return pos, n - pos - zero, zero
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -375,7 +357,8 @@ class Overlattice(Record):
     """An even overlattice with its basis certificate.
 
     ``basis`` rows express the new basis in rational coordinates of the
-    original one, so gram = basis * G * basis^T and |index| = 1/|det basis|.
+    original one, so gram = basis * G * basis^T, and the index [L' : L] =
+    1/|det basis| is |subgroup|.
     """
 
     gram: GramLattice
@@ -384,8 +367,7 @@ class Overlattice(Record):
 
     @property
     def index(self) -> int:
-        b = det([list(row) for row in self.basis])
-        return int(1 / abs(b))
+        return len(self.subgroup)
 
 
 def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> tuple[int, list, list[tuple[list, list]]]:
@@ -525,7 +507,7 @@ def is_saturated(ambient: GramLattice, sub_basis: Sequence[Sequence[int]]) -> bo
         return True
     if any(len(row) != ambient.rank for row in rows):
         raise ValueError("sub-basis vectors must match the ambient rank")
-    if rank([[Q(x) for x in row] for row in rows]) != len(rows):
+    if rank(rows) != len(rows):
         raise DependentBasis("sub-basis is linearly dependent")
     _, d, _ = smith_normal_form(rows)
     k = len(rows)
@@ -617,9 +599,6 @@ def integer_search_quadratic(
     ints, _ = scaled(coeffs.values())
     k = {(0,) * (2 - len(exp)) + exp: c for exp, c in zip(coeffs, ints)}
 
-    def coeff(i: int, j: int) -> int:
-        return k.get((i, j), 0)
-
     if len(variables) == 1:
         rows = [((), 0)]
     else:
@@ -628,11 +607,11 @@ def integer_search_quadratic(
             raise GroupTooLarge(f"box search over {x_hi - x_lo + 1} rows exceeds the bound {bound}")
         rows = [((x,), x) for x in range(x_lo, x_hi + 1)]
     lo, hi = box[variables[-1]]
-    a = coeff(0, 2)
+    a, bx, b0, cxx, cx, c0 = (k.get(exp, 0) for exp in ((0, 2), (1, 1), (0, 1), (2, 0), (1, 0), (0, 0)))
     out: list[tuple[int, ...]] = []
     for prefix, x in rows:
-        b = coeff(1, 1) * x + coeff(0, 1)
-        c = (coeff(2, 0) * x + coeff(1, 0)) * x + coeff(0, 0)
+        b = bx * x + b0
+        c = (cxx * x + cx) * x + c0
         for start, end in _row_runs(a, b, c, lo, hi, comparison):
             if len(out) + end - start + 1 > bound:
                 raise GroupTooLarge(f"box search has more than {bound} solutions")

@@ -10,7 +10,8 @@ with their integer rows built once, so the many LPs over one surface's
 effective cone add only their own columns and right-hand sides.
 
 Every LP starts from a basis: one its Cone remembers, or else the lead
-columns of a Gauss-Jordan reduction, which drops a row that vanishes.  At
+columns of the Gauss-Jordan reduction ``rationals._reduce``, which drops a
+row that vanishes.  At
 cost 0 every basis is dual feasible, so a dual simplex (Lemke 1954) makes
 it feasible: the lowest-indexed basic variable with a negative value
 leaves, the lowest-indexed column with a negative entry in its row enters
@@ -26,7 +27,8 @@ The tableau is fraction-free (Edmonds 1967, Bareiss 1968): one integer
 matrix T and one denominator D > 0, the absolute value of the last pivot,
 so that T/D is the rational tableau.  Row i is the Cone's integer row at
 scale s_i with right-hand side q*s_i*b_i, q clearing the denominators of
-b, so the tableau solves for q*x.  A pivot on p updates every other row as
+b, so the tableau solves for q*x.  Every pivot is ``rationals._pivot``, the
+one under all exact elimination: on p it updates every other row as
 (x*p - f*y) // D and negates every row when p < 0; the division is exact
 because D is |det| of the basis, and a remainder raises InvariantViolation
 rather than going on with a wrong tableau.
@@ -65,7 +67,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InvalidModel, InvariantViolation
-from .rationals import common, scaled, to_q
+from .rationals import _pivot, _reduce, common, scaled, to_q
 from .records import Record
 
 MEMORY = 8  # bases a Cone remembers, most recent first
@@ -94,29 +96,6 @@ class LPResult(Record):
     x: tuple[Fraction, ...]
     basis: tuple[int, ...]
     dual: tuple[Fraction, ...]
-
-
-def _pivot(tab: list[list[int]], basis: list[int], denom: int, row: int, col: int) -> int:
-    """Integer-preserving pivot on tab[row][col]; returns the new denominator |p|.
-
-    When p < 0 every row is negated in the same pass, so T/D is unchanged.
-    """
-    p = tab[row][col]
-    prow = tab[row] if p > 0 else [-x for x in tab[row]]
-    p = abs(p)
-    for r, cur in enumerate(tab):
-        if r == row:
-            tab[r] = prow
-            continue
-        f = cur[col]
-        nums = [x * p - f * y for x, y in zip(cur, prow)] if f else [x * p for x in cur]
-        if denom != 1:
-            if any(n % denom for n in nums):
-                raise InvariantViolation(f"inexact simplex pivot: row {r} is not divisible by {denom}")
-            nums = [n // denom for n in nums]
-        tab[r] = nums
-    basis[row] = col
-    return p
 
 
 def _run_simplex(tab: list[list[int]], basis: list[int], denom: int, ncols: int) -> tuple[int, int | None]:
@@ -311,18 +290,11 @@ def _reduced(rows: list[list[int]], scales: list[int], ncols: int) -> tuple[list
     """
     nrows = len(rows)
     tab = [row[:ncols] + [int(k == i) for k in range(nrows)] + row[ncols:] for i, row in enumerate(rows)]
-    basis = list(range(ncols, ncols + nrows))
-    denom, r = 1, 0
-    while r < len(tab):
-        lead = next((j for j in range(ncols) if tab[r][j]), None)
-        if lead is not None:
-            denom = _pivot(tab, basis, denom, r, lead)
-            r += 1
-        elif tab[r][-1]:
-            # 0 = nonzero: the transform, signed so that y*b < 0
-            raise _infeasible(rows, scales, [-x if tab[r][-1] > 0 else x for x in tab[r][ncols:-1]])
-        else:
-            del tab[r], basis[r]
+    basis, denom, _ = _reduce(tab, ncols, ncols + nrows)
+    if len(basis) < len(tab):
+        # 0 = nonzero: the transform, signed so that y*b < 0
+        y = tab[len(basis)]
+        raise _infeasible(rows, scales, [-x if y[-1] > 0 else x for x in y[ncols:-1]])
     return tab, basis, denom
 
 

@@ -5,15 +5,19 @@ The scalar type of the whole engine is :class:`fractions.Fraction` (lowest
 terms, positive denominator).  This module adds the canonical string form
 used in reports and model files ("p/q", plain "p" for integers).  Every
 layer that computes on integers clears denominators with ``scaled`` and
-``common`` alone.  The linear algebra shared by the lattice, toric and
-Zariski modules is one fraction-free (Bareiss) row reduction, ``_echelon``;
-``det``, ``rank``, ``solve_general`` (``solve_each`` for several
+``common`` alone.
+
+All exact elimination runs on one fraction-free pivot, ``_pivot`` (Edmonds
+1967, Bareiss 1968): an integer matrix T over one denominator D > 0, the
+absolute value of the last pivot, updated as (x*p - f*y) // D, where a
+remainder raises InvariantViolation.  Over it, ``_reduce`` is Gauss-Jordan
+row by row, each row on its first nonzero column; the exact LP starts from
+it, and ``det``, ``rank``, ``solve_general`` (``solve_each`` for several
 right-hand sides at once), ``mat_inverse`` and the negative-definite solve
-are a few lines over it; the last gives integer numerators over one
-positive denominator, for the Zariski layer's integer certificates.
-With no row swap, pivot k is the k-th leading minor, so Sylvester's
-criterion comes out of the same elimination that solves the system.
-Inputs are never mutated.
+are a few lines over it.  The last gives integer numerators over one
+positive denominator, for the Zariski layer's integer certificates, and
+reads Sylvester's criterion off the same reduction: row k pivots on column
+k, negatively.  Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Sequence
+
+from .errors import InvariantViolation
 
 Q = Fraction
 
@@ -85,77 +91,87 @@ def common(parts: Sequence[tuple[Sequence[int], int]]) -> tuple[list[list[int]],
 # -- the elimination kernel ----------------------------------------------------
 
 
-def _echelon(rows: Sequence[Sequence], width: int) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free (Bareiss) row echelon form on the first ``width`` columns.
+def _pivot(tab: list[list[int]], basis: list[int], denom: int, row: int, col: int) -> int:
+    """Integer-preserving pivot on tab[row][col]; returns the new denominator |p|.
 
-    Each row is scaled to integers; ``scale`` is the product of the factors.
-    Rows are swapped only on a zero pivot, and a column with no pivot left
-    is skipped.  Every entry below a pivot row is then a minor of the scaled
-    matrix (Sylvester's identity), so the division by the previous pivot is
-    exact.  Columns past ``width`` (right-hand sides) ride along.  Returns
-    the integer rows, the pivot columns, the number of swaps and ``scale``.
+    When p < 0 every row is negated in the same pass, so T/D is unchanged.
     """
-    m = []
-    scale = 1
+    p = tab[row][col]
+    prow = tab[row] if p > 0 else [-x for x in tab[row]]
+    p = abs(p)
+    for r, cur in enumerate(tab):
+        if r == row:
+            tab[r] = prow
+            continue
+        f = cur[col]
+        nums = [x * p - f * y for x, y in zip(cur, prow)] if f else [x * p for x in cur]
+        if denom != 1:
+            if any(n % denom for n in nums):
+                raise InvariantViolation(f"inexact fraction-free pivot: row {r} is not divisible by {denom}")
+            nums = [n // denom for n in nums]
+        tab[r] = nums
+    basis[row] = col
+    return p
+
+
+def _reduce(tab: list[list[int]], width: int, stop: int) -> tuple[list[int], int, int]:
+    """Gauss-Jordan in place, row by row, each row on its first nonzero column before ``width``.
+
+    A row with no such column is dropped when it is 0 from column ``stop``
+    on, and otherwise stops the reduction, as tab[len(basis)].  Returns the
+    pivot column of each reduced row, the denominator D > 0 (the tableau is
+    T/D, its pivot entries are D) and the number of negative pivots.
+    """
+    basis = [0] * len(tab)
+    denom, negative, r = 1, 0, 0
+    while r < len(tab):
+        lead = next((j for j in range(width) if tab[r][j]), None)
+        if lead is not None:
+            negative += tab[r][lead] < 0
+            denom = _pivot(tab, basis, denom, r, lead)
+            r += 1
+        elif any(tab[r][stop:]):
+            return basis[:r], denom, negative
+        else:
+            del tab[r], basis[r]
+    return basis, denom, negative
+
+
+def _eliminate(rows: Sequence[Sequence], width: int) -> tuple[list[list[int]], list[int], int, int, int]:
+    """``_reduce`` on the rows, each scaled to integers, stopping on a row that reads 0 = nonzero.
+
+    Returns the tableau, the pivot columns, D, the number of negative pivots
+    and the product of the row scales.
+    """
+    tab, scale = [], 1
     for row in rows:
         ints, den = scaled(row)
-        m.append(ints)
+        tab.append(ints)
         scale *= den
-    cols: list[int] = []
-    swaps = 0
-    prev = 1
-    for c in range(width):
-        r = len(cols)
-        if r == len(m):
-            break
-        if m[r][c] == 0:
-            i = next((i for i in range(r + 1, len(m)) if m[i][c]), None)
-            if i is None:
-                continue
-            m[r], m[i] = m[i], m[r]
-            swaps += 1
-        top = m[r]
-        p = top[c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
-        cols.append(c)
-        prev = p
-    return m, cols, swaps, scale
+    return tab, *_reduce(tab, width, width), scale
 
 
-def _solutions(m: list[list[int]], cols: list[int], width: int, count: int) -> tuple[list[list[int]], int]:
-    """The solutions of an echelon system for its columns width, width + 1, ...
-
-    Free variables are 0.  With d the absolute value of the last pivot,
-    d * x is an integer vector (Cramer's rule on the pivot rows and
-    columns), so the substitution runs in exact integer division; each
-    solution comes back as integer numerators over the one denominator d.
-    """
-    d = abs(m[len(cols) - 1][cols[-1]]) if cols else 1
-    sols = []
-    for j in range(width, width + count):
-        y = [0] * width
-        for k in range(len(cols) - 1, -1, -1):
-            row = m[k]
-            y[cols[k]] = (d * row[j] - sum(row[i] * y[i] for i in cols[k + 1:])) // row[cols[k]]
-        sols.append(y)
-    return sols, d
+def _values(tab: list[list[int]], basis: list[int], width: int, count: int) -> list[list[int]]:
+    """The numerators over D of the solutions for the columns width, width + 1, ...; free variables are 0."""
+    sols = [[0] * width for _ in range(count)]
+    for row, c in zip(tab, basis):
+        for j, y in enumerate(sols):
+            y[c] = row[width + j]
+    return sols
 
 
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant: the last pivot, signed by the swaps and unscaled."""
+    """Exact determinant: D, signed by the negative pivots and the inversions of the pivot columns, unscaled."""
     n = len(a)
-    if n == 0:
-        return Q(1)
-    m, cols, swaps, scale = _echelon(a, n)
+    _, cols, d, negative, scale = _eliminate(a, n)
     if len(cols) < n:
         return Q(0)
-    return Fraction((-1) ** swaps * m[-1][-1], scale)
+    inversions = sum(i > j for k, i in enumerate(cols) for j in cols[k + 1:])
+    return Fraction((-1) ** (negative + inversions) * d, scale)
 
 
 def rank(a: Sequence[Sequence[Fraction]]) -> int:
-    return len(_echelon(a, len(a[0]))[1]) if a else 0
+    return len(_eliminate(a, len(a[0]))[1]) if a else 0
 
 
 def solve_general(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> QVec | None:
@@ -177,21 +193,19 @@ def solve_each(a: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]
     them, so each solution is the one ``solve_general`` gives.
     """
     width = len(a[0]) if a else 0
-    m, cols, _, _ = _echelon([list(row) + list(bs) for row, *bs in zip(a, *rhs, strict=True)], width)
-    if any(x for row in m[len(cols):] for x in row[width:]):
+    tab, cols, d, _, _ = _eliminate([list(row) + list(bs) for row, *bs in zip(a, *rhs, strict=True)], width)
+    if len(cols) < len(tab):
         return None
-    sols, d = _solutions(m, cols, width, len(rhs))
-    return [tuple(Fraction(v, d) for v in y) for y in sols]
+    return [tuple(Fraction(v, d) for v in y) for y in _values(tab, cols, width, len(rhs))]
 
 
 def mat_inverse(a: Sequence[Sequence[Fraction]]) -> QMat | None:
     """Exact inverse of a square matrix, solved for the columns of I; None if singular."""
     n = len(a)
-    m, cols, _, _ = _echelon([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], n)
+    tab, cols, d, _, _ = _eliminate([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], n)
     if len(cols) < n:
         return None
-    sols, d = _solutions(m, cols, n, n)
-    return [[Fraction(x, d) for x in row] for row in zip(*sols)]
+    return [[Fraction(x, d) for x in row] for row in zip(*_values(tab, cols, n, n))]
 
 
 def solve_negative_definite(
@@ -200,15 +214,18 @@ def solve_negative_definite(
     """The solution of gram * x = b for each b in rhs; None unless gram is negative definite.
 
     The solutions come as integer numerators over one positive denominator.
-    Sylvester's criterion: with no swap, pivot k is the k-th leading minor
-    of gram with its rows scaled by positive factors, so the pivots must
-    alternate in sign, starting negative.  A swap means a leading minor is 0.
+    Sylvester's criterion: once rows 0..k-1 have pivoted on columns 0..k-1,
+    row k pivots on column k exactly when the leading minor of order k + 1
+    of gram, its rows scaled by positive factors, is not 0, and the pivot
+    has the sign of that minor over the one before.  So the minors alternate
+    in sign, starting negative, exactly when every row k pivots on column
+    k, negatively.
     """
     n = len(gram)
-    m, cols, swaps, _ = _echelon([list(row) + [b[i] for b in rhs] for i, row in enumerate(gram)], n)
-    if swaps or len(cols) < n or any((m[k][k] < 0) != (k % 2 == 0) for k in range(n)):
+    tab, cols, d, negative, _ = _eliminate([list(row) + [b[i] for b in rhs] for i, row in enumerate(gram)], n)
+    if cols != list(range(n)) or negative < n:
         return None
-    return _solutions(m, cols, n, len(rhs))
+    return _values(tab, cols, n, len(rhs)), d
 
 
 def is_negative_definite(gram: Sequence[Sequence[Fraction]]) -> bool:

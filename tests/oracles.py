@@ -47,7 +47,9 @@ multiple of one generator, or a nonnegative Cramer combination of some
 pair, all in plain ``Fraction`` arithmetic.  ``reference_row_runs`` is one
 row of the box search as it was before its closed form: on each side of the
 vertex, two bisections with exact evaluation find where the comparison
-starts and stops holding.
+starts and stops holding.  ``reference_signature`` is the lattice inertia as
+it was before the characteristic polynomial: a congruence diagonalization
+over ``Fraction`` entries.
 """
 
 import itertools
@@ -447,6 +449,54 @@ def reference_solve_equality_lp(a, b, c):
             x[basis[r]] = tab[r][-1]
     value = sum((to_q(ci) * xi for ci, xi in zip(c, x)), Q(0))
     return LPResult(value, tuple(x), tuple(sorted(b_ for b_ in basis if b_ < ncols)), ())
+
+
+def reference_signature(lattice):
+    """Inertia (positive, negative, zero) by exact congruence diagonalization."""
+    n = lattice.rank
+    m = [[to_q(x) for x in row] for row in lattice.gram]
+    pos = neg = zero = 0
+
+    def sym_op(i, j, c):
+        # row_i += c * row_j followed by the same column operation
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        for row in m:
+            row[i] = row[i] + c * row[j]
+
+    def sym_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+    k = 0
+    end = n
+    while k < end:
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, end) if m[i][i] != 0), None)
+            if swap is not None:
+                sym_swap(k, swap)
+            else:
+                off = next((j for j in range(k + 1, end) if m[k][j] != 0), None)
+                if off is not None:
+                    # all trailing diagonals vanish; e_k += e_off makes the
+                    # new diagonal entry 2*m[k][off] != 0
+                    sym_op(k, off, Q(1))
+                else:
+                    # radical direction: park it at the end and shrink
+                    sym_swap(k, end - 1)
+                    end -= 1
+                    zero += 1
+                    continue
+        d = m[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, end):
+            if m[i][k] != 0:
+                sym_op(i, k, -m[i][k] / d)
+        k += 1
+    return pos, neg, zero
 
 
 def reference_isotropic_elements(lattice, bound=None):

@@ -1,9 +1,9 @@
-"""The demos print byte-identical output.
+"""The demos and ``kstab verify-paper --json`` print byte-identical output.
 
-Each ``demos/*.py`` runs in a fresh interpreter, and the sha256 of its
-stdout must match the digest recorded here.  A change that moves any
-printed value, or its formatting, fails; one that changes the demos on
-purpose records their new digests here.
+Each ``demos/*.py``, and the verify-paper command, runs in a fresh
+interpreter, and the sha256 of its stdout must match the digest recorded
+here.  A change that moves any printed value, or its formatting, fails; one
+that changes the output on purpose records the new digests here.
 """
 
 import hashlib
@@ -25,12 +25,27 @@ DIGESTS = {
 }
 
 
+# ``kstab verify-paper --json``: canonical JSON, exit 2 for its one FAIL row, flag:dp4-line
+VERIFY_PAPER_DIGEST = "2a2aa9230b6da2ad2420a252dd2eae72236168f62138d08e11619e2cd910b1e2"
+
+
+def _run(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+
 def test_every_demo_has_a_digest():
     assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(DIGESTS)
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_demo_output_is_unchanged(name):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env, capture_output=True, check=True)
+    proc = _run(str(ROOT / "demos" / name))
+    assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[name]
+
+
+def test_verify_paper_json_is_unchanged():
+    proc = _run("-m", "kstab.cli", "verify-paper", "--json")
+    assert proc.returncode == 2
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_PAPER_DIGEST

@@ -46,7 +46,9 @@ from oracles import (
     reference_integer_search_quadratic,
     reference_isotropic_elements,
     reference_isotropic_subgroups,
+    reference_det,
     reference_row_runs,
+    reference_signature,
 )
 
 NODAL = GramLattice([[22, 0], [0, -2]])
@@ -490,6 +492,30 @@ def test_subgroup_walk_matches_reference(even):
     for o in overs:
         basis = [list(row) for row in o.basis]
         assert [list(row) for row in o.gram.gram] == mat_mul(mat_mul(basis, gram), mat_transpose(basis))
+        assert o.index * abs(reference_det(basis)) == 1
+
+
+@st.composite
+def symmetric_grams(draw):
+    """Symmetric integer Grams of rank 1 to 7; half are B^T.D.B for a B with fewer rows than columns, so singular."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                gram[i][j] = gram[j][i] = draw(st.integers(-6, 6))
+        return GramLattice(gram)
+    b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=n - 1))
+    d = draw(st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=len(b), max_size=len(b)))
+    return GramLattice([[sum(dk * row[i] * row[j] for dk, row in zip(d, b)) for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_grams())
+@example(GramLattice([[0] * 7 for _ in range(7)]))
+@example(GramLattice([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+def test_signature_matches_reference(gram):
+    assert signature(gram) == reference_signature(gram)
 
 
 @pytest.mark.parametrize("diagonal", [(4, -4, 4, -4), (2, -2, 2, -2, 2, -2)])

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from kstab import lp, rationals
 from kstab.errors import InvalidModel, InvariantViolation, KstabError
-from kstab.lp import Infeasible, Unbounded, _pivot, _run_simplex, in_cone, max_shift, solve_equality_lp
+from kstab.lp import Infeasible, Unbounded, _run_simplex, in_cone, max_shift, solve_equality_lp
+from kstab.rationals import _pivot
 from oracles import _ref_pivot, reference_det, reference_solve_equality_lp
 
 
@@ -508,7 +509,9 @@ def _count_pivots(monkeypatch):
         seen.append(args[3:])
         return _pivot(*args)
 
+    # the simplex pivots through lp, the reduction that starts an LP through rationals
     monkeypatch.setattr(lp, "_pivot", spy)
+    monkeypatch.setattr(rationals, "_pivot", spy)
     return seen
 
 

@@ -5,11 +5,12 @@ denominator-clearing rule every integer layer starts from.
 comes back, and the denominator is the least positive one, which for
 integer numerators n over D means gcd(D, n...) = 1 (a common factor g > 1
 would leave D/g a smaller denominator, and any D that clears the values is
-a multiple of the least one).  Three routes pin the elimination: the engine's original separate Gaussian eliminations,
-frozen in ``oracles`` (a hypothesis differential test), sympy's ``Matrix``
-(det, rank, inverse and solve), and hand-made edge cases: a zero leading
-pivot that forces a row swap, the empty matrix, singular matrices, an
-inconsistent system and a rank-deficient one.
+a multiple of the least one).  Three routes pin the elimination: the
+engine's original separate Gaussian eliminations, frozen in ``oracles`` (a
+hypothesis differential test), sympy's ``Matrix`` (det, rank, inverse and
+solve), and hand-made edge cases: a zero leading pivot, on which row 0
+pivots on column 1, the empty matrix, singular matrices, an inconsistent
+system and a rank-deficient one.
 """
 
 from fractions import Fraction as Q
@@ -155,8 +156,9 @@ class TestEdgeCases:
         assert rank(a) == 2
         assert mat_inverse(a) == [[1, -1], [-1, 0]]
         assert solve_general(a, [Q(2), Q(3)]) == (-1, -2)
-        # the first leading minor is 0; after the swap the pivots are -1
-        # and 1, which alternate, so only the swap shows it is not definite
+        # no swap: the first leading minor is 0, so row 0 pivots on column 1
+        # and row 1 on column 0, both on -1; only the column order shows
+        # that it is not definite
         assert not is_negative_definite(a)
         assert solve_negative_definite(a, [[Q(2), Q(3)]]) is None
 
