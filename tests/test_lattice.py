@@ -42,11 +42,11 @@ from kstab.poly import Polynomial, parse_polynomial
 from oracles import (
     mat_mul,
     mat_transpose,
+    reference_det,
     reference_even_overlattices,
     reference_integer_search_quadratic,
     reference_isotropic_elements,
     reference_isotropic_subgroups,
-    reference_det,
     reference_row_runs,
     reference_signature,
 )
