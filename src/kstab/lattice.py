@@ -388,25 +388,35 @@ def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> tuple[int, 
     def add(x, y):
         return tuple((a + b) % f for a, b, f in zip(x, y, factors))
 
-    # per element g: 0, g, 2g, ... up to its order, with the positions of
-    # the nonzero ones (m, in no subgroup, for one outside the isotropic set:
-    # the subgroup built from g then fails its check), and the mask of the
-    # isotropic h with b(g, h) = 0, read off T.g (b is symmetric)
+    # per element g: the positions of g, 2g, ... up to its order (m, in no
+    # subgroup, for one outside the isotropic set: the subgroup built from g
+    # then fails its check), and the mask of the isotropic h with
+    # b(g, h) = 0, read off T.g (b is symmetric)
     multiples, orth = [], [0] * m
     for i, (g, nums) in enumerate(vectors.items()):
-        mult = list(itertools.accumulate([g] * (e // gcd(e, *nums)), add, initial=zero))
-        multiples.append((mult, [position.get(x, m) for x in mult[1:]]))
+        mult = itertools.accumulate([g] * (e // gcd(e, *nums) - 1), add, initial=g)
+        multiples.append([position.get(x, m) for x in mult])
         tg = [sum(map(mul, row, g)) for row in t]
         for j in range(i + 1):
             if sum(map(mul, tg, coords[j])) % (e * e) == 0:
                 orth[i] |= 1 << j
                 orth[j] |= 1 << i
+    moved: dict[int, int] = {}  # p * m + i: the position of coords[p] + coords[i], each sum built once
+
+    def move(p: int, i: int) -> int:
+        key = p * m + i
+        if key not in moved:
+            x = add(coords[p], coords[i])
+            if x not in position:
+                raise InvariantViolation("a subgroup spanned by orthogonal isotropic elements left the isotropic set")
+            moved[key] = position[x]
+        return moved[key]
+
     subgroups = {1 << position[zero]: ([position[zero]], [])}  # mask: ascending positions, generators
     frontier = list(subgroups)
     while frontier:
         h = frontier.pop()
         h_positions, h_generators = subgroups[h]
-        members = [coords[i] for i in h_positions]
         above: dict[int, int] = {}  # size: the union of the known subgroups of that size that contain H
         for s, (positions, _) in subgroups.items():
             if s & h == h:
@@ -417,13 +427,13 @@ def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> tuple[int, 
         while candidates:
             i = (candidates & -candidates).bit_length() - 1
             candidates &= candidates - 1
-            mult, mult_positions = multiples[i]
-            k = next(j for j, p in enumerate(mult_positions, 1) if h >> p & 1)
-            s = above.get(len(members) * k, 0)
-            if not s >> i & 1:  # H + <g> is new: the union of the cosets H + j.g, j < k
-                found = [position.get(add(x, y)) for y in mult[:k] for x in members]
-                if None in found:
-                    raise InvariantViolation("a subgroup spanned by orthogonal isotropic elements left the isotropic set")
+            k = next(j for j, p in enumerate(multiples[i], 1) if h >> p & 1)
+            s = above.get(len(h_positions) * k, 0)
+            if not s >> i & 1:  # H + <g> is new: the union of the cosets H + j.g, j < k, each the last moved by g
+                found, coset = list(h_positions), h_positions
+                for _ in range(k - 1):
+                    coset = [move(p, i) for p in coset]
+                    found += coset
                 s = sum(1 << p for p in found)
                 subgroups[s] = (sorted(found), h_generators + [i])
                 above[len(found)] = above.get(len(found), 0) | s

@@ -1,14 +1,21 @@
 """Lattice polytopes in rank 3: exact hulls, polar duals, toric criteria.
 
-The hull is computed by exhaustive supporting-plane search in integers
-(every triple of points, scaled by the lcm of their denominators, proposes
-a primitive plane; a plane with all points on one side is a facet).  Each
-distinct plane gets one side scan, recorded for it and its negation, and
-the extreme points are read off the integer normals through each point.
-That is quadratic-ish in the number of points, adequate at this scale, and
-immune to the degeneracies of floating-point incremental hulls.  Volume and
-barycenter cone each facet fan from the vertex average on the vertices
-scaled to integers, and build one Fraction per result.
+The hull is built by beneath-beyond insertion (Preparata and Hong 1977) on
+the points scaled to integers, added farthest-first from their centroid.
+Four affinely independent points seed a tetrahedron.  A later point on or
+beneath every current facet plane lies in the hull so far: it costs one
+side check per facet and is dropped.  A point beyond some facets removes
+them and adds each plane through it and two kept points on a removed facet
+that has every kept point on one side.  This is exact: a facet of
+conv(S + p) that misses p is a facet of conv(S), and one through p either
+lies in the plane of a facet of conv(S) that p is on, which stays, or is
+spanned by p and an edge of conv(S) on a facet that p is beyond.  So the
+cost follows the vertices, not the points: the 343 points of [-3, 3]^3 try
+19 triples, not C(343, 3).  A flat or collinear set has no seed and has
+every triple's plane tried.  A final scan reads each facet's points.  All
+arithmetic is on integers, immune to the degeneracies of floating-point
+hulls.  Volume and barycenter cone each facet fan from the vertex average
+on the vertices scaled to integers, and build one Fraction per result.
 
 Polar duality uses the convention that pairs a reflexive polytope with the
 convex hull of the *inward* facet normals, P* = {y : <y, x> >= -1 for all
@@ -115,15 +122,17 @@ def _spans_space(normals: Sequence[Sequence[Fraction]]) -> bool:
     return False
 
 
-def _facets(vertices: tuple[Vec3, ...]) -> tuple[tuple[Facet, tuple[int, ...]], ...]:
-    """Each facet of the hull of sorted distinct points, with the indices of the points on it."""
-    # scaled by the lcm D of the denominators, the points are integers: the
-    # normals are unchanged and every offset is D times the rational one
-    flat, scale = scaled([x for p in vertices for x in p])
-    pts = [tuple(flat[k:k + 3]) for k in range(0, len(flat), 3)]
-    # each plane's side decision, for (n, c) and (-n, -c): the outward facet and its points, or None
+def _planes(triples: Iterable[tuple[tuple[int, ...], ...]], pts: Sequence[tuple[int, ...]]) -> set:
+    """The primitive outward planes (n, c), <n, x> <= c, through the given
+    triples of integer points that have every point of ``pts`` on one side.
+
+    Each distinct plane gets one side scan, recorded for it and its
+    negation.  A plane through every point of ``pts`` is kept only in the
+    orientations its triples give it.
+    """
+    # each plane's side decision, for (n, c) and (-n, -c): the outward plane, or None
     decided: dict[tuple[tuple[int, ...], int], tuple | None] = {}
-    for a, b, c in itertools.combinations(pts, 3):
+    for a, b, c in triples:
         n = _cross(_sub(b, a), _sub(c, a))
         if n == (0, 0, 0):
             continue
@@ -133,23 +142,68 @@ def _facets(vertices: tuple[Vec3, ...]) -> tuple[tuple[Facet, tuple[int, ...]], 
         if (n, offset) in decided:
             continue
         above = below = False
-        on = []
-        for i, (x, y, z) in enumerate(pts):
+        side = None  # stays None if points lie strictly on both sides
+        for x, y, z in pts:
             d = n0 * x + n1 * y + n2 * z - offset
             if d > 0:
+                if below:
+                    break
                 above = True
             elif d < 0:
+                if above:
+                    break
                 below = True
-            else:
-                on.append(i)
-            if above and below:
-                break
-        negated = ((-n0, -n1, -n2), -offset)
-        side = None if above and below else ((negated if above else (n, offset)), tuple(on))
+        else:
+            side = ((-n0, -n1, -n2), -offset) if above else (n, offset)
         decided[n, offset] = side
-        if above or below:  # a plane through every point is a facet both ways
-            decided[negated] = side
-    facets = sorted({side for side in decided.values() if side is not None})
+        if above or below:
+            decided[(-n0, -n1, -n2), -offset] = side
+    return {plane for plane in decided.values() if plane is not None}
+
+
+def _seed(pts: Sequence[tuple[int, ...]], order: Sequence[int]) -> list[int] | None:
+    """The first four affinely independent points in ``order``, or None if there are none."""
+    if len(order) < 4:
+        return None
+    a, b = pts[order[0]], pts[order[1]]
+    chosen, normal = list(order[:2]), None
+    for i in order[2:]:
+        v = _sub(pts[i], a)
+        if normal is None:
+            axv = _cross(_sub(b, a), v)
+            if axv != (0, 0, 0):
+                chosen.append(i)
+                normal = axv
+        elif _dot(normal, v):
+            return chosen + [i]
+    return None
+
+
+def _facets(vertices: tuple[Vec3, ...]) -> tuple[tuple[Facet, tuple[int, ...]], ...]:
+    """Each facet of the hull of sorted distinct points, with the indices of the points on it."""
+    # scaled by the lcm D of the denominators, the points are integers: the
+    # normals are unchanged and every offset is D times the rational one
+    flat, scale = scaled([x for p in vertices for x in p])
+    pts = [tuple(flat[k:k + 3]) for k in range(0, len(flat), 3)]
+    # farthest-first from the centroid, compared on the integer offsets m.p - sum(p)
+    m, total = len(pts), tuple(sum(flat[i::3]) for i in range(3))
+    order = sorted(range(m), key=lambda i: -sum((m * x - t) ** 2 for x, t in zip(pts[i], total)))
+    seed = _seed(pts, order)
+    if seed is None:  # flat or collinear: every triple's plane, each in the orientations its triples give
+        planes = _planes(itertools.combinations(pts, 3), pts)
+    else:
+        kept = [pts[i] for i in seed]
+        planes = _planes(itertools.combinations(kept, 3), kept)
+        for p in (pts[i] for i in order):
+            visible = {(n, c) for n, c in planes if _dot(n, p) > c}
+            if not visible:  # on or inside the hull so far, as every seed point is
+                continue
+            # a new facet through p is p and an edge of conv(kept) on a visible facet
+            rim = [a for a in kept if any(_dot(n, a) == c for n, c in visible)]
+            planes -= visible
+            planes |= _planes(((p, a, b) for a, b in itertools.combinations(rim, 2)), kept + [p])
+            kept.append(p)
+    facets = sorted(((n, c), tuple(i for i, x in enumerate(pts) if _dot(n, x) == c)) for n, c in planes)
     return tuple(
         (Facet(tuple(Q(x) for x in n), Q(offset, scale), tuple(vertices[i] for i in on)), on)
         for (n, offset), on in facets

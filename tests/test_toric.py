@@ -8,6 +8,7 @@ polygon order are checked against the original Fraction routines frozen in
 ``oracles``.
 """
 
+import itertools
 import random
 from fractions import Fraction as Q
 from math import lcm
@@ -200,7 +201,10 @@ COPLANAR = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0), (1, 0, 0), (1
 @settings(max_examples=40, deadline=None)
 @given(POINT_SETS)
 @example(COPLANAR)
-@example([(0, 0, 0), (0, 0, 1), (1, 0, 0), (-1, 0, 0)])  # flat: its plane is a facet both ways
+# flat: the plane is recorded in each orientation some triple gives it, here
+# both, and for a lone triangle only one, (-1, 0, 0).x <= 0
+@example([(0, 0, 0), (0, 0, 1), (1, 0, 0), (-1, 0, 0)])
+@example([(0, 0, 0), (0, 0, 1), (0, 1, 0)])
 def test_facet_scan_matches_reference(points):
     pts = tuple(sorted({tuple(Q(x) for x in p) for p in points}))
     facets = toric._facets(pts)
@@ -289,3 +293,51 @@ def test_each_polytope_is_triangulated_once(monkeypatch):
     anticanonical_degree(p)
     assert not toric_kps_check(p)[0]
     assert len(seen) == len(polar_dual(p).facets)
+
+
+GRID5 = [(x, y, z) for x in range(-2, 3) for y in range(-2, 3) for z in range(-2, 3)]
+# x^2 + y^2 + z^2 = 27: the 24 permutations of (+-5, +-1, +-1) and the 8 points (+-3, +-3, +-3)
+SHELL27 = [(x, y, z) for x in range(-5, 6) for y in range(-5, 6) for z in range(-5, 6) if x * x + y * y + z * z == 27]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=4, max_size=30))
+@example(SHELL27)
+def test_large_clouds_match_reference(points):
+    # many points interior to the hull or coplanar with a facet, where the
+    # incremental hull skips and extends; the oracle tries every triple
+    pts = tuple(sorted({tuple(Q(x) for x in p) for p in points}))
+    assert tuple(f for f, _ in toric._facets(pts)) == reference_facets(pts)
+    try:
+        p = LatticePolytope(points)
+    except DegeneratePolytope:
+        return
+    assert (p.vertices, p.facets) == reference_polytope(points)
+
+
+def test_grid_and_shell_hulls():
+    grid = LatticePolytope(GRID5)
+    assert grid == LatticePolytope(list(itertools.product((-2, 2), repeat=3)))
+    assert len(grid.facets) == 6
+    assert all(len(on) == 25 for _, on in toric._facets(tuple(sorted(tuple(Q(x) for x in p) for p in GRID5))))
+    shell = LatticePolytope(SHELL27)
+    assert len(SHELL27) == 32 and len(shell.vertices) == 32
+
+
+@pytest.mark.parametrize("side", [1, 3])
+def test_hull_cost_follows_the_vertices(monkeypatch, side):
+    # the (2 side + 1)^3 grid has 8 vertices: the hull tries a few dozen
+    # triples, where every triple of the 27 or 343 points would be 2 925 or
+    # 6 667 165
+    seen = []
+    real = toric._planes
+
+    def spy(triples, pts):
+        triples = list(triples)
+        seen.extend(triples)
+        return real(triples, pts)
+
+    monkeypatch.setattr(toric, "_planes", spy)
+    grid = LatticePolytope(list(itertools.product(range(-side, side + 1), repeat=3)))
+    assert len(grid.vertices) == 8 and len(grid.facets) == 6
+    assert 0 < len(seen) <= 100
