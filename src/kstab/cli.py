@@ -170,13 +170,11 @@ _FLAG_SETUPS = {
     ("bl_p3_quintic", "S"): {
         "surface": "dp4",
         "volume": Q(22),
-        "family": "dp4",
         "note": "restricted positive parts of -K - tS, S a hyperplane through the flag line",
     },
     ("bl_p3_quintic", "Qtilde"): {
         "surface": "quadric",
         "volume": Q(22),
-        "family": "quadric",
         "note": "restricted positive parts of -K - uQtilde on the quadric",
     },
 }
@@ -194,7 +192,7 @@ def _cmd_flag_sinv(args) -> dict:
     z = parse_class_expr(args.curve, surface.basis)
     report_obj = refined_s_flag(
         surface,
-        _flag_family(setup["family"]),
+        _flag_family(setup["surface"]),
         z,
         setup["volume"],
         surface_label=args.surface,
@@ -348,11 +346,11 @@ def _cmd_toric_check(args) -> dict:
     from .toric import LatticePolytope, anticanonical_degree, barycenter, is_reflexive, polar_dual, toric_kps_check
     from .toric import volume as polytope_volume
 
-    with open(args.vertices, encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
     try:
+        with open(args.vertices, encoding="utf-8") as fh:
+            lines = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
         points = [tuple(int(x) for x in line.split()) for line in lines]
-    except ValueError:
+    except ValueError:  # not UTF-8 text (UnicodeDecodeError), or not integers
         points = [()]
     if any(len(point) != 3 for point in points):
         raise _UsageError(f"--vertices {args.vertices!r} must hold one integer 3-vector per line")

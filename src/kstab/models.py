@@ -301,7 +301,11 @@ def parse_model(text: str) -> ThreefoldModel | SurfaceModel:
 
 def load_model(path: str) -> ThreefoldModel | SurfaceModel:
     with open(path, encoding="utf-8") as fh:
-        model = parse_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ModelFileError(f"model file {path!r} is not UTF-8 text") from None
+    model = parse_model(text)
     base = model.name.split("(")[0]
     if base in PRESET_NAMES:
         raise ModelFileError(f"user models may not shadow the preset name {model.name!r}")

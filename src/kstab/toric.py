@@ -11,11 +11,12 @@ conv(S + p) that misses p is a facet of conv(S), and one through p either
 lies in the plane of a facet of conv(S) that p is on, which stays, or is
 spanned by p and an edge of conv(S) on a facet that p is beyond.  So the
 cost follows the vertices, not the points: the 343 points of [-3, 3]^3 try
-19 triples, not C(343, 3).  A flat or collinear set has no seed and has
-every triple's plane tried.  A final scan reads each facet's points.  All
-arithmetic is on integers, immune to the degeneracies of floating-point
-hulls.  Volume and barycenter cone each facet fan from the vertex average
-on the vertices scaled to integers, and build one Fraction per result.
+19 triples, not C(343, 3).  A set with no four affinely independent points
+has no seed and is rejected as flat.  A final scan reads each facet's
+points.  All arithmetic is on integers, immune to the degeneracies of
+floating-point hulls.  Volume and barycenter cone each facet fan from the
+vertex average on the vertices scaled to integers, and build one Fraction
+per result.
 
 Polar duality uses the convention that pairs a reflexive polytope with the
 convex hull of the *inward* facet normals, P* = {y : <y, x> >= -1 for all
@@ -77,19 +78,17 @@ class LatticePolytope:
         pts = sorted({tuple(to_q(x) for x in p) for p in points})
         if any(len(p) != 3 for p in pts):
             raise ValueError("points must be 3-vectors")
-        if not _spans_space([_sub(p, pts[0]) for p in pts[1:]]):
-            raise DegeneratePolytope("points do not span a 3-dimensional polytope")
-        facets = _facets(tuple(pts))
+        scale, facets = _facets(pts)
         # a point is extreme iff the facets through it have normals of rank 3
         through: list[list[tuple[int, ...]]] = [[] for _ in pts]
-        for f, on in facets:
-            normal = tuple(x.numerator for x in f.normal)
+        for (n, _), on in facets:
             for i in on:
-                through[i].append(normal)
+                through[i].append(n)
         extreme = [_spans_space(normals) for normals in through]
         self.vertices: tuple[Vec3, ...] = tuple(p for p, keep in zip(pts, extreme) if keep)
         self.facets: tuple[Facet, ...] = tuple(
-            Facet(f.normal, f.offset, tuple(pts[i] for i in on if extreme[i])) for f, on in facets
+            Facet(tuple(Q(x) for x in n), Q(c, scale), tuple(pts[i] for i in on if extreme[i]))
+            for (n, c), on in facets
         )
         self._dual: LatticePolytope | None = None
         self._tets: tuple[int, list] | None = None  # _triangulation, built on first use
@@ -113,8 +112,8 @@ class LatticePolytope:
         )
 
 
-def _spans_space(normals: Sequence[Sequence[Fraction]]) -> bool:
-    """True iff the 3-vectors, integers or rationals, have rank 3."""
+def _spans_space(normals: Sequence[tuple[int, ...]]) -> bool:
+    """True iff the integer 3-vectors have rank 3."""
     for a, b in itertools.combinations(normals, 2):
         axb = _cross(a, b)
         if axb != (0, 0, 0):
@@ -127,8 +126,7 @@ def _planes(triples: Iterable[tuple[tuple[int, ...], ...]], pts: Sequence[tuple[
     triples of integer points that have every point of ``pts`` on one side.
 
     Each distinct plane gets one side scan, recorded for it and its
-    negation.  A plane through every point of ``pts`` is kept only in the
-    orientations its triples give it.
+    negation; ``pts`` spans space, so no plane holds every point.
     """
     # each plane's side decision, for (n, c) and (-n, -c): the outward plane, or None
     decided: dict[tuple[tuple[int, ...], int], tuple | None] = {}
@@ -155,9 +153,7 @@ def _planes(triples: Iterable[tuple[tuple[int, ...], ...]], pts: Sequence[tuple[
                 below = True
         else:
             side = ((-n0, -n1, -n2), -offset) if above else (n, offset)
-        decided[n, offset] = side
-        if above or below:
-            decided[(-n0, -n1, -n2), -offset] = side
+        decided[n, offset] = decided[(-n0, -n1, -n2), -offset] = side
     return {plane for plane in decided.values() if plane is not None}
 
 
@@ -179,35 +175,31 @@ def _seed(pts: Sequence[tuple[int, ...]], order: Sequence[int]) -> list[int] | N
     return None
 
 
-def _facets(vertices: tuple[Vec3, ...]) -> tuple[tuple[Facet, tuple[int, ...]], ...]:
-    """Each facet of the hull of sorted distinct points, with the indices of the points on it."""
-    # scaled by the lcm D of the denominators, the points are integers: the
-    # normals are unchanged and every offset is D times the rational one
+def _facets(vertices: Sequence[Vec3]) -> tuple[int, list]:
+    """(D, facets) for sorted distinct points, D the lcm of their denominators:
+    each facet's primitive integer plane (n, c), <n, x> <= c / D, with the
+    indices of the points on it.  DegeneratePolytope if the points are flat."""
+    # scaled by D, the points are integers with the same normals
     flat, scale = scaled([x for p in vertices for x in p])
     pts = [tuple(flat[k:k + 3]) for k in range(0, len(flat), 3)]
     # farthest-first from the centroid, compared on the integer offsets m.p - sum(p)
     m, total = len(pts), tuple(sum(flat[i::3]) for i in range(3))
     order = sorted(range(m), key=lambda i: -sum((m * x - t) ** 2 for x, t in zip(pts[i], total)))
     seed = _seed(pts, order)
-    if seed is None:  # flat or collinear: every triple's plane, each in the orientations its triples give
-        planes = _planes(itertools.combinations(pts, 3), pts)
-    else:
-        kept = [pts[i] for i in seed]
-        planes = _planes(itertools.combinations(kept, 3), kept)
-        for p in (pts[i] for i in order):
-            visible = {(n, c) for n, c in planes if _dot(n, p) > c}
-            if not visible:  # on or inside the hull so far, as every seed point is
-                continue
-            # a new facet through p is p and an edge of conv(kept) on a visible facet
-            rim = [a for a in kept if any(_dot(n, a) == c for n, c in visible)]
-            planes -= visible
-            planes |= _planes(((p, a, b) for a, b in itertools.combinations(rim, 2)), kept + [p])
-            kept.append(p)
-    facets = sorted(((n, c), tuple(i for i, x in enumerate(pts) if _dot(n, x) == c)) for n, c in planes)
-    return tuple(
-        (Facet(tuple(Q(x) for x in n), Q(offset, scale), tuple(vertices[i] for i in on)), on)
-        for (n, offset), on in facets
-    )
+    if seed is None:
+        raise DegeneratePolytope("points do not span a 3-dimensional polytope")
+    kept = [pts[i] for i in seed]
+    planes = _planes(itertools.combinations(kept, 3), kept)
+    for p in (pts[i] for i in order):
+        visible = {(n, c) for n, c in planes if _dot(n, p) > c}
+        if not visible:  # on or inside the hull so far, as every seed point is
+            continue
+        # a new facet through p is p and an edge of conv(kept) on a visible facet
+        rim = [a for a in kept if any(_dot(n, a) == c for n, c in visible)]
+        planes -= visible
+        planes |= _planes(((p, a, b) for a, b in itertools.combinations(rim, 2)), kept + [p])
+        kept.append(p)
+    return scale, sorted(((n, c), tuple(i for i, x in enumerate(pts) if _dot(n, x) == c)) for n, c in planes)
 
 
 def polar_dual(p: LatticePolytope) -> LatticePolytope:

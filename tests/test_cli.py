@@ -192,6 +192,12 @@ class TestExitCodes:
         assert main(["toric", "check", "--vertices", str(path)]) == 64
         assert capsys.readouterr().err.startswith("usage error: --vertices")
 
+    def test_a_vertex_file_that_is_not_utf8_is_64(self, capsys, tmp_path):
+        path = tmp_path / "vertices.txt"
+        path.write_bytes("1 0 0\n".encode("utf-16"))  # starts with ff fe
+        assert main(["toric", "check", "--vertices", str(path)]) == 64
+        assert capsys.readouterr().err.startswith("usage error: --vertices")
+
 
 class TestMalformedLatticeInput:
     @pytest.mark.parametrize(
@@ -281,6 +287,18 @@ class TestComputationErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out) == {"error": "InvalidModel", "message": "class vectors must match the basis size"}
+        assert "Traceback" not in captured.err
+
+    def test_a_model_file_that_is_not_utf8_is_exit_2(self, capsys, tmp_path):
+        from kstab.models import preset, serialize_model
+
+        text = serialize_model(preset("dp4")).replace("model surface dp4", "model surface mine")
+        path = tmp_path / "mine.model"
+        path.write_bytes(text.encode("utf-16"))  # a valid model, but starts with the bytes ff fe
+        code = main(["zariski", "--model", "mine", "--class", "L", "--model-file", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "ModelFileError"
         assert "Traceback" not in captured.err
 
 

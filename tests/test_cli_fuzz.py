@@ -34,6 +34,8 @@ def files(tmp_path_factory):
         path.write_text(text, encoding="utf-8")
         return str(path)
 
+    utf16 = d / "utf16.txt"  # starts with the bytes ff fe, which are not UTF-8
+    utf16.write_bytes("1 0 0\n".encode("utf-16"))
     return {
         "threefold": write("mine3.model", serialize_model(preset("bl_p3_quintic")).replace(
             "model threefold bl_p3_quintic", "model threefold mine3")),
@@ -50,12 +52,13 @@ def files(tmp_path_factory):
         "empty": write("empty.txt", ""),
         "missing": str(d / "missing.txt"),
         "directory": str(d),
+        "utf16": str(utf16),
     }
 
 
 def _grammar(files):
     """Subcommand -> (argv prefix, {option: values}, required options)."""
-    model_file = st.sampled_from([files[k] for k in ("threefold", "surface", "shadow", "garbage", "missing", "directory")])
+    model_file = st.sampled_from([files[k] for k in ("threefold", "surface", "shadow", "garbage", "missing", "directory", "utf16")])
     gram = _values(
         ["22 0; 0 -2", "2 0; 0 -2", "2 1; 1 -4", "-2 1; 1 -2", "22 11 6; 11 4 1; 6 1 -2"],
         ["1 0; 0 -1", "0 0; 0 0", "2 1; 0 2", "1 2; 3", "2 1/2; 1/2 2", "", ";", "x"],
@@ -95,7 +98,7 @@ def _grammar(files):
         }, {"--h", "--m"}),
         "toric check": (["toric", "check"], {
             "--vertices": st.sampled_from([files[k] for k in (
-                "prism", "cube", "offset", "flat", "pairs", "fractions", "words", "empty", "missing", "directory")]),
+                "prism", "cube", "offset", "flat", "pairs", "fractions", "words", "empty", "missing", "directory", "utf16")]),
         }, {"--vertices"}),
         "models list": (["models", "list"], {}, set()),
     }

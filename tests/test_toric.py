@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from kstab import toric
 from kstab.errors import DegeneratePolytope, InvariantViolation, NotReflexive, OriginNotInterior
 from kstab.toric import (
+    Facet,
     LatticePolytope,
     anticanonical_degree,
     asymmetric_reflexive,
@@ -33,7 +34,13 @@ from kstab.toric import (
     toric_kps_check,
     volume,
 )
-from oracles import reference_facets, reference_ordered_facet_vertices, reference_polytope, reference_volume_barycenter
+from oracles import (
+    reference_facets,
+    reference_ordered_facet_vertices,
+    reference_polytope,
+    reference_rank,
+    reference_volume_barycenter,
+)
 
 
 class TestHull:
@@ -198,19 +205,26 @@ POINT_SETS = st.lists(st.tuples(COORDS, COORDS, COORDS), min_size=4, max_size=20
 COPLANAR = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0), (1, 0, 0), (1, 1, 2)]
 
 
+def _rational_facets(pts):
+    """toric._facets read back as Facets, or None if it rejects the points as flat."""
+    try:
+        scale, facets = toric._facets(pts)
+    except DegeneratePolytope:
+        return None
+    assert all(isinstance(x, int) for (n, c), _ in facets for x in (*n, c))
+    return tuple(Facet(tuple(Q(x) for x in n), Q(c, scale), tuple(pts[i] for i in on)) for (n, c), on in facets)
+
+
+def _flat(pts):
+    return reference_rank([[b - a for a, b in zip(pts[0], p)] for p in pts[1:]]) < 3
+
+
 @settings(max_examples=40, deadline=None)
 @given(POINT_SETS)
 @example(COPLANAR)
-# flat: the plane is recorded in each orientation some triple gives it, here
-# both, and for a lone triangle only one, (-1, 0, 0).x <= 0
-@example([(0, 0, 0), (0, 0, 1), (1, 0, 0), (-1, 0, 0)])
-@example([(0, 0, 0), (0, 0, 1), (0, 1, 0)])
 def test_facet_scan_matches_reference(points):
     pts = tuple(sorted({tuple(Q(x) for x in p) for p in points}))
-    facets = toric._facets(pts)
-    assert tuple(f for f, _ in facets) == reference_facets(pts)
-    assert all(isinstance(x, Q) for f, _ in facets for x in (*f.normal, f.offset))
-    assert all(tuple(pts[i] for i in on) == f.vertices for f, on in facets)
+    assert _rational_facets(pts) == (None if _flat(pts) else reference_facets(pts))
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,7 +321,7 @@ def test_large_clouds_match_reference(points):
     # many points interior to the hull or coplanar with a facet, where the
     # incremental hull skips and extends; the oracle tries every triple
     pts = tuple(sorted({tuple(Q(x) for x in p) for p in points}))
-    assert tuple(f for f, _ in toric._facets(pts)) == reference_facets(pts)
+    assert _rational_facets(pts) == (None if _flat(pts) else reference_facets(pts))
     try:
         p = LatticePolytope(points)
     except DegeneratePolytope:
@@ -319,7 +333,7 @@ def test_grid_and_shell_hulls():
     grid = LatticePolytope(GRID5)
     assert grid == LatticePolytope(list(itertools.product((-2, 2), repeat=3)))
     assert len(grid.facets) == 6
-    assert all(len(on) == 25 for _, on in toric._facets(tuple(sorted(tuple(Q(x) for x in p) for p in GRID5))))
+    assert all(len(on) == 25 for _, on in toric._facets(sorted(tuple(Q(x) for x in p) for p in GRID5))[1])
     shell = LatticePolytope(SHELL27)
     assert len(SHELL27) == 32 and len(shell.vertices) == 32
 
