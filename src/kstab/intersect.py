@@ -225,7 +225,10 @@ class SurfaceModel:
             if ref in self.basis:
                 return tuple(Q(1) if b == ref else Q(0) for b in self.basis)
             raise UnknownLabel(f"unknown class {ref!r} on surface {self.name}")
-        return _sized(qvec(ref), self.rank)
+        try:
+            return _sized(qvec(ref), self.rank)
+        except (TypeError, ValueError) as exc:
+            raise InvalidModel(f"not a class vector of exact rationals: {exc}") from None
 
 
 def restrict_to_surface(

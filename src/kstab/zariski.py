@@ -4,8 +4,10 @@ Surface side: the classical iterative decomposition (grow the support by
 every declared curve the mobile part meets negatively, re-solve, repeat)
 against the model's negative-curve list, with pseudo-effectivity decided by
 an exact LP over the declared effective-cone generators, whose integer LP
-rows each surface builds once.  Each round is the symbolic decomposition
-below of the constant family on the support so far.
+rows each surface builds once.  The rounds run on an integer family at a
+point, a class being the constant family, so a chamber cell is decomposed
+once, on its family at its midpoint.  The support Gram and right-hand
+sides pair only the support curves, each by its own Gram * C row.
 
 One- and two-parameter families are handled symbolically: on a chamber the
 support is constant, so the negative-part coefficients and the positive
@@ -41,6 +43,7 @@ absolutely.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -126,28 +129,15 @@ def zariski_decompose(surface: SurfaceModel, divisor) -> ZariskiResult:
 def _decompose(surface: SurfaceModel, d: QVec) -> ZariskiResult:
     """Zariski decomposition of a class vector already known to be in the cone.
 
-    Each round decomposes the constant family d on the support found so
-    far; its nef certificates are the mobile part's pairings with every
-    curve, and each curve met negatively joins the support.
+    The iterative decomposition of d as a constant family, decomposed once;
+    only the result is built in rationals.
     """
-    family = _integer_family((d,))
-    support: list[str] = []
-    while True:
-        ((positive,), den), certs = _symbolic_decomposition(surface, family, support)
-        violators = [c.label for c in certs if c.kind == "nef" and c.coeffs[0] < 0 and c.label not in support]
-        if not violators:
-            break
-        support = sorted(support + violators)
+    ((positive,), den), certs = _iterative_decomposition(surface, _integer_family((d,)))
     nu = tuple((c.label, Fraction(c.coeffs[0], c.den)) for c in certs if c.kind == "mult")
-    for label, coeff in nu:
-        if coeff < 0:
-            raise InvalidModel(
-                f"negative multiplicity {coeff} on {label}: the declared curve "
-                "list is not a genuine configuration of irreducible negative curves"
-            )
+    support = tuple(label for label, _ in nu)
     scale = surface._curve_den * surface._gc_den
     gram = tuple(tuple(Fraction(x, scale) for x in row) for row in _support_gram(surface, support))
-    return ZariskiResult(tuple(Fraction(x, den) for x in positive), nu, tuple(support), gram)
+    return ZariskiResult(tuple(Fraction(x, den) for x in positive), nu, support, gram)
 
 
 def volume(surface: SurfaceModel, divisor) -> Fraction:
@@ -285,9 +275,9 @@ class _Cert(Record):
 
 
 def _support_gram(surface: SurfaceModel, support: Sequence[str]) -> list[list[int]]:
-    """The Gram of the support curves, times _curve_den * _gc_den."""
-    index = [surface.curve_labels.index(label) for label in support]
-    return [[row[j] for j in index] for row in (surface._pairings(surface._curve_ints[a]) for a in support)]
+    """The Gram of the support curves, times _curve_den * _gc_den, from their Gram * C rows alone."""
+    rows = [surface._gc_rows[surface.curve_labels.index(label)] for label in support]
+    return [[sum(map(mul, surface._curve_ints[a], row)) for row in rows] for a in support]
 
 
 def _symbolic_decomposition(
@@ -307,8 +297,8 @@ def _symbolic_decomposition(
     support = list(support)
     certs: list[_Cert] = []
     if support:
-        index = [surface.curve_labels.index(label) for label in support]
-        rhs = [[row[j] for j in index] for row in map(surface._pairings, vecs)]
+        rows = [surface._gc_rows[surface.curve_labels.index(label)] for label in support]
+        rhs = [[sum(map(mul, v, row)) for row in rows] for v in vecs]
         sols = solve_negative_definite(_support_gram(surface, support), rhs)
         if sols is None:
             raise IndefiniteSupport(f"support {support} has an indefinite Gram matrix")
@@ -323,6 +313,31 @@ def _symbolic_decomposition(
     nef = zip(*map(surface._pairings, vecs))
     certs += [_Cert("nef", label, c, den * surface._gc_den) for label, c in zip(surface.curve_labels, nef)]
     return (vecs, den), certs
+
+
+def _iterative_decomposition(surface: SurfaceModel, family: Family, *point: Fraction) -> tuple[Family, list[_Cert]]:
+    """The iterative Zariski decomposition of an integer affine family at a point in the cone.
+
+    Each round is the symbolic decomposition on the support so far; a curve
+    whose nef certificate is negative at the point joins it.  Returns the
+    last round's (positive, certs), whose multiplicities must be
+    nonnegative at the point.
+    """
+    support: list[str] = []
+    while True:
+        positive, certs = _symbolic_decomposition(surface, family, support)
+        violators = [c.label for c in certs if c.kind == "nef" and _value(c.coeffs, *point) < 0 and c.label not in support]
+        if not violators:
+            break
+        support = sorted(support + violators)
+    for c in certs:
+        if c.kind == "mult" and _value(c.coeffs, *point) < 0:
+            coeff = Fraction(_value(c.coeffs, *point), c.den * prod(x.denominator for x in point))
+            raise InvalidModel(
+                f"negative multiplicity {coeff} on {c.label}: the declared curve "
+                "list is not a genuine configuration of irreducible negative curves"
+            )
+    return positive, certs
 
 
 class _SChamber(Record):
@@ -366,26 +381,28 @@ def _certified_cells(lo: Fraction, hi: Fraction, certify: Callable[[Fraction, Fr
 
 
 def _interval(lo, hi) -> tuple[Fraction, Fraction]:
-    """lo and hi as rationals; InvalidModel unless lo < hi."""
-    lo, hi = to_q(lo), to_q(hi)
+    """lo and hi as rationals; InvalidModel unless both are exact rationals and lo < hi."""
+    try:
+        lo, hi = to_q(lo), to_q(hi)
+    except (TypeError, ValueError) as exc:
+        raise InvalidModel(f"interval bounds must be exact rationals: {exc}") from None
     if not lo < hi:
         raise InvalidModel(f"the interval [{lo}, {hi}] is empty")
     return lo, hi
 
 
 def _march_one_param(surface: SurfaceModel, family: Family, lo: Fraction, hi: Fraction) -> list[_SChamber]:
-    """Chamber structure of an affine one-parameter family on [lo, hi] (all within pseff)."""
+    """Chambers of an affine one-parameter family on [lo, hi] in pseff, each cell decomposed once at its midpoint."""
 
     def certify(a: Fraction, b: Fraction) -> _SChamber:
         # both ends are in the cone, which is convex, so the midpoint is too
-        decomp = _decompose(surface, _at(family, (a + b) / 2))
-        positive, certs = _symbolic_decomposition(surface, family, decomp.support)
+        positive, certs = _iterative_decomposition(surface, family, (a + b) / 2)
         failed = [c.coeffs for c in certs if _value(c.coeffs, a) < 0 or _value(c.coeffs, b) < 0]
         if failed:
             raise _SplitRequest(r for c in failed for r in _root(c))
         # the wall at b: a certificate that vanishes there and decreases across it
         upper = next(((c.kind, c.label) for c in certs if _value(c.coeffs, b) == 0 and c.coeffs[1] < 0), None)
-        return _SChamber(a, b, decomp.support, upper, positive)
+        return _SChamber(a, b, tuple(c.label for c in certs if c.kind == "mult"), upper, positive)
 
     # stitch identical neighbours (a split point that was not a real wall)
     stitched: list[_SChamber] = []

@@ -2,8 +2,9 @@
 and the import graph.
 
 A class or family of the wrong length is an InvalidModel, not a wrong
-answer or a bare IndexError, and an unknown class, divisor or model name is
-an UnknownLabel, a KstabError that is also a KeyError.  The split-depth
+answer or a bare IndexError, and so is an inexact class entry or interval
+bound; an unknown class, divisor or model name is an UnknownLabel, a
+KstabError that is also a KeyError.  The split-depth
 guard of the certified-cell loop raises WallCrossingDegeneracy for one- and
 two-parameter families alike, and an empty or reversed interval is an
 InvalidModel for both.  Every entry point the benchmark tracer rebinds must exist, since
@@ -91,6 +92,31 @@ class TestEmptyIntervals:
     def test_reversed_one_param_interval(self):
         with pytest.raises(InvalidModel, match=r"interval \[1, 0\] is empty"):
             zariski.one_param_volume(dp4_surface(), (3 - T, -1, -1, -1, -1, -1), 1, 0)
+
+
+class TestInexactInput:
+    """A float, a non-numeric string or None where the Zariski entry points
+    need an exact rational is an InvalidModel, not a bare TypeError or
+    ValueError from the rational coercion."""
+
+    def test_a_float_class(self):
+        with pytest.raises(InvalidModel, match="exact rationals: cannot convert 0.5"):
+            zariski.zariski_decompose(dp4_surface(), (0.5, 0, 0, 0, 0, 0))
+
+    def test_a_float_direction(self):
+        with pytest.raises(InvalidModel, match="exact rationals: cannot convert 0.5"):
+            zariski.pseff_threshold(dp4_surface(), MINUS_K, (0.5, 0, 0, 0, 0, 0))
+
+    def test_a_string_bound(self):
+        with pytest.raises(InvalidModel, match="interval bounds must be exact rationals"):
+            zariski.one_param_volume(dp4_surface(), MOVING, 0, "a")
+
+    @pytest.mark.parametrize("bounds", [(0, None), (None, 1)])
+    def test_a_missing_bound(self, bounds):
+        with pytest.raises(InvalidModel, match="interval bounds must be exact rationals: cannot convert None"):
+            zariski.one_param_volume(dp4_surface(), MOVING, *bounds)
+        with pytest.raises(InvalidModel, match="interval bounds must be exact rationals: cannot convert None"):
+            zariski.two_param_flag_volume(dp4_surface(), MOVING, *bounds, "L")
 
 
 class TestUnknownLabels:

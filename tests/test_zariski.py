@@ -615,6 +615,79 @@ def test_decompose_second_round():
     assert res.support_gram == ((-2, 1), (1, -2))
 
 
+@st.composite
+def family_points(draw):
+    """A surface, an affine one-parameter family on it (constant part a
+    nonnegative combination of curves, random slope) and a rational point."""
+    surface = draw(st.sampled_from(KERNEL_SURFACES))
+    labels = sorted(surface.negative_curves)
+    const = [Q(0)] * surface.rank
+    for label in draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4)):
+        w = draw(st.fractions(min_value=0, max_value=3, max_denominator=3))
+        const = [x + w * y for x, y in zip(const, surface.negative_curves[label])]
+    slope = tuple(draw(fractions) for _ in range(surface.rank))
+    point = draw(st.fractions(min_value=-1, max_value=2, max_denominator=9))
+    return surface, (tuple(const), slope), point
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_points())
+@example((DP4, (_dp4_vec(3, -1, -1, -1, -1, -1), _dp4_vec(0, -1, 0, 0, 0, 0)), Q(5, 4)))
+@example((A2, (_dp4_vec(1, 2, 1), _dp4_vec(0, 0, 0)), Q(1, 3)))
+def test_iterative_decomposition_at_a_point_matches_reference(case):
+    """The family's decomposition at t, rebuilt in Fractions, is the reference decomposition of its class at t."""
+    surface, vecs, t = case
+    got = _outcome(zariski._iterative_decomposition, surface, _integer_family(vecs), t)
+    want = _outcome(reference_decompose, surface, tuple(c + s * t for c, s in zip(*vecs)))
+    if isinstance(want, tuple):  # (error type, message)
+        assert got == want
+        return
+    ((p0, p1), den), certs = got
+    mults = [c for c in certs if c.kind == "mult"]
+    assert tuple(c.label for c in mults) == want.support
+    assert tuple((c.label, Q(c.coeffs[0], c.den) + Q(c.coeffs[1], c.den) * t) for c in mults) == want.negative
+    assert tuple(Q(x, den) + Q(y, den) * t for x, y in zip(p0, p1)) == want.positive
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_SURFACES), st.data())
+def test_support_gram_is_the_scaled_fraction_gram(surface, data):
+    support = sorted(data.draw(st.sets(st.sampled_from(surface.curve_labels), min_size=1)))
+    scale = surface._curve_den * surface._gc_den
+    curves = surface.negative_curves
+    want = [[surface.pair(curves[a], curves[b]) * scale for b in support] for a in support]
+    got = zariski._support_gram(surface, support)
+    assert all(type(x) is int for row in got for x in row)
+    assert got == want
+
+
+def test_the_chamber_loops_decompose_each_cell_once(monkeypatch):
+    """Each cell's decomposition runs on its family: the class-vector decomposition is never called."""
+    def refuse(*args):
+        raise AssertionError("a chamber loop decomposed a class vector")
+
+    monkeypatch.setattr(zariski, "_decompose", refuse)
+    moving = (3, p("-1 - t", ("t",)), -1, -1, -1, -1)  # -K - t*e1
+    vf = one_param_volume(DP4, moving, 0, 3)
+    assert [(c.lo, c.hi, c.support) for c in vf.chambers] == [
+        (0, 1, ()), (1, Q(3, 2), ("conic", "l_12", "l_13", "l_14", "l_15")), (Q(3, 2), 3, ()),
+    ]
+    flag = two_param_flag_volume(DP4, moving, 0, 1, "L")
+    ((t_lo, t_hi, cells),) = [(c.t_lo, c.t_hi, c.cells) for c in flag.chambers]
+    assert (t_lo, t_hi) == (0, 1)
+    assert [(str(c.s_lo), str(c.s_hi), c.support) for c in cells] == [
+        ("0", "1/2 - 1/2*t", ()),
+        ("1/2 - 1/2*t", "1 - t", ("conic",)),
+        ("1 - t", "1 - 2/3*t", ("conic", "l_12", "l_13", "l_14", "l_15")),
+    ]
+    assert flag.integral() == Q(53, 72)
+    constant = two_param_flag_volume(DP4, (3, -1, -1, -1, -1, -1), 0, 1, "L")
+    assert [[(str(c.s_lo), str(c.s_hi), c.support) for c in ch.cells] for ch in constant.chambers] == [
+        [("0", "1/2", ()), ("1/2", "1", ("conic",))]
+    ]
+    assert constant.integral() == Q(3, 2)
+
+
 # -- the threefold certificate: the residual in the cone at both chamber ends ----
 
 
