@@ -77,9 +77,6 @@ _EXPORTS = {
     "k3cat": (
         "BN_EXCLUDING_PAIRS",
         "TYPE_PAIRS",
-        "CatalogEntry",
-        "NLDivisorRecord",
-        "catalog",
         "cyclic_cover_volume",
         "genus_volume",
         "is_bn_excluding",
@@ -92,7 +89,6 @@ _EXPORTS = {
         "GramLattice",
         "Overlattice",
         "determinant",
-        "discriminant_bilinear",
         "discriminant_group",
         "discriminant_quadratic",
         "even_overlattices",

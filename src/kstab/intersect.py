@@ -20,7 +20,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import InvalidModel, UnknownLabel
-from .rationals import Q, QVec, dot, qvec, scaled, to_q
+from .rationals import Q, QVec, qvec, scaled, to_q
 from .records import Record
 
 ClassVec = QVec
@@ -28,6 +28,14 @@ ClassVec = QVec
 
 def _sorted_key(idx: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in idx))
+
+
+def _exact(ref) -> ClassVec:
+    """A vector of exact rationals; InvalidModel for a float, None or a non-numeric string."""
+    try:
+        return qvec(ref)
+    except (TypeError, ValueError) as exc:
+        raise InvalidModel(f"not a class vector of exact rationals: {exc}") from None
 
 
 def _sized(v: ClassVec, rank: int) -> ClassVec:
@@ -96,9 +104,6 @@ class ThreefoldModel:
     def rank(self) -> int:
         return len(self.basis)
 
-    def entry(self, i: int, j: int, k: int) -> Fraction:
-        return self.triple.get(_sorted_key((i, j, k)), Q(0))
-
     def class_vector(self, ref) -> ClassVec:
         """Resolve a class given as a vector, a basis label, or a named divisor."""
         if isinstance(ref, str):
@@ -107,11 +112,7 @@ class ThreefoldModel:
             if ref in self.basis:
                 return tuple(Q(1) if b == ref else Q(0) for b in self.basis)
             raise UnknownLabel(f"unknown divisor {ref!r} on model {self.name}")
-        return _sized(qvec(ref), self.rank)
-
-    def curve_pairing(self, curve: str, cls: Sequence) -> Fraction:
-        """Pairing of a declared curve with a divisor class."""
-        return dot(self.curves[curve], qvec(cls))
+        return _sized(_exact(ref), self.rank)
 
 
 def _contraction(model: ThreefoldModel, x: Sequence[int], y: Sequence[int], z: Sequence[int]) -> int:
@@ -199,17 +200,8 @@ class SurfaceModel:
         return len(self.basis)
 
     def pair(self, a: Sequence, b: Sequence) -> Fraction:
-        a, b = qvec(a), qvec(b)
-        if len(a) != self.rank or len(b) != self.rank:
-            raise InvalidModel("class vectors must match the basis size")
+        a, b = (_sized(_exact(v), self.rank) for v in (a, b))
         return sum((a[i] * self.gram[i][j] * b[j] for i in range(self.rank) for j in range(self.rank)), Q(0))
-
-    def curve_pairings(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """v.C for every declared curve C, in the order of curve_labels."""
-        if len(v) != self.rank:
-            raise InvalidModel("class vectors must match the basis size")
-        ints, den = scaled(v)
-        return tuple(Fraction(x, den * self._gc_den) for x in self._pairings(ints))
 
     def _pairings(self, ints: Sequence[int]) -> list[int]:
         """_gc_den * v.C for every declared curve C, for an integer vector v."""
@@ -225,17 +217,13 @@ class SurfaceModel:
             if ref in self.basis:
                 return tuple(Q(1) if b == ref else Q(0) for b in self.basis)
             raise UnknownLabel(f"unknown class {ref!r} on surface {self.name}")
-        try:
-            return _sized(qvec(ref), self.rank)
-        except (TypeError, ValueError) as exc:
-            raise InvalidModel(f"not a class vector of exact rationals: {exc}") from None
+        return _sized(_exact(ref), self.rank)
 
 
 def restrict_to_surface(
     model: ThreefoldModel,
     surface_class: Sequence,
     restricted_basis: Sequence[Sequence],
-    name: str | None = None,
 ) -> SurfaceModel:
     """Surface model with Gram(i, j) = (b_i . b_j . S) on the threefold.
 
@@ -246,7 +234,7 @@ def restrict_to_surface(
     basis_vecs = [qvec(b) for b in restricted_basis]
     gram = [[triple_product(model, x, y, s) for y in basis_vecs] for x in basis_vecs]
     labels = [f"r{i}" for i in range(len(basis_vecs))]
-    return SurfaceModel(name or f"{model.name}|S", labels, gram, canonical=None, negative_curves={}, eff_generators={})
+    return SurfaceModel(f"{model.name}|S", labels, gram, canonical=None, negative_curves={}, eff_generators={})
 
 
 # -- preset constructors -----------------------------------------------------

@@ -14,7 +14,6 @@ any even degree.
 from __future__ import annotations
 
 from .lattice import GramLattice
-from .records import Record
 
 DEGREE = 22
 
@@ -52,41 +51,6 @@ def nl_gram(d: int, h: int, m: int) -> GramLattice:
     return GramLattice([[d, h], [h, m]])
 
 
-class NLDivisorRecord(Record):
-    d: int
-    h: int
-    m: int
-    name: str
-
-    @property
-    def gram(self) -> GramLattice:
-        return nl_gram(self.d, self.h, self.m)
-
-
-class CatalogEntry(Record):
-    record: NLDivisorRecord
-    tags: tuple[str, ...]
-
-
-def catalog() -> list[CatalogEntry]:
-    """All tagged degree-22 entries: types I-IV, BN-excluding, nodal.
-
-    (11, 4) carries both the type-I and the BN-excluding tag; the catalog
-    stores raw list membership and leaves any interpretation to callers.
-    """
-    tags: dict[tuple[int, int], list[str]] = {}
-    for name, pair in TYPE_PAIRS.items():
-        tags.setdefault(pair, []).append(f"type-{name}")
-    for pair in BN_EXCLUDING_PAIRS:
-        tags.setdefault(pair, []).append("BN-excluding")
-    tags.setdefault(NODAL_PAIR, []).append("nodal")
-    out = []
-    for (h, m) in sorted(tags):
-        record = NLDivisorRecord(DEGREE, h, m, name=f"D22_{h}_{m}")
-        out.append(CatalogEntry(record, tuple(tags[(h, m)])))
-    return out
-
-
 def is_bn_excluding(h: int, m: int) -> bool:
     """Membership of (h, m) in the eleven-pair degree-22 exclusion list."""
     return (h, m) in BN_EXCLUDING_PAIRS
@@ -107,26 +71,16 @@ def k3_section_count(degree: int) -> int:
     return degree // 2 + 2
 
 
-def genus_to_volume(g: int) -> int:
-    """Anticanonical volume 2g - 2 of a genus-g model."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    return 2 * g - 2
-
-
-def volume_to_genus(v: int) -> int:
-    """Genus v/2 + 1; the volume must be even and positive."""
-    if v <= 0 or v % 2 != 0:
-        raise ValueError("volume must be even and positive")
-    return v // 2 + 1
-
-
 def genus_volume(value: int, direction: str) -> int:
-    """Bijection between genera g >= 2 and positive even volumes."""
+    """Bijection between genera g >= 2 and positive even volumes 2g - 2."""
     if direction == "genus->volume":
-        return genus_to_volume(value)
+        if value < 2:
+            raise ValueError("genus must be at least 2")
+        return 2 * value - 2
     if direction == "volume->genus":
-        return volume_to_genus(value)
+        if value <= 0 or value % 2 != 0:
+            raise ValueError("volume must be even and positive")
+        return value // 2 + 1
     raise ValueError("direction must be 'genus->volume' or 'volume->genus'")
 
 

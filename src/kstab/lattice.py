@@ -33,8 +33,8 @@ of the discriminant, with at most two exact evaluations, so the work is
 linear in the side of the first variable, not in the box's area.
 
 Enumerations are guarded by an element bound (default 10**6, overridable
-per call or through the KSTAB_ENUM_BOUND environment variable); the box
-search checks its number of rows and of solutions against it.
+through the KSTAB_ENUM_BOUND environment variable); the box search checks
+its number of rows and of solutions against it.
 """
 
 from __future__ import annotations
@@ -63,9 +63,7 @@ if TYPE_CHECKING:
 DEFAULT_ENUM_BOUND = 10**6
 
 
-def _enum_bound(bound: int | None) -> int:
-    if bound is not None:
-        return bound
+def _enum_bound() -> int:
     env = os.environ.get("KSTAB_ENUM_BOUND")
     if not env:
         return DEFAULT_ENUM_BOUND
@@ -256,12 +254,6 @@ class DiscriminantGroup(Record):
                 acc[i] += a * x
         return self.canonical(acc)
 
-    def elements(self, bound: int | None = None) -> list[tuple[Fraction, ...]]:
-        """All group elements in a deterministic (sorted) order."""
-        if self.order > _enum_bound(bound):
-            raise GroupTooLarge(f"group of order {self.order} exceeds the bound")
-        return sorted({self.element(coords) for coords in itertools.product(*(range(f) for f in self.factors))})
-
 
 def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
     """Invariant factors and generators of L*/L via Smith normal form."""
@@ -295,16 +287,6 @@ def discriminant_quadratic(lattice: GramLattice, x: Sequence[Fraction]) -> Fract
     return value % 2
 
 
-def discriminant_bilinear(lattice: GramLattice, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    """b(x, y) in Q/Z, canonical representative in [0, 1)."""
-    if determinant(lattice) == 0:
-        raise DegenerateLattice("discriminant form needs det != 0")
-    xq = [to_q(c) for c in x]
-    yq = [to_q(c) for c in y]
-    value = sum(xq[i] * lattice.gram[i][j] * yq[j] for i in range(lattice.rank) for j in range(lattice.rank))
-    return value % 1
-
-
 def _form_table(group: DiscriminantGroup) -> tuple[int, list[tuple[int, ...]], list[list[int]]]:
     """(e, N, T): generator numerators N_i = e * g_i over the exponent e, and
     T[i][j] = N_i.G.N_j.
@@ -320,12 +302,12 @@ def _form_table(group: DiscriminantGroup) -> tuple[int, list[tuple[int, ...]], l
 
 
 def _isotropic_coords(
-    lattice: GramLattice, bound: int | None
+    lattice: GramLattice,
 ) -> tuple[DiscriminantGroup, int, list[list[int]], dict[tuple[int, ...], tuple[int, ...]]]:
     """Group, exponent e, form table and isotropic elements {coordinates:
     numerators over e}, sorted by numerators (the order of the vectors)."""
     group = discriminant_group(lattice)
-    if group.order > _enum_bound(bound):
+    if group.order > _enum_bound():
         raise GroupTooLarge(f"group of order {group.order} exceeds the bound")
     if not lattice.is_even():
         raise OddLattice("discriminant quadratic form needs an even lattice")
@@ -337,20 +319,20 @@ def _isotropic_coords(
     return group, e, t, dict(sorted(iso.items(), key=lambda item: item[1]))
 
 
-def isotropic_elements(lattice: GramLattice, bound: int | None = None) -> list[tuple[Fraction, ...]]:
+def isotropic_elements(lattice: GramLattice) -> list[tuple[Fraction, ...]]:
     """All discriminant-group elements with q = 0 in Q/2Z (0 included)."""
-    _, e, _, iso = _isotropic_coords(lattice, bound)
+    _, e, _, iso = _isotropic_coords(lattice)
     return [tuple(Q(x, e) for x in v) for v in iso.values()]
 
 
-def is_primitivity_forced(lattice: GramLattice, bound: int | None = None) -> bool:
+def is_primitivity_forced(lattice: GramLattice) -> bool:
     """True iff 0 is the only isotropic element of the discriminant form.
 
     A nonzero isotropic element generates an isotropic subgroup and hence a
     proper even overlattice; with none, every embedding into a larger even
     lattice is primitive.
     """
-    return len(_isotropic_coords(lattice, bound)[3]) == 1
+    return len(_isotropic_coords(lattice)[3]) == 1
 
 
 class Overlattice(Record):
@@ -370,7 +352,7 @@ class Overlattice(Record):
         return len(self.subgroup)
 
 
-def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> tuple[int, list, list[tuple[list, list]]]:
+def _isotropic_subgroups(lattice: GramLattice) -> tuple[int, list, list[tuple[list, list]]]:
     """(e, numerators of the isotropic elements in vector order, subgroups as
     (ascending position list, generator positions), ordered by size and then
     by the position lists).
@@ -380,7 +362,7 @@ def _isotropic_subgroups(lattice: GramLattice, bound: int | None) -> tuple[int, 
     one is built from its k cosets of H and checked to stay isotropic; its
     generators are H's and g, so at most log2 |H + <g>| of them.
     """
-    group, e, t, vectors = _isotropic_coords(lattice, bound)
+    group, e, t, vectors = _isotropic_coords(lattice)
     factors, coords = group.factors, list(vectors)
     position = {c: i for i, c in enumerate(coords)}
     zero, m = tuple(0 for _ in factors), len(coords)
@@ -468,7 +450,7 @@ def _hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
     return [row for row in m[:pivot_row] if any(row)]
 
 
-def even_overlattices(lattice: GramLattice, bound: int | None = None) -> list[Overlattice]:
+def even_overlattices(lattice: GramLattice) -> list[Overlattice]:
     """All even overlattices, one per isotropic subgroup of the discriminant.
 
     The list always contains the lattice itself (trivial subgroup) and is
@@ -481,7 +463,7 @@ def even_overlattices(lattice: GramLattice, bound: int | None = None) -> list[Ov
     """
     if not lattice.is_even():
         raise OddLattice("overlattice enumeration is defined for even lattices")
-    e, numerators, subgroups = _isotropic_subgroups(lattice, bound)
+    e, numerators, subgroups = _isotropic_subgroups(lattice)
     n = lattice.rank
     e_rows = [[e if i == j else 0 for j in range(n)] for i in range(n)]
     built = []
@@ -603,7 +585,7 @@ def integer_search_quadratic(
         return [()] if _HOLDS[comparison](coeffs.get((), 0)) else []
     if any(box[v][0] > box[v][1] for v in variables):
         return []
-    bound = _enum_bound(None)
+    bound = _enum_bound()
     # integer coefficients k[(i, j)] of x^i y^j, y the last variable; the
     # positive scale keeps every sign
     ints, _ = scaled(coeffs.values())

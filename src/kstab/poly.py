@@ -84,14 +84,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def degree(self, variable: str | None = None) -> int:
-        """Total degree, or degree in one variable; zero polynomial has -1."""
+    def degree(self) -> int:
+        """Total degree; the zero polynomial has -1."""
         if not self._coeffs:
             return -1
-        if variable is None:
-            return max(sum(e) for e in self._coeffs)
-        i = self.vars.index(variable)
-        return max(e[i] for e in self._coeffs)
+        return max(sum(e) for e in self._coeffs)
 
     def coefficient(self, exp: Exponent) -> Fraction:
         return self._coeffs.get(tuple(exp), Q(0))

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 from .errors import DegeneratePolytope, InvariantViolation, NotReflexive, OriginNotInterior
 
-from .rationals import Q, qvec, scaled, to_q
+from .rationals import Q, scaled, to_q
 from .records import Record
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -104,12 +104,6 @@ class LatticePolytope:
 
     def contains_origin_interior(self) -> bool:
         return all(f.offset > 0 for f in self.facets)
-
-    def transform(self, matrix: Sequence[Sequence[int]]) -> "LatticePolytope":
-        rows = [qvec(r) for r in matrix]
-        return LatticePolytope(
-            [tuple(_dot(row, v) for row in rows) for v in self.vertices]
-        )
 
 
 def _spans_space(normals: Sequence[tuple[int, ...]]) -> bool:

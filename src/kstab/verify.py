@@ -71,13 +71,13 @@ def _row(claim: str, expected, computed, note: str = "") -> Row:
     return Row(claim, exp_s, got_s, exp_s == got_s, note)
 
 
-def _try_row(claim: str, expected, thunk, note: str = "") -> Row:
+def _try_row(claim: str, expected, thunk) -> Row:
     """Build a row, degrading computation errors to a FAIL with the message."""
     try:
         value = thunk()
     except Exception as exc:
-        return _row(claim, expected, f"error: {type(exc).__name__}: {exc}", note)
-    return _row(claim, expected, value, note)
+        return _row(claim, expected, f"error: {type(exc).__name__}: {exc}")
+    return _row(claim, expected, value)
 
 
 def _fmt(value) -> str:

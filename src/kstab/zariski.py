@@ -188,13 +188,17 @@ def _affine_vectors(family: Sequence, variables: Sequence[str], message: str) ->
     """Coefficient vectors (constant, slope per variable) of a class family.
 
     Each entry is read once; rationals are constants.  A term of degree > 1
-    raises InvalidModel with the given message.
+    raises InvalidModel with the given message, and an entry that is neither
+    a polynomial nor an exact rational raises InvalidModel too.
     """
     variables = tuple(variables)
     cols = [[Q(0)] * len(family) for _ in range(len(variables) + 1)]
     for i, entry in enumerate(family):
         if not isinstance(entry, Polynomial):
-            cols[0][i] = to_q(entry)
+            try:
+                cols[0][i] = to_q(entry)
+            except (TypeError, ValueError) as exc:
+                raise InvalidModel(f"family entries must be exact rationals: {exc}") from None
             continue
         for exp, c in entry.in_vars(variables).coeffs.items():
             degree = sum(exp)
@@ -701,7 +705,6 @@ def threefold_volume_certified(
     model: ThreefoldModel,
     divisor,
     chambers: Sequence[Chamber] | None = None,
-    var: str = "t",
 ) -> VolumeFunction:
     """Volume function of -K - t*B from a declared chamber table.
 
@@ -734,17 +737,17 @@ def threefold_volume_certified(
         for t_end in (lo, hi):
             if in_cone(eff, _at((residual, 1), t_end)) is None:
                 raise CertificateViolation(
-                    f"residual at {var} = {t_end} on [{lo}, {hi}] is outside the declared effective cone"
+                    f"residual at t = {t_end} on [{lo}, {hi}] is outside the declared effective cone"
                 )
         for curve_label, curve in sorted(model.curves.items()):
             c0, c1 = dot(p0, curve), dot(p1, curve)
             for t_end in (lo, hi):
                 if c0 + c1 * t_end < 0:
                     raise CertificateViolation(
-                        f"positive part pairs negatively with curve {curve_label!r} at {var} = {t_end}"
+                        f"positive part pairs negatively with curve {curve_label!r} at t = {t_end}"
                     )
-        vol = Polynomial._make((var,), {(k,): c for k, c in enumerate(affine_cube(model, p0, p1))})
+        vol = Polynomial._make(("t",), {(k,): c for k, c in enumerate(affine_cube(model, p0, p1))})
         pieces.append((lo, hi, vol))
         vol_chambers.append(VolumeChamber(lo, hi, chamber.p0, chamber.p1, ()))
-    pw = PiecewisePolynomial(pieces, var)
+    pw = PiecewisePolynomial(pieces, "t")
     return VolumeFunction(pw, tuple(vol_chambers), "relative to declared curves")

@@ -36,7 +36,7 @@ Gaussian eliminations over ``Fraction`` rows, the references for the single
 fraction-free elimination kernel; the Zariski oracles above run on them, so
 they stay independent of that kernel.  ``reference_triple_product`` is the
 threefold contraction as it was before the integer cubic form: an r^3 loop
-over ``model.entry`` that takes rationals or ``Polynomial`` entries, so the
+over ``model.triple`` that takes rationals or ``Polynomial`` entries, so the
 volume polynomial of a chamber can be rebuilt from ``Polynomial`` products.
 ``reference_parametric_threshold`` is the flag layer's pseudo-effective
 threshold tau(t) as it was before the optimal basis proved it: three LPs, at
@@ -499,16 +499,17 @@ def reference_signature(lattice):
     return pos, neg, zero
 
 
-def reference_isotropic_elements(lattice, bound=None):
+def reference_isotropic_elements(lattice):
     """Isotropic discriminant elements by the Fraction form on every element."""
     group = discriminant_group(lattice)
-    return [x for x in group.elements(bound) if discriminant_quadratic(lattice, x) == 0]
+    elements = {group.element(c) for c in itertools.product(*(range(f) for f in group.factors))}
+    return sorted(x for x in elements if discriminant_quadratic(lattice, x) == 0)
 
 
-def reference_isotropic_subgroups(lattice, bound=None):
+def reference_isotropic_subgroups(lattice):
     """Isotropic subgroups, each closed by a search over isotropic vectors."""
     group = discriminant_group(lattice)
-    iso = set(reference_isotropic_elements(lattice, bound))
+    iso = set(reference_isotropic_elements(lattice))
     zero = tuple([Q(0)] * lattice.rank)
 
     def close(generators):
@@ -893,7 +894,7 @@ def reference_triple_product(model, a, b, c):
     for i in range(r):
         for j in range(r):
             for k in range(r):
-                coeff = model.entry(i, j, k)
+                coeff = model.triple.get(tuple(sorted((i, j, k))), 0)
                 if coeff == 0:
                     continue
                 term = a[i] * b[j] * c[k] * coeff

@@ -336,14 +336,14 @@ def test_criterion_8c_exact_vs_numeric_quadrature():
 
 
 def test_criterion_8d_toric_unimodular_equivariance():
-    from test_toric import random_unimodular
+    from test_toric import random_unimodular, transform
 
     rng = random.Random(88_4)
     base = prism()
     vol0, bary0, deg0 = polytope_volume(base), barycenter(base), anticanonical_degree(base)
     for _ in range(50):
         m = random_unimodular(rng)
-        moved = base.transform(m)
+        moved = transform(base, m)
         assert polytope_volume(moved) == vol0
         assert barycenter(moved) == tuple(
             sum(Q(m[r][c]) * bary0[c] for c in range(3)) for r in range(3)

@@ -111,6 +111,20 @@ class TestInexactInput:
         with pytest.raises(InvalidModel, match="interval bounds must be exact rationals"):
             zariski.one_param_volume(dp4_surface(), MOVING, 0, "a")
 
+    @pytest.mark.parametrize(
+        "call, value",
+        [
+            (lambda: zariski.one_param_volume(dp4_surface(), (3.0, -1, -1, -1, -1, -1), 0, 1), "3.0"),
+            (lambda: zariski.two_param_flag_volume(dp4_surface(), (3.0, -1, -1, -1, -1, -1), 0, 1, "L"), "3.0"),
+            (lambda: zariski.threefold_volume_certified(bl_p3_quintic(), (0.5, 0)), "0.5"),
+            (lambda: dp4_surface().pair((0.5, 0, 0, 0, 0, 0), MINUS_K), "0.5"),
+        ],
+        ids=["one-param-family", "flag-family", "threefold-class", "surface-pairing"],
+    )
+    def test_a_float_entry(self, call, value):
+        with pytest.raises(InvalidModel, match=f"exact rationals: cannot convert {value}"):
+            call()
+
     @pytest.mark.parametrize("bounds", [(0, None), (None, 1)])
     def test_a_missing_bound(self, bounds):
         with pytest.raises(InvalidModel, match="interval bounds must be exact rationals: cannot convert None"):
@@ -227,7 +241,7 @@ class TestImportGraph:
         assert not loaded & {"kstab.poly", "kstab.zariski", "kstab.lp", "kstab.intersect", "kstab.verify"}
 
     def test_every_public_name_resolves(self):
-        assert len(kstab.__all__) == 98
+        assert len(kstab.__all__) == 94
         for name in kstab.__all__:
             assert getattr(kstab, name) is not None, name
         assert kstab.polytope_volume is toric.volume

@@ -36,6 +36,7 @@ from kstab.intersect import (
 )
 from kstab.models import PRESET_NAMES, preset
 from kstab.poly import Polynomial
+from kstab.rationals import dot
 from oracles import reference_triple_product
 
 
@@ -172,8 +173,8 @@ class TestBlowupPresets:
         m = bl_p3_quintic()
         # nef throughout [0,2]: the generic line; pinned at u=1: the ruling fiber
         p = (Q(4) - 2 * Q(1), -(Q(1) - Q(1)))
-        assert m.curve_pairing("line", p) == 2
-        assert m.curve_pairing("fiber", (Q(0), Q(-1))) == 1
+        assert dot(m.curves["line"], p) == 2
+        assert dot(m.curves["fiber"], (Q(0), Q(-1))) == 1
 
 
 class TestRestriction:

@@ -5,8 +5,8 @@ import pytest
 
 from kstab.k3cat import (
     BN_EXCLUDING_PAIRS,
+    NODAL_PAIR,
     TYPE_PAIRS,
-    catalog,
     cyclic_cover_volume,
     genus_volume,
     is_bn_excluding,
@@ -57,13 +57,12 @@ class TestMembership:
         assert type_match(0, -2) is None
 
     def test_double_tag_on_11_4(self):
-        entries = {(e.record.h, e.record.m): e.tags for e in catalog()}
-        assert set(entries[(11, 4)]) == {"type-I", "BN-excluding"}
-        assert entries[(0, -2)] == ("nodal",)
+        assert type_match(11, 4) == "I" and is_bn_excluding(11, 4)
+        assert type_match(*NODAL_PAIR) is None and not is_bn_excluding(*NODAL_PAIR)
 
     def test_catalog_signatures(self):
-        for entry in catalog():
-            gram = entry.record.gram
+        for h, m in {*TYPE_PAIRS.values(), *BN_EXCLUDING_PAIRS, NODAL_PAIR}:
+            gram = nl_gram(22, h, m)
             assert determinant(gram) < 0
             assert signature(gram) == (1, 1, 0)
 

@@ -27,7 +27,6 @@ from kstab.errors import (
 from kstab.lattice import (
     GramLattice,
     determinant,
-    discriminant_bilinear,
     discriminant_group,
     discriminant_quadratic,
     even_overlattices,
@@ -236,11 +235,6 @@ class TestDiscriminant:
         shifted = [a + b for a, b in zip(x, (3, -2))]
         assert discriminant_quadratic(NODAL, x) == discriminant_quadratic(NODAL, shifted)
 
-    def test_bilinear_form(self):
-        group = discriminant_group(NODAL)
-        x = group.element((0, 1))  # the order-22 generator
-        assert discriminant_bilinear(NODAL, x, x) == Q(1, 22)
-
 
 class TestIsotropic:
     def test_nodal_lattice_only_zero(self):
@@ -275,10 +269,6 @@ class TestIsotropic:
                 if q == 0:
                     expected.add(canon)
             assert set(isotropic_elements(lattice)) == expected
-
-    def test_enumeration_bound(self):
-        with pytest.raises(GroupTooLarge):
-            isotropic_elements(NODAL, bound=10)
 
     def test_enumeration_bound_env_var(self, monkeypatch):
         monkeypatch.setenv("KSTAB_ENUM_BOUND", "10")

@@ -13,7 +13,6 @@ import pytest
 
 from kstab.intersect import Chamber
 from kstab.invariants import DivisorialVerdict, FlagReport
-from kstab.k3cat import CatalogEntry, NLDivisorRecord
 from kstab.lattice import DiscriminantGroup, Overlattice
 from kstab.lp import LPResult
 from kstab.poly import Piece
@@ -36,8 +35,6 @@ FIELDS = {
     Chamber: (("lo", "hi", "p0", "p1"), {}),
     DivisorialVerdict: (("divisor", "log_discrepancy", "expected_vanishing"), {}),
     FlagReport: (("surface", "curve", "value", "cells", "prefactor", "correction_used"), {}),
-    NLDivisorRecord: (("d", "h", "m", "name"), {}),
-    CatalogEntry: (("record", "tags"), {}),
     DiscriminantGroup: (("lattice", "factors", "generators"), {}),
     Overlattice: (("gram", "basis", "subgroup"), {}),
     LPResult: (("value", "x", "basis", "dual"), {}),
@@ -79,7 +76,7 @@ def test_every_record_is_listed():
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }
     assert found == set(FIELDS)
-    assert len(FIELDS) == 19
+    assert len(FIELDS) == 17
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)

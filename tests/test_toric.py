@@ -182,6 +182,11 @@ def random_unimodular(rng):
     return [[signs[r] * m[perm[r]][col] for col in range(3)] for r in range(3)]
 
 
+def transform(polytope, m):
+    """The image of the polytope under the integer matrix m."""
+    return LatticePolytope([tuple(sum(a * x for a, x in zip(row, v)) for row in m) for v in polytope.vertices])
+
+
 class TestEquivariance:
     def test_unimodular_invariance(self):
         rng = random.Random(5)
@@ -189,7 +194,7 @@ class TestEquivariance:
         vol0, bary0, deg0 = volume(base), barycenter(base), anticanonical_degree(base)
         for _ in range(10):
             m = random_unimodular(rng)
-            moved = base.transform(m)
+            moved = transform(base, m)
             assert volume(moved) == vol0
             expected = tuple(
                 sum(Q(m[r][c]) * bary0[c] for c in range(3)) for r in range(3)

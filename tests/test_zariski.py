@@ -42,10 +42,11 @@ from kstab.intersect import (
 from kstab.invariants import s_invariant
 from kstab.lp import LPResult, Unbounded, _remembered, max_shift
 from kstab.poly import Polynomial, check_c1, parse_polynomial
-from kstab.rationals import is_negative_definite, qvec
+from kstab.rationals import qvec, scaled
 from oracles import (
     reference_decompose,
     reference_in_rank2_cone,
+    reference_is_negative_definite,
     reference_pair_poly,
     reference_parametric_threshold,
     reference_symbolic_decomposition,
@@ -102,7 +103,7 @@ class TestDecompose:
             assert DP4.pair(res.positive, DP4.negative_curves[label]) == 0
         for curve in DP4.negative_curves.values():
             assert DP4.pair(res.positive, curve) >= 0
-        assert is_negative_definite([[Q(x) for x in row] for row in res.support_gram])
+        assert reference_is_negative_definite([[Q(x) for x in row] for row in res.support_gram])
         assert DP4.square(res.positive) >= 0
 
     def test_indefinite_support_canary(self):
@@ -565,11 +566,12 @@ class TestVectorKernel:
     def test_rational_gram_pairings(self):
         c, e = RATIONAL.negative_curves["c"], RATIONAL.negative_curves["e"]
         assert RATIONAL.curve_labels == ("c", "e")
-        assert RATIONAL.curve_pairings(c) == (Q(-1, 18), Q(10, 9))
-        assert RATIONAL.curve_pairings(e) == (Q(10, 9), Q(-2, 9))
-        assert RATIONAL.curve_pairings((Q(1, 5), Q(2, 7))) == tuple(
-            RATIONAL.pair((Q(1, 5), Q(2, 7)), x) for x in (c, e)
-        )
+        assert [RATIONAL.pair(c, x) for x in (c, e)] == [Q(-1, 18), Q(10, 9)]
+        assert [RATIONAL.pair(e, x) for x in (c, e)] == [Q(10, 9), Q(-2, 9)]
+        for v in (c, e, (Q(1, 5), Q(2, 7))):
+            ints, den = scaled(v)
+            got = [Q(x, den * RATIONAL._gc_den) for x in RATIONAL._pairings(ints)]
+            assert got == [RATIONAL.pair(v, x) for x in (c, e)]
 
     def test_terms_of_degree_two_are_rejected(self):
         with pytest.raises(InvalidModel, match="affine"):
