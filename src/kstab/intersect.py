@@ -121,7 +121,7 @@ def _contraction(model: ThreefoldModel, x: Sequence[int], y: Sequence[int], z: S
 
 def triple_product(model: ThreefoldModel, a, b, c) -> Fraction:
     """The symmetric trilinear form on three rational class vectors."""
-    (x, dx), (y, dy), (z, dz) = (scaled(_sized(qvec(v), model.rank)) for v in (a, b, c))
+    (x, dx), (y, dy), (z, dz) = (scaled(_sized(_exact(v), model.rank)) for v in (a, b, c))
     return Fraction(_contraction(model, x, y, z), model._den * dx * dy * dz)
 
 
@@ -131,7 +131,7 @@ def affine_cube(model: ThreefoldModel, p0, p1) -> tuple[Fraction, Fraction, Frac
     The coefficient of t^k is C(3, k) * p0^(3-k) * p1^k: four contractions
     of the integer form.
     """
-    (x, dx), (y, dy) = (scaled(_sized(qvec(v), model.rank)) for v in (p0, p1))
+    (x, dx), (y, dy) = (scaled(_sized(_exact(v), model.rank)) for v in (p0, p1))
     factors = ((x, x, x), (x, x, y), (x, y, y), (y, y, y))
     return tuple(
         Fraction(binomial * _contraction(model, *rows), model._den * dx ** (3 - k) * dy**k)
@@ -230,8 +230,8 @@ def restrict_to_surface(
     The negative-curve list starts empty; the caller populates it when the
     geometry provides one.
     """
-    s = qvec(surface_class)
-    basis_vecs = [qvec(b) for b in restricted_basis]
+    s = _exact(surface_class)
+    basis_vecs = [_exact(b) for b in restricted_basis]
     gram = [[triple_product(model, x, y, s) for y in basis_vecs] for x in basis_vecs]
     labels = [f"r{i}" for i in range(len(basis_vecs))]
     return SurfaceModel(f"{model.name}|S", labels, gram, canonical=None, negative_curves={}, eff_generators={})

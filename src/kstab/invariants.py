@@ -184,6 +184,6 @@ def _correction_integral(
             lo, hi = max(piece.lo, to_q(t_lo)), min(piece.hi, to_q(t_hi))
             if lo >= hi:
                 continue
-            product = piece.poly * square
-            total += to_q(product.integrate(var, lo, hi))
+            anti = (piece.poly * square).antiderivative(var)
+            total += anti(hi) - anti(lo)
     return total

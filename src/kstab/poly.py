@@ -196,20 +196,6 @@ class Polynomial:
             total += term
         return total
 
-    def subs(self, variable: str, replacement) -> "Polynomial":
-        """Substitute a polynomial (or scalar) for one variable."""
-        i = self.vars.index(variable)
-        rest = tuple(v for v in self.vars if v != variable)
-        if isinstance(replacement, Polynomial):
-            repl = replacement
-        else:
-            repl = Polynomial.constant(to_q(replacement), rest)
-        out = Polynomial.constant(0, rest)
-        for exp, c in self._coeffs.items():
-            term = Polynomial(rest, {tuple(e for j, e in enumerate(exp) if j != i): c})
-            out = out + term * repl ** exp[i]
-        return out
-
     def derivative(self, variable: str) -> "Polynomial":
         i = self.vars.index(variable)
         out: dict[Exponent, Fraction] = {}
@@ -229,20 +215,6 @@ class Polynomial:
             new[i] += 1
             out[tuple(new)] = c / new[i]
         return Polynomial._make(self.vars, out)
-
-    def integrate(self, variable: str, lower, upper) -> "Polynomial | Fraction":
-        """Definite integral in one variable; bounds may be polynomials.
-
-        With polynomial bounds in the remaining variable the result is a
-        polynomial in that variable, otherwise an exact rational.
-        """
-        anti = self.antiderivative(variable)
-        hi = anti.subs(variable, upper)
-        lo = anti.subs(variable, lower)
-        result = hi - lo
-        if not result.vars:
-            return result.coefficient(())
-        return result
 
     # -- rendering ---------------------------------------------------------
 

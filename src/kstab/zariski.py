@@ -494,16 +494,30 @@ class FlagDecomposition(Record):
     svar: str
 
     def integral(self) -> Fraction:
-        """Exact double integral of the volume over all cells."""
+        """Exact double integral of the volume over all cells, by Simpson's rule in s and then in t.
+
+        On a cell the volume is a quadratic in (t, s) and the s-bounds are
+        affine in t.  For fixed t the integrand is a quadratic in s, so
+        Simpson's rule gives the inner integral F(t) exactly; F(t) is a
+        cubic in t, so Simpson's rule over the chamber is exact too.  A cell
+        of higher degree, or in other variables, raises InvalidModel.
+        """
+        t, s = self.tvar, self.svar
         total = Q(0)
         for chamber in self.chambers:
+            t_lo, t_hi = to_q(chamber.t_lo), to_q(chamber.t_hi)
+            weighted = Q(0)
             for cell in chamber.cells:
-                inner = cell.volume.integrate(self.svar, cell.s_lo, cell.s_hi)
-                if isinstance(inner, Polynomial):
-                    value = inner.integrate(self.tvar, chamber.t_lo, chamber.t_hi)
-                else:
-                    value = inner * (chamber.t_hi - chamber.t_lo)
-                total += to_q(value)
+                bounds, vol = (cell.s_lo, cell.s_hi), cell.volume
+                if vol.degree() > 2 or not set(vol.vars) <= {t, s} or any(
+                    b.degree() > 1 or not set(b.vars) <= {t} for b in bounds
+                ):
+                    raise InvalidModel("a flag cell needs a volume quadratic in (t, s) and s-bounds affine in t")
+                for wt, tk in zip((1, 4, 1), (t_lo, (t_lo + t_hi) / 2, t_hi)):
+                    lo, hi = (b(**{t: tk}) for b in bounds)
+                    inner = sum(ws * vol(**{t: tk, s: sk}) for ws, sk in zip((1, 4, 1), (lo, (lo + hi) / 2, hi)))
+                    weighted += wt * (hi - lo) * inner
+            total += (t_hi - t_lo) * weighted / 36
         return total
 
 

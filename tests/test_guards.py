@@ -4,20 +4,23 @@ and the import graph.
 A class or family of the wrong length is an InvalidModel, not a wrong
 answer or a bare IndexError, and so is an inexact class entry or interval
 bound; an unknown class, divisor or model name is an UnknownLabel, a
-KstabError that is also a KeyError.  The split-depth
-guard of the certified-cell loop raises WallCrossingDegeneracy for one- and
+KstabError that is also a KeyError.  The split-depth guard of the
+certified-cell loop raises WallCrossingDegeneracy for one- and
 two-parameter families alike, and an empty or reversed interval is an
-InvalidModel for both.  Every entry point the benchmark tracer rebinds must exist, since
-the tracer looks each one up with no guard.  A command imports only its
-own layer: the package loads names on first use, ``cli`` imports each
-layer inside the command that uses it, and the lattice layer does not pull
-in the chamber layers.  No command and no layer imports ``dataclasses`` or
-``inspect``.  No library module holds an ``assert``, which ``python -O``
-would strip.
+InvalidModel for both.  Every entry point the benchmark tracer rebinds
+must exist, since the tracer looks each one up with no guard, and every
+task of the ``discrete`` and ``surfaces`` benchmark workloads must run and
+pass its check, since the workloads read library names with no guard too.
+A command imports only its own layer: the package loads names on first
+use, ``cli`` imports each layer inside the command that uses it, and the
+lattice layer does not pull in the chamber layers.  No command and no
+layer imports ``dataclasses`` or ``inspect``.  No library module holds an
+``assert``, which ``python -O`` would strip.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -30,7 +33,14 @@ import pytest
 import kstab
 from kstab import toric, zariski
 from kstab.errors import InvalidModel, KstabError, UnknownLabel, WallCrossingDegeneracy
-from kstab.intersect import SurfaceModel, bl_p3_quintic, dp4_surface
+from kstab.intersect import (
+    SurfaceModel,
+    affine_cube,
+    bl_p3_quintic,
+    dp4_surface,
+    restrict_to_surface,
+    triple_product,
+)
 from kstab.models import preset
 from kstab.poly import Polynomial
 
@@ -96,8 +106,8 @@ class TestEmptyIntervals:
 
 class TestInexactInput:
     """A float, a non-numeric string or None where the Zariski entry points
-    need an exact rational is an InvalidModel, not a bare TypeError or
-    ValueError from the rational coercion."""
+    or the threefold form need an exact rational is an InvalidModel, not a
+    bare TypeError or ValueError from the rational coercion."""
 
     def test_a_float_class(self):
         with pytest.raises(InvalidModel, match="exact rationals: cannot convert 0.5"):
@@ -118,8 +128,15 @@ class TestInexactInput:
             (lambda: zariski.two_param_flag_volume(dp4_surface(), (3.0, -1, -1, -1, -1, -1), 0, 1, "L"), "3.0"),
             (lambda: zariski.threefold_volume_certified(bl_p3_quintic(), (0.5, 0)), "0.5"),
             (lambda: dp4_surface().pair((0.5, 0, 0, 0, 0, 0), MINUS_K), "0.5"),
+            (lambda: triple_product(bl_p3_quintic(), (0.5, 0), (1, 0), (1, 0)), "0.5"),
+            (lambda: affine_cube(bl_p3_quintic(), (1, 0), (0, 0.5)), "0.5"),
+            (lambda: restrict_to_surface(bl_p3_quintic(), (0.5, 0), [(1, 0), (0, 1)]), "0.5"),
+            (lambda: restrict_to_surface(bl_p3_quintic(), (1, 0), [(1, 0), (0, 0.5)]), "0.5"),
         ],
-        ids=["one-param-family", "flag-family", "threefold-class", "surface-pairing"],
+        ids=[
+            "one-param-family", "flag-family", "threefold-class", "surface-pairing",
+            "triple-product", "affine-cube", "restricted-surface-class", "restricted-basis",
+        ],
     )
     def test_a_float_entry(self, call, value):
         with pytest.raises(InvalidModel, match=f"exact rationals: cannot convert {value}"):
@@ -198,6 +215,21 @@ def test_every_traced_entry_point_resolves():
         for name in attribute.split("."):
             owner = getattr(owner, name)
         assert callable(owner), f"{module}.{attribute}"
+
+
+@pytest.mark.parametrize("name, module, cls", [
+    ("discrete", "wl_discrete", "DiscreteWorkload"),
+    ("surfaces", "wl_surfaces", "SurfacesWorkload"),
+])
+def test_every_benchmark_task_passes_its_check(name, module, cls, monkeypatch):
+    # the workloads read library names with no guard, and their digests pin
+    # every output, flag integrals included
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))[name]
+    workload = getattr(importlib.import_module(module), cls)(str(ROOT), 1, reference)
+    problems = {task.name: task.check(task.run()) for task in workload.tasks(0)}
+    assert not {task: found for task, found in problems.items() if found}
 
 
 def _kstab_modules_after(statement: str) -> set[str]:

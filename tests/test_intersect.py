@@ -76,7 +76,7 @@ class TestTripleProduct:
 
     def test_polynomial_entries_are_rejected(self):
         t = Polynomial.var("t")
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidModel, match="exact rationals"):
             triple_product(sing_line_model(12, 0), (1, -t), (1, 0), (1, 0))
 
 

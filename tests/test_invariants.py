@@ -20,7 +20,7 @@ from kstab.invariants import (
     s_invariant,
     sing_line_bound,
 )
-from kstab.poly import PiecewisePolynomial, parse_polynomial
+from kstab.poly import PiecewisePolynomial, Polynomial, parse_polynomial
 from kstab.zariski import threefold_volume_certified
 
 DP4 = dp4_surface()
@@ -76,11 +76,11 @@ class TestSInvariant:
             s_invariant(pw, 11)
 
     def test_scaling_identity(self):
-        # testing c*E instead of E divides S by c: substitute t -> t/c
+        # testing c*E instead of E divides S by c: t -> t/c scales each t^k by c^-k
         vf = threefold_volume_certified(bl_p3_quintic(), "E")
         c = Q(3, 2)
         scaled_pieces = [
-            (piece.lo * c, piece.hi * c, piece.poly.subs("t", p("t", ("t",)) * (1 / c)))
+            (piece.lo * c, piece.hi * c, Polynomial(("t",), {(k,): a / c**k for (k,), a in piece.poly.coeffs.items()}))
             for piece in vf.pw.pieces
         ]
         scaled = PiecewisePolynomial(scaled_pieces, "t")

@@ -3,9 +3,8 @@
 Expected values for the integration examples were frozen from an
 independent antiderivative computation (power rule by hand) before the
 engine existed; the quadrature cross-check lives in test_properties.py.
-Sum, product, power, substitution and integration are also compared with
-sympy on random polynomials, and canonical strings round-trip through the
-parser.
+Sum, product, power and integration are also compared with sympy on
+random polynomials, and canonical strings round-trip through the parser.
 """
 
 from fractions import Fraction as Q
@@ -52,11 +51,6 @@ class TestPolynomialArithmetic:
         assert p(u=1, v=0) == 8
         assert p.degree() == 2
 
-    def test_subs_affine(self):
-        p = P("t^2 - 1")
-        q = p.subs("t", P("2*s + 1", variables=("s",)))
-        assert q == P("4*s^2 + 4*s", variables=("s",))
-
     def test_mixed_var_merge(self):
         u = Polynomial.var("u")
         v = Polynomial.var("v")
@@ -80,15 +74,6 @@ class TestPolynomialArithmetic:
 
     def test_parse_rational_coefficients(self):
         assert P("9/4 - s", variables=("s",))(Q(1, 4)) == 2
-
-    def test_integrate_with_polynomial_bounds(self):
-        # inner integral of the flag double integrals: polynomial upper bound
-        p = P("2*(3 - u - v)*(2*u - v)", variables=("u", "v"))
-        inner = p.integrate("v", 0, P("2*u", variables=("u",)))
-        # by hand: antiderivative 2[(6u-2u^2)v - (3+u)v^2/2 + v^3/3] at v=2u
-        assert inner == P("12*u^2 - 20/3*u^3", variables=("u",))
-        # and the outer integral over [0,1] gives 7/3
-        assert inner.integrate("u", 0, 1) == Q(7, 3)
 
     def test_derivative(self):
         assert P("22 - 6*t^2 - 4*t^3").derivative("t") == P("-12*t - 12*t^2")
@@ -174,25 +159,10 @@ class TestAgainstSympy:
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
-    def test_subs(self, data):
-        p = data.draw(polynomials(("s", "t")))
-        var, rest = data.draw(st.sampled_from((("s", "t"), ("t", "s"))))
-        replacement = data.draw(polynomials((rest,)) | coefficients)
-        expected = to_sympy(p).subs(sympy.Symbol(var), to_sympy(replacement))
-        assert same(p.subs(var, replacement), expected)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
     def test_integrate(self, data):
-        p = data.draw(polynomials(("s", "t")))
-        bounds = polynomials(("t",), max_degree=2) | coefficients
-        lo, hi = data.draw(bounds), data.draw(bounds)
-        expected = sympy.integrate(to_sympy(p), (sympy.Symbol("s"), to_sympy(lo), to_sympy(hi)))
-        assert same(p.integrate("s", lo, hi), expected)
-        # a univariate integral is a rational
         f = data.draw(polynomials(("t",)))
-        a, b = data.draw(coefficients), data.draw(coefficients)
-        value = f.integrate("t", a, b)
+        a, b = sorted(data.draw(st.sets(coefficients, min_size=2, max_size=2)))
+        value = integrate_piecewise(PiecewisePolynomial([(a, b, f)]), a, b)
         assert isinstance(value, Q) and same(value, sympy.integrate(to_sympy(f), (sympy.Symbol("t"), a, b)))
 
 

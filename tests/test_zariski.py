@@ -17,6 +17,7 @@ from fractions import Fraction as Q
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from kstab import zariski
@@ -27,6 +28,7 @@ from kstab.errors import (
     KstabError,
     NotPseudoEffective,
     UnboundedDirection,
+    WallCrossingDegeneracy,
 )
 from kstab.intersect import (
     Chamber,
@@ -52,6 +54,9 @@ from oracles import (
     reference_symbolic_decomposition,
 )
 from kstab.zariski import (
+    FlagCell,
+    FlagChamber,
+    FlagDecomposition,
     _affine_square,
     _affine_vectors,
     _decompose,
@@ -210,6 +215,36 @@ def flag_A_polys():
     )
 
 
+@st.composite
+def interpolated_flags(draw):
+    """A(t) = (1 - t)*A0 + t*A1 over [0, 1] on dp4 or the quadric, and a class Z.
+
+    Each end is -K plus a nonnegative combination of cone generators, so
+    A(t) stays in the cone; Z is a nonzero sum of generators.
+    """
+    surface = draw(st.sampled_from((DP4, QUADRIC)))
+    pool = sorted(surface.eff_generators.values())
+
+    def generator_sum(weights, min_size):
+        v = [Q(0)] * surface.rank
+        for g in draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=3)):
+            w = draw(weights)
+            v = [x + w * y for x, y in zip(v, g)]
+        return v
+
+    weights = st.fractions(min_value=0, max_value=2, max_denominator=3)
+    a0, a1 = ([x - k for k, x in zip(surface.canonical, generator_sum(weights, 0))] for _ in range(2))
+    family = tuple(Polynomial(("t",), {(0,): x, (1,): y - x}) for x, y in zip(a0, a1))
+    return surface, family, tuple(generator_sum(st.just(1), 1))
+
+
+def _to_sympy(poly):
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in zip(poly.vars, exp)))
+        for exp, c in poly.coeffs.items()
+    ))
+
+
 class TestTwoParam:
     def test_dp4_ruling_flag(self):
         flag = two_param_flag_volume(DP4, flag_A_polys(), 0, 2, dp4_class(1, 0, 0, 0, 0, 0))
@@ -259,8 +294,45 @@ class TestTwoParam:
 
     def test_volume_vanishes_at_threshold(self):
         flag = two_param_flag_volume(DP4, flag_A_polys(), 0, 2, dp4_class(1, 0, 0, 0, 0, 0))
-        last = flag.chambers[0].cells[-1]
-        assert last.volume.subs("s", last.s_hi).is_zero()
+        chamber = flag.chambers[0]
+        last = chamber.cells[-1]
+        # vol(t, s_hi(t)) is a quadratic in t, so three zeros make it zero
+        for t in (chamber.t_lo, (chamber.t_lo + chamber.t_hi) / 2, chamber.t_hi):
+            assert last.volume(t=t, s=last.s_hi(t)) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(interpolated_flags())
+    def test_integral_matches_sympy_double_integral(self, case):
+        surface, family, z = case
+        try:
+            flag = two_param_flag_volume(surface, family, 0, 1, z)
+        except WallCrossingDegeneracy:
+            return  # a kink of the threshold at a non-dyadic t; see TestSplitGuard
+        t, s = sympy.symbols((flag.tvar, flag.svar))
+        expected = sum(
+            sympy.integrate(_to_sympy(cell.volume), (s, _to_sympy(cell.s_lo), _to_sympy(cell.s_hi)), (t, ch.t_lo, ch.t_hi))
+            for ch in flag.chambers
+            for cell in ch.cells
+        )
+        got = flag.integral()
+        assert sympy.Rational(got.numerator, got.denominator) == expected
+
+    def test_integral_rejects_cells_beyond_its_exact_degree(self):
+        both = ("t", "s")
+        quadratic, affine = p("(2 - t - s)^2", both), p("1 - t", ("t",))
+        for s_lo, s_hi, vol in [
+            (p("0", ("t",)), affine, p("(2 - t - s)^3", both)),
+            (p("0", ("t",)), p("1 - t^2", ("t",)), quadratic),
+            (p("0", ("s",)), affine, quadratic),
+            (p("0", ("t",)), affine, p("(2 - x - s)^2", ("x", "s"))),
+        ]:
+            cell = FlagCell(s_lo, s_hi, vol, (), ())
+            flag = FlagDecomposition((FlagChamber(Q(0), Q(1), (cell,)),), "t", "s")
+            with pytest.raises(InvalidModel, match="quadratic"):
+                flag.integral()
+        # by hand: the inner integral is ((2 - t)^3 - 1)/3, whose integral over [0, 1] is 11/12
+        cell = FlagCell(p("0", ("t",)), affine, quadratic, (), ())
+        assert FlagDecomposition((FlagChamber(0, 1, (cell,)),), "t", "s").integral() == Q(11, 12)
 
 
 class TestConeChecks:
