@@ -359,7 +359,8 @@ def max_shift(
 
     The first LP variable is s; the optimal basis (column indices into
     [s, generators...]) and the dual certify the answer and support
-    parametric re-solving.  Raises Infeasible when even s = 0 fails,
+    parametric re-solving.  Raises Infeasible when no s >= 0 is feasible
+    (base itself may be outside the cone when some s > 0 is feasible),
     Unbounded when the direction never leaves the cone.  The generators
     are a list or a Cone; a Cone may start from a remembered basis.
     """

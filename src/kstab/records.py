@@ -78,8 +78,9 @@ def _store(fields: tuple[str, ...]):
     For a few fields, unpacking into subscripts takes about a third of the
     time of ``d.update(zip(fields, values))`` and beats a frozen
     dataclass's ``object.__setattr__`` call per field, so the arities of
-    the records built in the chamber loops (``_Cert``, ``LPResult``,
-    ``ZariskiResult``, ``_SChamber``, ``FlagCell``) are spelled out.
+    the records built in the chamber loops (``LPResult``, ``ZariskiResult``,
+    ``_SChamber``, ``FlagCell``, and ``_Certs``, one per support) are
+    spelled out.
     """
     if len(fields) == 3:
         f0, f1, f2 = fields

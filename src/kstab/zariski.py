@@ -18,16 +18,16 @@ once into coefficient vectors (the constant class and one slope class per
 parameter; a term of degree > 1 is rejected) and held as integer
 numerators over one positive denominator.  The multiplicities come from
 one fraction-free solve on the integer support Gram, the positive part is
-an integer combination, and a certificate is its integer tuple (constant,
-slopes) over a positive denominator.  Every decision is a sign, a zero or
-a root, none of which a positive scale changes, so a certificate at a
-rational point p/q is the integer c0*q + c1*p.  The volume P^2 is the
-quadratic form of the positive part's vectors on the Gram scaled to
-integers once.  Fractions and polynomials are built only for the results.
-A failed certificate splits the chamber at the root of the offending
-affine function, which is rational, so every wall is rational.  Both
-families run one certified-cell loop: certify a cell, or split it at the
-points the failed certification names.
+an integer combination, and a support's certificates are integer rows
+(constant, slopes), one per support curve and one per declared curve.
+A decision is a sign, a zero or a root, which no positive scale changes,
+so a row at p/q is the integer c0*q + c1*p; a loop decides all rows in
+one pass.  The volume P^2 is the quadratic form of the positive part's
+vectors on the Gram scaled to integers once.  Fractions and polynomials
+are built only for the results.  A failed certificate splits the chamber
+at the root of the offending affine function, which is rational, so
+every wall is rational.  Both families run one certified-cell loop:
+certify a cell, or split it at the points the failed certification names.
 
 Threefold side: there is no Zariski decomposition in general, so chamber
 data (interval plus positive part, affine in the parameter) is *input*, and
@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     CertificateViolation,
@@ -133,8 +133,8 @@ def _decompose(surface: SurfaceModel, d: QVec) -> ZariskiResult:
     only the result is built in rationals.
     """
     ((positive,), den), certs = _iterative_decomposition(surface, _integer_family((d,)))
-    nu = tuple((c.label, Fraction(c.coeffs[0], c.den)) for c in certs if c.kind == "mult")
-    support = tuple(label for label, _ in nu)
+    support = certs.support
+    nu = tuple((label, Fraction(c0, certs.mult_den)) for label, (c0,) in zip(support, certs.rows))
     scale = surface._curve_den * surface._gc_den
     gram = tuple(tuple(Fraction(x, scale) for x in row) for row in _support_gram(surface, support))
     return ZariskiResult(tuple(Fraction(x, den) for x in positive), nu, support, gram)
@@ -150,11 +150,20 @@ def volume(surface: SurfaceModel, divisor) -> Fraction:
 
 
 def pseff_threshold(surface: SurfaceModel, divisor, direction) -> Fraction:
-    """Largest s with D - s*Z still inside the declared effective cone."""
+    """Largest s >= 0 with D - s*Z still inside the declared effective cone.
+
+    Raises NotPseudoEffective when D is outside the cone.  When Z is a
+    declared generator, D - s*Z in the cone puts D = (D - s*Z) + s*Z in it
+    too, so only another Z costs a membership LP for D.
+    """
     d = surface.class_vector(divisor)
     z = surface.class_vector(direction)
+    gens = _eff_data(surface)
+    generator = surface.eff_generators.get(direction) == z if isinstance(direction, str) else z in gens
     try:
-        res = max_shift(d, tuple(-x for x in z), _eff_data(surface))
+        if not generator and in_cone(gens, d) is None:
+            raise Infeasible
+        res = max_shift(d, tuple(-x for x in z), gens)
     except Infeasible:
         raise NotPseudoEffective(f"{_shown(d)} is outside the declared effective cone") from None
     except Unbounded:
@@ -188,8 +197,8 @@ def _affine_vectors(family: Sequence, variables: Sequence[str], message: str) ->
     """Coefficient vectors (constant, slope per variable) of a class family.
 
     Each entry is read once; rationals are constants.  A term of degree > 1
-    raises InvalidModel with the given message, and an entry that is neither
-    a polynomial nor an exact rational raises InvalidModel too.
+    raises InvalidModel with the given message; an entry in other variables,
+    or neither a polynomial nor an exact rational, raises InvalidModel too.
     """
     variables = tuple(variables)
     cols = [[Q(0)] * len(family) for _ in range(len(variables) + 1)]
@@ -200,6 +209,8 @@ def _affine_vectors(family: Sequence, variables: Sequence[str], message: str) ->
             except (TypeError, ValueError) as exc:
                 raise InvalidModel(f"family entries must be exact rationals: {exc}") from None
             continue
+        if not set(entry.vars) <= set(variables):
+            raise InvalidModel(f"family entry {entry} is not a polynomial in {', '.join(variables)}")
         for exp, c in entry.in_vars(variables).coeffs.items():
             degree = sum(exp)
             if degree > 1:
@@ -215,17 +226,21 @@ def _integer_family(vecs: Affine) -> Family:
     return tuple(tuple(flat[k:k + r]) for k in range(0, len(flat), r)), den
 
 
-def _value(c: Sequence, *point: Fraction):
-    """An affine scalar (constant, slope, ...) at a rational point, times a positive scale.
+def _values(rows: Iterable[Sequence], *point: Fraction) -> list:
+    """Affine scalars (constant, slope, ...) at a rational point of at most two coordinates, in one comprehension.
 
-    The scale is the product of the point's denominators, so the sign and
-    the zeros are those of the value.
+    Each value is times the product of the point's denominators, so its sign
+    and zeros are the scalar's: at t = p/q a row is c0*q + c1*p, and at
+    (t, s) = (p/q, p'/q') it is c0*q*q' + c1*p*q' + c2*p'*q.
     """
-    total, scale = c[0], 1
-    for slope, x in zip(c[1:], point):
-        total = total * x.denominator + slope * x.numerator * scale
-        scale *= x.denominator
-    return total
+    if not point:
+        return [c0 for (c0,) in rows]
+    if len(point) == 1:
+        q, p = point[0].denominator, point[0].numerator
+        return [c0 * q + c1 * p for c0, c1 in rows]
+    (t, s) = point
+    a, b, e = t.denominator * s.denominator, t.numerator * s.denominator, s.numerator * t.denominator
+    return [c0 * a + c1 * b + c2 * e for c0, c1, c2 in rows]
 
 
 def _at(family: Family, *point: Fraction) -> QVec:
@@ -233,7 +248,7 @@ def _at(family: Family, *point: Fraction) -> QVec:
     vecs, den = family
     for x in point:
         den *= x.denominator
-    return tuple(Fraction(_value(c, *point), den) for c in zip(*vecs))
+    return tuple(Fraction(v, den) for v in _values(zip(*vecs), *point))
 
 
 def _root(c: Sequence[int]) -> tuple[Fraction, ...]:
@@ -269,13 +284,18 @@ def _affine_square(surface: SurfaceModel, family: Family, variables: Sequence[st
 # -- symbolic chamber machinery ----------------------------------------------
 
 
-class _Cert(Record):
-    """An affine certificate: integer coefficients (constant, slope, ...) over den > 0, with provenance."""
+class _Certs(Record):
+    """The affine certificates of one support, as integer rows (constant, slope, ...).
 
-    kind: str  # "mult" or "nef"
-    label: str
-    coeffs: tuple[int, ...]
-    den: int
+    rows holds one multiplicity row per support curve, in support order, over
+    mult_den > 0, then one nef row per declared curve, in curve_labels order,
+    over nef_den > 0; a failing row or a wall is chosen in this order.
+    """
+
+    support: tuple[str, ...]
+    rows: tuple[tuple[int, ...], ...]
+    mult_den: int
+    nef_den: int
 
 
 def _support_gram(surface: SurfaceModel, support: Sequence[str]) -> list[list[int]]:
@@ -284,9 +304,7 @@ def _support_gram(surface: SurfaceModel, support: Sequence[str]) -> list[list[in
     return [[sum(map(mul, surface._curve_ints[a], row)) for row in rows] for a in support]
 
 
-def _symbolic_decomposition(
-    surface: SurfaceModel, family: Family, support: Sequence[str]
-) -> tuple[Family, list[_Cert]]:
+def _symbolic_decomposition(surface: SurfaceModel, family: Family, support: Sequence[str]) -> tuple[Family, _Certs]:
     """Positive part and certificates of an integer affine family for a fixed support.
 
     With V_k the family's vectors, the integer support Gram G gives
@@ -294,12 +312,11 @@ def _symbolic_decomposition(
     elimination that also checks that G is negative definite, as y_k over
     one p > 0.  The multiplicities are y_k up to a positive scale, and
     P_k = p*V_k - sum(y_kC * C) over p times the family's denominator;
-    P.C is each nef certificate.  With a sorted support the certificates
-    come sorted by (kind, label).
+    P.C is each nef certificate.
     """
     vecs, den = family
     support = list(support)
-    certs: list[_Cert] = []
+    mult, mult_den = (), den
     if support:
         rows = [surface._gc_rows[surface.curve_labels.index(label)] for label in support]
         rhs = [[sum(map(mul, v, row)) for row in rows] for v in vecs]
@@ -312,33 +329,34 @@ def _symbolic_decomposition(
             tuple(p * x - sum(y * c[n] for y, c in zip(yk, curves)) for n, x in enumerate(v)) for v, yk in zip(vecs, ys)
         )
         cd = surface._curve_den
-        certs = [_Cert("mult", label, tuple(y[i] * cd for y in ys), p * den) for i, label in enumerate(support)]
-        den *= p
-    nef = zip(*map(surface._pairings, vecs))
-    certs += [_Cert("nef", label, c, den * surface._gc_den) for label, c in zip(surface.curve_labels, nef)]
-    return (vecs, den), certs
+        mult = tuple(tuple(y * cd for y in row) for row in zip(*ys))
+        den = mult_den = p * den
+    rows = mult + tuple(zip(*map(surface._pairings, vecs)))
+    return (vecs, den), _Certs(tuple(support), rows, mult_den, den * surface._gc_den)
 
 
-def _iterative_decomposition(surface: SurfaceModel, family: Family, *point: Fraction) -> tuple[Family, list[_Cert]]:
+def _iterative_decomposition(surface: SurfaceModel, family: Family, *point: Fraction) -> tuple[Family, _Certs]:
     """The iterative Zariski decomposition of an integer affine family at a point in the cone.
 
     Each round is the symbolic decomposition on the support so far; a curve
-    whose nef certificate is negative at the point joins it.  Returns the
-    last round's (positive, certs), whose multiplicities must be
-    nonnegative at the point.
+    whose nef row is negative at the point joins it.  Returns the last
+    round's (positive, certs), whose multiplicities must be nonnegative at
+    the point.  Each round decides the signs of all its rows at once.
     """
     support: list[str] = []
     while True:
         positive, certs = _symbolic_decomposition(surface, family, support)
-        violators = [c.label for c in certs if c.kind == "nef" and _value(c.coeffs, *point) < 0 and c.label not in support]
+        values = _values(certs.rows, *point)
+        nef = values[len(support):]
+        violators = [label for label, v in zip(surface.curve_labels, nef) if v < 0 and label not in support]
         if not violators:
             break
         support = sorted(support + violators)
-    for c in certs:
-        if c.kind == "mult" and _value(c.coeffs, *point) < 0:
-            coeff = Fraction(_value(c.coeffs, *point), c.den * prod(x.denominator for x in point))
+    for label, v in zip(support, values):
+        if v < 0:
+            coeff = Fraction(v, certs.mult_den * prod(x.denominator for x in point))
             raise InvalidModel(
-                f"negative multiplicity {coeff} on {c.label}: the declared curve "
+                f"negative multiplicity {coeff} on {label}: the declared curve "
                 "list is not a genuine configuration of irreducible negative curves"
             )
     return positive, certs
@@ -348,7 +366,7 @@ class _SChamber(Record):
     lo: Fraction
     hi: Fraction
     support: tuple[str, ...]
-    upper_cert: tuple[str, str] | None  # certificate vanishing at hi (None at the threshold)
+    upper_cert: int | None  # index in _Certs.rows of the row vanishing at hi (None at the threshold)
     positive: Family
 
 
@@ -401,12 +419,14 @@ def _march_one_param(surface: SurfaceModel, family: Family, lo: Fraction, hi: Fr
     def certify(a: Fraction, b: Fraction) -> _SChamber:
         # both ends are in the cone, which is convex, so the midpoint is too
         positive, certs = _iterative_decomposition(surface, family, (a + b) / 2)
-        failed = [c.coeffs for c in certs if _value(c.coeffs, a) < 0 or _value(c.coeffs, b) < 0]
+        rows = certs.rows
+        at_b = _values(rows, b)
+        failed = [c for c, u, v in zip(rows, _values(rows, a), at_b) if u < 0 or v < 0]
         if failed:
             raise _SplitRequest(r for c in failed for r in _root(c))
-        # the wall at b: a certificate that vanishes there and decreases across it
-        upper = next(((c.kind, c.label) for c in certs if _value(c.coeffs, b) == 0 and c.coeffs[1] < 0), None)
-        return _SChamber(a, b, tuple(c.label for c in certs if c.kind == "mult"), upper, positive)
+        # the wall at b: a row that vanishes there and decreases across it
+        upper = next((i for i, (c, v) in enumerate(zip(rows, at_b)) if v == 0 and c[1] < 0), None)
+        return _SChamber(a, b, certs.support, upper, positive)
 
     # stitch identical neighbours (a split point that was not a real wall)
     stitched: list[_SChamber] = []
@@ -593,21 +613,19 @@ def _certify_t_chamber(
     lower = ((0, 0), 1)
     for idx, sch in enumerate(s_chambers):
         positive, certs = _symbolic_decomposition(surface, family, sch.support)
-        upper = _wall_from_cert(certs, sch.upper_cert, mid, sch.hi) if idx + 1 < len(s_chambers) else tau
+        upper = _wall_from_cert(certs.rows, sch.upper_cert, mid, sch.hi) if idx + 1 < len(s_chambers) else tau
         (l, dl), (u, du) = lower, upper
         gap = (l[0] * du - u[0] * dl, l[1] * du - u[1] * dl)  # (lower - upper) * dl * du
-        if any(_value(gap, t) > 0 for t in (t_lo, t_hi)):
+        if any(v > 0 for t in (t_lo, t_hi) for v in _values([gap], t)):
             raise _SplitRequest(_root(gap))
-        split_points: list[Fraction] = []
-        for cert in certs:
-            c0, ct, cs = cert.coeffs
-            # on a wall s = w(t) the certificate, times the wall's dw, is affine in t
-            on_walls = [(c0 * dw + cs * w[0], ct * dw + cs * w[1]) for w, dw in (lower, upper)]
-            if any(_value(c, t) < 0 for c in on_walls for t in (t_lo, t_hi)):
-                for c in on_walls:
-                    split_points.extend(_root(c))
-        if split_points:
-            raise _SplitRequest(split_points)
+        # every row at the cell's four corners (t, w(t)), t an end of the chamber and w a wall
+        rows = certs.rows
+        corners = [_values(rows, t, (w[0] + w[1] * t) / dw) for w, dw in (lower, upper) for t in (t_lo, t_hi)]
+        failed = [c for c, *at in zip(rows, *corners) if min(at) < 0]
+        if failed:
+            # on a wall s = w(t) a row, times the wall's dw, is affine in t
+            on_walls = [(c0 * dw + cs * w[0], ct * dw + cs * w[1]) for c0, ct, cs in failed for w, dw in (lower, upper)]
+            raise _SplitRequest(r for c in on_walls for r in _root(c))
         vecs, pden = positive
         cells.append(FlagCell(
             _affine_poly(both[:1], *lower), _affine_poly(both[:1], *upper), _affine_square(surface, positive, both),
@@ -625,15 +643,14 @@ def _certify_t_chamber(
 
 
 def _wall_from_cert(
-    certs: list[_Cert], tag: tuple[str, str] | None, t_mid: Fraction, s_at_mid: Fraction
+    rows: Sequence[tuple[int, ...]], index: int | None, t_mid: Fraction, s_at_mid: Fraction
 ) -> tuple[tuple[int, int], int]:
-    """Wall s = (w0 + w1*t) / dw from the certificate that vanishes on it, as ((w0, w1), dw)."""
-    chosen = next((c for c in certs if (c.kind, c.label) == tag), None)
-    if chosen is None:
-        chosen = next((c for c in certs if _value(c.coeffs, t_mid, s_at_mid) == 0), None)
-    if chosen is None:
+    """Wall s = (w0 + w1*t) / dw as ((w0, w1), dw): from rows[index], or the first row zero at (t_mid, s_at_mid)."""
+    if index is None:
+        index = next((i for i, v in enumerate(_values(rows, t_mid, s_at_mid)) if v == 0), None)
+    if index is None:
         raise WallCrossingDegeneracy("no certificate vanishes on the sampled wall")
-    c0, ct, cs = chosen.coeffs if chosen.coeffs[2] > 0 else (-x for x in chosen.coeffs)
+    c0, ct, cs = rows[index] if rows[index][2] > 0 else (-x for x in rows[index])
     if cs == 0:
         raise WallCrossingDegeneracy("wall certificate does not depend on the inner parameter")
     return (-c0, -ct), cs

@@ -144,6 +144,12 @@ class TestFlagInvariants:
         assert with_corr.value - base.value == Q(3, 22) * Q(22, 3)
         assert with_corr.correction_used
 
+    def test_a_correction_in_another_variable_is_an_invalid_model(self):
+        # the quadric family is in t; a correction in u cannot multiply it
+        correction = PiecewisePolynomial([(0, 2, p("1", ("u",)))], "u")
+        with pytest.raises(InvalidModel, match="not a polynomial in u"):
+            refined_s_flag(QUADRIC, quadric_restriction(), (1, 1), 22, correction=correction)
+
     def test_report_is_nonnegative_and_documents_cells(self):
         report = refined_s_flag(DP4, dp4_restriction(), (1, 0, 0, 0, 0, 0), 22)
         assert report.value >= 0

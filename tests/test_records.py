@@ -26,7 +26,7 @@ from kstab.zariski import (
     VolumeChamber,
     VolumeFunction,
     ZariskiResult,
-    _Cert,
+    _Certs,
     _SChamber,
 )
 
@@ -44,7 +44,7 @@ FIELDS = {
     ZariskiResult: (("positive", "negative", "support", "support_gram"), {}),
     VolumeChamber: (("lo", "hi", "p0", "p1", "support"), {}),
     VolumeFunction: (("pw", "chambers", "certificate"), {}),
-    _Cert: (("kind", "label", "coeffs", "den"), {}),
+    _Certs: (("support", "rows", "mult_den", "nef_den"), {}),
     _SChamber: (("lo", "hi", "support", "upper_cert", "positive"), {}),
     FlagCell: (("s_lo", "s_hi", "volume", "positive", "support"), {}),
     FlagChamber: (("t_lo", "t_hi", "cells"), {}),

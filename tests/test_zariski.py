@@ -20,7 +20,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from kstab import zariski
+from kstab import records, zariski
 from kstab.errors import (
     CertificateViolation,
     IndefiniteSupport,
@@ -42,7 +42,7 @@ from kstab.intersect import (
     sing_line_model,
 )
 from kstab.invariants import s_invariant
-from kstab.lp import LPResult, Unbounded, _remembered, max_shift
+from kstab.lp import Infeasible, LPResult, Unbounded, _remembered, max_shift
 from kstab.poly import Polynomial, check_c1, parse_polynomial
 from kstab.rationals import qvec, scaled
 from oracles import (
@@ -51,6 +51,7 @@ from oracles import (
     reference_is_negative_definite,
     reference_pair_poly,
     reference_parametric_threshold,
+    reference_solve_equality_lp,
     reference_symbolic_decomposition,
 )
 from kstab.zariski import (
@@ -145,6 +146,51 @@ class TestThreshold:
     def test_unbounded(self):
         with pytest.raises(UnboundedDirection):
             pseff_threshold(QUADRIC, (3, 2), (-1, 0))
+
+    def test_a_class_outside_the_cone_is_not_pseudo_effective(self):
+        # D - 2Z is in the cone for this Z, which is no declared generator, but D is not
+        d, z = dp4_class(-1, -3, 0, 3, 1, 2), dp4_class(-3, -2, 2, 2, 3, -1)
+        assert max_shift(d, tuple(-x for x in z), zariski._eff_data(DP4)).value == 2
+        with pytest.raises(NotPseudoEffective):
+            pseff_threshold(DP4, d, z)
+
+
+@st.composite
+def threshold_queries(draw):
+    """A surface, an integer class D and a direction Z: a declared curve by label or by vector, or an integer vector."""
+    surface = draw(st.sampled_from(KERNEL_SURFACES))
+    d = tuple(draw(st.lists(st.integers(-3, 3), min_size=surface.rank, max_size=surface.rank)))
+    label = draw(st.sampled_from(surface.curve_labels))
+    kind = draw(st.sampled_from(["label", "curve", "vector"]))
+    if kind == "vector":
+        return surface, d, tuple(draw(st.lists(st.integers(-3, 3), min_size=surface.rank, max_size=surface.rank)))
+    return surface, d, label if kind == "label" else surface.negative_curves[label]
+
+
+def _reference_threshold(surface, d, z):
+    """pseff_threshold by the Fraction-tableau LP: D's membership first, then the largest s >= 0."""
+    gens = [surface.eff_generators[k] for k in sorted(surface.eff_generators)]
+    columns = [z] + gens  # D = s*Z + gens*x
+    try:
+        reference_solve_equality_lp([list(row) for row in zip(*gens)], d, [0] * len(gens))
+    except Infeasible:
+        return NotPseudoEffective
+    try:
+        return reference_solve_equality_lp([list(row) for row in zip(*columns)], d, [1] + [0] * len(gens)).value
+    except Unbounded:
+        return UnboundedDirection
+
+
+@settings(max_examples=150, deadline=None)
+@given(threshold_queries())
+@example((DP4, (-1, -3, 0, 3, 1, 2), (-3, -2, 2, 2, 3, -1)))
+@example((DP4, (4, -1, -1, -1, -1, -1), "e1"))
+@example((QUADRIC, (3, 2), (-1, 0)))
+def test_pseff_threshold_matches_the_reference_lp(case):
+    surface, d, direction = case
+    z = surface.class_vector(direction)
+    got = _outcome(pseff_threshold, surface, d, direction)
+    assert (got[0] if isinstance(got, tuple) else got) == _reference_threshold(surface, d, z)
 
 
 class TestOneParam:
@@ -538,6 +584,21 @@ def affine_families(draw):
     return surface, variables, vecs, support
 
 
+def _labelled_rows(surface, certs):
+    """Every certificate row as (kind, label, coeffs, den), in the order of certs.rows.
+
+    The multiplicity rows are labelled by the support, the nef rows by the
+    declared curves; both counts are checked, so no row goes unlabelled.
+    """
+    assert certs.mult_den > 0 and certs.nef_den > 0
+    n = len(certs.support)
+    assert len(certs.rows) == n + len(surface.curve_labels)
+    rows = [("mult", label, c, certs.mult_den) for label, c in zip(certs.support, certs.rows[:n])]
+    rows += [("nef", label, c, certs.nef_den) for label, c in zip(surface.curve_labels, certs.rows[n:])]
+    assert all(type(x) is int for _, _, c, _ in rows for x in c)
+    return rows
+
+
 def _symbolic_outcome(surface, variables, vecs, support):
     """The kernel's output as polynomials in the family's variables.
 
@@ -549,12 +610,12 @@ def _symbolic_outcome(surface, variables, vecs, support):
     if isinstance(got[0], type):
         return got
     (pvecs, den), certs = got
-    assert den > 0 and all(c.den > 0 for c in certs)
-    assert all(type(x) is int for v in pvecs for x in v) and all(type(x) is int for c in certs for x in c.coeffs)
+    assert den > 0 and certs.support == tuple(support)
+    assert all(type(x) is int for v in pvecs for x in v)
     positive = tuple(_poly(variables, [Q(x, den) for x in c]) for c in zip(*pvecs))
     return (
         positive,
-        [(c.kind, c.label, _poly(variables, [Q(x, c.den) for x in c.coeffs])) for c in certs],
+        [(kind, label, _poly(variables, [Q(x, d) for x in c])) for kind, label, c, d in _labelled_rows(surface, certs)],
         _affine_square(surface, (pvecs, den), variables),
     )
 
@@ -597,12 +658,27 @@ def test_integer_signs_match_fraction_values(case, data):
     if isinstance(got[0], type):
         return
     point = [data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=9)) for _ in variables]
-    for cert in got[1]:
-        exact = sum((Q(x, cert.den) * y for x, y in zip(cert.coeffs, [1, *point])), Q(0))
-        assert _sign(zariski._value(cert.coeffs, *point)) == _sign(exact)
-        if len(variables) == 1 and cert.coeffs[1]:
-            (root,) = zariski._root(cert.coeffs)
-            assert exact + Q(cert.coeffs[1], cert.den) * (root - point[0]) == 0
+    rows = _labelled_rows(surface, got[1])
+    for (_, _, coeffs, den), value in zip(rows, zariski._values([c for _, _, c, _ in rows], *point)):
+        exact = sum((Q(x, den) * y for x, y in zip(coeffs, [1, *point])), Q(0))
+        assert _sign(value) == _sign(exact)
+        if len(variables) == 1 and coeffs[1]:
+            (root,) = zariski._root(coeffs)
+            assert exact + Q(coeffs[1], den) * (root - point[0]) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2), st.lists(st.lists(st.integers(-60, 60), min_size=3, max_size=3), max_size=8), st.data())
+def test_bulk_values_are_the_row_values(n, rows, data):
+    """_values of 0-, 1- and 2-parameter rows at a rational point is each row's value there times the denominators."""
+    rows = [tuple(c[:n + 1]) for c in rows]
+    point = [data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=9)) for _ in range(n)]
+    scale = 1
+    for x in point:
+        scale *= x.denominator
+    bulk = zariski._values(rows, *point)
+    assert all(type(v) is int for v in bulk)
+    assert bulk == [sum((x * y for x, y in zip(c, [1, *point])), Q(0)) * scale for c in rows]
 
 
 def _dp4_vec(*entries):
@@ -615,6 +691,7 @@ class TestVectorKernel:
         vecs = (_dp4_vec(3, 2, 0, 0, 0, 0), _dp4_vec(1, 0, 0, 0, 0, 0))
         _, certs, _ = _check_against_reference(DP4, ("t",), vecs, ["e1"])
         assert certs[0] == ("mult", "e1", Polynomial.constant(2, ("t",)))
+        assert [kind for kind, _, _ in certs] == ["mult"] + ["nef"] * len(DP4.curve_labels)
         vf = one_param_volume(DP4, (p("3 + t", ("t",)), 2, 0, 0, 0, 0), 0, 1)
         assert [c.support for c in vf.chambers] == [("e1",)]
         assert vf.pw.pieces[0].poly == p("(3 + t)^2", ("t",))
@@ -654,6 +731,12 @@ class TestVectorKernel:
             one_param_volume(DP4, (p("4 - t^2", ("t",)), -1, -1, -1, -1, -1), 0, 1)
         with pytest.raises(InvalidModel, match="affine in t"):
             two_param_flag_volume(DP4, (p("4 - t^2", ("t",)), -1, -1, -1, -1, -1), 0, 1, "L")
+
+    def test_an_entry_in_another_variable_is_rejected(self):
+        with pytest.raises(InvalidModel, match="not a polynomial in u"):
+            two_param_flag_volume(DP4, (p("4 - t", ("t",)), -1, -1, -1, -1, -1), 0, 1, "L", tvar="u")
+        with pytest.raises(InvalidModel, match="not a polynomial in u"):
+            one_param_volume(DP4, (p("4 - t", ("t",)), -1, -1, -1, -1, -1), 0, 1, var="u")
 
 
 @st.composite
@@ -717,9 +800,9 @@ def test_iterative_decomposition_at_a_point_matches_reference(case):
         assert got == want
         return
     ((p0, p1), den), certs = got
-    mults = [c for c in certs if c.kind == "mult"]
-    assert tuple(c.label for c in mults) == want.support
-    assert tuple((c.label, Q(c.coeffs[0], c.den) + Q(c.coeffs[1], c.den) * t) for c in mults) == want.negative
+    mults = [(label, c, d) for kind, label, c, d in _labelled_rows(surface, certs) if kind == "mult"]
+    assert certs.support == want.support
+    assert tuple((label, Q(c0, d) + Q(c1, d) * t) for label, (c0, c1), d in mults) == want.negative
     assert tuple(Q(x, den) + Q(y, den) * t for x, y in zip(p0, p1)) == want.positive
 
 
@@ -760,6 +843,51 @@ def test_the_chamber_loops_decompose_each_cell_once(monkeypatch):
         [("0", "1/2", ()), ("1/2", "1", ("conic",))]
     ]
     assert constant.integral() == Q(3, 2)
+
+
+def test_the_certificates_of_a_support_are_one_record_decided_in_bulk(monkeypatch):
+    """A support's certificates are one record of integer rows, decided a whole support at a time.
+
+    The record constructors are counted by profiling one symbolic
+    decomposition on dP4's 16 curves.  _values is counted in a march, a
+    class decomposition and a flag decomposition: each round, end, wall or
+    corner takes one call over all its rows, never one call per row.
+    """
+    inits = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__init__" and frame.f_code.co_filename == records.__file__:
+            inits.append(frame.f_locals["self"].__class__)
+
+    family = _integer_family((_dp4_vec(3, -1, -1, -1, -1, -1), _dp4_vec(0, -1, 0, 0, 0, 0)))
+    sys.setprofile(profile)
+    try:
+        (_, den), certs = _symbolic_decomposition(DP4, family, ["conic", "l_12"])
+    finally:
+        sys.setprofile(None)
+    assert inits == [zariski._Certs]
+    assert len(certs.rows) == 2 + len(DP4.curve_labels)
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in certs.rows)
+
+    sizes = []
+    values = zariski._values
+
+    def counted(rows, *point):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return values(rows, *point)
+
+    monkeypatch.setattr(zariski, "_values", counted)
+    chambers = zariski._march_one_param(DP4, family, Q(0), Q(3, 2))
+    assert [(ch.lo, ch.hi, ch.support) for ch in chambers] == [
+        (0, 1, ()), (1, Q(3, 2), ("conic", "l_12", "l_13", "l_14", "l_15")),
+    ]
+    assert _decompose(DP4, dp4_class(Q(9, 4), -1, -1, -1, -1, -1)).negative == (("conic", Q(1, 2)),)
+    flag = two_param_flag_volume(DP4, (3, p("-1 - t", ("t",)), -1, -1, -1, -1), 0, 1, "L")
+    assert sum(len(ch.cells) for ch in flag.chambers) == 3
+    # every call is over a whole support's rows, a class's coordinates or one wall gap
+    assert set(sizes) <= {1, DP4.rank} | {len(DP4.curve_labels) + k for k in range(6)}
+    assert len(sizes) < 60
 
 
 # -- the threefold certificate: the residual in the cone at both chamber ends ----
