@@ -31,7 +31,9 @@ b, so the tableau solves for q*x.  Every pivot is ``rationals._pivot``, the
 one under all exact elimination: on p it updates every other row as
 (x*p - f*y) // D and negates every row when p < 0; the division is exact
 because D is |det| of the basis, and a remainder raises InvariantViolation
-rather than going on with a wrong tableau.
+rather than going on with a wrong tableau.  A row with f = 0 is left in
+place when |p| = D, since it would come out unchanged; every entry a pivot
+changes is still checked.
 
 A Cone remembers the last MEMORY optimal bases, on it or on a ``widened``
 copy, that are one generator column B per row, as the optimal tableau
@@ -197,7 +199,10 @@ def _optimum(
     rows are the caller's rows [a | q*b], row i scaled by scales[i], and
     cost is c scaled by cscale; u is a dual of the scaled problem.
     """
-    if any(v < 0 for v in xs) or any(sum(map(mul, row, xs)) != denom * row[-1] for row in rows):
+    support = [j for j, v in enumerate(xs) if v]  # a*x sums over the nonzero entries of x alone
+    vals = [xs[j] for j in support]
+    if any(v < 0 for v in vals) or any(sum(map(mul, map(row.__getitem__, support), vals)) != denom * row[-1]
+                                       for row in rows):
         raise InvariantViolation("the simplex optimum is not a feasible point")
     ua = [sum(map(mul, u, col)) for col in zip(*rows)] if rows else [0]  # u*[a | b]
     cx = sum(map(mul, cost, xs))
@@ -320,15 +325,22 @@ def _dual_simplex(
 def _remembered(cone: Cone, rows: list[list[int]]) -> tuple | None:
     """(T*[a | I | b], basis, d) for the remembered basis with the fewest negative entries of T*b, or None.
 
-    Ties go to the most recent.  T*A is remembered, so only the widened
-    columns are multiplied out.
+    Ties go to the most recent; the scan stops at the first with none.
+    T*A is remembered, so only the widened columns are multiplied out.
     """
     gens = cone if cone._base is None else cone._base
     b = [row[-1] for row in rows]
-    starts = [([sum(map(mul, trow, b)) for trow in entry[1]], entry) for entry in gens._bases]
-    if not starts:
+    best = None
+    for entry in gens._bases:
+        xb = [sum(map(mul, trow, b)) for trow in entry[1]]
+        negative = sum(v < 0 for v in xb)
+        if best is None or negative < best[0]:
+            best = negative, xb, entry
+            if not negative:
+                break  # no later basis can have fewer
+    if best is None:
         return None
-    xb, (cols, t, ta, d) = min(starts, key=lambda start: sum(v < 0 for v in start[0]))
+    _, xb, (cols, t, ta, d) = best
     extra = len(cone) - len(gens)
     wide = list(zip(*(row[:extra] for row in rows)))
     tab = [[sum(map(mul, trow, w)) for w in wide] + tarow + trow + [x] for trow, tarow, x in zip(t, ta, xb)]

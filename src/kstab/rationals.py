@@ -10,9 +10,11 @@ layer that computes on integers clears denominators with ``scaled`` and
 All exact elimination runs on one fraction-free pivot, ``_pivot`` (Edmonds
 1967, Bareiss 1968): an integer matrix T over one denominator D > 0, the
 absolute value of the last pivot, updated as (x*p - f*y) // D, where a
-remainder raises InvariantViolation.  Over it, ``_reduce`` is Gauss-Jordan
-row by row, each row on its first nonzero column; the exact LP starts from
-it, and ``det``, ``rank``, ``solve_general`` (``solve_each`` for several
+remainder raises InvariantViolation.  A row with f = 0 is left as it is
+when |p| = D, as x*p // D is then x; every other row is rebuilt, and each
+of its entries checked.  Over it, ``_reduce`` is Gauss-Jordan row by row,
+each row on its first nonzero column; the exact LP starts from it, and
+``det``, ``rank``, ``solve_general`` (``solve_each`` for several
 right-hand sides at once), ``mat_inverse`` and the negative-definite solve
 are a few lines over it.  The last gives integer numerators over one
 positive denominator, for the Zariski layer's integer certificates, and
@@ -23,10 +25,12 @@ k, negatively.  Inputs are never mutated.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt, lcm
+from operator import mod
 from typing import Iterable, Sequence
 
-from .errors import InvariantViolation
+from .errors import InvalidModel, InvariantViolation
 
 Q = Fraction
 
@@ -104,9 +108,14 @@ def _pivot(tab: list[list[int]], basis: list[int], denom: int, row: int, col: in
             tab[r] = prow
             continue
         f = cur[col]
-        nums = [x * p - f * y for x, y in zip(cur, prow)] if f else [x * p for x in cur]
+        if f:
+            nums = [x - f * y for x, y in zip(cur, prow)] if p == 1 else [x * p - f * y for x, y in zip(cur, prow)]
+        elif p == denom:
+            continue  # x*p // D is x: the row stays as it is
+        else:
+            nums = [x * p for x in cur]
         if denom != 1:
-            if any(n % denom for n in nums):
+            if any(map(mod, nums, repeat(denom))):
                 raise InvariantViolation(f"inexact fraction-free pivot: row {r} is not divisible by {denom}")
             nums = [n // denom for n in nums]
         tab[r] = nums
@@ -160,9 +169,15 @@ def _values(tab: list[list[int]], basis: list[int], width: int, count: int) -> l
     return sols
 
 
+def _rectangular(a: Sequence[Sequence], width: int, what: str) -> None:
+    if any(len(row) != width for row in a):
+        raise InvalidModel(f"{what}; the row lengths are {[len(row) for row in a]}")
+
+
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant: D, signed by the negative pivots and the inversions of the pivot columns, unscaled."""
     n = len(a)
+    _rectangular(a, n, "det needs a square matrix")
     _, cols, d, negative, scale = _eliminate(a, n)
     if len(cols) < n:
         return Q(0)
@@ -171,7 +186,9 @@ def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def rank(a: Sequence[Sequence[Fraction]]) -> int:
-    return len(_eliminate(a, len(a[0]))[1]) if a else 0
+    width = len(a[0]) if a else 0
+    _rectangular(a, width, "rank needs rows of one length")
+    return len(_eliminate(a, width)[1])
 
 
 def solve_general(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> QVec | None:

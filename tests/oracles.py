@@ -49,7 +49,10 @@ row of the box search as it was before its closed form: on each side of the
 vertex, two bisections with exact evaluation find where the comparison
 starts and stops holding.  ``reference_signature`` is the lattice inertia as
 it was before the characteristic polynomial: a congruence diagonalization
-over ``Fraction`` entries.
+over ``Fraction`` entries.  ``reference_fraction_free_pivot`` is the
+elimination kernel ``rationals._pivot`` as it was before it left a row
+with f = 0 in place when |p| = D: every row but the pivot row rebuilt as
+(x*p - f*y) // D, and every entry checked.
 """
 
 import itertools
@@ -58,7 +61,7 @@ from functools import cmp_to_key
 from math import gcd, lcm
 from typing import NamedTuple
 
-from kstab.errors import IndefiniteSupport, InvalidModel, NotPseudoEffective
+from kstab.errors import IndefiniteSupport, InvalidModel, InvariantViolation, NotPseudoEffective
 from kstab.lattice import GramLattice, Overlattice, discriminant_group, discriminant_quadratic
 from kstab.lp import Infeasible, LPResult, Unbounded, max_shift
 from kstab.poly import Polynomial
@@ -333,6 +336,29 @@ def random_pseff_class(surface, rng, max_terms=4, max_weight=3):
             d = [x + w * int(y) for x, y in zip(d, c)]
         if any(x != 0 for x in d):
             return tuple(d)
+
+
+def reference_fraction_free_pivot(tab, basis, denom, row, col):
+    """Integer-preserving pivot on tab[row][col]; returns the new denominator |p|.
+
+    When p < 0 every row is negated in the same pass, so T/D is unchanged.
+    """
+    p = tab[row][col]
+    prow = tab[row] if p > 0 else [-x for x in tab[row]]
+    p = abs(p)
+    for r, cur in enumerate(tab):
+        if r == row:
+            tab[r] = prow
+            continue
+        f = cur[col]
+        nums = [x * p - f * y for x, y in zip(cur, prow)] if f else [x * p for x in cur]
+        if denom != 1:
+            if any(n % denom for n in nums):
+                raise InvariantViolation(f"inexact fraction-free pivot: row {r} is not divisible by {denom}")
+            nums = [n // denom for n in nums]
+        tab[r] = nums
+    basis[row] = col
+    return p
 
 
 def _ref_pivot(tab, basis, row, col):

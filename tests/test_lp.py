@@ -2,12 +2,17 @@
 test of the integer-tableau solver against the reference Bland simplex over
 Fractions in ``oracles``, and tests of the certificates every answer carries:
 each is rechecked here over Fractions, and a solver that hands over a broken
-one is stopped by ``InvariantViolation``."""
+one is stopped by ``InvariantViolation``.  One pass of the ``surfaces``
+benchmark pins the pivot path: the same LP solves and pivots as under the
+earlier kernel frozen in ``oracles``."""
 
+import importlib
+import json
 import random
 import sys
 from fractions import Fraction as Q
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +21,9 @@ from kstab import lp, rationals
 from kstab.errors import InvalidModel, InvariantViolation, KstabError
 from kstab.lp import Infeasible, Unbounded, _run_simplex, in_cone, max_shift, solve_equality_lp
 from kstab.rationals import _pivot
-from oracles import _ref_pivot, reference_det, reference_solve_equality_lp
+from oracles import _ref_pivot, reference_det, reference_fraction_free_pivot, reference_solve_equality_lp
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _dot(u, v):
@@ -554,6 +561,22 @@ class TestMemory:
         assert in_cone(cone, (2, 1)) == (2, 1, 0, 0)
         assert pivots == []
 
+    def test_of_two_feasible_remembered_bases_the_most_recent_starts(self, monkeypatch):
+        # (0, 2) is 2*(0, 1) in both {(0, 1), (-1, 1)} and {(1, 0), (0, 1)}:
+        # the first, the more recent, starts the LP and is its optimum
+        gens = [(1, 0), (0, 1), (-1, 1), (-1, 2)]
+        cone = lp.Cone(gens)
+        in_cone(cone, (1, 1))
+        in_cone(cone, (-1, 3))
+        assert [e[0] for e in cone._bases] == [(1, 2), (0, 1)]
+        rows = [row + [bi] for (row, _), bi in zip(cone.rows, (0, 2))]
+        tab, basis, d = lp._remembered(cone, rows)
+        assert (basis, d, [row[-1] for row in tab]) == ([1, 2], 1, [2, 0])
+        pivots = _count_pivots(monkeypatch)
+        res = solve_equality_lp(cone, (0, 2), [0] * len(gens))
+        assert (res.x, res.basis, pivots) == ((0, 2, 0, 0), (1, 2), [])
+        assert [e[0] for e in cone._bases] == [(1, 2), (0, 1)]
+
     def test_a_denominator_on_b_starts_from_memory(self, monkeypatch):
         cone = lp.Cone(QUADRIC_GENERATORS)
         assert in_cone(cone, (1, 1)) == (1, 1)
@@ -587,3 +610,44 @@ class TestMemory:
         assert max_shift((2, 3), (-1, 0), QUADRIC_GENERATORS).value == 2
         assert warm_pivots < len(pivots) - warm_pivots
         assert [e[0] for e in cone._bases] == [(0, 1)]
+
+
+def test_a_surfaces_pass_pivots_as_the_frozen_kernel_does(monkeypatch):
+    # one pass of the surfaces benchmark makes the same LP solves and the
+    # same pivots, (row, col, D) one by one, under the kernel and under its
+    # earlier form; under the kernel each pivot also leaves the tableau the
+    # earlier form leaves
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))["surfaces"]
+    workload = importlib.import_module("wl_surfaces").SurfacesWorkload(str(ROOT), 1, reference)
+    solve = lp.solve_equality_lp
+
+    def checked(tab, basis, denom, row, col):
+        want, want_basis = [list(r) for r in tab], list(basis)
+        d = reference_fraction_free_pivot(want, want_basis, denom, row, col)
+        assert (_pivot(tab, basis, denom, row, col), tab, basis) == (d, want, want_basis)
+        return d
+
+    def one_pass(kernel):
+        solves, pivots = [], []
+
+        def counted(*args):
+            solves.append(None)
+            return solve(*args)
+
+        def spy(tab, basis, denom, row, col):
+            d = kernel(tab, basis, denom, row, col)
+            pivots.append((row, col, d))
+            return d
+
+        monkeypatch.setattr(lp, "solve_equality_lp", counted)
+        monkeypatch.setattr(lp, "_pivot", spy)
+        monkeypatch.setattr(rationals, "_pivot", spy)
+        problems = {task.name: task.check(task.run()) for task in workload.tasks(0)}
+        assert not {task: found for task, found in problems.items() if found}
+        return len(solves), pivots
+
+    frozen = one_pass(reference_fraction_free_pivot)
+    assert (frozen[0], len(frozen[1])) == (124, 927)
+    assert one_pass(checked) == frozen

@@ -10,7 +10,10 @@ engine's original separate Gaussian eliminations, frozen in ``oracles`` (a
 hypothesis differential test), sympy's ``Matrix`` (det, rank, inverse and
 solve), and hand-made edge cases: a zero leading pivot, on which row 0
 pivots on column 1, the empty matrix, singular matrices, an inconsistent
-system and a rank-deficient one.
+system, a rank-deficient one and malformed matrices.  The kernel itself
+is pinned pivot by pivot to its earlier form, also frozen in ``oracles``:
+the same tableau, basis and denominator after every pivot, and the same
+error on an inexact one.
 """
 
 from fractions import Fraction as Q
@@ -19,9 +22,11 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from kstab.errors import InvalidModel, InvariantViolation
 from kstab.rationals import (
+    _pivot,
     common,
     det,
     is_negative_definite,
@@ -34,6 +39,7 @@ from kstab.rationals import (
 )
 from oracles import (
     reference_det,
+    reference_fraction_free_pivot,
     reference_is_negative_definite,
     reference_mat_inverse,
     reference_rank,
@@ -213,6 +219,90 @@ class TestEdgeCases:
         # wide and tall systems
         assert solve_general([[Q(0), Q(2), Q(4)]], [Q(1)]) == (0, Q(1, 2), 0)
         assert solve_general([[Q(1)], [Q(2)], [Q(3)]], [Q(1, 3), Q(2, 3), Q(1)]) == (Q(1, 3),)
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("a", [[[1, 2]], [[1, 2], [3]], [[]], [[1], [2, 3]]])
+    def test_det_needs_a_square_matrix(self, a):
+        with pytest.raises(InvalidModel, match="square"):
+            det([[Q(x) for x in row] for row in a])
+
+    @pytest.mark.parametrize("a", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
+    def test_rank_needs_rows_of_one_length(self, a):
+        with pytest.raises(InvalidModel, match="one length"):
+            rank([[Q(x) for x in row] for row in a])
+
+    def test_the_empty_cases_stand(self):
+        assert det([]) == 1
+        assert rank([]) == rank([[]]) == rank([[], []]) == 0
+
+
+@st.composite
+def pivot_runs(draw):
+    """An integer tableau over D = 1 and pivot positions; each is taken when its entry is nonzero."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    tab = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=m, max_size=m))
+    return tab, draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), max_size=8))
+
+
+def _run_both(tab, pivots):
+    """Each pivot by both kernels on copies of tab from D = 1, compared after each; returns the (p, D) pivoted on."""
+    ours, ref = [list(row) for row in tab], [list(row) for row in tab]
+    basis, ref_basis = list(range(len(tab))), list(range(len(tab)))
+    denom = ref_denom = 1
+    met = []
+    for row, col in pivots:
+        if not ours[row][col]:
+            continue
+        met.append((ours[row][col], denom))
+        denom = _pivot(ours, basis, denom, row, col)
+        ref_denom = reference_fraction_free_pivot(ref, ref_basis, ref_denom, row, col)
+        assert (ours, basis, denom) == (ref, ref_basis, ref_denom)
+    return met
+
+
+class TestFrozenKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(pivot_runs())
+    def test_every_pivot_matches_the_frozen_kernel(self, run):
+        _run_both(*run)
+
+    def test_every_kind_of_pivot_matches(self):
+        tab = [[1, 2, 0, 1], [0, -1, 3, 2], [2, 0, 5, 1]]
+        # p = 1 over D = 1, then -1 over 1, -7 over 1, 7 over 7 and 13 over 7
+        met = _run_both(tab, [(0, 0), (1, 1), (2, 2), (0, 0), (1, 3)])
+        assert met == [(1, 1), (-1, 1), (-7, 1), (7, 7), (13, 7)]
+        # a row with f = 0 under |p| = D keeps its list: x*p // D is x
+        row = tab[1]
+        assert _pivot(tab, [0, 1, 2], 1, 0, 0) == 1
+        assert tab[1] is row and tab[1] == [0, -1, 3, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=1, max_size=4),
+        st.integers(1, 6),
+        st.data(),
+    )
+    @example([[2, 1], [1, 1]], 3, None)
+    def test_an_inexact_pivot_fails_the_same_way(self, tab, denom, data):
+        # any tableau over any D: both kernels raise on the same row, or return the same
+        entries = [(r, c) for r, row in enumerate(tab) for c, x in enumerate(row) if x]
+        if not entries:
+            return
+        row, col = (0, 0) if data is None else data.draw(st.sampled_from(entries))
+        ours, ref = [list(r) for r in tab], [list(r) for r in tab]
+        basis, ref_basis = list(range(len(tab))), list(range(len(tab)))
+        try:
+            got = _pivot(ours, basis, denom, row, col)
+        except InvariantViolation as e:
+            got = str(e)
+        try:
+            want = reference_fraction_free_pivot(ref, ref_basis, denom, row, col)
+        except InvariantViolation as e:
+            want = str(e)
+        assert (got, ours, basis) == (want, ref, ref_basis)
+        if data is None:
+            assert got == "inexact fraction-free pivot: row 1 is not divisible by 3"
 
 
 class TestClearingDenominators:
