@@ -11,16 +11,20 @@ effective cone add only their own columns and right-hand sides.
 
 Every LP starts from a basis: one its Cone remembers, or else the lead
 columns of the Gauss-Jordan reduction ``rationals._reduce``, which drops a
-row that vanishes.  At
-cost 0 every basis is dual feasible, so a dual simplex (Lemke 1954) makes
-it feasible: the lowest-indexed basic variable with a negative value
-leaves, the lowest-indexed column with a negative entry in its row enters
-(Bland 1977: no cycling), and a row with none proves infeasibility.  The
-primal simplex then maximizes c by Dantzig's rule: the entering column has
-the largest reduced cost, the lowest index on ties; the leaving row has the
-smallest ratio, ties to the smallest basic index.  After a degenerate pivot
-(one whose row has right-hand side 0) the entering column is Bland's until
-the next nondegenerate pivot, so no degenerate vertex cycles, and the
+row that vanishes.  A dual simplex (Lemke 1954) makes it feasible: the
+lowest-indexed basic variable with a negative value leaves, a row with no
+negative entry proves infeasibility, and the entering column minimizes
+z_j/a_j over the entries a_j < 0 of the row, ties to the lowest index, for
+the objective row z <= 0.  That is Bland's rule on the dual: it keeps z <= 0
+and does not cycle (Bland 1977).  It is priced by c from a remembered
+optimum for the same widened column and c, which stays dual feasible when
+only b moves (Gass-Saaty 1955), and else runs at cost 0, where every basis
+is dual feasible and every ratio 0.  The primal simplex then maximizes c,
+after a priced start in no pivot, by Dantzig's rule: the entering column
+has the largest reduced cost, the lowest index on ties; the leaving row has
+the smallest ratio, ties to the smallest basic index.  After a degenerate
+pivot (one whose row has right-hand side 0) the entering column is Bland's
+until the next nondegenerate pivot, so no degenerate vertex cycles, and the
 objective rises strictly from vertex to vertex.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): one integer
@@ -35,18 +39,22 @@ rather than going on with a wrong tableau.  A row with f = 0 is left in
 place when |p| = D, since it would come out unchanged; every entry a pivot
 changes is still checked.
 
-A Cone remembers the last MEMORY optimal bases, on it or on a ``widened``
-copy, that are one generator column B per row, as the optimal tableau
-holds them: T = d*B^-1 with d = |det B|, and T*A of the generator columns.
-An LP over a Cone starts from the one with the fewest negative entries of
-T*b, ties to the most recent, as T*[a | I | b] over d, whose entries are
-minors, so the exact division holds; a widened column that needs another
-row scale starts from the reduction, as does an LP on a list of rows, a
-fresh Cone every call.  No engine output depends on the basis a memory
-gives: the callers read a membership or a value, the same for every
-optimum, or a basis that proves a threshold
-(``zariski._threshold_from_basis``), which proves the exact one whichever
-optimum it is.  A stale basis costs time, never a wrong answer.
+A Cone remembers the last MEMORY optimal bases of generator columns, on it
+or on a ``widened`` copy, and apart from them, so that none evicts a
+membership start, the last MEMORY with a widened column basic (the s of
+``max_shift``), keyed by that column's integer entries.  Each is one column
+B per row, as the optimal tableau holds it: T = d*B^-1 with d = |det B|,
+and T*A of the generator columns.  An LP starts from the basis with the
+fewest negative entries of T*b among the generator bases and, if it is
+widened by a remembered column, that column's optima, which go first and
+start priced; ties go to the earlier, the most recent of a memory first.
+It starts as T*[a | I | b] over d, whose entries are minors, so the exact
+division holds.  A widened column that needs another row scale starts from
+the reduction, as does an LP on a list of rows, a fresh Cone every call.
+No engine output depends on the basis a memory gives: the callers read a
+membership or a value, the same for every optimum, or a basis that proves a
+threshold (``zariski._threshold_from_basis``), which proves the exact one
+whichever optimum it is.  A stale basis costs time, never a wrong answer.
 
 The simplex is not trusted; its answers are (exact LP by verifying a
 basis, Applegate-Cook-Dash-Espinoza 2007).  Every tableau row also carries
@@ -135,10 +143,11 @@ def _run_simplex(tab: list[list[int]], basis: list[int], denom: int, ncols: int)
 
 
 class Cone(tuple):
-    """Column vectors, the generators of a cone, with their integer rows built once.
+    """Column vectors, the generators of a cone, with their integer rows and columns built once.
 
-    ``rows[i]`` is ``rationals.scaled`` of the i-th entries of the columns.  As
-    the matrix a of ``solve_equality_lp`` a Cone gives the same scaled rows
+    ``rows[i]`` is ``rationals.scaled`` of the i-th entries of the columns,
+    and ``cols[j]`` the j-th column's entries of those integer rows.  As the
+    matrix a of ``solve_equality_lp`` a Cone gives the same scaled rows
     [a | b] as its columns written out, from these rows and b alone.
     """
 
@@ -146,7 +155,9 @@ class Cone(tuple):
         self = super().__new__(cls, (tuple(map(to_q, col)) for col in columns))
         self.rows = [scaled(entries) for entries in zip(*self)]
         _same_length(len(self.rows), *self)
-        self._base, self._bases = None, []  # _bases: (columns, T, T*A, d), see the module docstring
+        self.cols = list(zip(*(row for row, _ in self.rows))) or [()] * len(self)
+        # (key, columns, T, T*A, d), see the module docstring: key None for a basis of generators
+        self._base, self._key, self._bases, self._shifts = None, None, [], []
         return self
 
     def widened(self, column: Sequence[Fraction]) -> "Cone":
@@ -155,22 +166,27 @@ class Cone(tuple):
         rows = self.rows or [([], 1)] * len(column)
         _same_length(len(rows), column)
         out.rows = [_joined(([x.numerator], x.denominator), row) for x, row in zip(out[0], rows)]
+        same = [s for _, s in out.rows] == [s for _, s in rows]  # else the column took its rows to other scales
+        out.cols = [tuple([r[0] for r, _ in out.rows]), *self.cols] if same else list(zip(*[r for r, _ in out.rows]))
         out._base = self if self._base is None else self._base
+        out._key = tuple(out.cols[:len(out) - len(out._base)])  # the widened columns' integer entries
         return out
 
     def _remember(self, tab: list[list[int]], basis: list[int], denom: int) -> None:
-        """Put an optimal basis first in the memory, if it is one generator column per row.
+        """Put an optimal basis first in its memory, if it is one column per row.
 
         With tab at the generators' row scales, T = denom*B^-1 and denom = |det B|.
         """
         gens = self if self._base is None else self._base
         extra = len(self) - len(gens)  # widened columns, first
-        if len(basis) != len(gens.rows) or min(basis, default=extra) < extra:
+        if len(basis) != len(gens.rows):
             return
         order = sorted(range(len(basis)), key=basis.__getitem__)
-        cols = tuple(basis[r] - extra for r in order)
-        entry = cols, [tab[r][len(self):-1] for r in order], [tab[r][extra:len(self)] for r in order], denom
-        gens._bases[:] = [entry, *(e for e in gens._bases if e[0] != cols)][:MEMORY]
+        cols = tuple(basis[r] - extra for r in order)  # a widened column is negative
+        key = self._key if min(cols, default=0) < 0 else None
+        memory = gens._bases if key is None else gens._shifts
+        entry = key, cols, [tab[r][len(self):-1] for r in order], [tab[r][extra:len(self)] for r in order], denom
+        memory[:] = [entry, *(e for e in memory if e[1] != cols or e[0] != key)][:MEMORY]
 
 
 def _same_length(n: int, *vectors: Sequence) -> None:
@@ -191,22 +207,22 @@ _ZERO = Fraction(0)  # every zero of LPResult.x, as most columns are nonbasic
 
 
 def _optimum(
-    rows: list[list[int]], scales: list[int], cost: list[int], cscale: int,
+    rows: list[list[int]], cols: Sequence[Sequence[int]], scales: list[int], cost: list[int], cscale: int,
     xs: list[int], denom: int, u: list[int], basis: Sequence[int], q: int,
 ) -> LPResult:
     """The checked optimum x = xs/(denom*q) of max cost*x, with the dual u/denom.
 
     rows are the caller's rows [a | q*b], row i scaled by scales[i], and
-    cost is c scaled by cscale; u is a dual of the scaled problem.
+    cols a's columns in them; cost is c scaled by cscale, and u a dual.
     """
     support = [j for j, v in enumerate(xs) if v]  # a*x sums over the nonzero entries of x alone
     vals = [xs[j] for j in support]
     if any(v < 0 for v in vals) or any(sum(map(mul, map(row.__getitem__, support), vals)) != denom * row[-1]
                                        for row in rows):
         raise InvariantViolation("the simplex optimum is not a feasible point")
-    ua = [sum(map(mul, u, col)) for col in zip(*rows)] if rows else [0]  # u*[a | b]
     cx = sum(map(mul, cost, xs))
-    if ua[-1] != cx or any(v < denom * cj for v, cj in zip(ua, cost)):
+    ua = [sum(map(mul, u, col)) for col in cols] if any(u) else [0] * len(cols)  # u*a; u = 0 at cost 0
+    if sum(map(mul, u, [row[-1] for row in rows])) != cx or any(v < denom * cj for v, cj in zip(ua, cost)):
         raise InvariantViolation("the simplex optimum has no dual certificate")
     return LPResult(
         Fraction(cx, denom * cscale * q),
@@ -251,23 +267,22 @@ def solve_equality_lp(
         a = Cone(zip(*a))
     a_rows = a.rows or [([], 1)] * len(b)
     _same_length(len(a_rows), b)
+    if len(c) != len(a):
+        raise InvalidModel("the cost vector must have one entry per column")
     rhs, q = scaled([to_q(bi) * s for (_, s), bi in zip(a_rows, b)])
     rows, scales = [row + [v] for (row, _), v in zip(a_rows, rhs)], [s for _, s in a_rows]
     ncols, nrows = len(a), len(rows)
     cost, cscale = scaled(c)
     gens = a if a._base is None else a._base
     gen_scales = scales == [s for _, s in gens.rows]  # a widened column may need other row scales
-    tab, basis, denom = gen_scales and _remembered(a, rows) or _reduced(rows, scales, ncols)
-    denom = _dual_simplex(tab, basis, denom, ncols, rows, scales)
+    tab, basis, denom, priced = gen_scales and _remembered(a, rows) or (*_reduced(rows, scales, ncols), False)
     m = len(tab)
-    # maximize c, scaled to integers, as reduced costs over denom;
-    # the z-row is [denom*c - u*a | -u | -u*b] for the dual u
-    zrow = [denom * x for x in cost] + [0] * (nrows + 1)
-    for r in range(m):
-        factor = cost[basis[r]] if basis[r] < ncols else 0
-        if factor:
-            zrow = [x - factor * y for x, y in zip(zrow, tab[r])]
-    tab.append(zrow)
+    if priced:  # from an optimum for this widened column, the z-row goes through the dual simplex
+        tab.append(_zrow(tab, basis, denom, cost, nrows))
+    # priced by the z-row if it is dual feasible, which it is unless c is another objective
+    denom = _dual_simplex(tab, basis, denom, ncols, rows, scales, priced and max(tab[-1][:ncols], default=0) <= 0)
+    if not priced:
+        tab.append(_zrow(tab, basis, denom, cost, nrows))
     denom, col = _run_simplex(tab, basis, denom, ncols)
     if col is not None:
         # raising column col keeps every basic variable >= 0
@@ -281,10 +296,19 @@ def solve_equality_lp(
     for r in range(m):
         if basis[r] < ncols:
             xs[basis[r]] = tab[r][-1]
-    res = _optimum(rows, scales, cost, cscale, xs, denom, [-x for x in tab[-1][ncols:-1]], basis, q)
+    res = _optimum(rows, a.cols, scales, cost, cscale, xs, denom, [-x for x in tab[-1][ncols:-1]], basis, q)
     if gen_scales:
         a._remember(tab, basis, denom)
     return res
+
+
+def _zrow(tab: list[list[int]], basis: list[int], denom: int, cost: list[int], nrows: int) -> list[int]:
+    """The objective row of max cost*x, as reduced costs over denom: [denom*c - u*a | -u | -u*b] for the dual u."""
+    zrow = [denom * x for x in cost] + [0] * (nrows + 1)
+    for r, j in enumerate(basis):
+        if cost[j]:
+            zrow = [x - cost[j] * y for x, y in zip(zrow, tab[r])]
+    return zrow
 
 
 def _reduced(rows: list[list[int]], scales: list[int], ncols: int) -> tuple[list[list[int]], list[int], int]:
@@ -305,34 +329,43 @@ def _reduced(rows: list[list[int]], scales: list[int], ncols: int) -> tuple[list
 
 def _dual_simplex(
     tab: list[list[int]], basis: list[int], denom: int, ncols: int, rows: list[list[int]], scales: list[int],
+    priced: bool,
 ) -> int:
-    """Pivot to nonnegative basic values at cost 0 by Bland's rule; returns the denominator, or Infeasible.
+    """Pivot to nonnegative basic values by Bland's rule on the dual; returns the denominator, or Infeasible.
 
-    The lowest-indexed basic variable with a negative value leaves; the
-    lowest-indexed column with a negative entry in its row enters.  A row
-    with none reads y*a >= 0 and y*b < 0 for its transform y.
+    A row of tab after the basis rows is the objective row: the pivots update
+    it, and priced, the rule reads it.  A leaving row with no negative entry
+    reads y*a >= 0 and y*b < 0 for its transform y.
     """
     while True:
-        r = min((r for r in range(len(tab)) if tab[r][-1] < 0), key=basis.__getitem__, default=None)
+        r = min((r for r in range(len(basis)) if tab[r][-1] < 0), key=basis.__getitem__, default=None)
         if r is None:
             return denom
-        col = next((j for j in range(ncols) if tab[r][j] < 0), None)
+        row = tab[r]
+        if priced:
+            z, col = tab[-1], None
+            for j in [j for j in range(ncols) if row[j] < 0]:
+                if col is None or z[j] * row[col] < z[col] * row[j]:  # z_j/a_j < z_col/a_col, as a < 0
+                    col = j
+        else:
+            col = next((j for j in range(ncols) if row[j] < 0), None)
         if col is None:
-            raise _infeasible(rows, scales, tab[r][ncols:-1])
+            raise _infeasible(rows, scales, row[ncols:-1])
         denom = _pivot(tab, basis, denom, r, col)
 
 
 def _remembered(cone: Cone, rows: list[list[int]]) -> tuple | None:
-    """(T*[a | I | b], basis, d) for the remembered basis with the fewest negative entries of T*b, or None.
+    """(T*[a | I | b], basis, d, priced) for the remembered start, as the module docstring says, or None.
 
-    Ties go to the most recent; the scan stops at the first with none.
-    T*A is remembered, so only the widened columns are multiplied out.
+    The scan stops at the first basis with T*b >= 0.  T*A is remembered,
+    so only the widened columns are multiplied out.
     """
     gens = cone if cone._base is None else cone._base
     b = [row[-1] for row in rows]
+    same = [entry for entry in gens._shifts if entry[0] == cone._key]
     best = None
-    for entry in gens._bases:
-        xb = [sum(map(mul, trow, b)) for trow in entry[1]]
+    for entry in same + gens._bases:
+        xb = [sum(map(mul, trow, b)) for trow in entry[2]]
         negative = sum(v < 0 for v in xb)
         if best is None or negative < best[0]:
             best = negative, xb, entry
@@ -340,11 +373,11 @@ def _remembered(cone: Cone, rows: list[list[int]]) -> tuple | None:
                 break  # no later basis can have fewer
     if best is None:
         return None
-    _, xb, (cols, t, ta, d) = best
+    _, xb, (_, cols, t, ta, d) = best
     extra = len(cone) - len(gens)
     wide = list(zip(*(row[:extra] for row in rows)))
     tab = [[sum(map(mul, trow, w)) for w in wide] + tarow + trow + [x] for trow, tarow, x in zip(t, ta, xb)]
-    return tab, [j + extra for j in cols], d
+    return tab, [j + extra for j in cols], d, best[2][0] is not None
 
 
 def in_cone(generators: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> tuple[Fraction, ...] | None:

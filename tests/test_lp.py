@@ -267,13 +267,20 @@ class TestCertificateMutants:
         monkeypatch.setattr(lp, name, mutant)
 
     def test_dual_with_a_flipped_sign(self, monkeypatch):
-        # _optimum(rows, scales, cost, cscale, xs, denom, u, basis): flip u[0]
-        self._mutate(monkeypatch, "_optimum", lambda args: args.__setitem__(6, [-args[6][0]] + args[6][1:]))
+        # _optimum(rows, cols, scales, cost, cscale, xs, denom, u, basis, q): flip u[0]
+        self._mutate(monkeypatch, "_optimum", lambda args: args.__setitem__(7, [-args[7][0]] + args[7][1:]))
         with pytest.raises(InvariantViolation, match="dual"):
             solve_equality_lp([[1, 2]], [4], [1, 1])
 
+    def test_a_zero_dual_is_checked_against_every_column(self, monkeypatch):
+        # max x1 with x0 + x1 = 0 has the optimum 0 and needs a dual y >= 1;
+        # y = 0 has y*b = 0 but fails y*a >= c on the last column
+        self._mutate(monkeypatch, "_optimum", lambda args: args.__setitem__(7, [0] * len(args[7])))
+        with pytest.raises(InvariantViolation, match="dual"):
+            solve_equality_lp([[1, 1]], [0], [0, 1])
+
     def test_perturbed_primal_entry(self, monkeypatch):
-        self._mutate(monkeypatch, "_optimum", lambda args: args[4].__setitem__(0, args[4][0] + 1))
+        self._mutate(monkeypatch, "_optimum", lambda args: args[5].__setitem__(0, args[5][0] + 1))
         with pytest.raises(InvariantViolation, match="feasible"):
             solve_equality_lp([[1, 2]], [4], [1, 1])
 
@@ -370,6 +377,14 @@ def test_a_cone_of_columns_solves_as_its_rows(problem, head):
     assert _full_outcome(lp.Cone(_cols(a)).widened(head[:len(a)]), b, c_wide) == _full_outcome(wide, b, c_wide)
 
 
+@pytest.mark.parametrize("c", [[1], [1, 0, 0]], ids=["short", "long"])
+def test_a_cost_of_another_length_is_rejected(c):
+    # unchecked, the short cost failed the dual check (InvariantViolation)
+    # and the long one was solved with its last entry never read
+    with pytest.raises(InvalidModel, match="cost"):
+        solve_equality_lp([[1, 1]], [1], c)
+
+
 def test_cone_entry_points_reuse_the_rows():
     gens = [(1, 0), (1, 2), (0, Q(1, 3))]
     cone = lp.Cone(gens)
@@ -411,9 +426,10 @@ weights = st.one_of(st.integers(0, 3), st.just(Q(1, 2)))
 
 
 @st.composite
-def cone_query_sequences(draw):
+def cone_query_sequences(draw, reused_directions=False):
     """A generator list (the dp4 preset, the quadric or a small random cone)
-    and a sequence of queries ("in", target) and ("shift", base, direction).
+    and a sequence of queries ("in", target) and ("shift", base, direction),
+    or of shifts alone along 2-3 directions.
     Targets are mostly nonnegative combinations of the generators, so the
     remembered bases get used; some carry a 1/2, which puts a denominator
     on b, and some are random vectors, integer or fractional, mostly outside
@@ -434,6 +450,10 @@ def cone_query_sequences(draw):
                        st.tuples(*[st.integers(-3, 3)] * n), st.tuples(*[fractional] * n))
     negated = st.sampled_from(gens).map(lambda g: tuple(-x for x in g))
     direction = st.one_of(negated, st.tuples(*[st.integers(-2, 2)] * n))
+    if reused_directions:
+        # max_shift alone, along 2-3 directions used again and again
+        direction = st.sampled_from(draw(st.lists(direction, min_size=2, max_size=3)))
+        return gens, draw(st.lists(st.tuples(st.just("shift"), vector, direction), min_size=2, max_size=12))
     query = st.one_of(st.tuples(st.just("in"), vector), st.tuples(st.just("shift"), vector, direction))
     return gens, draw(st.lists(query, min_size=1, max_size=12))
 
@@ -453,16 +473,23 @@ def _reference_outcome(a, b, c):
 
 
 def _check_memory(cone):
-    """Every remembered (columns, T, T*A, d) has T*B = d*I, d = |det B| and
-    T*A as the products of T with the Cone's integer rows."""
+    """The Cone's integer columns are those of its rows, and every remembered
+    (key, columns, T, T*A, d) has T*B = d*I, d = |det B| and T*A as the
+    products of T with the Cone's integer rows.  A generator basis has the
+    key None; an optimum of a widened LP has its widened columns' entries as
+    the key and at least one of them in B, as a negative column -1, -2, ...
+    (key[-1], key[-2], ...)."""
     a = [row for row, _ in cone.rows]
-    for cols, t, ta, d in cone._bases:
-        b = [[row[j] for j in cols] for row in a]
-        n = len(cols)
-        assert [[sum(map(mul, trow, col)) for col in zip(*b)] for trow in t] == \
-            [[d * (i == j) for j in range(n)] for i in range(n)]
-        assert d == abs(reference_det(b))
-        assert ta == [[sum(map(mul, trow, col)) for col in zip(*a)] for trow in t]
+    assert [list(col) for col in cone.cols] == [[row[j] for row in a] for j in range(len(cone))]
+    for memory, widened in ((cone._bases, False), (cone._shifts, True)):
+        for key, cols, t, ta, d in memory:
+            assert (key is not None) == widened == (min(cols, default=0) < 0)
+            b = [[key[j][i] if j < 0 else row[j] for j in cols] for i, row in enumerate(a)]
+            n = len(cols)
+            assert [[sum(map(mul, trow, col)) for col in zip(*b)] for trow in t] == \
+                [[d * (i == j) for j in range(n)] for i in range(n)]
+            assert d == abs(reference_det(b))
+            assert ta == [[sum(map(mul, trow, col)) for col in zip(*a)] for trow in t]
 
 
 @settings(max_examples=120, deadline=None)
@@ -492,7 +519,26 @@ def test_a_reused_cone_answers_as_a_fresh_one(case):
             assert got == _shift_value(base, direction, lp.Cone(gens))
             wide = [[-x, *row] for x, row in zip(direction, rows)]
             assert got == _reference_outcome(wide, base, [1] + [0] * len(gens))
-        assert len(cone._bases) <= lp.MEMORY
+        assert len(cone._bases) <= lp.MEMORY and len(cone._shifts) <= lp.MEMORY
+    _check_memory(cone)
+
+
+@settings(max_examples=120, deadline=None)
+@given(cone_query_sequences(reused_directions=True))
+def test_max_shift_along_reused_directions_answers_as_a_fresh_cone(case):
+    """max_shift(...).value on one Cone along a few directions, where an LP
+    may start from an optimum along its direction (the priced start), gives
+    the answer of a fresh Cone and of the Bland simplex over Fractions in
+    ``oracles``; the memory then holds only bases with T = d*B^-1."""
+    gens, queries = case
+    cone = lp.Cone(gens)
+    rows = [list(row) for row in zip(*gens)]
+    for _, base, direction in queries:
+        got = _shift_value(base, direction, cone)
+        assert got == _shift_value(base, direction, lp.Cone(gens))
+        wide = [[-x, *row] for x, row in zip(direction, rows)]
+        assert got == _reference_outcome(wide, base, [1] + [0] * len(gens))
+        assert len(cone._shifts) <= lp.MEMORY
     _check_memory(cone)
 
 
@@ -548,13 +594,13 @@ class TestMemory:
         gens = [(1, 0), (0, 1), (-1, 1), (-1, 2)]
         cone = lp.Cone(gens)
         assert in_cone(cone, (1, 1)) == (1, 1, 0, 0)
-        assert [e[0] for e in cone._bases] == [(0, 1)]
+        assert [e[1] for e in cone._bases] == [(0, 1)]
         pivots = _count_pivots(monkeypatch)
         assert in_cone(cone, (-1, 3)) == (0, 2, 1, 0)
         assert pivots == [(0, 2)]
         assert in_cone(gens, (-1, 3)) == (0, 2, 1, 0)
         assert len(pivots) == 4
-        assert [e[0] for e in cone._bases] == [(1, 2), (0, 1)]
+        assert [e[1] for e in cone._bases] == [(1, 2), (0, 1)]
         # (2, 1) is -2 on (-1, 1) in the recent basis and feasible in the
         # older one, which has fewer negative entries: no pivot
         pivots.clear()
@@ -568,14 +614,14 @@ class TestMemory:
         cone = lp.Cone(gens)
         in_cone(cone, (1, 1))
         in_cone(cone, (-1, 3))
-        assert [e[0] for e in cone._bases] == [(1, 2), (0, 1)]
+        assert [e[1] for e in cone._bases] == [(1, 2), (0, 1)]
         rows = [row + [bi] for (row, _), bi in zip(cone.rows, (0, 2))]
-        tab, basis, d = lp._remembered(cone, rows)
-        assert (basis, d, [row[-1] for row in tab]) == ([1, 2], 1, [2, 0])
+        tab, basis, d, priced = lp._remembered(cone, rows)
+        assert (basis, d, [row[-1] for row in tab], priced) == ([1, 2], 1, [2, 0], False)
         pivots = _count_pivots(monkeypatch)
         res = solve_equality_lp(cone, (0, 2), [0] * len(gens))
         assert (res.x, res.basis, pivots) == ((0, 2, 0, 0), (1, 2), [])
-        assert [e[0] for e in cone._bases] == [(1, 2), (0, 1)]
+        assert [e[1] for e in cone._bases] == [(1, 2), (0, 1)]
 
     def test_a_denominator_on_b_starts_from_memory(self, monkeypatch):
         cone = lp.Cone(QUADRIC_GENERATORS)
@@ -600,7 +646,9 @@ class TestMemory:
 
     def test_a_widened_cone_shares_the_memory(self, monkeypatch):
         # max_shift widens the cone by s: it starts from the basis in_cone
-        # left, and its optimum, with s basic, is not remembered
+        # left, and its optimum, with s basic, is remembered for its column
+        # (1, 0) alone, apart from the generator bases; the next max_shift
+        # along (-1, 0) starts there and runs no pivot
         cone = lp.Cone(QUADRIC_GENERATORS)
         in_cone(cone, (2, 3))
         assert cone.widened((1, 1))._base is cone
@@ -609,7 +657,85 @@ class TestMemory:
         warm_pivots = len(pivots)
         assert max_shift((2, 3), (-1, 0), QUADRIC_GENERATORS).value == 2
         assert warm_pivots < len(pivots) - warm_pivots
-        assert [e[0] for e in cone._bases] == [(0, 1)]
+        assert [e[1] for e in cone._bases] == [(0, 1)]
+        assert [e[:2] for e in cone._shifts] == [(((1, 0),), (-1, 1))]
+        pivots.clear()
+        assert max_shift((5, 1), (-1, 0), cone).value == 5
+        assert pivots == []
+        _check_memory(cone)
+
+
+def _spy_pivot_callers(monkeypatch):
+    """The names of the functions that make each simplex pivot."""
+    callers = []
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _pivot(*args)
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    return callers
+
+
+class TestPricedStart:
+    """max_shift along a direction whose optimum the Cone remembers may start
+    there: that basis stays dual feasible when only b moves, so the dual
+    simplex priced by c makes it feasible and the primal simplex finds it
+    optimal as it is."""
+
+    def test_a_same_direction_re_solve_runs_no_primal_pivot(self, monkeypatch):
+        # tau(-K - t*e1) along L on dP4: the optimum at t = 0 (tau = 1)
+        # starts t = 1/2, which takes two dual pivots and no primal one
+        cone = lp.Cone(_dp4_generators())
+        minus_k, minus_l = (3, -1, -1, -1, -1, -1), (-1, 0, 0, 0, 0, 0)
+        assert max_shift(minus_k, minus_l, cone).value == 1
+        assert [e[0] for e in cone._shifts] == [((1, 0, 0, 0, 0, 0),)]
+        callers = _spy_pivot_callers(monkeypatch)
+        base = (3, Q(-3, 2), -1, -1, -1, -1)
+        assert max_shift(base, minus_l, cone).value == Q(2, 3)
+        assert callers == ["_dual_simplex", "_dual_simplex"]
+        callers.clear()
+        assert max_shift(base, minus_l, _dp4_generators()).value == Q(2, 3)
+        assert "_run_simplex" in callers
+        wide = [[-x, *row] for x, row in zip(minus_l, zip(*_dp4_generators()))]
+        assert reference_solve_equality_lp(wide, base, [1] + [0] * len(cone)).value == Q(2, 3)
+        _check_memory(cone)
+
+    def test_a_priced_start_outside_the_cone_is_infeasible(self, monkeypatch):
+        # (-1, 3) + s*(-1, 0) leaves the quadrant for every s >= 0: from the
+        # optimum of (2, 3), s = -1 leaves and its row has no negative entry,
+        # so the row's transform is the Farkas vector
+        cone = lp.Cone(QUADRIC_GENERATORS)
+        assert max_shift((2, 3), (-1, 0), cone).value == 2
+        starts, remembered = [], lp._remembered
+        monkeypatch.setattr(lp, "_remembered", lambda *args: starts.append(remembered(*args)) or starts[-1])
+        callers = _spy_infeasible(monkeypatch)
+        with pytest.raises(Infeasible) as info:
+            max_shift((-1, 3), (-1, 0), cone)
+        assert [start[3] for start in starts] == [True] and callers == ["_dual_simplex"]
+        check_farkas([[1, 1, 0], [0, 0, 1]], (-1, 3), info.value)
+
+    def test_another_objective_is_not_priced_from_it(self, monkeypatch):
+        # the optimum of max s at (2, 3) prices x0 at 1 > 0 for max x0: not
+        # dual feasible, so that LP runs the dual simplex at cost 0, then the primal
+        cone = lp.Cone(QUADRIC_GENERATORS)
+        max_shift((2, 3), (-1, 0), cone)
+        priced, dual = [], lp._dual_simplex
+        monkeypatch.setattr(lp, "_dual_simplex", lambda *args: priced.append(args[-1]) or dual(*args))
+        res = solve_equality_lp(cone.widened((1, 0)), (2, 3), [0, 1, 0])
+        assert (res.value, priced) == (2, [False])
+        check_optimum([[1, 1, 0], [0, 0, 1]], (2, 3), [0, 1, 0], res)
+
+    @pytest.mark.parametrize("z2, entering", [(-2, 1), (-1, 2)], ids=["tie", "smaller-ratio"])
+    def test_the_dual_ratio_test_enters_the_lowest_index_on_a_tie(self, monkeypatch, z2, entering):
+        # x0 = -1 leaves; x1 and x2 have a = -1 and -2 in its row and z = -1
+        # and z2: the ratios z/a are 1 and -z2/2, so a tie at z2 = -2 enters
+        # x1, the lower index, and z2 = -1 enters x2; z stays <= 0
+        callers = _spy_pivot_callers(monkeypatch)
+        tab, basis = [[1, -1, -2, 1, -1], [0, -1, z2, 0, 0]], [0]
+        denom = lp._dual_simplex(tab, basis, 1, 3, [[1, -1, -2, -1]], [1], True)
+        assert (basis, callers) == ([entering], ["_dual_simplex"])
+        assert tab[0][-1] >= 0 and all(x <= 0 for x in tab[1][:3]) and denom > 0
 
 
 def test_a_surfaces_pass_pivots_as_the_frozen_kernel_does(monkeypatch):
@@ -649,5 +775,5 @@ def test_a_surfaces_pass_pivots_as_the_frozen_kernel_does(monkeypatch):
         return len(solves), pivots
 
     frozen = one_pass(reference_fraction_free_pivot)
-    assert (frozen[0], len(frozen[1])) == (124, 927)
+    assert (frozen[0], len(frozen[1])) == (124, 695)
     assert one_pass(checked) == frozen
