@@ -5,9 +5,10 @@ every declared curve the mobile part meets negatively, re-solve, repeat)
 against the model's negative-curve list, with pseudo-effectivity decided by
 an exact LP over the declared effective-cone generators, whose integer LP
 rows each surface builds once.  The rounds run on an integer family at a
-point, a class being the constant family, so a chamber cell is decomposed
-once, on its family at its midpoint.  The support Gram and right-hand
-sides pair only the support curves, each by its own Gram * C row.
+point, a class being the constant family.  Each support is decomposed once
+per family: a call keeps one memo of its family's supports, which every
+round, cell and chamber of that call reads.  The support Gram and
+right-hand sides pair only the support curves, each by its own Gram * C row.
 
 One- and two-parameter families are handled symbolically: on a chamber the
 support is constant, so the negative-part coefficients and the positive
@@ -132,7 +133,7 @@ def _decompose(surface: SurfaceModel, d: QVec) -> ZariskiResult:
     The iterative decomposition of d as a constant family, decomposed once;
     only the result is built in rationals.
     """
-    ((positive,), den), certs = _iterative_decomposition(surface, _integer_family((d,)))
+    ((positive,), den), certs = _iterative_decomposition(surface, _integer_family((d,)), {})
     support = certs.support
     nu = tuple((label, Fraction(c0, certs.mult_den)) for label, (c0,) in zip(support, certs.rows))
     scale = surface._curve_den * surface._gc_den
@@ -335,23 +336,29 @@ def _symbolic_decomposition(surface: SurfaceModel, family: Family, support: Sequ
     return (vecs, den), _Certs(tuple(support), rows, mult_den, den * surface._gc_den)
 
 
-def _iterative_decomposition(surface: SurfaceModel, family: Family, *point: Fraction) -> tuple[Family, _Certs]:
+def _iterative_decomposition(
+    surface: SurfaceModel, family: Family, memo: dict, *point: Fraction
+) -> tuple[Family, _Certs]:
     """The iterative Zariski decomposition of an integer affine family at a point in the cone.
 
-    Each round is the symbolic decomposition on the support so far; a curve
-    whose nef row is negative at the point joins it.  Returns the last
-    round's (positive, certs), whose multiplicities must be nonnegative at
-    the point.  Each round decides the signs of all its rows at once.
+    Each round is the symbolic decomposition on the support so far, which
+    memo maps to its (positive, certs) on family, each support decomposed
+    once; a curve whose nef row is negative at the point joins it.  Returns
+    the last round's (positive, certs), whose multiplicities must be
+    nonnegative at the point.  Each round decides the signs of all its rows
+    at once.
     """
-    support: list[str] = []
+    support: tuple[str, ...] = ()
     while True:
-        positive, certs = _symbolic_decomposition(surface, family, support)
+        if support not in memo:
+            memo[support] = _symbolic_decomposition(surface, family, support)
+        positive, certs = memo[support]
         values = _values(certs.rows, *point)
         nef = values[len(support):]
         violators = [label for label, v in zip(surface.curve_labels, nef) if v < 0 and label not in support]
         if not violators:
             break
-        support = sorted(support + violators)
+        support = tuple(sorted(support + tuple(violators)))
     for label, v in zip(support, values):
         if v < 0:
             coeff = Fraction(v, certs.mult_den * prod(x.denominator for x in point))
@@ -413,13 +420,23 @@ def _interval(lo, hi) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _march_one_param(surface: SurfaceModel, family: Family, lo: Fraction, hi: Fraction) -> list[_SChamber]:
-    """Chambers of an affine one-parameter family on [lo, hi] in pseff, each cell decomposed once at its midpoint."""
+def _march_one_param(
+    surface: SurfaceModel, family: Family, memo: dict, lo: Fraction, hi: Fraction, *t: Fraction
+) -> list[_SChamber]:
+    """Chambers in s of an affine family on [lo, hi] in pseff, each support decomposed once through memo.
+
+    family is (F0, F1), or (A0, A1, -Z) at a given t = p/q: each row (c0, ct,
+    cs) is then decided as (c0*q + ct*p, cs*q), a positive multiple of the
+    row of (A(t), -Z), so every sign, root and wall is that family's.
+    """
 
     def certify(a: Fraction, b: Fraction) -> _SChamber:
         # both ends are in the cone, which is convex, so the midpoint is too
-        positive, certs = _iterative_decomposition(surface, family, (a + b) / 2)
+        positive, certs = _iterative_decomposition(surface, family, memo, *t, (a + b) / 2)
         rows = certs.rows
+        if t:
+            q, p = t[0].denominator, t[0].numerator
+            rows = [(c0 * q + ct * p, cs * q) for c0, ct, cs in rows]
         at_b = _values(rows, b)
         failed = [c for c, u, v in zip(rows, _values(rows, a), at_b) if u < 0 or v < 0]
         if failed:
@@ -469,7 +486,7 @@ def one_param_volume(
         s_end = hi
     pieces = []
     vol_chambers = []
-    for ch in _march_one_param(surface, _integer_family(vecs), lo, s_end):
+    for ch in _march_one_param(surface, _integer_family(vecs), {}, lo, s_end):
         vol = _affine_square(surface, ch.positive, (var,))
         pieces.append((ch.lo, ch.hi, vol, ",".join(ch.support) if ch.support else "nef"))
         vecs, den = ch.positive
@@ -563,6 +580,8 @@ def two_param_flag_volume(
     if len(a_family) != surface.rank:
         raise InvalidModel("class vectors must match the basis size")
     tvar = _family_var(a_family, tvar)
+    if not (isinstance(tvar, str) and isinstance(svar, str) and tvar and svar and tvar != svar):
+        raise InvalidModel(f"the flag variables must be two distinct names, not {tvar!r} and {svar!r}")
     a_vecs = _affine_vectors(a_family, (tvar,), "restriction family must be affine in t")
     z_vec = surface.class_vector(z)
     gens = _eff_data(surface)
@@ -571,20 +590,23 @@ def two_param_flag_volume(
     z_in_cone = in_cone(gens, z_vec) is not None
     minus_z = tuple(-x for x in z_vec)
     family = _integer_family((*a_vecs, minus_z))
+    memo, lines = {}, {}  # this call's supports of family and tau-lines of bases, read by every chamber
     chambers = _certified_cells(
         t_lo, t_hi,
-        lambda a, b: _certify_t_chamber(surface, a_vecs, minus_z, family, a, b, z_in_cone, (tvar, svar)),
+        lambda a, b: _certify_t_chamber(surface, a_vecs, minus_z, family, a, b, z_in_cone, (tvar, svar), memo, lines),
     )
     return FlagDecomposition(tuple(chambers), tvar, svar)
 
 
 def _certify_t_chamber(
     surface: SurfaceModel, a_vecs: Affine, minus_z: QVec, family: Family,
-    t_lo: Fraction, t_hi: Fraction, z_in_cone: bool, both: tuple[str, str],
+    t_lo: Fraction, t_hi: Fraction, z_in_cone: bool, both: tuple[str, str], memo: dict, lines: dict,
 ) -> FlagChamber:
     """One t-chamber of A(t) - s*Z; family is (A0, A1, -Z) over its denominator.
 
-    A wall s = (w0 + w1*t) / dw is held as ((w0, w1), dw) with dw > 0.
+    memo holds the supports of family decomposed so far, and lines the
+    tau-lines of optimal bases, both for every chamber of one call.  A wall
+    s = (w0 + w1*t) / dw is held as ((w0, w1), dw) with dw > 0.
     """
     mid = (t_lo + t_hi) / 2
     a_mid = _at((a_vecs, 1), mid)
@@ -605,14 +627,14 @@ def _certify_t_chamber(
             if _threshold_at(a_vecs, minus_z, gens, t_end) != 0:
                 raise _SplitRequest([mid])
         return FlagChamber(t_lo, t_hi, ())
-    tau = scaled(_parametric_threshold(a_vecs, minus_z, gens, lp, t_lo, t_hi))
-    # sampled chamber structure in s at the midpoint
-    s_chambers = _march_one_param(surface, _integer_family((a_mid, minus_z)), Q(0), tau_mid)
-    # symbolic (t, s) reconstruction of each cell
+    tau = scaled(_parametric_threshold(a_vecs, minus_z, gens, lp, t_lo, t_hi, lines))
+    # sampled chamber structure in s at the midpoint, on family itself
+    s_chambers = _march_one_param(surface, family, memo, Q(0), tau_mid, mid)
+    # symbolic (t, s) reconstruction of each cell, from the support the march decomposed
     cells: list[FlagCell] = []
     lower = ((0, 0), 1)
     for idx, sch in enumerate(s_chambers):
-        positive, certs = _symbolic_decomposition(surface, family, sch.support)
+        positive, certs = memo[sch.support]
         upper = _wall_from_cert(certs.rows, sch.upper_cert, mid, sch.hi) if idx + 1 < len(s_chambers) else tau
         (l, dl), (u, du) = lower, upper
         gap = (l[0] * du - u[0] * dl, l[1] * du - u[1] * dl)  # (lower - upper) * dl * du
@@ -664,7 +686,7 @@ def _threshold_at(a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], t: Fracti
 
 
 def _parametric_threshold(
-    a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction
+    a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction, lines: dict
 ) -> tuple[Fraction, Fraction]:
     """tau(t) = tau0 + tau1*t, from the midpoint's optimal basis or by a three-point probe.
 
@@ -679,7 +701,7 @@ def _parametric_threshold(
     locate it exactly and the chamber is split there.  When the basis
     proves tau affine, the probe would accept the same line.
     """
-    tau = _threshold_from_basis(a_vecs, minus_z, gens, lp, t_lo, t_hi)
+    tau = _threshold_from_basis(a_vecs, minus_z, gens, lp, t_lo, t_hi, lines)
     if tau is not None:
         return tau
     mid = (t_lo + t_hi) / 2
@@ -701,29 +723,35 @@ def _parametric_threshold(
 
 
 def _threshold_from_basis(
-    a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction
+    a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction,
+    lines: dict | None = None,
 ) -> tuple[Fraction, Fraction] | None:
     """tau(t) on [t_lo, t_hi] as proved by the optimal basis of lp, or None.
 
     In max_shift(A(t), -Z, gens) the parameter enters only through the
     right-hand side A(t) (Gass-Saaty 1955).  On the basis B of the
-    midpoint optimum, B*x = A(t) has the affine solution x(t).  If x(t) >= 0
-    at both ends it is feasible on the whole chamber.  The checked dual y
-    of the midpoint does not involve t, so it stays feasible; if y*A(t) is
-    the s-entry of x(t), as affine functions, weak duality makes that entry
-    tau(t).  None when any of this fails.
+    midpoint optimum, B*x = A(t) has the affine solution x(t), solved once
+    per basis into lines (a fresh memo when omitted) as integer lines over
+    one denominator.  If x(t) >= 0 at both ends it is feasible on the whole
+    chamber.  The checked dual y of the midpoint does not involve t, so it
+    stays feasible; if y*A(t) is the s-entry of x(t), as affine functions,
+    weak duality makes that entry tau(t).  None when any of this fails; the
+    dual is lp's own, so it is checked on every call.
     """
     basis = lp.basis
     if not basis or basis[0] != 0:  # s, column 0, is not basic
         return None
-    mat = [[-minus_z[i] if j == 0 else gens[j - 1][i] for j in basis] for i in range(len(minus_z))]
-    sols = solve_each(mat, a_vecs)
-    if sols is None:
+    lines, key = {} if lines is None else lines, tuple(basis)
+    if key not in lines:
+        mat = [[-minus_z[i] if j == 0 else gens[j - 1][i] for j in basis] for i in range(len(minus_z))]
+        sols = solve_each(mat, a_vecs)
+        lines[key] = None if sols is None else _integer_family(sols)
+    if lines[key] is None:
         return None
-    x0, x1 = sols
-    if any(u + v * t < 0 for u, v in zip(x0, x1) for t in (t_lo, t_hi)):
+    (x0, x1), den = lines[key]
+    if any(v < 0 for t in (t_lo, t_hi) for v in _values(zip(x0, x1), t)):
         return None
-    tau = (x0[0], x1[0])
+    tau = (Fraction(x0[0], den), Fraction(x1[0], den))
     if tuple(dot(lp.dual, a) for a in a_vecs) != tau:
         return None
     return tau

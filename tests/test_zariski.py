@@ -42,7 +42,7 @@ from kstab.intersect import (
     sing_line_model,
 )
 from kstab.invariants import s_invariant
-from kstab.lp import Infeasible, LPResult, Unbounded, _remembered, max_shift
+from kstab.lp import Infeasible, LPResult, Unbounded, _remembered, in_cone, max_shift
 from kstab.poly import Polynomial, check_c1, parse_polynomial
 from kstab.rationals import qvec, scaled
 from oracles import (
@@ -794,7 +794,7 @@ def family_points(draw):
 def test_iterative_decomposition_at_a_point_matches_reference(case):
     """The family's decomposition at t, rebuilt in Fractions, is the reference decomposition of its class at t."""
     surface, vecs, t = case
-    got = _outcome(zariski._iterative_decomposition, surface, _integer_family(vecs), t)
+    got = _outcome(zariski._iterative_decomposition, surface, _integer_family(vecs), {}, t)
     want = _outcome(reference_decompose, surface, tuple(c + s * t for c, s in zip(*vecs)))
     if isinstance(want, tuple):  # (error type, message)
         assert got == want
@@ -878,7 +878,7 @@ def test_the_certificates_of_a_support_are_one_record_decided_in_bulk(monkeypatc
         return values(rows, *point)
 
     monkeypatch.setattr(zariski, "_values", counted)
-    chambers = zariski._march_one_param(DP4, family, Q(0), Q(3, 2))
+    chambers = zariski._march_one_param(DP4, family, {}, Q(0), Q(3, 2))
     assert [(ch.lo, ch.hi, ch.support) for ch in chambers] == [
         (0, 1, ()), (1, Q(3, 2), ("conic", "l_12", "l_13", "l_14", "l_15")),
     ]
@@ -1015,7 +1015,7 @@ def _flag_outcome(surface, family, hi, z):
         return type(exc), str(exc)
 
 
-def _probe(a_vecs, minus_z, gens, lp, t_lo, t_hi):
+def _probe(a_vecs, minus_z, gens, lp, t_lo, t_hi, lines):
     return reference_parametric_threshold(a_vecs, minus_z, gens, lp.value, t_lo, t_hi)
 
 
@@ -1052,7 +1052,7 @@ MINUS_K4, MINUS_K3 = (3, -1, -1, -1, -1, -1), (3, -1, -1, -1, -1, -1, -1)
 @example((DP3, _moving(MINUS_K3), Q(1), L3))
 def test_basis_threshold_matches_three_lp_probe(case):
     got, proved = _proved_thresholds(*case)
-    for (a_vecs, minus_z, gens, lp, t_lo, t_hi), tau in proved:
+    for (a_vecs, minus_z, gens, lp, t_lo, t_hi, _), tau in proved:
         if tau is not None:
             assert reference_parametric_threshold(a_vecs, minus_z, gens, lp.value, t_lo, t_hi) == tau
     with mock.patch.object(zariski, "_parametric_threshold", _probe):
@@ -1119,3 +1119,132 @@ def test_a_warmed_cone_leaves_the_chamber_records_unchanged(make, minus_k, line,
         if isinstance(got, zariski.VolumeFunction):
             assert got.pw.pieces == want.pw.pieces  # with their labels
     assert ("max_shift", "_certify_t_chamber") in remembered_by
+
+
+# -- one memo per family: each support decomposed, each basis solved, once per call ----
+
+
+@pytest.mark.parametrize("svar", ["t", "", 3], ids=["same-as-t", "empty", "not-a-string"])
+def test_the_flag_variables_must_be_two_distinct_names(svar):
+    # with svar = "t" the cells were built in ('t', 't'), a volume read
+    # 4 - 6*t - 2*t + t^2 - t^2 and the integral 2861/2592 for 53/72
+    with pytest.raises(InvalidModel, match="two distinct names"):
+        two_param_flag_volume(DP4, _moving(MINUS_K4), 0, 1, "L", svar=svar)
+    with pytest.raises(InvalidModel, match="two distinct names"):
+        two_param_flag_volume(DP4, MINUS_K4, 0, 1, "L", tvar=svar, svar="t")
+
+
+def test_a_flag_call_decomposes_each_support_and_solves_each_basis_once(monkeypatch):
+    # -K - t*e1 against L on the cubic surface: its t-chambers and s-cells
+    # made 21 decompositions of 3 supports when each cell and each chamber
+    # decomposed afresh; one memo per call makes 3, and the next call
+    # keeps nothing of it
+    def spy(name, log, entry):
+        real = getattr(zariski, name)
+        monkeypatch.setattr(zariski, name, lambda *args: log.append(entry(args)) or real(*args))
+
+    supports, bases, solves = [], [], []
+    spy("_symbolic_decomposition", supports, lambda args: tuple(args[2]))
+    spy("_threshold_from_basis", bases, lambda args: args[3].basis)
+    spy("solve_each", solves, lambda args: None)
+    flag = two_param_flag_volume(DP3, _moving(MINUS_K3), 0, 1, L3)
+    assert sorted(supports) == [(), tuple(f"c_{i}" for i in range(1, 7)), tuple(f"c_{i}" for i in range(2, 7))]
+    # each basis with s basic is solved for its tau-line once, and then read
+    s_basic = [tuple(b) for b in bases if b and b[0] == 0]
+    assert (len(bases), len(s_basic), len(set(s_basic)), len(solves)) == (5, 5, 2, 2)
+    assert two_param_flag_volume(DP3, _moving(MINUS_K3), 0, 1, L3) == flag
+    assert (len(supports), len(solves)) == (6, 4)
+
+
+@st.composite
+def memo_families(draw):
+    """dP4 or dP3, A(t) = -K + A0 + t*A1 (A0 >= 0 and A1 small integer
+    combinations of cone generators), an interval end and a direction Z."""
+    surface, minus_k = draw(st.sampled_from([(DP4, MINUS_K4), (DP3, MINUS_K3)]))
+    pool = sorted(surface.eff_generators.values())
+    a0, a1 = list(minus_k), [0] * surface.rank
+    for g in draw(st.lists(st.sampled_from(pool), max_size=2)):
+        a0 = [x + draw(st.integers(0, 2)) * y for x, y in zip(a0, g)]
+    for g in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)):
+        a1 = [x + draw(st.integers(-1, 1)) * y for x, y in zip(a1, g)]
+    units = [tuple(int(i == j) for j in range(surface.rank)) for i in range(surface.rank)]
+    family = tuple(_poly(("t",), (c, s)) for c, s in zip(a0, a1))
+    return surface, family, draw(st.sampled_from([Q(1, 2), Q(1), Q(2)])), draw(st.sampled_from(pool + units))
+
+
+def _without_memos():
+    """Patches under which every decomposition and every tau-line is computed afresh.
+
+    Each _iterative_decomposition starts from an empty memo and leaves only
+    its own result for the flag's cell rebuild to read, and each
+    _threshold_from_basis solves its basis again.
+    """
+    iterative, from_basis = zariski._iterative_decomposition, zariski._threshold_from_basis
+
+    def fresh(surface, family, memo, *point):
+        positive, certs = iterative(surface, family, {}, *point)
+        memo[certs.support] = positive, certs
+        return positive, certs
+
+    return (
+        mock.patch.object(zariski, "_iterative_decomposition", fresh),
+        mock.patch.object(zariski, "_threshold_from_basis", lambda *args: from_basis(*args[:6])),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(memo_families())
+@example((DP3, _moving(MINUS_K3), Q(1), L3))
+@example((DP4, _moving(MINUS_K4), Q(2), L4))
+def test_the_memos_change_no_record(case):
+    """Flag and one-parameter records, with the memos and with none, are equal, and so are the integrals."""
+    surface, family, hi, z = case
+    calls = [lambda: two_param_flag_volume(surface, family, 0, hi, z), lambda: one_param_volume(surface, family, 0, hi)]
+    for call in calls:
+        got = _outcome(call)
+        fresh, from_basis = _without_memos()
+        with fresh, from_basis:
+            want = _outcome(call)
+        assert got == want
+        if isinstance(got, FlagDecomposition):
+            assert got.integral() == want.integral()
+        elif isinstance(got, zariski.VolumeFunction):
+            assert got.pw.pieces == want.pw.pieces  # with their labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(memo_families(), st.fractions(min_value=0, max_value=1, max_denominator=6))
+@example((DP3, _moving(MINUS_K3), Q(1), L3), Q(1, 4))
+def test_the_march_at_a_fixed_t_is_the_march_of_the_class_there(case, t):
+    """The s-march on (A0, A1, -Z) at t makes the chambers (lo, hi, support,
+    upper_cert) of the march on (A(t), -Z), and its positive parts at t are
+    that march's."""
+    surface, family, _, z = case
+    a_vecs = _affine_vectors(family, ("t",), "affine")
+    minus_z = tuple(-x for x in surface.class_vector(z))
+    a_t = zariski._at((a_vecs, 1), t)
+    gens = zariski._eff_data(surface)
+    if in_cone(gens, a_t) is None:
+        return
+    try:
+        tau = max_shift(a_t, minus_z, gens).value
+    except Unbounded:
+        return
+    if tau == 0:
+        return
+
+    def at_t(positive):
+        vecs, den = positive
+        if len(vecs) == 3:
+            vecs = (tuple(c + t * x for c, x in zip(*vecs[:2])), vecs[2])
+        return tuple(tuple(Q(x, den) for x in v) for v in vecs)
+
+    def chambers(march):
+        if isinstance(march, tuple):  # (error type, message)
+            return march
+        return [(c.lo, c.hi, c.support, c.upper_cert, at_t(c.positive)) for c in march]
+
+    family_2p = _integer_family((*a_vecs, minus_z))
+    got = _outcome(zariski._march_one_param, surface, family_2p, {}, Q(0), tau, t)
+    want = _outcome(zariski._march_one_param, surface, _integer_family((a_t, minus_z)), {}, Q(0), tau)
+    assert chambers(got) == chambers(want)
