@@ -15,28 +15,24 @@ with the engine; tests/test_acceptance.py checks 73/88 against an
 independent oracle route and asserts that it differs from 29/44.
 """
 
-from fractions import Fraction as Q
-
-from kstab import dp4_surface, quadric_surface, refined_s_flag
-from kstab.poly import parse_polynomial
+from kstab import bl_p3_quintic, dp4_surface, quadric_surface, refined_s_flag
+from kstab.invariants import restricted_family
+from kstab.models import FLAG_SETUPS
 from kstab.zariski import two_param_flag_volume
 
-
-def p(text):
-    return parse_polynomial(text, ("t",))
-
-
+QUINTIC = bl_p3_quintic()
 DP4 = dp4_surface()
 QUADRIC = quadric_surface()
 
-dp4_family = [
-    (Q(0), Q(2), (p("4 - 2*t"), p("-1 + 1/2*t"), p("-1 + 1/2*t"),
-                  p("-1 + 1/2*t"), p("-1 + 1/2*t"), p("-1 + 1/2*t")))
-]
-quadric_family = [
-    (Q(0), Q(1), (p("3 - t"), p("2*t"))),
-    (Q(1), Q(2), (p("4 - 2*t"), p("4 - 2*t"))),
-]
+
+def family(label, surface):
+    """The quintic's certified positive parts of -K - tS, restricted to the surface S."""
+    setup = FLAG_SETUPS[("bl_p3_quintic", label)]
+    return restricted_family(QUINTIC, setup.divisor, surface, setup.images)
+
+
+dp4_family = family("S", DP4)
+quadric_family = family("Qtilde", QUADRIC)
 
 print("flag 1: the ruling line (class L) on the degree-4 del Pezzo slice")
 flag = two_param_flag_volume(DP4, dp4_family[0][2], 0, 2, (1, 0, 0, 0, 0, 0))

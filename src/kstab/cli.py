@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .errors import KstabError
-from .rationals import Q, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 
 USAGE_EXIT = 64
 ERROR_EXIT = 2
@@ -166,35 +166,22 @@ def _cmd_sinv(args) -> dict:
     return report
 
 
-_FLAG_SETUPS = {
-    ("bl_p3_quintic", "S"): {
-        "surface": "dp4",
-        "volume": Q(22),
-        "note": "restricted positive parts of -K - tS, S a hyperplane through the flag line",
-    },
-    ("bl_p3_quintic", "Qtilde"): {
-        "surface": "quadric",
-        "volume": Q(22),
-        "note": "restricted positive parts of -K - uQtilde on the quadric",
-    },
-}
-
-
 def _cmd_flag_sinv(args) -> dict:
-    from .invariants import _flag_family, refined_s_flag
-    from .models import parse_class_expr, preset
+    from .intersect import anticanonical_volume
+    from .invariants import refined_s_flag, restricted_family
+    from .models import FLAG_SETUPS, parse_class_expr, preset
 
-    setup = _FLAG_SETUPS.get((args.model, args.surface))
+    setup = FLAG_SETUPS.get((args.model, args.surface))
     if setup is None:
-        known = ", ".join(f"{m}/{s}" for (m, s) in sorted(_FLAG_SETUPS))
+        known = ", ".join(f"{m}/{s}" for (m, s) in sorted(FLAG_SETUPS))
         raise KstabError(f"no flag setup for {args.model}/{args.surface}; known: {known}")
-    surface = preset(setup["surface"])
+    model, surface = preset(args.model), preset(setup.surface)
     z = parse_class_expr(args.curve, surface.basis)
     report_obj = refined_s_flag(
         surface,
-        _flag_family(setup["surface"]),
+        restricted_family(model, setup.divisor, surface, setup.images),
         z,
-        setup["volume"],
+        anticanonical_volume(model),
         surface_label=args.surface,
         curve_label=args.curve,
     )
@@ -209,7 +196,7 @@ def _cmd_flag_sinv(args) -> dict:
         "cells": [
             {"t": tr, "s": sr, "volume": vol} for (tr, sr, vol) in report_obj.cells
         ],
-        "note": setup["note"],
+        "note": setup.note,
         "claims": [f"flag:{args.model}/{args.surface}/{args.curve}"],
     }
 

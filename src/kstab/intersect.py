@@ -270,7 +270,8 @@ def bl_p3_quintic() -> ThreefoldModel:
     """Blowup of P^3 along the special rational quintic on a quadric.
 
     Carries the strict transform Qtilde = 2H - E of the quadric through the
-    curve, and the chamber tables of the families -K - u*Qtilde and -K - u*E.
+    curve, and the chamber tables of the families -K - u*Qtilde, -K - u*E and
+    -K - u*H.  On [0, 2], -K - uH = (1 - u/2)(-K) + (u/2)Qtilde.
     """
     base = blowup_p3_curve(5, 0, name="bl_p3_quintic")
     return ThreefoldModel(
@@ -287,6 +288,7 @@ def bl_p3_quintic() -> ThreefoldModel:
                 Chamber(Q(1), Q(2), qvec((4, 0)), qvec((-2, 0))),
             ),
             "E": (Chamber(Q(0), Q(1), qvec((4, -1)), qvec((-4, 1))),),
+            "H": (Chamber(Q(0), Q(2), qvec((4, -1)), qvec((-2, Q(1, 2)))),),
         },
     )
 

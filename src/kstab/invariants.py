@@ -7,10 +7,11 @@ declared chamber data into exact rational values.
 
 The flag refinement S(W; Z) is the double integral of the volumes of
 A(t) - s*Z over the certified two-parameter cell structure, scaled by 3/V.
-A correction term (the Z-multiplicity of the negative parts, weighted by
-the squared restricted class) is exposed but defaults to zero, which is the
-correct convention whenever the flag curve avoids every negative part; the
-report records the convention used.
+The family A(t) is never typed in: ``restricted_family`` sends a
+threefold's certified chamber table of -K - tS through a restriction map to
+the surface S, checked against the trilinear form.  No correction term is
+added; that is the right value when the flag curve is no component of any
+negative part, which the flag setups declare.
 
 Verdicts aggregate to "divisorially semistable relative to the tested
 divisors" - completeness over all divisors is never a computation.
@@ -21,17 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidModel, NonpositiveVolume
-from .intersect import SurfaceModel
-from .poly import PiecewisePolynomial, integrate_piecewise, parse_polynomial
+from .intersect import SurfaceModel, ThreefoldModel, restrict_to_surface
+from .poly import PiecewisePolynomial, Polynomial, integrate_piecewise
 from .rationals import Q, to_q
 from .records import Record
-from .zariski import (
-    VolumeFunction,
-    _affine_square,
-    _affine_vectors,
-    _integer_family,
-    two_param_flag_volume,
-)
+from .zariski import VolumeFunction, threefold_volume_certified, two_param_flag_volume
 
 
 class DivisorialVerdict(Record):
@@ -58,7 +53,6 @@ class FlagReport(Record):
     value: Fraction
     cells: tuple[tuple[str, str, str], ...]  # (t-range, s-range, volume) strings
     prefactor: str
-    correction_used: bool
 
 
 def s_invariant(vol: VolumeFunction | PiecewisePolynomial, volume_at_zero) -> Fraction:
@@ -94,28 +88,38 @@ def sing_line_bound(g: int, k: int) -> Fraction:
     (tested), which is what makes the g = 12, k = 0 equality case rigid.
     """
     if g < 3:
-        raise ValueError("genus must be at least 3")
+        raise InvalidModel("genus must be at least 3")
     if k < 0:
-        raise ValueError("pinch-point count must be nonnegative")
+        raise InvalidModel("pinch-point count must be nonnegative")
     return 1 + Q(g - 12 + k, 4 * (g - 1))
 
 
-def _flag_family(kind: str) -> list[tuple[Fraction, Fraction, tuple]]:
-    """The restricted positive parts A(t) of -K - tS on bl_p3_quintic, as chambers for refined_s_flag.
+def restricted_family(
+    model: ThreefoldModel, divisor: str, surface: SurfaceModel, images, certify=threefold_volume_certified
+) -> list[tuple[Fraction, Fraction, tuple[Polynomial, ...]]]:
+    """The certified positive parts of -K - t*S on a threefold, restricted to the surface S.
 
-    kind "dp4": S a hyperplane through the flag line, restricted to dP4;
-    otherwise S = Qtilde, restricted to the quadric.
+    ``images[i]`` is the surface class of threefold basis class i.  The map
+    r is checked against the trilinear form first: r(a).r(b) on the surface
+    must equal a.b.S for every pair of basis classes, or InvalidModel is
+    raised.  Each chamber p0 + t*p1 of ``certify(model, divisor)`` then
+    becomes the chamber r(p0) + t*r(p1) that refined_s_flag integrates; a
+    caller that certifies the same table elsewhere passes a cached certify.
     """
-    c = ("t",)
-    p = lambda s: parse_polynomial(s, c)
-    if kind == "dp4":
-        return [
-            (Q(0), Q(2), (p("4 - 2*t"), p("-1 + 1/2*t"), p("-1 + 1/2*t"),
-                          p("-1 + 1/2*t"), p("-1 + 1/2*t"), p("-1 + 1/2*t")))
-        ]
+    images = [surface.class_vector(v) for v in images]
+    basis = [model.class_vector(b) for b in model.basis]
+    gram = restrict_to_surface(model, model.class_vector(divisor), basis).gram
+    if len(images) != model.rank or gram != tuple(tuple(surface.pair(x, y) for y in images) for x in images):
+        raise InvalidModel(
+            f"the restriction to {surface.name} does not match the intersection form of {model.name} on {divisor}"
+        )
+
+    def image(p):
+        return [sum((c * v[j] for c, v in zip(p, images)), Q(0)) for j in range(surface.rank)]
+
     return [
-        (Q(0), Q(1), (p("3 - t"), p("2*t"))),
-        (Q(1), Q(2), (p("4 - 2*t"), p("4 - 2*t"))),
+        (ch.lo, ch.hi, tuple(Polynomial(("t",), {(0,): a, (1,): b}) for a, b in zip(image(ch.p0), image(ch.p1))))
+        for ch in certify(model, divisor).chambers
     ]
 
 
@@ -124,17 +128,14 @@ def refined_s_flag(
     restriction_family: list[tuple[Fraction, Fraction, tuple]],
     flag_class,
     total_volume,
-    correction: PiecewisePolynomial | None = None,
     surface_label: str | None = None,
     curve_label: str = "Z",
 ) -> FlagReport:
-    """Refined flag invariant (3/V) * (double integral + correction term).
+    """Refined flag invariant (3/V) * double integral.
 
     ``restriction_family`` lists (t_lo, t_hi, class polynomials) chambers of
     the restricted positive part A(t); each chamber is decomposed into
-    certified two-parameter cells automatically.  The correction term
-    integrates correction(t) * A(t)^2 and defaults to zero, the right value
-    whenever the flag curve is not a component of any negative part.
+    certified two-parameter cells automatically.
     """
     v = to_q(total_volume)
     if v <= 0:
@@ -153,9 +154,6 @@ def refined_s_flag(
                         str(cell.volume),
                     )
                 )
-    correction_used = correction is not None
-    if correction is not None:
-        total += _correction_integral(surface, restriction_family, correction)
     value = 3 * total / v
     if value < 0:
         raise InvalidModel("flag invariant came out negative; inputs are inconsistent")
@@ -165,25 +163,5 @@ def refined_s_flag(
         value=value,
         cells=tuple(cell_rows),
         prefactor=f"3/{v}",
-        correction_used=correction_used,
     )
 
-
-def _correction_integral(
-    surface: SurfaceModel,
-    restriction_family: list[tuple[Fraction, Fraction, tuple]],
-    correction: PiecewisePolynomial,
-) -> Fraction:
-    """integral of correction(t) * A(t)^2 over the family's t-domain."""
-    total = Q(0)
-    var = correction.variable
-    for t_lo, t_hi, family in restriction_family:
-        vecs = _affine_vectors(family, (var,), "restriction family must be affine in t")
-        square = _affine_square(surface, _integer_family(vecs), (var,))
-        for piece in correction.pieces:
-            lo, hi = max(piece.lo, to_q(t_lo)), min(piece.hi, to_q(t_hi))
-            if lo >= hi:
-                continue
-            anti = (piece.poly * square).antiderivative(var)
-            total += anti(hi) - anti(lo)
-    return total

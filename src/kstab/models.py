@@ -30,7 +30,8 @@ from .intersect import (
     quadric_surface,
     sing_line_model,
 )
-from .rationals import Q, format_rational, parse_rational, qvec
+from .rationals import Q, QVec, format_rational, parse_rational, qvec
+from .records import Record
 
 HEADER = "kstab-model v1"
 
@@ -50,6 +51,31 @@ PRESET_LOG_DISCREPANCY: dict[tuple[str, str], Fraction] = {
     ("bl_node_22", "E"): Q(2),
     ("bl_v4_conic", "E"): Q(1),
     ("sing_line", "E"): Q(1),
+}
+
+
+class FlagSetup(Record):
+    """A surface preset that is the divisor S of a threefold preset, for the flag invariant.
+
+    ``images[i]`` is the surface class of threefold basis class i restricted to S.
+    """
+
+    surface: str
+    divisor: str
+    images: tuple[QVec, ...]
+    note: str
+
+
+# (model, surface label) -> flag setup
+FLAG_SETUPS: dict[tuple[str, str], FlagSetup] = {
+    ("bl_p3_quintic", "S"): FlagSetup(
+        "dp4", "H", (qvec((1, 0, 0, 0, 0, 0)), qvec((0, 1, 1, 1, 1, 1))),
+        "restricted positive parts of -K - tS, S a hyperplane through the flag line",
+    ),
+    ("bl_p3_quintic", "Qtilde"): FlagSetup(
+        "quadric", "Qtilde", (qvec((1, 1)), qvec((1, 4))),
+        "restricted positive parts of -K - uQtilde on the quadric",
+    ),
 }
 
 _SING_LINE_RE = re.compile(r"^sing_line\((\d+)\s*,\s*(\d+)\)$")

@@ -14,10 +14,11 @@ value, on purpose: an honest mismatch beats a doctored pass.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
-from .intersect import restrict_to_surface, triple_product
-from .invariants import _flag_family, refined_s_flag, s_invariant, sing_line_bound
+from .intersect import anticanonical_volume, restrict_to_surface, triple_product
+from .invariants import refined_s_flag, restricted_family, s_invariant, sing_line_bound
 from .k3cat import (
     BN_EXCLUDING_PAIRS,
     TYPE_PAIRS,
@@ -39,7 +40,7 @@ from .lattice import (
     isotropic_elements,
     signature,
 )
-from .models import preset
+from .models import FLAG_SETUPS, preset
 from .poly import check_c1, parse_polynomial
 from .rationals import Q, format_rational
 from .records import Record
@@ -71,13 +72,13 @@ def _row(claim: str, expected, computed, note: str = "") -> Row:
     return Row(claim, exp_s, got_s, exp_s == got_s, note)
 
 
-def _try_row(claim: str, expected, thunk) -> Row:
+def _try_row(claim: str, expected, thunk, note: str = "") -> Row:
     """Build a row, degrading computation errors to a FAIL with the message."""
     try:
         value = thunk()
     except Exception as exc:
-        return _row(claim, expected, f"error: {type(exc).__name__}: {exc}")
-    return _row(claim, expected, value)
+        return _row(claim, expected, f"error: {type(exc).__name__}: {exc}", note)
+    return _row(claim, expected, value, note)
 
 
 def _fmt(value) -> str:
@@ -104,58 +105,35 @@ def verify_paper(overrides: dict | None = None) -> list[Row]:
     t = ("t",)
     pp = lambda s: parse_polynomial(s, t)
 
-    # divisorial stability on the quintic blowup
+    # divisorial stability and flag refinements on the quintic blowup; each
+    # chamber table is certified once, and the flag families are its
+    # restricted positive parts
     quintic = get("bl_p3_quintic")
-    rows.append(
-        _try_row(
-            "divisorial:vol(-K-uQtilde)|[0,1]",
-            str(pp("(4 - 2*t)^3 - 15*(4 - 2*t)*(1 - t)^2 + 18*(1 - t)^3")),
-            lambda: str(threefold_volume_certified(quintic, "Qtilde").pw.pieces[0].poly),
-        )
-    )
-    rows.append(
-        _try_row(
-            "divisorial:vol(-K-uQtilde)|[1,2]",
-            str(pp("(4 - 2*t)^3")),
-            lambda: str(threefold_volume_certified(quintic, "Qtilde").pw.pieces[1].poly),
-        )
-    )
-    rows.append(
-        _try_row(
-            "divisorial:S(Qtilde)",
-            Q(19, 22),
-            lambda: s_invariant(threefold_volume_certified(quintic, "Qtilde"), 22),
-        )
-    )
-    rows.append(
-        _try_row(
-            "divisorial:S(E)",
-            Q(1, 4),
-            lambda: s_invariant(threefold_volume_certified(quintic, "E"), 22),
-        )
-    )
+    certified = cache(threefold_volume_certified)
 
-    # flag refinements
-    dp4 = get("dp4")
-    ruling = refined_s_flag(dp4, _flag_family("dp4"), (1, 0, 0, 0, 0, 0), 22, curve_label="l2")
-    rows.append(_row("flag:dp4-ruling", Q(53, 88), ruling.value))
-    line = refined_s_flag(dp4, _flag_family("dp4"), (1, -1, -1, 0, 0, 0), 22, curve_label="l1")
-    rows.append(
-        _row(
-            "flag:dp4-line",
-            Q(29, 44),
-            line.value,
-            note=(
-                "printed value 29/44 is arithmetically inconsistent (its chamber "
-                "data is discontinuous at the first wall); the certified three-cell "
-                "decomposition gives 73/88, confirmed by an exhaustive-subset oracle "
-                "and by numeric quadrature. Expected mismatch."
-            ),
-        )
+    def flag(label: str, curve) -> Fraction:
+        setup = FLAG_SETUPS[("bl_p3_quintic", label)]
+        surface = get(setup.surface)
+        family = restricted_family(quintic, setup.divisor, surface, setup.images, certified)
+        return refined_s_flag(surface, family, curve, anticanonical_volume(quintic)).value
+
+    line_note = (
+        "printed value 29/44 is arithmetically inconsistent (its chamber "
+        "data is discontinuous at the first wall); the certified three-cell "
+        "decomposition gives 73/88, confirmed by an exhaustive-subset oracle "
+        "and by numeric quadrature. Expected mismatch."
     )
-    quadric = get("quadric")
-    diag = refined_s_flag(quadric, _flag_family("quadric"), (1, 1), 22, curve_label="diagonal")
-    rows.append(_row("flag:quadric-diagonal", Q(1, 2), diag.value))
+    rows.extend(_try_row(*spec) for spec in (
+        ("divisorial:vol(-K-uQtilde)|[0,1]", str(pp("(4 - 2*t)^3 - 15*(4 - 2*t)*(1 - t)^2 + 18*(1 - t)^3")),
+         lambda: str(certified(quintic, "Qtilde").pw.pieces[0].poly)),
+        ("divisorial:vol(-K-uQtilde)|[1,2]", str(pp("(4 - 2*t)^3")),
+         lambda: str(certified(quintic, "Qtilde").pw.pieces[1].poly)),
+        ("divisorial:S(Qtilde)", Q(19, 22), lambda: s_invariant(certified(quintic, "Qtilde"), 22)),
+        ("divisorial:S(E)", Q(1, 4), lambda: s_invariant(certified(quintic, "E"), 22)),
+        ("flag:dp4-ruling", Q(53, 88), lambda: flag("S", (1, 0, 0, 0, 0, 0))),
+        ("flag:dp4-line", Q(29, 44), lambda: flag("S", (1, -1, -1, 0, 0, 0)), line_note),
+        ("flag:quadric-diagonal", Q(1, 2), lambda: flag("Qtilde", (1, 1))),
+    ))
 
     # singular-line mechanics
     sing = get("sing_line(12,0)")

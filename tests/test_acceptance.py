@@ -79,6 +79,17 @@ def quadric_restriction():
     ]
 
 
+def test_the_derived_flag_families_are_the_typed_ones():
+    """The flag setups' families, derived from the certified threefold tables, equal the copies typed above."""
+    from kstab.invariants import restricted_family
+    from kstab.models import FLAG_SETUPS
+
+    model = bl_p3_quintic()
+    for label, surface, typed in (("S", DP4, dp4_restriction()), ("Qtilde", QUADRIC, quadric_restriction())):
+        setup = FLAG_SETUPS[("bl_p3_quintic", label)]
+        assert restricted_family(model, setup.divisor, surface, setup.images) == typed, label
+
+
 def test_criterion_1_divisorial_s_invariants():
     """S(E) = 1/4 and S(Qtilde) = 19/22 from certified two-chamber volumes."""
     model = bl_p3_quintic()

@@ -36,6 +36,15 @@ class TestSinv:
         assert code == 0
         assert "0.8636" in out
 
+    def test_the_hyperplane_table(self, capsys):
+        # -K - tH = (1 - t/2)(-K) + (t/2)Qtilde on [0, 2], so vol = 22(1 - t/2)^3
+        code, out = run(capsys, "sinv", "--model", "bl_p3_quintic", "--divisor", "H", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["S"] == "1/2"
+        assert report["chambers"] == [{"interval": ["0", "2"], "piece": "22 - 33*t + 33/2*t^2 - 11/4*t^3"}]
+        assert "verdict" not in report  # no log discrepancy is declared for H
+
     def test_a_model_file_with_more_effective_classes(self, capsys, tmp_path):
         # H = (1, 0) is effective too; the residual 2t*Qtilde of the E table stays in the cone
         from kstab.models import preset, serialize_model
@@ -339,7 +348,9 @@ class TestVerifyPaper:
         assert all(r["status"] == "PASS" for r in report["rows"] if r["claim"] != "flag:dp4-line")
 
     def test_negative_control_perturbed_preset(self):
-        # an E^3 off by one must flip the Qtilde rows to FAIL with a diff
+        # an E^3 off by one must flip the Qtilde rows to FAIL with a diff, and
+        # the quadric flag too: E.E.Qtilde becomes 7, which no image of E on
+        # the quadric matches
         from kstab.intersect import ThreefoldModel
         from kstab.models import preset
 
@@ -360,6 +371,40 @@ class TestVerifyPaper:
         failing = {r.claim for r in rows if not r.ok}
         assert "divisorial:S(Qtilde)" in failing
         assert "divisorial:vol(-K-uQtilde)|[0,1]" in failing
+        assert "flag:quadric-diagonal" in failing
+        diagonal = next(r for r in rows if r.claim == "flag:quadric-diagonal")
+        assert diagonal.computed.startswith("error: InvalidModel:")
+
+    def test_a_quintic_that_fails_to_certify_gives_fail_rows(self):
+        from kstab.intersect import ThreefoldModel
+        from kstab.models import preset
+
+        good = preset("bl_p3_quintic")
+        bad = ThreefoldModel(
+            "bl_p3_quintic", good.basis, good.triple, good.anticanonical, curves=good.curves,
+            effective_classes={"E": (0, 1)}, divisors=good.divisors, chambers=good.chambers,
+        )
+        # without Qtilde in the cone, the E and H residuals 2t*Qtilde and
+        # (t/2)*Qtilde leave it; the Qtilde table's residuals are 0 and (u - 1)E
+        rows = {r.claim: r for r in verify_paper(overrides={"bl_p3_quintic": bad})}
+        for claim in ("divisorial:S(E)", "flag:dp4-ruling", "flag:dp4-line"):
+            assert rows[claim].computed.startswith("error: CertificateViolation:"), claim
+        assert rows["flag:dp4-line"].note
+        assert rows["flag:quadric-diagonal"].ok
+
+    def test_each_quintic_table_is_certified_once(self, monkeypatch):
+        import kstab.verify
+
+        calls = []
+        real = kstab.verify.threefold_volume_certified
+
+        def counting(model, divisor):
+            calls.append((model.name, divisor))
+            return real(model, divisor)
+
+        monkeypatch.setattr(kstab.verify, "threefold_volume_certified", counting)
+        verify_paper()
+        assert sorted(d for name, d in calls if name == "bl_p3_quintic") == ["E", "H", "Qtilde"]
 
     def test_human_readable_table(self, verify_json):
         from kstab.cli import _verify_text

@@ -67,7 +67,7 @@ def _grammar(files):
     return {
         "sinv": (["sinv"], {
             "--model": _values(["bl_p3_quintic", "sing_line", "sing_line(12,1)", "bl_node_22", "mine3"], ["dp4", "nosuch"]),
-            "--divisor": _values(["Qtilde", "E"], ["H", "nosuch"]),
+            "--divisor": _values(["Qtilde", "E", "H"], ["nosuch"]),
             "--A": _values(["1", "6/7", "0"], ["-1", "x", "1/0", ""]),
             "--model-file": model_file,
         }, {"--model", "--divisor"}),

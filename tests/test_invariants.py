@@ -17,6 +17,7 @@ from kstab.invariants import (
     FlagReport,
     beta,
     refined_s_flag,
+    restricted_family,
     s_invariant,
     sing_line_bound,
 )
@@ -99,6 +100,13 @@ class TestSingLineBound:
     def test_equality_case(self):
         assert sing_line_bound(12, 0) == 1
 
+    @pytest.mark.parametrize("g,k", [(2, 0), (12, -1)])
+    def test_out_of_range_inputs_are_invalid_models(self, g, k):
+        # the same inputs sing_line_model rejects
+        for make in (sing_line_bound, sing_line_model):
+            with pytest.raises(InvalidModel):
+                make(g, k)
+
     def test_closed_form_values(self):
         assert sing_line_bound(12, 3) == 1 + Q(3, 44)
         assert sing_line_bound(13, 0) == 1 + Q(1, 48)
@@ -118,7 +126,6 @@ class TestFlagInvariants:
         report = refined_s_flag(DP4, dp4_restriction(), (1, 0, 0, 0, 0, 0), 22, curve_label="l2")
         assert report.value == Q(53, 88)
         assert report.prefactor == "3/22"
-        assert not report.correction_used
 
     def test_line_flag_engine_value(self):
         report = refined_s_flag(DP4, dp4_restriction(), (1, -1, -1, 0, 0, 0), 22, curve_label="l1")
@@ -133,25 +140,25 @@ class TestFlagInvariants:
         double = refined_s_flag(DP4, dp4_restriction(), (2, 0, 0, 0, 0, 0), 22)
         assert double.value == single.value / 2
 
-    def test_correction_term(self):
-        # a constant correction c(t) = 1 adds (3/V) * int A(t)^2 dt
-        correction = PiecewisePolynomial([(0, 2, p("1", ("t",)))])
-        base = refined_s_flag(DP4, dp4_restriction(), (1, 0, 0, 0, 0, 0), 22)
-        with_corr = refined_s_flag(
-            DP4, dp4_restriction(), (1, 0, 0, 0, 0, 0), 22, correction=correction
-        )
-        # A(t)^2 = 11/4 (2-t)^2, integral over [0,2] = 22/3
-        assert with_corr.value - base.value == Q(3, 22) * Q(22, 3)
-        assert with_corr.correction_used
-
-    def test_a_correction_in_another_variable_is_an_invalid_model(self):
-        # the quadric family is in t; a correction in u cannot multiply it
-        correction = PiecewisePolynomial([(0, 2, p("1", ("u",)))], "u")
-        with pytest.raises(InvalidModel, match="not a polynomial in u"):
-            refined_s_flag(QUADRIC, quadric_restriction(), (1, 1), 22, correction=correction)
-
     def test_report_is_nonnegative_and_documents_cells(self):
         report = refined_s_flag(DP4, dp4_restriction(), (1, 0, 0, 0, 0, 0), 22)
         assert report.value >= 0
         assert len(report.cells) == 2
         assert isinstance(report, FlagReport)
+
+
+class TestRestrictedFamily:
+    @pytest.mark.parametrize(
+        "divisor,images",
+        [
+            ("Qtilde", ((1, 1), (1, 3))),  # E.E.Qtilde = 8, but (1, 3)^2 = 6
+            ("Qtilde", ((1, 4), (1, 1))),  # H.H.Qtilde = 2, but (1, 4)^2 = 8
+            ("E", ((1, 1), (1, 4))),  # the map of Qtilde, checked against E
+            ("Qtilde", ((1, 1),)),  # one image for a basis of two
+            ("Qtilde", ((1, 1), (1, 4), (0, 1))),
+            ("Qtilde", ((1, 1), (1, 4, 0))),  # not a class on the quadric
+        ],
+    )
+    def test_a_wrong_restriction_map_is_an_invalid_model(self, divisor, images):
+        with pytest.raises(InvalidModel):
+            restricted_family(bl_p3_quintic(), divisor, QUADRIC, images)

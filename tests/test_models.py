@@ -162,6 +162,16 @@ class TestRoundTrip:
         vf = threefold_volume_certified(model, "Qtilde")
         assert s_invariant(vf, 22) == Q(19, 22)
 
+    def test_the_quintic_carries_its_hyperplane_table(self):
+        from kstab.invariants import s_invariant
+        from kstab.zariski import threefold_volume_certified
+
+        text = serialize_model(preset("bl_p3_quintic"))
+        assert "\nchambers H\n0 2 : 4 -1 ; -2 1/2\n" in text
+        model = parse_model(text)
+        assert model.chambers == preset("bl_p3_quintic").chambers
+        assert s_invariant(threefold_volume_certified(model, "H"), 22) == Q(1, 2)
+
     def test_header_required(self):
         with pytest.raises(ModelFileError):
             parse_model("model surface x\nbasis\na\n")

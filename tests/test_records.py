@@ -15,6 +15,7 @@ from kstab.intersect import Chamber
 from kstab.invariants import DivisorialVerdict, FlagReport
 from kstab.lattice import DiscriminantGroup, Overlattice
 from kstab.lp import LPResult
+from kstab.models import FlagSetup
 from kstab.poly import Piece
 from kstab.records import Record
 from kstab.toric import Facet
@@ -34,7 +35,8 @@ from kstab.zariski import (
 FIELDS = {
     Chamber: (("lo", "hi", "p0", "p1"), {}),
     DivisorialVerdict: (("divisor", "log_discrepancy", "expected_vanishing"), {}),
-    FlagReport: (("surface", "curve", "value", "cells", "prefactor", "correction_used"), {}),
+    FlagReport: (("surface", "curve", "value", "cells", "prefactor"), {}),
+    FlagSetup: (("surface", "divisor", "images", "note"), {}),
     DiscriminantGroup: (("lattice", "factors", "generators"), {}),
     Overlattice: (("gram", "basis", "subgroup"), {}),
     LPResult: (("value", "x", "basis", "dual"), {}),
@@ -68,15 +70,15 @@ def _outcome(make, *args, **kwargs):
 
 
 def test_every_record_is_listed():
-    from kstab import intersect, invariants, k3cat, lattice, lp, poly, toric, verify, zariski
+    from kstab import intersect, invariants, k3cat, lattice, lp, models, poly, toric, verify, zariski
 
     found = {
-        obj for module in (intersect, invariants, k3cat, lattice, lp, poly, toric, verify, zariski)
+        obj for module in (intersect, invariants, k3cat, lattice, lp, models, poly, toric, verify, zariski)
         for obj in vars(module).values()
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }
     assert found == set(FIELDS)
-    assert len(FIELDS) == 17
+    assert len(FIELDS) == 18
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
