@@ -76,8 +76,9 @@ def _get_model(name: str, model_file: str | None):
 
     if model_file:
         model = load_model(model_file)
-        if model.name == name:
-            return model
+        if model.name != name:
+            raise _UsageError(f"--model {name!r} must name the model of --model-file, {model.name!r}")
+        return model
     try:
         return preset(name)
     except KeyError:

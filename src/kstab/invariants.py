@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import InvalidModel, NonpositiveVolume
 from .intersect import SurfaceModel, ThreefoldModel, restrict_to_surface
-from .poly import PiecewisePolynomial, Polynomial, integrate_piecewise
+from .poly import Polynomial, integrate_piecewise
 from .rationals import Q, to_q
 from .records import Record
 from .zariski import VolumeFunction, threefold_volume_certified, two_param_flag_volume
@@ -55,7 +55,7 @@ class FlagReport(Record):
     prefactor: str
 
 
-def s_invariant(vol: VolumeFunction | PiecewisePolynomial, volume_at_zero) -> Fraction:
+def s_invariant(vol: VolumeFunction, volume_at_zero) -> Fraction:
     """(1/V) * integral of the volume function over its whole domain.
 
     The function is zero beyond its right endpoint (the pseudo-effective
@@ -64,7 +64,7 @@ def s_invariant(vol: VolumeFunction | PiecewisePolynomial, volume_at_zero) -> Fr
     v = to_q(volume_at_zero)
     if v <= 0:
         raise NonpositiveVolume(f"normalizing volume {v} must be positive")
-    pw = vol.pw if isinstance(vol, VolumeFunction) else vol
+    pw = vol.pw
     if pw(pw.lo) != v:
         raise InvalidModel(
             f"volume function starts at {pw(pw.lo)}, not at the declared volume {v}"

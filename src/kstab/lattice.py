@@ -7,8 +7,9 @@ vectors in the original basis (reduced to the fundamental domain [0,1)^r).
 That representation makes the Q/2Z quadratic form a plain matrix product
 and keeps the Nikulin overlattice construction concrete: an overlattice is
 returned as a new Gram matrix plus the rational basis-change certificate.
-The determinant and the rank of a sublattice come from the one elimination
-kernel in ``rationals``, run on the integer rows.  The signature is
+The determinant comes from the one elimination kernel in ``rationals``,
+run on the integer rows; a degenerate Gram or a dependent sub-basis is read
+off the Smith form that the call builds anyway.  The signature is
 Descartes' rule of signs on the integer characteristic polynomial
 (Faddeev-LeVerrier), exact because a symmetric matrix has only real
 eigenvalues; it makes no ``Fraction``.
@@ -54,7 +55,7 @@ from .errors import (
     InvariantViolation,
     OddLattice,
 )
-from .rationals import Q, det, rank, scaled, to_q
+from .rationals import Q, det, scaled, to_q
 from .records import Record
 
 if TYPE_CHECKING:
@@ -257,14 +258,14 @@ class DiscriminantGroup(Record):
 
 def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
     """Invariant factors and generators of L*/L via Smith normal form."""
-    if determinant(lattice) == 0:
-        raise DegenerateLattice("discriminant group needs det != 0")
     u, d, v = smith_normal_form(lattice.gram)
+    if any(d[i][i] == 0 for i in range(lattice.rank)):
+        raise DegenerateLattice("discriminant group needs det != 0")
     factors: list[int] = []
     gens: list[tuple[Fraction, ...]] = []
     for i in range(lattice.rank):
         di = d[i][i]
-        if di in (0, 1):
+        if di == 1:
             continue
         factors.append(di)
         gens.append(tuple(Q(v[r][i] % di, di) for r in range(lattice.rank)))  # canonical, in [0, 1)
@@ -499,11 +500,12 @@ def is_saturated(ambient: GramLattice, sub_basis: Sequence[Sequence[int]]) -> bo
         return True
     if any(len(row) != ambient.rank for row in rows):
         raise ValueError("sub-basis vectors must match the ambient rank")
-    if rank(rows) != len(rows):
-        raise DependentBasis("sub-basis is linearly dependent")
     _, d, _ = smith_normal_form(rows)
-    k = len(rows)
-    return all(d[i][i] == 1 for i in range(k))
+    # the rows are independent iff their Smith form has k nonzero diagonal entries
+    diagonal = [d[i][i] for i in range(min(len(rows), ambient.rank))]
+    if len(diagonal) < len(rows) or 0 in diagonal:
+        raise DependentBasis("sub-basis is linearly dependent")
+    return all(x == 1 for x in diagonal)
 
 
 _HOLDS = {

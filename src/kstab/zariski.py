@@ -56,7 +56,7 @@ from .errors import (
     UnboundedDirection,
     WallCrossingDegeneracy,
 )
-from .intersect import Chamber, SurfaceModel, ThreefoldModel, affine_cube
+from .intersect import SurfaceModel, ThreefoldModel, affine_cube
 from .lp import Cone, Infeasible, LPResult, Unbounded, in_cone, max_shift
 from .poly import PiecewisePolynomial, Polynomial
 from .rationals import Q, QVec, dot, format_rational, qvec, scaled, solve_each, solve_negative_definite, to_q
@@ -160,9 +160,8 @@ def pseff_threshold(surface: SurfaceModel, divisor, direction) -> Fraction:
     d = surface.class_vector(divisor)
     z = surface.class_vector(direction)
     gens = _eff_data(surface)
-    generator = surface.eff_generators.get(direction) == z if isinstance(direction, str) else z in gens
     try:
-        if not generator and in_cone(gens, d) is None:
+        if z not in gens and in_cone(gens, d) is None:
             raise Infeasible
         res = max_shift(d, tuple(-x for x in z), gens)
     except Infeasible:
@@ -185,21 +184,20 @@ Affine = tuple[QVec, ...]
 Family = tuple[tuple[tuple[int, ...], ...], int]
 
 
-def _family_var(family, var: str | None) -> str:
+def _family_var(family) -> str:
+    """The one variable of a family's polynomial entries, or "t" for a constant family."""
     names = {v for entry in family if isinstance(entry, Polynomial) for v in entry.vars}
-    if var is None:
-        if len(names) > 1:
-            raise InvalidModel(f"ambiguous family variable: {sorted(names)}")
-        var = names.pop() if names else "t"
-    return var
+    if len(names) > 1:
+        raise InvalidModel(f"ambiguous family variable: {sorted(names)}")
+    return names.pop() if names else "t"
 
 
 def _affine_vectors(family: Sequence, variables: Sequence[str], message: str) -> Affine:
     """Coefficient vectors (constant, slope per variable) of a class family.
 
     Each entry is read once; rationals are constants.  A term of degree > 1
-    raises InvalidModel with the given message; an entry in other variables,
-    or neither a polynomial nor an exact rational, raises InvalidModel too.
+    raises InvalidModel with the given message; an entry that is neither a
+    polynomial nor an exact rational raises InvalidModel too.
     """
     variables = tuple(variables)
     cols = [[Q(0)] * len(family) for _ in range(len(variables) + 1)]
@@ -210,8 +208,6 @@ def _affine_vectors(family: Sequence, variables: Sequence[str], message: str) ->
             except (TypeError, ValueError) as exc:
                 raise InvalidModel(f"family entries must be exact rationals: {exc}") from None
             continue
-        if not set(entry.vars) <= set(variables):
-            raise InvalidModel(f"family entry {entry} is not a polynomial in {', '.join(variables)}")
         for exp, c in entry.in_vars(variables).coeffs.items():
             degree = sum(exp)
             if degree > 1:
@@ -455,26 +451,21 @@ def _march_one_param(
     return stitched
 
 
-def one_param_volume(
-    surface: SurfaceModel,
-    family: Sequence[Polynomial | Fraction | int],
-    lo,
-    hi,
-    var: str | None = None,
-) -> VolumeFunction:
+def one_param_volume(surface: SurfaceModel, family: Sequence[Polynomial | Fraction | int], lo, hi) -> VolumeFunction:
     """Certified volume function of an affine one-parameter family.
 
     The family is a class vector whose entries are affine polynomials in a
-    single parameter.  The interval, which must have lo < hi, is subdivided
-    at the rational chamber walls; on each chamber the support is constant,
-    the negative part is affine, and vol = P(t)^2 is an exact quadratic.
-    The assembled function is continuous by construction (the piecewise
-    constructor re-checks).
+    single parameter, the volume's variable ("t" if the family is constant).
+    The interval, which must have lo < hi, is subdivided at the rational
+    chamber walls; on each chamber the support is constant, the negative
+    part is affine, and vol = P(t)^2 is an exact quadratic.  The assembled
+    function is continuous by construction (the piecewise constructor
+    re-checks).
     """
     lo, hi = _interval(lo, hi)
     if len(family) != surface.rank:
         raise InvalidModel("class vectors must match the basis size")
-    var = _family_var(family, var)
+    var = _family_var(family)
     vecs = _affine_vectors(family, (var,), "family must be affine in its parameter")
     start, slope = _at((vecs, 1), lo), vecs[1]
     gens = _eff_data(surface)
@@ -559,16 +550,12 @@ class FlagDecomposition(Record):
 
 
 def two_param_flag_volume(
-    surface: SurfaceModel,
-    a_family: Sequence[Polynomial | Fraction | int],
-    t_lo,
-    t_hi,
-    z,
-    tvar: str | None = None,
-    svar: str = "s",
+    surface: SurfaceModel, a_family: Sequence[Polynomial | Fraction | int], t_lo, t_hi, z
 ) -> FlagDecomposition:
     """Certified cell structure of vol(A(t) - s*Z) over a t-interval, t_lo < t_hi.
 
+    The outer parameter is the family's own variable ("t" if it is
+    constant) and the inner one is "s"; a family in s raises InvalidModel.
     On every cell the Zariski support of A(t) - s*Z is constant, the s-walls
     are affine functions of t, and the volume is a bivariate polynomial.
     Certificates (negative-part coefficients, nefness against every declared
@@ -579,28 +566,31 @@ def two_param_flag_volume(
     t_lo, t_hi = _interval(t_lo, t_hi)
     if len(a_family) != surface.rank:
         raise InvalidModel("class vectors must match the basis size")
-    tvar = _family_var(a_family, tvar)
-    if not (isinstance(tvar, str) and isinstance(svar, str) and tvar and svar and tvar != svar):
-        raise InvalidModel(f"the flag variables must be two distinct names, not {tvar!r} and {svar!r}")
+    tvar = _family_var(a_family)
+    if tvar == "s":
+        raise InvalidModel("the flag family must not be in s, the inner parameter")
     a_vecs = _affine_vectors(a_family, (tvar,), "restriction family must be affine in t")
     z_vec = surface.class_vector(z)
-    gens = _eff_data(surface)
     # max_shift only finds some s >= 0 with A(t) - s*Z in the cone; that
     # puts A(t) in the cone too when Z lies in it
-    z_in_cone = in_cone(gens, z_vec) is not None
-    minus_z = tuple(-x for x in z_vec)
-    family = _integer_family((*a_vecs, minus_z))
+    z_in_cone = in_cone(_eff_data(surface), z_vec) is not None
+    family = _integer_family((*a_vecs, tuple(-x for x in z_vec)))
     memo, lines = {}, {}  # this call's supports of family and tau-lines of bases, read by every chamber
     chambers = _certified_cells(
-        t_lo, t_hi,
-        lambda a, b: _certify_t_chamber(surface, a_vecs, minus_z, family, a, b, z_in_cone, (tvar, svar), memo, lines),
+        t_lo, t_hi, lambda a, b: _certify_t_chamber(surface, family, a, b, z_in_cone, (tvar, "s"), memo, lines)
     )
-    return FlagDecomposition(tuple(chambers), tvar, svar)
+    return FlagDecomposition(tuple(chambers), tvar, "s")
+
+
+def _flag_at(family: Family, t: Fraction) -> tuple[QVec, QVec]:
+    """A(t) and -Z of a flag family (A0, A1, -Z), as rational classes."""
+    (a0, a1, minus_z), den = family
+    return _at(((a0, a1), den), t), _at(((minus_z,), den))
 
 
 def _certify_t_chamber(
-    surface: SurfaceModel, a_vecs: Affine, minus_z: QVec, family: Family,
-    t_lo: Fraction, t_hi: Fraction, z_in_cone: bool, both: tuple[str, str], memo: dict, lines: dict,
+    surface: SurfaceModel, family: Family, t_lo: Fraction, t_hi: Fraction,
+    z_in_cone: bool, both: tuple[str, str], memo: dict, lines: dict,
 ) -> FlagChamber:
     """One t-chamber of A(t) - s*Z; family is (A0, A1, -Z) over its denominator.
 
@@ -609,7 +599,7 @@ def _certify_t_chamber(
     s = (w0 + w1*t) / dw is held as ((w0, w1), dw) with dw > 0.
     """
     mid = (t_lo + t_hi) / 2
-    a_mid = _at((a_vecs, 1), mid)
+    a_mid, minus_z = _flag_at(family, mid)
     gens = _eff_data(surface)
     if not z_in_cone and in_cone(gens, a_mid) is None:
         raise NotPseudoEffective(f"restriction family leaves the effective cone at {mid}")
@@ -624,10 +614,10 @@ def _certify_t_chamber(
         # a concave nonnegative function that vanishes at the midpoint and
         # at both ends vanishes identically: no s-range on this chamber
         for t_end in (t_lo, t_hi):
-            if _threshold_at(a_vecs, minus_z, gens, t_end) != 0:
+            if _threshold_at(family, gens, t_end) != 0:
                 raise _SplitRequest([mid])
         return FlagChamber(t_lo, t_hi, ())
-    tau = scaled(_parametric_threshold(a_vecs, minus_z, gens, lp, t_lo, t_hi, lines))
+    tau = scaled(_parametric_threshold(family, gens, lp, t_lo, t_hi, lines))
     # sampled chamber structure in s at the midpoint, on family itself
     s_chambers = _march_one_param(surface, family, memo, Q(0), tau_mid, mid)
     # symbolic (t, s) reconstruction of each cell, from the support the march decomposed
@@ -678,15 +668,15 @@ def _wall_from_cert(
     return (-c0, -ct), cs
 
 
-def _threshold_at(a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], t: Fraction) -> Fraction:
+def _threshold_at(family: Family, gens: Sequence[QVec], t: Fraction) -> Fraction:
     try:
-        return max_shift(_at((a_vecs, 1), t), minus_z, gens).value
+        return max_shift(*_flag_at(family, t), gens).value
     except Infeasible:
         raise NotPseudoEffective(f"family leaves the effective cone at {t}") from None
 
 
 def _parametric_threshold(
-    a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction, lines: dict
+    family: Family, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction, lines: dict
 ) -> tuple[Fraction, Fraction]:
     """tau(t) = tau0 + tau1*t, from the midpoint's optimal basis or by a three-point probe.
 
@@ -701,13 +691,13 @@ def _parametric_threshold(
     locate it exactly and the chamber is split there.  When the basis
     proves tau affine, the probe would accept the same line.
     """
-    tau = _threshold_from_basis(a_vecs, minus_z, gens, lp, t_lo, t_hi, lines)
+    tau = _threshold_from_basis(family, gens, lp, t_lo, t_hi, lines)
     if tau is not None:
         return tau
     mid = (t_lo + t_hi) / 2
     tau_mid = lp.value
-    tau_lo = _threshold_at(a_vecs, minus_z, gens, t_lo)
-    tau_hi = _threshold_at(a_vecs, minus_z, gens, t_hi)
+    tau_lo = _threshold_at(family, gens, t_lo)
+    tau_hi = _threshold_at(family, gens, t_hi)
     slope = (tau_hi - tau_lo) / (t_hi - t_lo)
     if tau_lo + slope * (mid - t_lo) == tau_mid:
         return (tau_lo - slope * t_lo, slope)
@@ -723,36 +713,38 @@ def _parametric_threshold(
 
 
 def _threshold_from_basis(
-    a_vecs: Affine, minus_z: QVec, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction,
-    lines: dict | None = None,
+    family: Family, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction, lines: dict
 ) -> tuple[Fraction, Fraction] | None:
     """tau(t) on [t_lo, t_hi] as proved by the optimal basis of lp, or None.
 
-    In max_shift(A(t), -Z, gens) the parameter enters only through the
-    right-hand side A(t) (Gass-Saaty 1955).  On the basis B of the
-    midpoint optimum, B*x = A(t) has the affine solution x(t), solved once
-    per basis into lines (a fresh memo when omitted) as integer lines over
-    one denominator.  If x(t) >= 0 at both ends it is feasible on the whole
-    chamber.  The checked dual y of the midpoint does not involve t, so it
-    stays feasible; if y*A(t) is the s-entry of x(t), as affine functions,
-    weak duality makes that entry tau(t).  None when any of this fails; the
-    dual is lp's own, so it is checked on every call.
+    family is (A0, A1, -Z) over its denominator den.  In max_shift(A(t),
+    -Z, gens) the parameter enters only through the right-hand side A(t)
+    (Gass-Saaty 1955).  On the basis B of the midpoint optimum, whose
+    columns are Z and generators, [Z*den | gens*den]*x = A0 + t*A1 has the
+    affine solution x(t), solved once per basis into lines, this call's
+    memo, as integer lines over one denominator.  If x(t) >= 0 at both ends
+    it is feasible on the whole chamber.  The checked dual y of the
+    midpoint does not involve t, so it stays feasible; if y*A_k / den is
+    the s-entry of x(t), as affine functions, weak duality makes that entry
+    tau(t).  None when any of this fails; the dual is lp's own, so it is
+    checked on every call.
     """
     basis = lp.basis
     if not basis or basis[0] != 0:  # s, column 0, is not basic
         return None
-    lines, key = {} if lines is None else lines, tuple(basis)
+    (a0, a1, minus_z), den = family
+    key = tuple(basis)
     if key not in lines:
-        mat = [[-minus_z[i] if j == 0 else gens[j - 1][i] for j in basis] for i in range(len(minus_z))]
-        sols = solve_each(mat, a_vecs)
+        mat = [[-minus_z[i] if j == 0 else gens[j - 1][i] * den for j in basis] for i in range(len(minus_z))]
+        sols = solve_each(mat, (a0, a1))
         lines[key] = None if sols is None else _integer_family(sols)
     if lines[key] is None:
         return None
-    (x0, x1), den = lines[key]
+    (x0, x1), xden = lines[key]
     if any(v < 0 for t in (t_lo, t_hi) for v in _values(zip(x0, x1), t)):
         return None
-    tau = (Fraction(x0[0], den), Fraction(x1[0], den))
-    if tuple(dot(lp.dual, a) for a in a_vecs) != tau:
+    tau = (Fraction(x0[0], xden), Fraction(x1[0], xden))
+    if tuple(dot(lp.dual, a) / den for a in (a0, a1)) != tau:
         return None
     return tau
 
@@ -760,33 +752,29 @@ def _threshold_from_basis(
 # -- threefold chamber certification ------------------------------------------
 
 
-def threefold_volume_certified(
-    model: ThreefoldModel,
-    divisor,
-    chambers: Sequence[Chamber] | None = None,
-) -> VolumeFunction:
-    """Volume function of -K - t*B from a declared chamber table.
+def threefold_volume_certified(model: ThreefoldModel, divisor: str) -> VolumeFunction:
+    """Volume function of -K - t*B from the model's own chamber table for B.
 
-    Each chamber supplies the claimed positive part P(t), affine in t.  The
-    certificate has two halves, both decided at the chamber ends.  The
-    residual (-K - tB) - P(t) must lie in the cone of the declared effective
-    classes: it is affine in t and the cone is convex, so a checked
-    ``lp.in_cone`` certificate at each end proves the whole chamber.  And
-    P(t) must pair nonnegatively with every declared curve.  Continuity
-    across walls is enforced by the piecewise constructor.  The result
-    never claims more than nefness relative to the declared curve list.
+    B is a divisor label with a table in model.chambers; any other divisor
+    raises CertificateViolation.  A custom table is a model that carries
+    it: ThreefoldModel(..., chambers=...) or a model file's ``chambers B``
+    section.  Each chamber supplies the claimed positive part P(t), affine
+    in t.  The certificate has two halves, both decided at the chamber
+    ends.  The residual (-K - tB) - P(t) must lie in the cone of the
+    declared effective classes: it is affine in t and the cone is convex,
+    so a checked ``lp.in_cone`` certificate at each end proves the whole
+    chamber.  And P(t) must pair nonnegatively with every declared curve.
+    Continuity across walls is enforced by the piecewise constructor.  The
+    result never claims more than nefness relative to the declared curves.
     """
     b_vec = model.class_vector(divisor)
-    if chambers is None:
-        if isinstance(divisor, str) and divisor in model.chambers:
-            chambers = model.chambers[divisor]
-        else:
-            raise CertificateViolation(f"no chamber table declared for {divisor!r}")
+    if not (isinstance(divisor, str) and divisor in model.chambers):
+        raise CertificateViolation(f"no chamber table declared for {divisor!r}")
     k = model.anticanonical
     eff = Cone(model.effective_classes[label] for label in sorted(model.effective_classes))
     pieces = []
     vol_chambers = []
-    for chamber in chambers:
+    for chamber in model.chambers[divisor]:
         lo, hi = to_q(chamber.lo), to_q(chamber.hi)
         p0, p1 = qvec(chamber.p0), qvec(chamber.p1)
         if len(p0) != model.rank or len(p1) != model.rank:

@@ -258,6 +258,22 @@ class TestUnknownNames:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("name", ["dp4", "other"], ids=["a-preset", "unknown"])
+    def test_a_model_file_must_be_the_named_model(self, capsys, tmp_path, name):
+        # the file's model is mine; a preset name once printed dp4's decomposition with exit 0
+        from kstab.models import preset, serialize_model
+
+        path = tmp_path / "mine.model"
+        path.write_text(serialize_model(preset("dp4")).replace("model surface dp4", "model surface mine"))
+        code = main(["zariski", "--model", name, "--class", "L", "--model-file", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err.startswith(f"usage error: --model '{name}' must name the model of --model-file, 'mine'")
+        assert captured.out == ""
+        code, out = run(capsys, "zariski", "--model", "mine", "--class", "L", "--model-file", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["model"] == "mine"
+
     def test_rational_log_discrepancy_still_accepted(self, capsys):
         code, out = run(capsys, "sinv", "--model", "bl_p3_quintic", "--divisor", "Qtilde", "--A", "6/7", "--json")
         assert code == 0

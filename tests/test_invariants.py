@@ -22,7 +22,7 @@ from kstab.invariants import (
     sing_line_bound,
 )
 from kstab.poly import PiecewisePolynomial, Polynomial, parse_polynomial
-from kstab.zariski import threefold_volume_certified
+from kstab.zariski import VolumeFunction, threefold_volume_certified
 
 DP4 = dp4_surface()
 QUADRIC = quadric_surface()
@@ -30,6 +30,11 @@ QUADRIC = quadric_surface()
 
 def p(text, variables):
     return parse_polynomial(text, variables)
+
+
+def volume_function(pw):
+    """A volume function with no chamber records, as s_invariant takes it."""
+    return VolumeFunction(pw, (), "relative to declared curves")
 
 
 def dp4_restriction():
@@ -64,17 +69,17 @@ class TestSInvariant:
 
     def test_constant_volume(self):
         pw = PiecewisePolynomial([(0, 1, p("22", ("t",)))])
-        assert s_invariant(pw, 22) == 1
+        assert s_invariant(volume_function(pw), 22) == 1
 
     def test_nonpositive_volume_rejected(self):
         pw = PiecewisePolynomial([(0, 1, p("22", ("t",)))])
         with pytest.raises(NonpositiveVolume):
-            s_invariant(pw, 0)
+            s_invariant(volume_function(pw), 0)
 
     def test_wrong_normalization_rejected(self):
         pw = PiecewisePolynomial([(0, 1, p("22", ("t",)))])
         with pytest.raises(InvalidModel):
-            s_invariant(pw, 11)
+            s_invariant(volume_function(pw), 11)
 
     def test_scaling_identity(self):
         # testing c*E instead of E divides S by c: t -> t/c scales each t^k by c^-k
@@ -85,7 +90,7 @@ class TestSInvariant:
             for piece in vf.pw.pieces
         ]
         scaled = PiecewisePolynomial(scaled_pieces, "t")
-        assert s_invariant(scaled, 22) == s_invariant(vf, 22) * c
+        assert s_invariant(volume_function(scaled), 22) == s_invariant(vf, 22) * c
         # S(cE) = S(E)/c reads: the family -K - t(cE) = -K - (tc)E
 
     def test_beta_values(self):

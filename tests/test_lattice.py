@@ -375,6 +375,9 @@ class TestSaturation:
     def test_dependent_rejected(self):
         with pytest.raises(DependentBasis):
             is_saturated(RANK3, [(1, 0, 0), (2, 0, 0)])
+        # more rows than the rank: the Smith form has only three diagonal entries, all 1
+        with pytest.raises(DependentBasis):
+            is_saturated(RANK3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
 
 
 class TestIntegerSearch:

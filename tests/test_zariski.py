@@ -325,17 +325,17 @@ class TestTwoParam:
         assert flag.integral() == Q(73, 12)
 
     def test_quadric_flag_piece(self):
-        a = (p("3 - u", ("u",)), p("2*u", ("u",)))
-        flag = two_param_flag_volume(QUADRIC, a, 0, 1, (1, 1), tvar="u", svar="v")
+        a = (p("3 - t", ("t",)), p("2*t", ("t",)))
+        flag = two_param_flag_volume(QUADRIC, a, 0, 1, (1, 1))
         cells = flag.chambers[0].cells
         assert len(cells) == 1
-        assert cells[0].s_hi == p("2*u", ("u",))
-        assert cells[0].volume == p("2*(3 - u - v)*(2*u - v)", ("u", "v"))
+        assert cells[0].s_hi == p("2*t", ("t",))
+        assert cells[0].volume == p("2*(3 - t - s)*(2*t - s)", ("t", "s"))
         assert flag.integral() == Q(7, 3)
 
     def test_quadric_flag_second_piece(self):
-        a = (p("4 - 2*u", ("u",)), p("4 - 2*u", ("u",)))
-        flag = two_param_flag_volume(QUADRIC, a, 1, 2, (1, 1), tvar="u", svar="v")
+        a = (p("4 - 2*t", ("t",)), p("4 - 2*t", ("t",)))
+        flag = two_param_flag_volume(QUADRIC, a, 1, 2, (1, 1))
         assert flag.integral() == Q(4, 3)
 
     def test_volume_vanishes_at_threshold(self):
@@ -429,6 +429,14 @@ class TestConeChecks:
             two_param_flag_volume(DP4, dp4_class(0, -1, 0, 0, 0, 0), 0, 1, dp4_class(0, -1, 0, 0, 0, 0))
 
 
+def with_table(model, b, chambers):
+    """model with one more divisor B = b, which carries the chamber table chambers."""
+    return ThreefoldModel(
+        model.name, model.basis, model.triple, model.anticanonical, curves=model.curves,
+        effective_classes=model.effective_classes, divisors={**model.divisors, "B": b}, chambers={"B": chambers},
+    )
+
+
 class TestThreefoldCertified:
     def test_quintic_quadric_family(self):
         m = bl_p3_quintic()
@@ -451,7 +459,7 @@ class TestThreefoldCertified:
     def test_constant_family(self):
         m = bl_p3_quintic()
         chambers = (Chamber(Q(0), Q(1), qvec((4, -1)), qvec((0, 0))),)
-        vf = threefold_volume_certified(m, (0, 0), chambers=chambers)
+        vf = threefold_volume_certified(with_table(m, (0, 0), chambers), "B")
         assert vf.pw.pieces[0].poly == Polynomial.constant(22, ("t",))
 
     def test_bad_positive_part_rejected(self):
@@ -459,7 +467,7 @@ class TestThreefoldCertified:
         # claim P = -K on all of [0,2]: the residual u*Qtilde - (stuff) fails
         chambers = (Chamber(Q(0), Q(2), qvec((4, -1)), qvec((0, 0))),)
         with pytest.raises(CertificateViolation):
-            threefold_volume_certified(m, "Qtilde", chambers=chambers)
+            threefold_volume_certified(with_table(m, m.divisors["Qtilde"], chambers), "B")
 
     def test_discontinuous_chambers_rejected(self):
         m = bl_p3_quintic()
@@ -470,7 +478,7 @@ class TestThreefoldCertified:
             Chamber(Q(1), Q(2), qvec((3, 0)), qvec((Q(-3, 2), 0))),
         )
         with pytest.raises(ValueError, match="discontinuity"):
-            threefold_volume_certified(m, "Qtilde", chambers=chambers)
+            threefold_volume_certified(with_table(m, m.divisors["Qtilde"], chambers), "B")
 
 
 # -- exhaustive oracle --------------------------------------------------------
@@ -733,10 +741,12 @@ class TestVectorKernel:
             two_param_flag_volume(DP4, (p("4 - t^2", ("t",)), -1, -1, -1, -1, -1), 0, 1, "L")
 
     def test_an_entry_in_another_variable_is_rejected(self):
-        with pytest.raises(InvalidModel, match="not a polynomial in u"):
-            two_param_flag_volume(DP4, (p("4 - t", ("t",)), -1, -1, -1, -1, -1), 0, 1, "L", tvar="u")
-        with pytest.raises(InvalidModel, match="not a polynomial in u"):
-            one_param_volume(DP4, (p("4 - t", ("t",)), -1, -1, -1, -1, -1), 0, 1, var="u")
+        # the parameter is read off the family, so entries in t and u leave it ambiguous
+        family = (p("4 - t", ("t",)), p("-1 + u", ("u",)), -1, -1, -1, -1)
+        with pytest.raises(InvalidModel, match="ambiguous family variable: \\['t', 'u'\\]"):
+            two_param_flag_volume(DP4, family, 0, 1, "L")
+        with pytest.raises(InvalidModel, match="ambiguous family variable: \\['t', 'u'\\]"):
+            one_param_volume(DP4, family, 0, 1)
 
 
 @st.composite
@@ -911,7 +921,7 @@ def test_a_residual_outside_the_cone_names_the_chamber_end():
     # P = -K on [0, 1]: the residual -t*E is in the cone at t = 0 only
     chambers = (Chamber(Q(0), Q(1), qvec((4, -1)), qvec((0, 0))),)
     with pytest.raises(CertificateViolation, match="residual at t = 1 on \\[0, 1\\]"):
-        threefold_volume_certified(bl_p3_quintic(), "E", chambers=chambers)
+        threefold_volume_certified(with_table(bl_p3_quintic(), (0, 1), chambers), "B")
 
 
 _small = st.integers(-3, 3)
@@ -940,7 +950,7 @@ def rank2_tables(draw):
         chambers.append(Chamber(lo, hi, tuple(x - lo * v for x, v in zip(p_lo, p1)), p1))
     model = ThreefoldModel(
         "rank2", base.basis, base.triple, base.anticanonical, curves=base.curves,
-        effective_classes={f"g{i}": g for i, g in enumerate(gens)},
+        effective_classes={f"g{i}": g for i, g in enumerate(gens)}, divisors={"B": b}, chambers={"B": chambers},
     )
     return model, b, tuple(chambers)
 
@@ -958,7 +968,7 @@ def test_the_threefold_certificate_matches_the_rank2_oracle(case):
             pairs = [sum(x * c for x, c in zip(p, curve)) for curve in model.curves.values()]
             want = want and reference_in_rank2_cone(gens, residual) and all(x >= 0 for x in pairs)
     try:
-        vf = threefold_volume_certified(model, b, chambers=chambers)
+        vf = threefold_volume_certified(model, "B")
     except CertificateViolation:
         assert not want
     else:
@@ -1015,8 +1025,14 @@ def _flag_outcome(surface, family, hi, z):
         return type(exc), str(exc)
 
 
-def _probe(a_vecs, minus_z, gens, lp, t_lo, t_hi, lines):
-    return reference_parametric_threshold(a_vecs, minus_z, gens, lp.value, t_lo, t_hi)
+def _rational(family):
+    """The frozen probe's inputs: A(t)'s vectors (A0, A1) and -Z as rationals, from the integer flag family."""
+    (a0, a1, minus_z), den = family
+    return tuple(tuple(Q(x, den) for x in v) for v in (a0, a1)), tuple(Q(x, den) for x in minus_z)
+
+
+def _probe(family, gens, lp, t_lo, t_hi, lines):
+    return reference_parametric_threshold(*_rational(family), gens, lp.value, t_lo, t_hi)
 
 
 def _proved_thresholds(surface, family, hi, z):
@@ -1052,9 +1068,9 @@ MINUS_K4, MINUS_K3 = (3, -1, -1, -1, -1, -1), (3, -1, -1, -1, -1, -1, -1)
 @example((DP3, _moving(MINUS_K3), Q(1), L3))
 def test_basis_threshold_matches_three_lp_probe(case):
     got, proved = _proved_thresholds(*case)
-    for (a_vecs, minus_z, gens, lp, t_lo, t_hi, _), tau in proved:
+    for (family, gens, lp, t_lo, t_hi, _), tau in proved:
         if tau is not None:
-            assert reference_parametric_threshold(a_vecs, minus_z, gens, lp.value, t_lo, t_hi) == tau
+            assert reference_parametric_threshold(*_rational(family), gens, lp.value, t_lo, t_hi) == tau
     with mock.patch.object(zariski, "_parametric_threshold", _probe):
         want = _flag_outcome(*case)
     assert got == want
@@ -1071,14 +1087,18 @@ def test_moving_flag_takes_both_routes():
 
 def test_a_dual_off_the_basis_sends_the_chamber_to_the_probe():
     # doubling the midpoint dual keeps it feasible (y*g >= 0, y*Z >= 1) but
-    # it no longer prices the basis: y*A(t) = 2*tau(t), so no tau is proved
+    # it no longer prices the basis: y*A(t) = 2*tau(t), so no tau is proved;
+    # -K/2 puts the integer family over the denominator 2
     gens = [DP4.eff_generators[k] for k in sorted(DP4.eff_generators)]
-    a_vecs = _affine_vectors(MINUS_K4, ("t",), "affine")
-    minus_z = tuple(-x for x in L4)
-    lp = max_shift(a_vecs[0], minus_z, gens)
-    assert zariski._threshold_from_basis(a_vecs, minus_z, gens, lp, Q(0), Q(1)) == (lp.value, 0)
-    doubled = LPResult(lp.value, lp.x, lp.basis, tuple(2 * y for y in lp.dual))
-    assert zariski._threshold_from_basis(a_vecs, minus_z, gens, doubled, Q(0), Q(1)) is None
+    for a in (MINUS_K4, tuple(Q(x, 2) for x in MINUS_K4)):
+        a_vecs = _affine_vectors(a, ("t",), "affine")
+        minus_z = tuple(-x for x in L4)
+        family = _integer_family((*a_vecs, minus_z))
+        lp = max_shift(a_vecs[0], minus_z, gens)
+        assert zariski._threshold_from_basis(family, gens, lp, Q(0), Q(1), {}) == (lp.value, 0)
+        doubled = LPResult(lp.value, lp.x, lp.basis, tuple(2 * y for y in lp.dual))
+        assert zariski._threshold_from_basis(family, gens, doubled, Q(0), Q(1), {}) is None
+    assert family[1] == 2
 
 
 @pytest.mark.parametrize(
@@ -1124,14 +1144,19 @@ def test_a_warmed_cone_leaves_the_chamber_records_unchanged(make, minus_k, line,
 # -- one memo per family: each support decomposed, each basis solved, once per call ----
 
 
-@pytest.mark.parametrize("svar", ["t", "", 3], ids=["same-as-t", "empty", "not-a-string"])
-def test_the_flag_variables_must_be_two_distinct_names(svar):
-    # with svar = "t" the cells were built in ('t', 't'), a volume read
-    # 4 - 6*t - 2*t + t^2 - t^2 and the integral 2861/2592 for 53/72
-    with pytest.raises(InvalidModel, match="two distinct names"):
-        two_param_flag_volume(DP4, _moving(MINUS_K4), 0, 1, "L", svar=svar)
-    with pytest.raises(InvalidModel, match="two distinct names"):
-        two_param_flag_volume(DP4, MINUS_K4, 0, 1, "L", tvar=svar, svar="t")
+def test_a_flag_family_in_s_is_rejected():
+    # the inner parameter is always s: a family in s would build its cells
+    # in ('s', 's'), where a volume reads 4 - 6*s - 2*s + s^2 - s^2
+    in_s = tuple(Polynomial.constant(x, ("s",)) - (Polynomial.var("s") if i == 1 else 0) for i, x in enumerate(MINUS_K4))
+    with pytest.raises(InvalidModel, match="must not be in s"):
+        two_param_flag_volume(DP4, in_s, 0, 1, "L")
+    with pytest.raises(InvalidModel, match="must not be in s"):
+        two_param_flag_volume(DP4, (p("3", ("s",)), -1, -1, -1, -1, -1), 0, 1, "L")
+    # any other name is the outer parameter
+    in_u = two_param_flag_volume(QUADRIC, (p("3 - u", ("u",)), p("2*u", ("u",))), 0, 1, (1, 1))
+    assert (in_u.tvar, in_u.svar) == ("u", "s")
+    assert in_u.chambers[0].cells[0].volume == p("2*(3 - u - s)*(2*u - s)", ("u", "s"))
+    assert in_u.integral() == Q(7, 3)
 
 
 def test_a_flag_call_decomposes_each_support_and_solves_each_basis_once(monkeypatch):
@@ -1145,7 +1170,7 @@ def test_a_flag_call_decomposes_each_support_and_solves_each_basis_once(monkeypa
 
     supports, bases, solves = [], [], []
     spy("_symbolic_decomposition", supports, lambda args: tuple(args[2]))
-    spy("_threshold_from_basis", bases, lambda args: args[3].basis)
+    spy("_threshold_from_basis", bases, lambda args: args[2].basis)
     spy("solve_each", solves, lambda args: None)
     flag = two_param_flag_volume(DP3, _moving(MINUS_K3), 0, 1, L3)
     assert sorted(supports) == [(), tuple(f"c_{i}" for i in range(1, 7)), tuple(f"c_{i}" for i in range(2, 7))]
@@ -1188,7 +1213,7 @@ def _without_memos():
 
     return (
         mock.patch.object(zariski, "_iterative_decomposition", fresh),
-        mock.patch.object(zariski, "_threshold_from_basis", lambda *args: from_basis(*args[:6])),
+        mock.patch.object(zariski, "_threshold_from_basis", lambda *args: from_basis(*args[:5], {})),
     )
 
 
