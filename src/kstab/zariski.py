@@ -567,8 +567,11 @@ def two_param_flag_volume(
     if len(a_family) != surface.rank:
         raise InvalidModel("class vectors must match the basis size")
     tvar = _family_var(a_family)
-    if tvar == "s":
-        raise InvalidModel("the flag family must not be in s, the inner parameter")
+    if not (isinstance(tvar, str) and tvar and tvar != "s"):
+        raise InvalidModel(
+            f"the flag variables must be two distinct names, not {tvar!r} and 's': "
+            "the flag family must not be in s, the inner parameter"
+        )
     a_vecs = _affine_vectors(a_family, (tvar,), "restriction family must be affine in t")
     z_vec = surface.class_vector(z)
     # max_shift only finds some s >= 0 with A(t) - s*Z in the cone; that

@@ -1144,6 +1144,16 @@ def test_a_warmed_cone_leaves_the_chamber_records_unchanged(make, minus_k, line,
 # -- one memo per family: each support decomposed, each basis solved, once per call ----
 
 
+@pytest.mark.parametrize("tvar", ["s", "", 3], ids=["same-as-t", "empty", "not-a-string"])
+def test_the_flag_variables_must_be_two_distinct_names(tvar):
+    # the outer parameter is read off the family and the inner one is s: a
+    # family in s would make both s, one in "" was taken as it stood, and
+    # one in 3 raised a bare TypeError
+    family = tuple(Polynomial.constant(x, (tvar,)) - (Polynomial.var(tvar) if i == 1 else 0) for i, x in enumerate(MINUS_K4))
+    with pytest.raises(InvalidModel, match=f"two distinct names, not {tvar!r} and 's'"):
+        two_param_flag_volume(DP4, family, 0, 1, "L")
+
+
 def test_a_flag_family_in_s_is_rejected():
     # the inner parameter is always s: a family in s would build its cells
     # in ('s', 's'), where a volume reads 4 - 6*s - 2*s + s^2 - s^2
