@@ -38,18 +38,18 @@ print("flag 1: the ruling line (class L) on the degree-4 del Pezzo slice")
 flag = two_param_flag_volume(DP4, dp4_family[0][2], 0, 2, (1, 0, 0, 0, 0, 0))
 for cell in flag.chambers[0].cells:
     print(f"  cell {cell.s_lo} <= s <= {cell.s_hi}: vol = {cell.volume}")
-report = refined_s_flag(DP4, dp4_family, (1, 0, 0, 0, 0, 0), 22, curve_label="ruling")
+report = refined_s_flag(DP4, dp4_family, (1, 0, 0, 0, 0, 0), 22)
 print("  refined invariant:", report.value)
 
 print("\nflag 2: the diagonal on the quadric slice (two restriction chambers)")
-report = refined_s_flag(QUADRIC, quadric_family, (1, 1), 22, curve_label="diagonal")
+report = refined_s_flag(QUADRIC, quadric_family, (1, 1), 22)
 print("  refined invariant:", report.value)
 
 print("\nflag 3: the line through two of the five points (class L - e1 - e2)")
 flag = two_param_flag_volume(DP4, dp4_family[0][2], 0, 2, (1, -1, -1, 0, 0, 0))
 for cell in flag.chambers[0].cells:
     print(f"  cell {cell.s_lo} <= s <= {cell.s_hi}: support {cell.support or '(nef)'}")
-report = refined_s_flag(DP4, dp4_family, (1, -1, -1, 0, 0, 0), 22, curve_label="line")
+report = refined_s_flag(DP4, dp4_family, (1, -1, -1, 0, 0, 0), 22)
 print("  refined invariant:", report.value, " (reference tables say 29/44 - see the module docstring)")
 
 print("\nall three values are < 1, which is what the stability argument needs.")

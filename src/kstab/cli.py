@@ -183,8 +183,6 @@ def _cmd_flag_sinv(args) -> dict:
         restricted_family(model, setup.divisor, surface, setup.images),
         z,
         anticanonical_volume(model),
-        surface_label=args.surface,
-        curve_label=args.curve,
     )
     return {
         "command": "flag-sinv",

@@ -48,8 +48,6 @@ class DivisorialVerdict(Record):
 
 
 class FlagReport(Record):
-    surface: str
-    curve: str
     value: Fraction
     cells: tuple[tuple[str, str, str], ...]  # (t-range, s-range, volume) strings
     prefactor: str
@@ -128,8 +126,6 @@ def refined_s_flag(
     restriction_family: list[tuple[Fraction, Fraction, tuple]],
     flag_class,
     total_volume,
-    surface_label: str | None = None,
-    curve_label: str = "Z",
 ) -> FlagReport:
     """Refined flag invariant (3/V) * double integral.
 
@@ -158,8 +154,6 @@ def refined_s_flag(
     if value < 0:
         raise InvalidModel("flag invariant came out negative; inputs are inconsistent")
     return FlagReport(
-        surface=surface_label or surface.name,
-        curve=str(curve_label),
         value=value,
         cells=tuple(cell_rows),
         prefactor=f"3/{v}",

@@ -35,14 +35,16 @@ from .records import Record
 
 HEADER = "kstab-model v1"
 
-PRESET_NAMES = (
-    "bl_node_22",
-    "bl_p3_quintic",
-    "bl_v4_conic",
-    "dp4",
-    "quadric",
-    "sing_line",
-)
+# preset name -> constructor; sing_line also takes arguments, e.g. "sing_line(12,0)"
+_PRESETS = {
+    "bl_node_22": lambda: blowup_node(22),
+    "bl_p3_quintic": bl_p3_quintic,
+    "bl_v4_conic": blowup_v4_conic,
+    "dp4": dp4_surface,
+    "quadric": quadric_surface,
+    "sing_line": lambda: sing_line_model(12, 0),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 # supplied log discrepancies of the preset divisors (never computed)
 PRESET_LOG_DISCREPANCY: dict[tuple[str, str], Fraction] = {
@@ -86,17 +88,9 @@ def preset(name: str) -> ThreefoldModel | SurfaceModel:
     match = _SING_LINE_RE.match(name.replace(" ", ""))
     if match:
         return sing_line_model(int(match.group(1)), int(match.group(2)))
-    table = {
-        "bl_node_22": lambda: blowup_node(22),
-        "bl_p3_quintic": bl_p3_quintic,
-        "bl_v4_conic": blowup_v4_conic,
-        "dp4": dp4_surface,
-        "quadric": quadric_surface,
-        "sing_line": lambda: sing_line_model(12, 0),
-    }
-    if name not in table:
+    if name not in _PRESETS:
         raise UnknownLabel(f"unknown model {name!r}; presets: {', '.join(PRESET_NAMES)}")
-    return table[name]()
+    return _PRESETS[name]()
 
 
 def log_discrepancy_default(model_name: str, divisor: str) -> Fraction | None:

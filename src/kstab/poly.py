@@ -465,15 +465,10 @@ class Piece(Record):
 class PiecewisePolynomial:
     """Continuous piecewise polynomial on a closed rational interval."""
 
-    def __init__(self, pieces: Iterable[tuple] | Iterable[Piece], variable: str | None = None):
+    def __init__(self, pieces: Iterable[tuple], variable: str | None = None):
         built: list[Piece] = []
-        for item in pieces:
-            if isinstance(item, Piece):
-                piece = item
-            else:
-                lo, hi, poly, *rest = item
-                label = rest[0] if rest else None
-                piece = Piece(to_q(lo), to_q(hi), poly, label)
+        for lo, hi, poly, *rest in pieces:
+            piece = Piece(to_q(lo), to_q(hi), poly, rest[0] if rest else None)
             if len(piece.poly.vars) > 1:
                 raise ValueError("pieces must be univariate")
             if piece.lo > piece.hi:

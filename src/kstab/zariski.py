@@ -26,9 +26,11 @@ so a row at p/q is the integer c0*q + c1*p; a loop decides all rows in
 one pass.  The volume P^2 is the quadratic form of the positive part's
 vectors on the Gram scaled to integers once.  Fractions and polynomials
 are built only for the results.  A failed certificate splits the chamber
-at the root of the offending affine function, which is rational, so
-every wall is rational.  Both families run one certified-cell loop:
-certify a cell, or split it at the points the failed certification names.
+at the root of the offending affine function, which is rational; a
+pseudo-effective threshold that is not proved affine on a flag's
+t-chamber bisects it, so every wall is rational.  Both families run one
+certified-cell loop: certify a cell, or split it at the points the failed
+certification names.
 
 Threefold side: there is no Zariski decomposition in general, so chamber
 data (interval plus positive part, affine in the parameter) is *input*, and
@@ -92,13 +94,6 @@ class VolumeFunction(Record):
     pw: PiecewisePolynomial
     chambers: tuple[VolumeChamber, ...]
     certificate: str
-
-    @property
-    def variable(self) -> str:
-        return self.pw.variable
-
-    def __call__(self, t) -> Fraction:
-        return self.pw(t)
 
 
 def _eff_data(surface: SurfaceModel) -> Cone:
@@ -560,8 +555,10 @@ def two_param_flag_volume(
     are affine functions of t, and the volume is a bivariate polynomial.
     Certificates (negative-part coefficients, nefness against every declared
     curve, wall ordering, and vanishing of the volume at the pseudo-effective
-    threshold) are affine, so checks at cell vertices are complete; any
-    failure splits the t-interval at the rational root responsible.
+    threshold) are affine, so checks at cell vertices are complete.  A
+    failed certificate splits the t-interval at the rational root
+    responsible; a threshold that the midpoint's basis does not prove
+    affine and that leaves the endpoint chord bisects it.
     """
     t_lo, t_hi = _interval(t_lo, t_hi)
     if len(a_family) != surface.rank:
@@ -612,17 +609,9 @@ def _certify_t_chamber(
         raise NotPseudoEffective(f"restriction family leaves the effective cone at {mid}") from None
     except Unbounded:
         raise UnboundedDirection("flag class is anti-effective for the declared cone") from None
-    tau_mid = lp.value
-    if tau_mid == 0:
-        # a concave nonnegative function that vanishes at the midpoint and
-        # at both ends vanishes identically: no s-range on this chamber
-        for t_end in (t_lo, t_hi):
-            if _threshold_at(family, gens, t_end) != 0:
-                raise _SplitRequest([mid])
-        return FlagChamber(t_lo, t_hi, ())
     tau = scaled(_parametric_threshold(family, gens, lp, t_lo, t_hi, lines))
-    # sampled chamber structure in s at the midpoint, on family itself
-    s_chambers = _march_one_param(surface, family, memo, Q(0), tau_mid, mid)
+    # sampled chamber structure in s at the midpoint, on family itself; none where tau(mid) = 0
+    s_chambers = _march_one_param(surface, family, memo, Q(0), lp.value, mid)
     # symbolic (t, s) reconstruction of each cell, from the support the march decomposed
     cells: list[FlagCell] = []
     lower = ((0, 0), 1)
@@ -681,38 +670,27 @@ def _threshold_at(family: Family, gens: Sequence[QVec], t: Fraction) -> Fraction
 def _parametric_threshold(
     family: Family, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction, lines: dict
 ) -> tuple[Fraction, Fraction]:
-    """tau(t) = tau0 + tau1*t, from the midpoint's optimal basis or by a three-point probe.
+    """tau(t) = tau0 + tau1*t, from the midpoint's optimal basis or by the chord; else bisect.
 
     lp is max_shift at the midpoint.  When its basis proves tau affine on
     the chamber (``_threshold_from_basis``) no further LP runs.  Otherwise
-    the probe decides: the feasible region {(t, s) : A(t) - sZ effective}
+    the chord decides: the feasible region {(t, s) : A(t) - sZ effective}
     is convex because A is affine, so tau is concave on the chamber.  A
     concave function that meets the endpoint chord at the midpoint as well
     equals the chord on the whole interval (the difference is concave, >= 0
     by the chord bound and <= 0 by the three-point bound).  When the
-    midpoint value leaves the chord, tau has a kink; the two half-chords
-    locate it exactly and the chamber is split there.  When the basis
-    proves tau affine, the probe would accept the same line.
+    midpoint value leaves the chord, the chamber is split at the midpoint.
+    When the basis proves tau affine, the chord would give the same line.
     """
     tau = _threshold_from_basis(family, gens, lp, t_lo, t_hi, lines)
     if tau is not None:
         return tau
-    mid = (t_lo + t_hi) / 2
-    tau_mid = lp.value
     tau_lo = _threshold_at(family, gens, t_lo)
     tau_hi = _threshold_at(family, gens, t_hi)
+    if (tau_lo + tau_hi) / 2 != lp.value:
+        raise _SplitRequest([(t_lo + t_hi) / 2])
     slope = (tau_hi - tau_lo) / (t_hi - t_lo)
-    if tau_lo + slope * (mid - t_lo) == tau_mid:
-        return (tau_lo - slope * t_lo, slope)
-    # kink: intersect the chords through (lo, mid) and (mid, hi)
-    left_slope = (tau_mid - tau_lo) / (mid - t_lo)
-    right_slope = (tau_hi - tau_mid) / (t_hi - mid)
-    if left_slope == right_slope:
-        raise _SplitRequest([mid])
-    kink = ((tau_mid - right_slope * mid) - (tau_lo - left_slope * t_lo)) / (left_slope - right_slope)
-    if t_lo < kink < t_hi:
-        raise _SplitRequest([kink])
-    raise _SplitRequest([mid])
+    return (tau_lo - slope * t_lo, slope)
 
 
 def _threshold_from_basis(

@@ -108,8 +108,8 @@ def test_criterion_1_divisorial_s_invariants():
 
 def test_criterion_2_flag_invariants_passing_clauses():
     """53/88 and 1/2 via automatic two-parameter chambers, positive parts verbatim."""
-    ruling = refined_s_flag(DP4, dp4_restriction(), (1, 0, 0, 0, 0, 0), 22, curve_label="l2")
-    diag = refined_s_flag(QUADRIC, quadric_restriction(), (1, 1), 22, curve_label="diagonal")
+    ruling = refined_s_flag(DP4, dp4_restriction(), (1, 0, 0, 0, 0, 0), 22)
+    diag = refined_s_flag(QUADRIC, quadric_restriction(), (1, 1), 22)
     # the ruling flag's printed positive parts, recomputed automatically
     from kstab.zariski import two_param_flag_volume
 
@@ -146,7 +146,7 @@ def test_criterion_2_line_flag_printed_value_EXPECTED_RED():
     ``..._printed_value_EXPECTED_RED`` is kept only so the node id stays
     stable; the test is expected to pass.
     """
-    line = refined_s_flag(DP4, dp4_restriction(), (1, -1, -1, 0, 0, 0), 22, curve_label="l1")
+    line = refined_s_flag(DP4, dp4_restriction(), (1, -1, -1, 0, 0, 0), 22)
     oracle = ZariskiOracle(DP4)
 
     def vol_a0_minus(u):
@@ -173,7 +173,7 @@ def test_criterion_2_line_flag_oracle_confirmed_value():
     sample points with no chamber machinery; the certified cells must agree
     pointwise, and their exact double integral is 73/88.
     """
-    line = refined_s_flag(DP4, dp4_restriction(), (1, -1, -1, 0, 0, 0), 22, curve_label="l1")
+    line = refined_s_flag(DP4, dp4_restriction(), (1, -1, -1, 0, 0, 0), 22)
     assert line.value == Q(73, 88)
     oracle = ZariskiOracle(DP4)
     from kstab.zariski import two_param_flag_volume

@@ -128,16 +128,16 @@ class TestSingLineBound:
 
 class TestFlagInvariants:
     def test_ruling_flag(self):
-        report = refined_s_flag(DP4, dp4_restriction(), (1, 0, 0, 0, 0, 0), 22, curve_label="l2")
+        report = refined_s_flag(DP4, dp4_restriction(), (1, 0, 0, 0, 0, 0), 22)
         assert report.value == Q(53, 88)
         assert report.prefactor == "3/22"
 
     def test_line_flag_engine_value(self):
-        report = refined_s_flag(DP4, dp4_restriction(), (1, -1, -1, 0, 0, 0), 22, curve_label="l1")
+        report = refined_s_flag(DP4, dp4_restriction(), (1, -1, -1, 0, 0, 0), 22)
         assert report.value == Q(73, 88)
 
     def test_quadric_diagonal(self):
-        report = refined_s_flag(QUADRIC, quadric_restriction(), (1, 1), 22, curve_label="diag")
+        report = refined_s_flag(QUADRIC, quadric_restriction(), (1, 1), 22)
         assert report.value == Q(1, 2)
 
     def test_flag_halves_under_doubled_curve(self):

@@ -35,7 +35,7 @@ from kstab.zariski import (
 FIELDS = {
     Chamber: (("lo", "hi", "p0", "p1"), {}),
     DivisorialVerdict: (("divisor", "log_discrepancy", "expected_vanishing"), {}),
-    FlagReport: (("surface", "curve", "value", "cells", "prefactor"), {}),
+    FlagReport: (("value", "cells", "prefactor"), {}),
     FlagSetup: (("surface", "divisor", "images", "note"), {}),
     DiscriminantGroup: (("lattice", "factors", "generators"), {}),
     Overlattice: (("gram", "basis", "subgroup"), {}),

@@ -42,7 +42,7 @@ from kstab.intersect import (
     sing_line_model,
 )
 from kstab.invariants import s_invariant
-from kstab.lp import Infeasible, LPResult, Unbounded, _remembered, in_cone, max_shift
+from kstab.lp import Infeasible, LPResult, Unbounded, _remembered, in_cone, max_shift, solve_equality_lp
 from kstab.poly import Polynomial, check_c1, parse_polynomial
 from kstab.rationals import qvec, scaled
 from oracles import (
@@ -1077,12 +1077,30 @@ def test_basis_threshold_matches_three_lp_probe(case):
 
 
 def test_moving_flag_takes_both_routes():
-    # -K - t*e1 against L on the cubic surface: tau(t) has a kink in [0, 1/2],
-    # so the first two t-chambers fall back to the probe, which splits at it,
-    # and the three chambers after the splits are proved from the basis alone
+    # -K - t*e1 against L on the cubic surface: tau(t) has a kink at t = 1/4.
+    # The first two t-chambers fall back to the chord, which fails and
+    # bisects: [0, 1] at 1/2, a wall that is only an artifact, then [0, 1/2]
+    # at 1/4, which is the kink only because 1/4 is dyadic.  The three
+    # chambers after the splits are proved from the basis alone
     got, proved = _proved_thresholds(DP3, _moving(MINUS_K3), Q(1), L3)
     assert isinstance(got, zariski.FlagDecomposition)
     assert [tau is not None for _, tau in proved] == [False, False, True, True, True]
+    assert [(c.t_lo, c.t_hi) for c in got.chambers] == [(0, Q(1, 4)), (Q(1, 4), Q(1, 2)), (Q(1, 2), 1)]
+
+
+def test_a_threshold_zero_at_the_midpoint_leaves_one_empty_chamber(monkeypatch):
+    # A = L1 against Z = L2 on the quadric: A - s*Z leaves the cone for every
+    # s > 0, so tau(t) = 0 on [0, 1].  The midpoint's basis proves the line
+    # tau = 0, the s-march on [0, 0] has no cells, and no endpoint LP runs:
+    # the LPs are in_cone(Z) and max_shift at the midpoint
+    thresholds, solves = [], []
+    real = zariski._threshold_at
+    monkeypatch.setattr(zariski, "_threshold_at", lambda *args: thresholds.append(args) or real(*args))
+    monkeypatch.setattr("kstab.lp.solve_equality_lp", lambda *args: solves.append(args) or solve_equality_lp(*args))
+    flag = two_param_flag_volume(quadric_surface(), (1, 0), 0, 1, (0, 1))
+    assert flag.chambers == (zariski.FlagChamber(Q(0), Q(1), ()),)
+    assert flag.integral() == 0
+    assert (len(thresholds), len(solves)) == (0, 2)
 
 
 def test_a_dual_off_the_basis_sends_the_chamber_to_the_probe():
