@@ -5,7 +5,8 @@ divisors in the moduli of degree-22 K3 surfaces that the engine's stability
 computations refer back to: the four lattices attached to the one-nodal
 degenerations (types I-IV), the eleven Brill-Noether-excluding pairs, and
 the nodal pair (0, -2).  These are frozen input constants, not derived data;
-reclassifying them from first principles is out of scope.
+reclassifying them from first principles is out of scope, but
+``verify-paper`` checks the eleven pairs against the Brill-Noether rule.
 
 Classification helpers only apply to degree 22; nl_gram itself works for
 any even degree.

@@ -3,11 +3,10 @@
 A dense simplex for the cone problems this engine meets (at most nine
 equality constraints and a few hundred nonnegative variables): cone
 membership, the engine's one test of effectivity on surfaces and
-threefolds alike, and pseudo-effective thresholds, where the optimal
-basis and its dual prove a threshold on a whole interval of a parameter
-(``zariski._parametric_threshold``).  A :class:`Cone` holds its generators
-with their integer rows built once, so the many LPs over one surface's
-effective cone add only their own columns and right-hand sides.
+threefolds alike, and pseudo-effective thresholds.  A :class:`Cone` holds
+its generators with their integer rows built once, so the many LPs over
+one surface's effective cone add only their own columns and right-hand
+sides.
 
 Every LP starts from a basis: one its Cone remembers, or else the lead
 columns of the Gauss-Jordan reduction ``rationals._reduce``, which drops a
@@ -52,9 +51,8 @@ It starts as T*[a | I | b] over d, whose entries are minors, so the exact
 division holds.  A widened column that needs another row scale starts from
 the reduction, as does an LP on a list of rows, a fresh Cone every call.
 No engine output depends on the basis a memory gives: the callers read a
-membership or a value, the same for every optimum, or a basis that proves a
-threshold (``zariski._threshold_from_basis``), which proves the exact one
-whichever optimum it is.  A stale basis costs time, never a wrong answer.
+membership or a value, the same for every optimum.  A stale basis costs
+time, never a wrong answer.
 
 The simplex is not trusted; its answers are (exact LP by verifying a
 basis, Applegate-Cook-Dash-Espinoza 2007).  Every tableau row also carries

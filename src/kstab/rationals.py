@@ -14,12 +14,11 @@ remainder raises InvariantViolation.  A row with f = 0 is left as it is
 when |p| = D, as x*p // D is then x; every other row is rebuilt, and each
 of its entries checked.  Over it, ``_reduce`` is Gauss-Jordan row by row,
 each row on its first nonzero column; the exact LP starts from it, and
-``det``, ``rank``, ``solve_general`` (``solve_each`` for several
-right-hand sides at once), ``mat_inverse`` and the negative-definite solve
-are a few lines over it.  The last gives integer numerators over one
-positive denominator, for the Zariski layer's integer certificates, and
-reads Sylvester's criterion off the same reduction: row k pivots on column
-k, negatively.  Inputs are never mutated.
+``det``, ``rank``, ``solve_general``, ``mat_inverse`` and the
+negative-definite solve are a few lines over it.  The last gives integer
+numerators over one positive denominator, for the Zariski layer's integer
+certificates, and reads Sylvester's criterion off the same reduction: row
+k pivots on column k, negatively.  Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -197,23 +196,11 @@ def solve_general(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> QVe
     Returns None when the system is inconsistent.  Free variables are set
     to zero, so the result is deterministic.
     """
-    sols = solve_each(a, [b])
-    return None if sols is None else sols[0]
-
-
-def solve_each(a: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]]) -> list[QVec] | None:
-    """``solve_general(a, b)`` for each b in rhs, from one elimination.
-
-    Returns None when any of the systems is inconsistent.  The pivot
-    columns depend on a alone (scaling a row keeps its zeros), and with the
-    free variables at zero a consistent system has exactly one solution on
-    them, so each solution is the one ``solve_general`` gives.
-    """
     width = len(a[0]) if a else 0
-    tab, cols, d, _, _ = _eliminate([list(row) + list(bs) for row, *bs in zip(a, *rhs, strict=True)], width)
+    tab, cols, d, _, _ = _eliminate([[*row, y] for row, y in zip(a, b, strict=True)], width)
     if len(cols) < len(tab):
         return None
-    return [tuple(Fraction(v, d) for v in y) for y in _values(tab, cols, width, len(rhs))]
+    return tuple(Fraction(v, d) for v in _values(tab, cols, width, 1)[0])
 
 
 def mat_inverse(a: Sequence[Sequence[Fraction]]) -> QMat | None:

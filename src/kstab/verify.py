@@ -24,7 +24,6 @@ from .k3cat import (
     TYPE_PAIRS,
     cyclic_cover_volume,
     genus_volume,
-    is_bn_excluding,
     k3_section_count,
     nl_gram,
 )
@@ -40,7 +39,7 @@ from .lattice import (
     isotropic_elements,
     signature,
 )
-from .models import FLAG_SETUPS, preset
+from .models import FLAG_SETUPS, log_discrepancy_default, preset
 from .poly import check_c1, parse_polynomial
 from .rationals import Q, format_rational
 from .records import Record
@@ -178,8 +177,13 @@ def verify_paper(overrides: dict | None = None) -> list[Row]:
         signature(nl_gram(22, *TYPE_PAIRS[k])) == (1, 1, 0) for k in ("I", "II", "III", "IV")
     )
     rows.append(_row("catalog:type-signatures(1,1)", "True", str(type_sigs_ok)))
-    bn_ok = all(is_bn_excluding(h, m) for (h, m) in BN_EXCLUDING_PAIRS) and not is_bn_excluding(0, -2)
-    rows.append(_row("catalog:eleven-BN-pairs", "True", str(bn_ok)))
+    # the pairs the Brill-Noether rule excludes in degree 22, in increasing h, are the frozen table:
+    # 1 <= h <= 11, even m >= 0, h^2 > 22m and (m/2 + 2)(13 - h + m/2) >= 13
+    bn_rule = tuple(
+        (h, m) for h in range(1, 12) for m in range(0, h * h, 2)
+        if h * h > 22 * m and (m // 2 + 2) * (13 - h + m // 2) >= 13
+    )
+    rows.append(_row("catalog:eleven-BN-pairs", "True", str(bn_rule == BN_EXCLUDING_PAIRS)))
     rank3 = GramLattice([[22, 11, 6], [11, 4, 1], [6, 1, -2]])
     rows.append(
         _row("catalog:type-I-saturated-in-rank3", "True", str(is_saturated(rank3, [(1, 0, 0), (0, 1, 0)])))
@@ -207,7 +211,7 @@ def verify_paper(overrides: dict | None = None) -> list[Row]:
     rows.append(_row("nodal:vol(A-E)^3", Q(20), triple_product(node, *(node.anticanonical,) * 3)))
     nsurf = restrict_to_surface(node, node.anticanonical, [(1, 0), (0, 1)])
     rows.append(_row("nodal:restriction-gram", "((22, 0), (0, -2))", _fmt(nsurf.gram)))
-    rows.append(_row("nodal:log-discrepancy-input", "2", "2"))
+    rows.append(_row("nodal:log-discrepancy-input", "2", log_discrepancy_default("bl_node_22", "E")))
 
     # elliptic / special-divisor identities on the seven degree-22 lattices
     recon = [

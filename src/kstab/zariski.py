@@ -27,7 +27,7 @@ one pass.  The volume P^2 is the quadratic form of the positive part's
 vectors on the Gram scaled to integers once.  Fractions and polynomials
 are built only for the results.  A failed certificate splits the chamber
 at the root of the offending affine function, which is rational; a
-pseudo-effective threshold that is not proved affine on a flag's
+pseudo-effective threshold that leaves the endpoint chord of a flag's
 t-chamber bisects it, so every wall is rational.  Both families run one
 certified-cell loop: certify a cell, or split it at the points the failed
 certification names.
@@ -59,9 +59,9 @@ from .errors import (
     WallCrossingDegeneracy,
 )
 from .intersect import SurfaceModel, ThreefoldModel, affine_cube
-from .lp import Cone, Infeasible, LPResult, Unbounded, in_cone, max_shift
+from .lp import Cone, Infeasible, Unbounded, in_cone, max_shift
 from .poly import PiecewisePolynomial, Polynomial
-from .rationals import Q, QVec, dot, format_rational, qvec, scaled, solve_each, solve_negative_definite, to_q
+from .rationals import Q, QVec, dot, format_rational, qvec, scaled, solve_negative_definite, to_q
 from .records import Record
 
 _MAX_SPLIT_DEPTH = 32
@@ -557,8 +557,7 @@ def two_param_flag_volume(
     curve, wall ordering, and vanishing of the volume at the pseudo-effective
     threshold) are affine, so checks at cell vertices are complete.  A
     failed certificate splits the t-interval at the rational root
-    responsible; a threshold that the midpoint's basis does not prove
-    affine and that leaves the endpoint chord bisects it.
+    responsible; a threshold that leaves the endpoint chord bisects it.
     """
     t_lo, t_hi = _interval(t_lo, t_hi)
     if len(a_family) != surface.rank:
@@ -575,9 +574,9 @@ def two_param_flag_volume(
     # puts A(t) in the cone too when Z lies in it
     z_in_cone = in_cone(_eff_data(surface), z_vec) is not None
     family = _integer_family((*a_vecs, tuple(-x for x in z_vec)))
-    memo, lines = {}, {}  # this call's supports of family and tau-lines of bases, read by every chamber
+    memo, ends = {}, {}  # this call's supports of family and tau at chamber ends, read by every chamber
     chambers = _certified_cells(
-        t_lo, t_hi, lambda a, b: _certify_t_chamber(surface, family, a, b, z_in_cone, (tvar, "s"), memo, lines)
+        t_lo, t_hi, lambda a, b: _certify_t_chamber(surface, family, a, b, z_in_cone, (tvar, "s"), memo, ends)
     )
     return FlagDecomposition(tuple(chambers), tvar, "s")
 
@@ -590,12 +589,12 @@ def _flag_at(family: Family, t: Fraction) -> tuple[QVec, QVec]:
 
 def _certify_t_chamber(
     surface: SurfaceModel, family: Family, t_lo: Fraction, t_hi: Fraction,
-    z_in_cone: bool, both: tuple[str, str], memo: dict, lines: dict,
+    z_in_cone: bool, both: tuple[str, str], memo: dict, ends: dict,
 ) -> FlagChamber:
     """One t-chamber of A(t) - s*Z; family is (A0, A1, -Z) over its denominator.
 
-    memo holds the supports of family decomposed so far, and lines the
-    tau-lines of optimal bases, both for every chamber of one call.  A wall
+    memo holds the supports of family decomposed so far, and ends tau at
+    the chamber ends solved so far, both for every chamber of one call.  A wall
     s = (w0 + w1*t) / dw is held as ((w0, w1), dw) with dw > 0.
     """
     mid = (t_lo + t_hi) / 2
@@ -609,7 +608,7 @@ def _certify_t_chamber(
         raise NotPseudoEffective(f"restriction family leaves the effective cone at {mid}") from None
     except Unbounded:
         raise UnboundedDirection("flag class is anti-effective for the declared cone") from None
-    tau = scaled(_parametric_threshold(family, gens, lp, t_lo, t_hi, lines))
+    tau = scaled(_parametric_threshold(family, gens, lp.value, t_lo, t_hi, ends))
     # sampled chamber structure in s at the midpoint, on family itself; none where tau(mid) = 0
     s_chambers = _march_one_param(surface, family, memo, Q(0), lp.value, mid)
     # symbolic (t, s) reconstruction of each cell, from the support the march decomposed
@@ -660,74 +659,31 @@ def _wall_from_cert(
     return (-c0, -ct), cs
 
 
-def _threshold_at(family: Family, gens: Sequence[QVec], t: Fraction) -> Fraction:
-    try:
-        return max_shift(*_flag_at(family, t), gens).value
-    except Infeasible:
-        raise NotPseudoEffective(f"family leaves the effective cone at {t}") from None
-
-
 def _parametric_threshold(
-    family: Family, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction, lines: dict
+    family: Family, gens: Sequence[QVec], tau_mid: Fraction, t_lo: Fraction, t_hi: Fraction, ends: dict
 ) -> tuple[Fraction, Fraction]:
-    """tau(t) = tau0 + tau1*t, from the midpoint's optimal basis or by the chord; else bisect.
+    """tau(t) = tau0 + tau1*t on [t_lo, t_hi], proved by the endpoint chord; else bisect.
 
-    lp is max_shift at the midpoint.  When its basis proves tau affine on
-    the chamber (``_threshold_from_basis``) no further LP runs.  Otherwise
-    the chord decides: the feasible region {(t, s) : A(t) - sZ effective}
-    is convex because A is affine, so tau is concave on the chamber.  A
-    concave function that meets the endpoint chord at the midpoint as well
-    equals the chord on the whole interval (the difference is concave, >= 0
-    by the chord bound and <= 0 by the three-point bound).  When the
-    midpoint value leaves the chord, the chamber is split at the midpoint.
-    When the basis proves tau affine, the chord would give the same line.
+    tau_mid is tau at the midpoint, and ends maps each chamber end t whose
+    max_shift this call has solved to tau(t).  The feasible region
+    {(t, s) : A(t) - sZ effective} is convex because A is affine, so tau is
+    concave on the chamber.  A concave function that meets the endpoint
+    chord at the midpoint as well equals the chord on the whole interval
+    (the difference is concave, >= 0 by the chord bound and <= 0 by the
+    three-point bound).  When the midpoint value leaves the chord, the
+    chamber is split at the midpoint.
     """
-    tau = _threshold_from_basis(family, gens, lp, t_lo, t_hi, lines)
-    if tau is not None:
-        return tau
-    tau_lo = _threshold_at(family, gens, t_lo)
-    tau_hi = _threshold_at(family, gens, t_hi)
-    if (tau_lo + tau_hi) / 2 != lp.value:
+    for t in (t_lo, t_hi):
+        if t not in ends:
+            try:
+                ends[t] = max_shift(*_flag_at(family, t), gens).value
+            except Infeasible:
+                raise NotPseudoEffective(f"family leaves the effective cone at {t}") from None
+    tau_lo, tau_hi = ends[t_lo], ends[t_hi]
+    if (tau_lo + tau_hi) / 2 != tau_mid:
         raise _SplitRequest([(t_lo + t_hi) / 2])
     slope = (tau_hi - tau_lo) / (t_hi - t_lo)
     return (tau_lo - slope * t_lo, slope)
-
-
-def _threshold_from_basis(
-    family: Family, gens: Sequence[QVec], lp: LPResult, t_lo: Fraction, t_hi: Fraction, lines: dict
-) -> tuple[Fraction, Fraction] | None:
-    """tau(t) on [t_lo, t_hi] as proved by the optimal basis of lp, or None.
-
-    family is (A0, A1, -Z) over its denominator den.  In max_shift(A(t),
-    -Z, gens) the parameter enters only through the right-hand side A(t)
-    (Gass-Saaty 1955).  On the basis B of the midpoint optimum, whose
-    columns are Z and generators, [Z*den | gens*den]*x = A0 + t*A1 has the
-    affine solution x(t), solved once per basis into lines, this call's
-    memo, as integer lines over one denominator.  If x(t) >= 0 at both ends
-    it is feasible on the whole chamber.  The checked dual y of the
-    midpoint does not involve t, so it stays feasible; if y*A_k / den is
-    the s-entry of x(t), as affine functions, weak duality makes that entry
-    tau(t).  None when any of this fails; the dual is lp's own, so it is
-    checked on every call.
-    """
-    basis = lp.basis
-    if not basis or basis[0] != 0:  # s, column 0, is not basic
-        return None
-    (a0, a1, minus_z), den = family
-    key = tuple(basis)
-    if key not in lines:
-        mat = [[-minus_z[i] if j == 0 else gens[j - 1][i] * den for j in basis] for i in range(len(minus_z))]
-        sols = solve_each(mat, (a0, a1))
-        lines[key] = None if sols is None else _integer_family(sols)
-    if lines[key] is None:
-        return None
-    (x0, x1), xden = lines[key]
-    if any(v < 0 for t in (t_lo, t_hi) for v in _values(zip(x0, x1), t)):
-        return None
-    tau = (Fraction(x0[0], xden), Fraction(x1[0], xden))
-    if tuple(dot(lp.dual, a) / den for a in (a0, a1)) != tau:
-        return None
-    return tau
 
 
 # -- threefold chamber certification ------------------------------------------

@@ -422,6 +422,27 @@ class TestVerifyPaper:
         verify_paper()
         assert sorted(d for name, d in calls if name == "bl_p3_quintic") == ["E", "H", "Qtilde"]
 
+    def test_the_bn_row_checks_the_table_against_the_rule(self, monkeypatch):
+        # the row derives the excluded pairs from the Brill-Noether rule, so a
+        # table that lost (11, 4) fails it, wherever the table is read
+        import kstab.k3cat
+        import kstab.verify
+
+        short = tuple(pair for pair in kstab.k3cat.BN_EXCLUDING_PAIRS if pair != (11, 4))
+        for module in (kstab.k3cat, kstab.verify):
+            monkeypatch.setattr(module, "BN_EXCLUDING_PAIRS", short)
+        row = next(r for r in verify_paper() if r.claim == "catalog:eleven-BN-pairs")
+        assert (row.expected, row.computed, row.ok) == ("True", "False", False)
+
+    def test_the_log_discrepancy_row_reads_the_default_sinv_prints(self, monkeypatch):
+        from fractions import Fraction
+
+        import kstab.models
+
+        monkeypatch.setitem(kstab.models.PRESET_LOG_DISCREPANCY, ("bl_node_22", "E"), Fraction(3))
+        row = next(r for r in verify_paper() if r.claim == "nodal:log-discrepancy-input")
+        assert (row.expected, row.computed, row.ok) == ("2", "3", False)
+
     def test_human_readable_table(self, verify_json):
         from kstab.cli import _verify_text
 

@@ -33,7 +33,6 @@ from kstab.rationals import (
     mat_inverse,
     rank,
     scaled,
-    solve_each,
     solve_general,
     solve_negative_definite,
 )
@@ -91,13 +90,6 @@ class TestAgainstReference:
         b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
         assert rank(a) == reference_rank(a)
         assert solve_general(a, b) == reference_solve_general(a, b)
-
-    @settings(max_examples=200, deadline=None)
-    @given(matrices(), st.data())
-    def test_solve_each(self, a, data):
-        rhs = data.draw(st.lists(st.lists(entries, min_size=len(a), max_size=len(a)), max_size=3))
-        sols = [reference_solve_general(a, b) for b in rhs]
-        assert solve_each(a, rhs) == (None if None in sols else sols)
 
     @settings(max_examples=200, deadline=None)
     @given(grams(), st.data())

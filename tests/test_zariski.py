@@ -42,7 +42,7 @@ from kstab.intersect import (
     sing_line_model,
 )
 from kstab.invariants import s_invariant
-from kstab.lp import Infeasible, LPResult, Unbounded, _remembered, in_cone, max_shift, solve_equality_lp
+from kstab.lp import Infeasible, Unbounded, _remembered, in_cone, max_shift, solve_equality_lp
 from kstab.poly import Polynomial, check_c1, parse_polynomial
 from kstab.rationals import qvec, scaled
 from oracles import (
@@ -1031,22 +1031,32 @@ def _rational(family):
     return tuple(tuple(Q(x, den) for x in v) for v in (a0, a1)), tuple(Q(x, den) for x in minus_z)
 
 
-def _probe(family, gens, lp, t_lo, t_hi, lines):
-    return reference_parametric_threshold(*_rational(family), gens, lp.value, t_lo, t_hi)
+def _probe(family, gens, tau_mid, t_lo, t_hi, ends):
+    return reference_parametric_threshold(*_rational(family), gens, tau_mid, t_lo, t_hi)
 
 
-def _proved_thresholds(surface, family, hi, z):
-    """The flag outcome, and each (arguments, tau) that the optimal basis proved."""
-    proved = []
-    real = zariski._threshold_from_basis
+def _split_or_line(threshold, *args):
+    """What a threshold call gives: ("line", (tau0, tau1)) or ("split", points)."""
+    try:
+        return "line", threshold(*args)
+    except zariski._SplitRequest as split:
+        return "split", split.points
+
+
+def _thresholds(surface, family, hi, z):
+    """The flag outcome, and each (arguments, line or split) of the engine's threshold calls."""
+    calls = []
+    real = zariski._parametric_threshold
 
     def spy(*args):
-        tau = real(*args)
-        proved.append((args, tau))
-        return tau
+        route, result = _split_or_line(real, *args)
+        calls.append((args, (route, result)))
+        if route == "split":
+            raise zariski._SplitRequest(result)
+        return result
 
-    with mock.patch.object(zariski, "_threshold_from_basis", spy):
-        return _flag_outcome(surface, family, hi, z), proved
+    with mock.patch.object(zariski, "_parametric_threshold", spy):
+        return _flag_outcome(surface, family, hi, z), calls
 
 
 T = Polynomial.var("t")
@@ -1066,11 +1076,12 @@ MINUS_K4, MINUS_K3 = (3, -1, -1, -1, -1, -1), (3, -1, -1, -1, -1, -1, -1)
 @example((DP4, MINUS_K4, Q(1), L4))
 @example((DP4, _moving(MINUS_K4), Q(1), L4))
 @example((DP3, _moving(MINUS_K3), Q(1), L3))
-def test_basis_threshold_matches_three_lp_probe(case):
-    got, proved = _proved_thresholds(*case)
-    for (family, gens, lp, t_lo, t_hi, _), tau in proved:
-        if tau is not None:
-            assert reference_parametric_threshold(*_rational(family), gens, lp.value, t_lo, t_hi) == tau
+def test_the_threshold_matches_the_frozen_probe(case):
+    # each engine call gives the frozen probe's line or split, and so does
+    # the whole flag: it equals the flag computed with the probe in its place
+    got, calls = _thresholds(*case)
+    for (family, gens, tau_mid, t_lo, t_hi, _), outcome in calls:
+        assert _split_or_line(reference_parametric_threshold, *_rational(family), gens, tau_mid, t_lo, t_hi) == outcome
     with mock.patch.object(zariski, "_parametric_threshold", _probe):
         want = _flag_outcome(*case)
     assert got == want
@@ -1078,45 +1089,30 @@ def test_basis_threshold_matches_three_lp_probe(case):
 
 def test_moving_flag_takes_both_routes():
     # -K - t*e1 against L on the cubic surface: tau(t) has a kink at t = 1/4.
-    # The first two t-chambers fall back to the chord, which fails and
-    # bisects: [0, 1] at 1/2, a wall that is only an artifact, then [0, 1/2]
-    # at 1/4, which is the kink only because 1/4 is dyadic.  The three
-    # chambers after the splits are proved from the basis alone
-    got, proved = _proved_thresholds(DP3, _moving(MINUS_K3), Q(1), L3)
+    # The threshold's two routes are the chord and the split.  On the first
+    # two t-chambers the midpoint leaves the chord, which bisects: [0, 1] at
+    # 1/2, a wall that is only an artifact, then [0, 1/2] at 1/4, which is
+    # the kink only because 1/4 is dyadic.  The chord proves the three
+    # chambers after the splits
+    got, calls = _thresholds(DP3, _moving(MINUS_K3), Q(1), L3)
     assert isinstance(got, zariski.FlagDecomposition)
-    assert [tau is not None for _, tau in proved] == [False, False, True, True, True]
+    assert [route for _, (route, _) in calls] == ["split", "split", "line", "line", "line"]
+    assert [points for _, (route, points) in calls if route == "split"] == [[Q(1, 2)], [Q(1, 4)]]
     assert [(c.t_lo, c.t_hi) for c in got.chambers] == [(0, Q(1, 4)), (Q(1, 4), Q(1, 2)), (Q(1, 2), 1)]
 
 
 def test_a_threshold_zero_at_the_midpoint_leaves_one_empty_chamber(monkeypatch):
     # A = L1 against Z = L2 on the quadric: A - s*Z leaves the cone for every
-    # s > 0, so tau(t) = 0 on [0, 1].  The midpoint's basis proves the line
-    # tau = 0, the s-march on [0, 0] has no cells, and no endpoint LP runs:
-    # the LPs are in_cone(Z) and max_shift at the midpoint
-    thresholds, solves = [], []
-    real = zariski._threshold_at
-    monkeypatch.setattr(zariski, "_threshold_at", lambda *args: thresholds.append(args) or real(*args))
+    # s > 0, so tau(t) = 0 on [0, 1].  The chord through tau(0) = tau(1) = 0
+    # proves the line tau = 0, and the s-march on [0, 0] has no cells: the
+    # LPs are in_cone(Z) and max_shift at the midpoint and at both ends
+    shifts, solves = [], []
+    monkeypatch.setattr(zariski, "max_shift", lambda *args: shifts.append(args) or max_shift(*args))
     monkeypatch.setattr("kstab.lp.solve_equality_lp", lambda *args: solves.append(args) or solve_equality_lp(*args))
     flag = two_param_flag_volume(quadric_surface(), (1, 0), 0, 1, (0, 1))
     assert flag.chambers == (zariski.FlagChamber(Q(0), Q(1), ()),)
     assert flag.integral() == 0
-    assert (len(thresholds), len(solves)) == (0, 2)
-
-
-def test_a_dual_off_the_basis_sends_the_chamber_to_the_probe():
-    # doubling the midpoint dual keeps it feasible (y*g >= 0, y*Z >= 1) but
-    # it no longer prices the basis: y*A(t) = 2*tau(t), so no tau is proved;
-    # -K/2 puts the integer family over the denominator 2
-    gens = [DP4.eff_generators[k] for k in sorted(DP4.eff_generators)]
-    for a in (MINUS_K4, tuple(Q(x, 2) for x in MINUS_K4)):
-        a_vecs = _affine_vectors(a, ("t",), "affine")
-        minus_z = tuple(-x for x in L4)
-        family = _integer_family((*a_vecs, minus_z))
-        lp = max_shift(a_vecs[0], minus_z, gens)
-        assert zariski._threshold_from_basis(family, gens, lp, Q(0), Q(1), {}) == (lp.value, 0)
-        doubled = LPResult(lp.value, lp.x, lp.basis, tuple(2 * y for y in lp.dual))
-        assert zariski._threshold_from_basis(family, gens, doubled, Q(0), Q(1), {}) is None
-    assert family[1] == 2
+    assert (len(shifts), len(solves)) == (3, 4)
 
 
 @pytest.mark.parametrize(
@@ -1125,9 +1121,9 @@ def test_a_dual_off_the_basis_sends_the_chamber_to_the_probe():
 def test_a_warmed_cone_leaves_the_chamber_records_unchanged(make, minus_k, line, monkeypatch):
     """The flag and one-parameter records on a surface whose cone first
     answered 30 zariski_decompose and 30 pseff_threshold queries equal those
-    of a fresh surface, though the LPs whose basis and dual prove tau start
-    from the remembered bases too: a basis that proves tau proves the exact
-    tau, and the chamber splits do not depend on the basis."""
+    of a fresh surface, though the threshold LPs at the midpoints and the
+    chamber ends start from the remembered bases too: they read only the
+    value, the same for every optimum."""
     remembered_by = []
 
     def spy(*args):
@@ -1156,10 +1152,10 @@ def test_a_warmed_cone_leaves_the_chamber_records_unchanged(make, minus_k, line,
         assert got == want
         if isinstance(got, zariski.VolumeFunction):
             assert got.pw.pieces == want.pw.pieces  # with their labels
-    assert ("max_shift", "_certify_t_chamber") in remembered_by
+    assert {("max_shift", "_certify_t_chamber"), ("max_shift", "_parametric_threshold")} <= set(remembered_by)
 
 
-# -- one memo per family: each support decomposed, each basis solved, once per call ----
+# -- one memo per family: each support decomposed, each chamber end solved, once per call ----
 
 
 @pytest.mark.parametrize("tvar", ["s", "", 3], ids=["same-as-t", "empty", "not-a-string"])
@@ -1187,7 +1183,7 @@ def test_a_flag_family_in_s_is_rejected():
     assert in_u.integral() == Q(7, 3)
 
 
-def test_a_flag_call_decomposes_each_support_and_solves_each_basis_once(monkeypatch):
+def test_a_flag_call_decomposes_each_support_and_solves_each_end_once(monkeypatch):
     # -K - t*e1 against L on the cubic surface: its t-chambers and s-cells
     # made 21 decompositions of 3 supports when each cell and each chamber
     # decomposed afresh; one memo per call makes 3, and the next call
@@ -1196,17 +1192,22 @@ def test_a_flag_call_decomposes_each_support_and_solves_each_basis_once(monkeypa
         real = getattr(zariski, name)
         monkeypatch.setattr(zariski, name, lambda *args: log.append(entry(args)) or real(*args))
 
-    supports, bases, solves = [], [], []
+    # each entry's frame 2 is the zariski caller: entry <- the spy's lambda <- caller
+    supports, points, shifts = [], [], []
     spy("_symbolic_decomposition", supports, lambda args: tuple(args[2]))
-    spy("_threshold_from_basis", bases, lambda args: args[2].basis)
-    spy("solve_each", solves, lambda args: None)
+    spy("_flag_at", points, lambda args: (sys._getframe(2).f_code.co_name, args[1]))
+    spy("max_shift", shifts, lambda args: sys._getframe(2).f_code.co_name)
     flag = two_param_flag_volume(DP3, _moving(MINUS_K3), 0, 1, L3)
     assert sorted(supports) == [(), tuple(f"c_{i}" for i in range(1, 7)), tuple(f"c_{i}" for i in range(2, 7))]
-    # each basis with s basic is solved for its tau-line once, and then read
-    s_basic = [tuple(b) for b in bases if b and b[0] == 0]
-    assert (len(bases), len(s_basic), len(set(s_basic)), len(solves)) == (5, 5, 2, 2)
+    # one max_shift at each of the 5 chambers' midpoints, and one at each
+    # of the 4 distinct chamber ends, which the chambers that share it read
+    mids = [t for name, t in points if name == "_certify_t_chamber"]
+    ends = [t for name, t in points if name == "_parametric_threshold"]
+    assert mids == [Q(1, 2), Q(1, 4), Q(1, 8), Q(3, 8), Q(3, 4)]
+    assert sorted(ends) == [0, Q(1, 4), Q(1, 2), 1]
+    assert sorted(shifts) == ["_certify_t_chamber"] * 5 + ["_parametric_threshold"] * 4
     assert two_param_flag_volume(DP3, _moving(MINUS_K3), 0, 1, L3) == flag
-    assert (len(supports), len(solves)) == (6, 4)
+    assert (len(supports), len(shifts)) == (6, 18)
 
 
 @st.composite
@@ -1226,13 +1227,13 @@ def memo_families(draw):
 
 
 def _without_memos():
-    """Patches under which every decomposition and every tau-line is computed afresh.
+    """Patches under which every decomposition and every chamber end's tau is computed afresh.
 
     Each _iterative_decomposition starts from an empty memo and leaves only
-    its own result for the flag's cell rebuild to read, and each
-    _threshold_from_basis solves its basis again.
+    its own result for the flag's cell rebuild to read, and each chamber's
+    _parametric_threshold solves both of its ends again.
     """
-    iterative, from_basis = zariski._iterative_decomposition, zariski._threshold_from_basis
+    iterative, threshold = zariski._iterative_decomposition, zariski._parametric_threshold
 
     def fresh(surface, family, memo, *point):
         positive, certs = iterative(surface, family, {}, *point)
@@ -1241,7 +1242,7 @@ def _without_memos():
 
     return (
         mock.patch.object(zariski, "_iterative_decomposition", fresh),
-        mock.patch.object(zariski, "_threshold_from_basis", lambda *args: from_basis(*args[:5], {})),
+        mock.patch.object(zariski, "_parametric_threshold", lambda *args: threshold(*args[:5], {})),
     )
 
 
@@ -1255,8 +1256,8 @@ def test_the_memos_change_no_record(case):
     calls = [lambda: two_param_flag_volume(surface, family, 0, hi, z), lambda: one_param_volume(surface, family, 0, hi)]
     for call in calls:
         got = _outcome(call)
-        fresh, from_basis = _without_memos()
-        with fresh, from_basis:
+        fresh, ends = _without_memos()
+        with fresh, ends:
             want = _outcome(call)
         assert got == want
         if isinstance(got, FlagDecomposition):
