@@ -47,14 +47,12 @@ def _emit(report: dict, as_json: bool, approx: bool = False) -> str:
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     lines = []
 
-    def walk(prefix, value):
-        if isinstance(value, dict):
-            for k in value:
-                walk(f"{prefix}{k}." if prefix else f"{k}.", value[k]) if isinstance(
-                    value[k], (dict,)
-                ) else lines.append(_line(prefix + k, value[k], approx))
-        else:
-            lines.append(_line(prefix.rstrip("."), value, approx))
+    def walk(prefix, section):
+        for k, value in section.items():
+            if isinstance(value, dict):
+                walk(f"{prefix}{k}.", value)
+            else:
+                lines.append(_line(prefix + k, value, approx))
 
     walk("", report)
     width = max((len(l[0]) for l in lines), default=0)
@@ -273,20 +271,18 @@ def _cmd_lattice(args) -> dict:
             "isotropic_nonzero": nonzero,
             "claims": ["lattice:primitivity"],
         }
-    if args.lattice_op == "saturate":
-        sub = _int_rows(args.sub, "--sub")
-        try:
-            saturated = is_saturated(gram, sub)
-        except ValueError as exc:
-            raise _UsageError(f"--sub {args.sub!r}: {exc}") from None
-        return {
-            "command": "lattice saturate",
-            "gram": [list(r) for r in gram.gram],
-            "sub_basis": sub,
-            "saturated": saturated,
-            "claims": ["lattice:saturation"],
-        }
-    raise _UsageError("unknown lattice operation")
+    sub = _int_rows(args.sub, "--sub")
+    try:
+        saturated = is_saturated(gram, sub)
+    except ValueError as exc:
+        raise _UsageError(f"--sub {args.sub!r}: {exc}") from None
+    return {
+        "command": "lattice saturate",
+        "gram": [list(r) for r in gram.gram],
+        "sub_basis": sub,
+        "saturated": saturated,
+        "claims": ["lattice:saturation"],
+    }
 
 
 def _cmd_lattice_search(args) -> dict:
@@ -372,18 +368,16 @@ def _cmd_models_list(_args) -> dict:
     return {"command": "models list", "presets": list(PRESET_NAMES)}
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(_args) -> dict:
     from .verify import rows_as_dicts, verify_paper
 
     rows = verify_paper()
-    fails = [r for r in rows if not r.ok]
-    report = {
+    return {
         "command": "verify-paper",
         "rows": rows_as_dicts(rows),
         "total": len(rows),
-        "failed": len(fails),
+        "failed": sum(not r.ok for r in rows),
     }
-    return report, (0 if not fails else ERROR_EXIT)
 
 
 def _verify_text(report: dict) -> str:
@@ -407,7 +401,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="kstab", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def leaf(p, run):
+        """Close a leaf subcommand: its ``run`` and, after its own options, --json and --approx."""
+        p.set_defaults(run=run)
         p.add_argument("--json", action="store_true", help="canonical JSON output")
         p.add_argument("--approx", action="store_true", help="add decimal approximations")
 
@@ -416,98 +412,69 @@ def build_parser() -> _Parser:
     p.add_argument("--divisor", required=True)
     p.add_argument("--A", help="log discrepancy p/q (defaults to the preset input)")
     p.add_argument("--model-file")
-    common(p)
+    leaf(p, _cmd_sinv)
 
     p = sub.add_parser("flag-sinv", help="refined flag invariant on a preset surface")
     p.add_argument("--model", required=True)
     p.add_argument("--surface", required=True)
     p.add_argument("--curve", required=True, help="curve class, e.g. 'L - e1 - e2'")
-    common(p)
+    leaf(p, _cmd_flag_sinv)
 
     p = sub.add_parser("zariski", help="Zariski decomposition of a surface class")
     p.add_argument("--model", required=True)
     p.add_argument("--class", required=True)
     p.add_argument("--model-file")
-    common(p)
+    leaf(p, _cmd_zariski)
 
-    p = sub.add_parser("lattice", help="lattice computations")
-    lsub = p.add_subparsers(dest="lattice_op", required=True)
+    lsub = sub.add_parser("lattice", help="lattice computations").add_subparsers(dest="lattice_op", required=True)
     for op in ("disc", "overlattices", "primitive"):
         q = lsub.add_parser(op)
         q.add_argument("--gram", required=True, help="rows separated by ';', e.g. '22 0; 0 -2'")
-        common(q)
+        leaf(q, _cmd_lattice)
     q = lsub.add_parser("saturate")
     q.add_argument("--gram", required=True)
     q.add_argument("--sub", required=True, help="sub-basis rows separated by ';'")
-    common(q)
+    leaf(q, _cmd_lattice)
     q = lsub.add_parser("search")
     q.add_argument("--form", required=True, help="polynomial, e.g. '-22 + 28*c - 8*c^2'")
     q.add_argument("--op", required=True, choices=[">", ">=", "<", "<=", "=="])
     q.add_argument("--box", required=True, help="e.g. 'a=1..100,b=-100..-1'")
-    common(q)
+    leaf(q, _cmd_lattice_search)
 
-    p = sub.add_parser("nl", help="special-divisor catalog")
-    nsub = p.add_subparsers(dest="nl_op", required=True)
+    nsub = sub.add_parser("nl", help="special-divisor catalog").add_subparsers(dest="nl_op", required=True)
     q = nsub.add_parser("classify")
     q.add_argument("--h", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
-    common(q)
+    leaf(q, _cmd_nl_classify)
 
-    p = sub.add_parser("toric", help="toric polytope checks")
-    tsub = p.add_subparsers(dest="toric_op", required=True)
+    tsub = sub.add_parser("toric", help="toric polytope checks").add_subparsers(dest="toric_op", required=True)
     q = tsub.add_parser("check")
     q.add_argument("--vertices", required=True, help="file with one integer 3-vector per line")
-    common(q)
+    leaf(q, _cmd_toric_check)
 
-    p = sub.add_parser("models", help="model registry")
-    msub = p.add_subparsers(dest="models_op", required=True)
-    q = msub.add_parser("list")
-    common(q)
+    msub = sub.add_parser("models", help="model registry").add_subparsers(dest="models_op", required=True)
+    leaf(msub.add_parser("list"), _cmd_models_list)
 
-    p = sub.add_parser("verify-paper", help="run the golden verification suite")
-    common(p)
+    leaf(sub.add_parser("verify-paper", help="run the golden verification suite"), _cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        if args.cmd == "verify-paper":
-            report, code = _cmd_verify(args)
-            if args.json:
-                sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            else:
-                sys.stdout.write(_verify_text(report))
-            return code
-        handlers = {
-            "sinv": _cmd_sinv,
-            "flag-sinv": _cmd_flag_sinv,
-            "zariski": _cmd_zariski,
-            "models": _cmd_models_list,
-        }
-        if args.cmd == "lattice":
-            report = _cmd_lattice_search(args) if args.lattice_op == "search" else _cmd_lattice(args)
-        elif args.cmd == "nl":
-            report = _cmd_nl_classify(args)
-        elif args.cmd == "toric":
-            report = _cmd_toric_check(args)
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+        report = args.run(args)
+        if args.run is _cmd_verify and not args.json:
+            sys.stdout.write(_verify_text(report))
         else:
-            report = handlers[args.cmd](args)
-        sys.stdout.write(_emit(report, args.json, args.approx))
-        return 0
+            sys.stdout.write(_emit(report, args.json, args.approx))
     except KstabError as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stdout.write(json.dumps(error, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_emit({"error": type(exc).__name__, "message": str(exc)}, as_json=True))
         return ERROR_EXIT
     except (_UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    # verify-paper is the one report that counts failed rows
+    return ERROR_EXIT if report.get("failed") else 0
 
 
 if __name__ == "__main__":
