@@ -701,8 +701,9 @@ def threefold_volume_certified(model: ThreefoldModel, divisor: str) -> VolumeFun
     declared effective classes: it is affine in t and the cone is convex,
     so a checked ``lp.in_cone`` certificate at each end proves the whole
     chamber.  And P(t) must pair nonnegatively with every declared curve.
-    Continuity across walls is enforced by the piecewise constructor.  The
-    result never claims more than nefness relative to the declared curves.
+    A table that is empty, inverted, gapped or discontinuous at a wall is
+    an InvalidModel.  The result never claims more than nefness relative to
+    the declared curves.
     """
     b_vec = model.class_vector(divisor)
     if not (isinstance(divisor, str) and divisor in model.chambers):
@@ -733,5 +734,8 @@ def threefold_volume_certified(model: ThreefoldModel, divisor: str) -> VolumeFun
         vol = Polynomial._make(("t",), {(k,): c for k, c in enumerate(affine_cube(model, p0, p1))})
         pieces.append((lo, hi, vol))
         vol_chambers.append(VolumeChamber(lo, hi, chamber.p0, chamber.p1, ()))
-    pw = PiecewisePolynomial(pieces, "t")
+    try:
+        pw = PiecewisePolynomial(pieces, "t")
+    except ValueError as exc:  # no chamber, an inverted one, a gap or a discontinuous volume
+        raise InvalidModel(f"chamber table for {divisor!r}: {exc}") from None
     return VolumeFunction(pw, tuple(vol_chambers), "relative to declared curves")

@@ -327,6 +327,66 @@ class TestComputationErrors:
         assert "Traceback" not in captured.err
 
 
+MINE = """kstab-model v1
+model threefold mine
+
+basis
+H E
+
+triple
+0 0 0 = 1
+0 0 1 = 0
+0 1 1 = -5
+1 1 1 = -18
+
+anticanonical
+4 -1
+
+curves
+fiber: 0 -1
+line: 1 0
+
+effective
+E: 0 1
+H: 1 0
+Qtilde: 2 -1
+
+divisors
+E: 0 1
+
+chambers E
+"""
+
+
+class TestMalformedChamberTable:
+    # each chamber passes its own certificate; the table as a whole does not glue into one volume
+    @pytest.mark.parametrize(
+        "table,reason",
+        [
+            ("0 1/2 : 4 -1 ; -4 1\n1/2 1 : 0 0 ; 0 0\n", "discontinuity at 1/2: 11/4 != 0"),
+            ("0 1/2 : 4 -1 ; -4 1\n3/4 1 : 0 0 ; 0 0\n", "pieces do not abut at 1/2 vs 3/4"),
+            ("1 0 : 4 -1 ; -4 1\n", "inverted interval [1, 0]"),
+            ("", "piecewise polynomial needs at least one piece"),
+        ],
+        ids=["discontinuous", "gapped", "inverted", "empty"],
+    )
+    def test_is_exit_2(self, capsys, tmp_path, table, reason):
+        path = tmp_path / "mine.model"
+        path.write_text(MINE + table)
+        code = main(["sinv", "--model", "mine", "--model-file", str(path), "--divisor", "E", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"error": "InvalidModel", "message": f"chamber table for 'E': {reason}"}
+        assert "Traceback" not in captured.err
+
+    def test_the_glued_table_certifies(self, capsys, tmp_path):
+        path = tmp_path / "mine.model"
+        path.write_text(MINE + "0 1 : 4 -1 ; -4 1\n")
+        code, out = run(capsys, "sinv", "--model", "mine", "--model-file", str(path), "--divisor", "E", "--json")
+        assert code == 0
+        assert json.loads(out)["S"] == "1/4"
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         _, out1 = run(capsys, "zariski", "--model", "dp4", "--class", "3 L - e1 - e2", "--json")

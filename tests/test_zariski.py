@@ -477,7 +477,7 @@ class TestThreefoldCertified:
             Chamber(Q(0), Q(1), qvec((4, -1)), qvec((-2, 1))),
             Chamber(Q(1), Q(2), qvec((3, 0)), qvec((Q(-3, 2), 0))),
         )
-        with pytest.raises(ValueError, match="discontinuity"):
+        with pytest.raises(InvalidModel, match="'B'.*discontinuity"):
             threefold_volume_certified(with_table(m, m.divisors["Qtilde"], chambers), "B")
 
 
