@@ -478,12 +478,15 @@ def one_param_volume(surface: SurfaceModel, family: Sequence[Polynomial | Fracti
         vecs, den = ch.positive
         p0, p1 = (tuple(Fraction(x, den) for x in v) for v in vecs)
         vol_chambers.append(VolumeChamber(ch.lo, ch.hi, p0, p1, ch.support))
-    if s_end < hi:
+    if s_end < hi:  # past the pseudo-effective threshold the volume is 0, so the last piece must reach 0 there
+        at_threshold = pieces[-1][2](**{var: s_end}) if pieces else Q(0)
+        if at_threshold != 0:
+            raise CertificateViolation(f"volume is {at_threshold}, not 0, at the pseudo-effective threshold {s_end}")
         zero = Polynomial.constant(0, (var,))
         pieces.append((s_end, hi, zero, "outside-pseff"))
         vol_chambers.append(VolumeChamber(s_end, hi, (Q(0),) * surface.rank, (Q(0),) * surface.rank, ()))
     pw = PiecewisePolynomial(pieces, var)
-    if pw(s_end) < 0:
+    if pw(s_end) < 0:  # s_end == hi: the interval ends at or before the threshold
         raise CertificateViolation("volume is negative at the pseudo-effective threshold")
     return VolumeFunction(pw, tuple(vol_chambers), "relative to declared curves")
 
@@ -557,7 +560,8 @@ def two_param_flag_volume(
     curve, wall ordering, and vanishing of the volume at the pseudo-effective
     threshold) are affine, so checks at cell vertices are complete.  A
     failed certificate splits the t-interval at the rational root
-    responsible; a threshold that leaves the endpoint chord bisects it.
+    responsible; a threshold that leaves the endpoint chord bisects it.  A
+    volume that does not vanish at the threshold raises CertificateViolation.
     """
     t_lo, t_hi = _interval(t_lo, t_hi)
     if len(a_family) != surface.rank:
@@ -574,9 +578,9 @@ def two_param_flag_volume(
     # puts A(t) in the cone too when Z lies in it
     z_in_cone = in_cone(_eff_data(surface), z_vec) is not None
     family = _integer_family((*a_vecs, tuple(-x for x in z_vec)))
-    memo, ends = {}, {}  # this call's supports of family and tau at chamber ends, read by every chamber
+    memo, taus = {}, {}  # this call's supports of family and tau at each t solved, read by every chamber
     chambers = _certified_cells(
-        t_lo, t_hi, lambda a, b: _certify_t_chamber(surface, family, a, b, z_in_cone, (tvar, "s"), memo, ends)
+        t_lo, t_hi, lambda a, b: _certify_t_chamber(surface, family, a, b, z_in_cone, (tvar, "s"), memo, taus)
     )
     return FlagDecomposition(tuple(chambers), tvar, "s")
 
@@ -589,13 +593,13 @@ def _flag_at(family: Family, t: Fraction) -> tuple[QVec, QVec]:
 
 def _certify_t_chamber(
     surface: SurfaceModel, family: Family, t_lo: Fraction, t_hi: Fraction,
-    z_in_cone: bool, both: tuple[str, str], memo: dict, ends: dict,
+    z_in_cone: bool, both: tuple[str, str], memo: dict, taus: dict,
 ) -> FlagChamber:
     """One t-chamber of A(t) - s*Z; family is (A0, A1, -Z) over its denominator.
 
-    memo holds the supports of family decomposed so far, and ends tau at
-    the chamber ends solved so far, both for every chamber of one call.  A wall
-    s = (w0 + w1*t) / dw is held as ((w0, w1), dw) with dw > 0.
+    memo holds the supports of family decomposed so far, and taus tau at
+    each t solved so far, midpoints included, both for every chamber of one
+    call.  A wall s = (w0 + w1*t) / dw is held as ((w0, w1), dw) with dw > 0.
     """
     mid = (t_lo + t_hi) / 2
     a_mid, minus_z = _flag_at(family, mid)
@@ -608,7 +612,8 @@ def _certify_t_chamber(
         raise NotPseudoEffective(f"restriction family leaves the effective cone at {mid}") from None
     except Unbounded:
         raise UnboundedDirection("flag class is anti-effective for the declared cone") from None
-    tau = scaled(_parametric_threshold(family, gens, lp.value, t_lo, t_hi, ends))
+    taus[mid] = lp.value  # the halves of a bisected chamber read it as an end
+    tau = scaled(_parametric_threshold(family, gens, lp.value, t_lo, t_hi, taus))
     # sampled chamber structure in s at the midpoint, on family itself; none where tau(mid) = 0
     s_chambers = _march_one_param(surface, family, memo, Q(0), lp.value, mid)
     # symbolic (t, s) reconstruction of each cell, from the support the march decomposed
@@ -641,7 +646,7 @@ def _certify_t_chamber(
         (w0, w1), dw = tau
         at_tau = (tuple(x * dw + w0 * y for x, y in zip(p0, ps)), tuple(x * dw + w1 * y for x, y in zip(pt, ps)))
         if not _affine_square(surface, (at_tau, pden * dw), both[:1]).is_zero():
-            raise _SplitRequest([mid])
+            raise CertificateViolation(f"volume does not vanish at the pseudo-effective threshold on [{t_lo}, {t_hi}]")
     return FlagChamber(t_lo, t_hi, tuple(cells))
 
 
@@ -660,12 +665,12 @@ def _wall_from_cert(
 
 
 def _parametric_threshold(
-    family: Family, gens: Sequence[QVec], tau_mid: Fraction, t_lo: Fraction, t_hi: Fraction, ends: dict
+    family: Family, gens: Sequence[QVec], tau_mid: Fraction, t_lo: Fraction, t_hi: Fraction, taus: dict
 ) -> tuple[Fraction, Fraction]:
     """tau(t) = tau0 + tau1*t on [t_lo, t_hi], proved by the endpoint chord; else bisect.
 
-    tau_mid is tau at the midpoint, and ends maps each chamber end t whose
-    max_shift this call has solved to tau(t).  The feasible region
+    tau_mid is tau at the midpoint, and taus maps each t whose max_shift
+    this call has solved to tau(t).  The feasible region
     {(t, s) : A(t) - sZ effective} is convex because A is affine, so tau is
     concave on the chamber.  A concave function that meets the endpoint
     chord at the midpoint as well equals the chord on the whole interval
@@ -674,12 +679,12 @@ def _parametric_threshold(
     chamber is split at the midpoint.
     """
     for t in (t_lo, t_hi):
-        if t not in ends:
+        if t not in taus:
             try:
-                ends[t] = max_shift(*_flag_at(family, t), gens).value
+                taus[t] = max_shift(*_flag_at(family, t), gens).value
             except Infeasible:
                 raise NotPseudoEffective(f"family leaves the effective cone at {t}") from None
-    tau_lo, tau_hi = ends[t_lo], ends[t_hi]
+    tau_lo, tau_hi = taus[t_lo], taus[t_hi]
     if (tau_lo + tau_hi) / 2 != tau_mid:
         raise _SplitRequest([(t_lo + t_hi) / 2])
     slope = (tau_hi - tau_lo) / (t_hi - t_lo)
@@ -701,9 +706,8 @@ def threefold_volume_certified(model: ThreefoldModel, divisor: str) -> VolumeFun
     declared effective classes: it is affine in t and the cone is convex,
     so a checked ``lp.in_cone`` certificate at each end proves the whole
     chamber.  And P(t) must pair nonnegatively with every declared curve.
-    A table that is empty, inverted, gapped or discontinuous at a wall is
-    an InvalidModel.  The result never claims more than nefness relative to
-    the declared curves.
+    An empty, inverted, gapped or discontinuous table is an InvalidModel.
+    The result never claims more than nefness relative to declared curves.
     """
     b_vec = model.class_vector(divisor)
     if not (isinstance(divisor, str) and divisor in model.chambers):

@@ -7,7 +7,9 @@ bound; an unknown class, divisor or model name is an UnknownLabel, a
 KstabError that is also a KeyError.  The split-depth guard of the
 certified-cell loop raises WallCrossingDegeneracy for one- and
 two-parameter families alike, and an empty or reversed interval is an
-InvalidModel for both.  Every entry point the benchmark tracer rebinds
+InvalidModel for both.  A volume that does not vanish at the
+pseudo-effective threshold of the declared cone is a CertificateViolation
+for both, not a split.  Every entry point the benchmark tracer rebinds
 must exist, since the tracer looks each one up with no guard, and every
 task of the ``discrete`` and ``surfaces`` benchmark workloads must run and
 pass its check, since the workloads read library names with no guard too.
@@ -32,7 +34,7 @@ import pytest
 
 import kstab
 from kstab import toric, zariski
-from kstab.errors import InvalidModel, KstabError, UnknownLabel, WallCrossingDegeneracy
+from kstab.errors import CertificateViolation, InvalidModel, KstabError, UnknownLabel, WallCrossingDegeneracy
 from kstab.intersect import (
     SurfaceModel,
     affine_cube,
@@ -194,6 +196,21 @@ class TestSplitGuard:
         flag = zariski.two_param_flag_volume(dp4_surface(), family, 0, Fraction(1, 2), (1, -1, -1, 0, 0, 0))
         assert [(c.t_lo, c.t_hi) for c in flag.chambers] == [(0, Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 2))]
         assert flag.integral() == Fraction(265, 288)
+
+
+class TestThresholdVolume:
+    # the quadric with no negative curves and a declared cone {(1, 1), (2, 1)}
+    # narrower than its nef cone: on the cone's edge (2, 1) the volume is 4,
+    # not 0, so no certificate can hold at the declared threshold
+    QUADRIC = SurfaceModel("q", ("f1", "f2"), [[0, 1], [1, 0]], eff_generators={"a": (1, 1), "b": (2, 1)})
+
+    def test_one_param_volume(self):
+        with pytest.raises(CertificateViolation, match="volume is 4, not 0, at the pseudo-effective threshold 1"):
+            zariski.one_param_volume(self.QUADRIC, (2, 2 - T), 0, 3)
+
+    def test_flag_volume(self):
+        with pytest.raises(CertificateViolation, match=r"does not vanish at the pseudo-effective threshold on \[0, 1\]"):
+            zariski.two_param_flag_volume(self.QUADRIC, (2, 2), 0, 1, (0, 1))
 
 
 ROOT = Path(__file__).resolve().parents[1]
